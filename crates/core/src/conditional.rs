@@ -15,7 +15,6 @@
 //! This module packages those observations into a small API:
 //!
 //! * [`satisfaction_probability`] — `P(ψ)` for a set of dependencies,
-//! * [`condition`] — chase in place and report `P(ψ)`,
 //! * [`conditional_conf`] — `P(t ∈ R | ψ)`,
 //! * [`conditional_query_conf`] — `P(t ∈ Q(·) | ψ)` for a relational algebra
 //!   query `Q`, and
@@ -41,24 +40,6 @@ pub fn satisfaction_probability(wsd: &Wsd, constraints: &[Dependency]) -> Result
         Err(WsError::Inconsistent) => Ok(0.0),
         Err(other) => Err(other),
     }
-}
-
-/// Condition the WSD on the constraints in place: after the call the WSD
-/// represents exactly the worlds satisfying `ψ`, renormalized, and the
-/// returned value is `P(ψ)` with respect to the original distribution.
-///
-/// Unlike [`satisfaction_probability`] this propagates
-/// [`WsError::Inconsistent`] when no world survives, because an in-place
-/// conditioning on an unsatisfiable constraint would leave the caller with a
-/// WSD representing the empty world-set.
-#[deprecated(
-    since = "0.1.0",
-    note = "conditioning is an update-language verb now: call \
-            `maybms::Session::condition`, or `WriteBackend::apply_condition` \
-            (`ws_relational::WriteBackend`) on the Wsd directly"
-)]
-pub fn condition(wsd: &mut Wsd, constraints: &[Dependency]) -> Result<f64> {
-    ws_relational::WriteBackend::apply_condition(wsd, constraints)
 }
 
 /// The conditional confidence `P(t ∈ relation | ψ)`.

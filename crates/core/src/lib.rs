@@ -10,8 +10,9 @@
 //!   `inline⁻¹`),
 //! * relational algebra evaluated directly on WSDs ([`ops`], §4) — the
 //!   physical operators of Figure 9, driven by the unified
-//!   `optimize → execute` pipeline of `ws_relational::engine`; use
-//!   [`ops::evaluate_query`] as the query entry point,
+//!   `optimize → execute` pipeline of `ws_relational::engine` (open a
+//!   `maybms::Session` on the WSD, or call
+//!   `ws_relational::engine::evaluate_query` directly),
 //! * confidence computation and the `possible` operator ([`confidence`], §6),
 //! * normalization: invalid-tuple removal, compression and relational
 //!   factorization ([`normalize`], §7),
@@ -33,7 +34,7 @@
 //! let query = RaExpr::rel("R")
 //!     .select(Predicate::eq_const("M", 1i64))
 //!     .project(vec!["S"]);
-//! ws_core::ops::evaluate_query(&mut wsd, &query, "Q").unwrap();
+//! ws_relational::engine::evaluate_query(&mut wsd, &query, "Q").unwrap();
 //!
 //! // Confidence of the answer tuple (185).
 //! let c = ws_core::confidence::conf(&wsd, "Q", &Tuple::from_iter([Value::int(185)])).unwrap();
@@ -55,8 +56,6 @@ pub mod wsdt;
 
 pub use chase::{AttrComparison, Dependency, EqualityGeneratingDependency, FunctionalDependency};
 pub use component::{Component, LocalWorld};
-#[allow(deprecated)] // the deprecated shim stays importable during migration
-pub use conditional::condition;
 pub use conditional::{
     conditional_conf, conditional_query_conf, joint_probability, satisfaction_probability,
 };
@@ -75,8 +74,6 @@ pub mod prelude {
         chase, AttrComparison, Dependency, EqualityGeneratingDependency, FunctionalDependency,
     };
     pub use crate::component::{Component, LocalWorld};
-    #[allow(deprecated)] // the deprecated shim stays importable during migration
-    pub use crate::conditional::condition;
     pub use crate::conditional::{
         conditional_conf, conditional_query_conf, joint_probability, satisfaction_probability,
     };

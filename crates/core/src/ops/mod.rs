@@ -22,8 +22,7 @@ pub use copy::copy;
 pub use difference::difference;
 pub use product::product;
 pub use project::project;
-#[allow(deprecated)] // the deprecated shim stays importable during migration
-pub use query::{evaluate_query, evaluate_query_fresh, fresh_name};
+pub use query::{evaluate_query_fresh, fresh_name};
 pub use rename::rename;
 pub use select::{select_attr, select_const};
 pub use union::union;

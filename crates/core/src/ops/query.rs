@@ -5,11 +5,11 @@
 //! [`RaExpr`] (selection pushdown, projection collapsing, θ-join
 //! recognition) against this catalog and drives the per-operator algorithms
 //! of Figure 9 through the [`QueryBackend`] implementation below.  Given a
-//! query `Q`, the result of [`evaluate_query`] is a new relation inside the
-//! same WSD such that dropping all other relations yields a WSD representing
-//! `{ Q(A) | A ∈ rep(W) }` (Theorem 1).  Intermediate results get fresh
-//! relation names and remain represented, which is exactly what keeps
-//! correlated sub-queries correlated.
+//! query `Q`, the result of [`engine::evaluate_query`] is a new relation
+//! inside the same WSD such that dropping all other relations yields a WSD
+//! representing `{ Q(A) | A ∈ rep(W) }` (Theorem 1).  Intermediate results
+//! get fresh relation names and remain represented, which is exactly what
+//! keeps correlated sub-queries correlated.
 //!
 //! Composite selection conditions — which the paper's Fig. 9 leaves to the
 //! atomic cases — are handled by rewriting:
@@ -96,18 +96,6 @@ impl QueryBackend for Wsd {
 /// allocate scratch names outside a plan execution.
 pub fn fresh_name(wsd: &Wsd, counter: &mut usize, hint: &str) -> String {
     engine::fresh_scratch_name(|n| wsd.contains_relation(n), counter, hint)
-}
-
-/// Evaluate a relational-algebra query over the WSD through the unified
-/// `optimize → execute` pipeline, materializing the result as relation
-/// `out`.  Returns the name of the result relation (`out`).
-#[deprecated(
-    since = "0.1.0",
-    note = "open a `maybms::Session` on the Wsd (prepare/execute/stream), or call \
-            `ws_relational::engine::evaluate_query` directly"
-)]
-pub fn evaluate_query(wsd: &mut Wsd, query: &RaExpr, out: &str) -> Result<String> {
-    engine::evaluate_query(wsd, query, out)
 }
 
 /// Evaluate a query into a freshly named `__{hint}{n}` result relation and

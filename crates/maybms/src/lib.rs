@@ -52,7 +52,8 @@
 //!   PostgreSQL) **and the unified query engine**: the rule-based optimizer,
 //!   the shared executor behind every representation, plan
 //!   normalization/fingerprinting ([`mod@relational::fingerprint`]) and the
-//!   volcano-style streaming [`relational::cursor`],
+//!   columnar executor of the single-world backend
+//!   ([`relational::kernels`]),
 //! * [`core`] — world-set decompositions: representation, relational algebra,
 //!   normalization, confidence computation and the chase,
 //! * [`uwsdt`] — the uniform, RDBMS-friendly representation used at scale,
@@ -71,11 +72,10 @@
 //!
 //! ## Under the hood
 //!
-//! Sessions drive the same `optimize → execute` pipeline (§5 of the paper)
-//! the old per-crate `evaluate_query` free functions used — those functions
-//! are still exported as deprecated shims for migration.  The shared
-//! executor fans scans, selections, projections and equi-join build/probe
-//! phases out over a fixed-size [`prelude::WorkerPool`] controlled by
+//! Sessions drive the `optimize → execute` pipeline (§5 of the paper) of
+//! [`relational::engine`].  The single-world executor fans selections,
+//! projections and equi-join probes out over a fixed-size
+//! [`prelude::WorkerPool`] controlled by
 //! [`prelude::EngineConfig::threads`]; `threads = 1` reproduces the serial
 //! engine exactly, and parallel output is canonicalized to the serial order
 //! for any thread count, so prepared re-execution is bit-identical at any
@@ -148,8 +148,8 @@ pub mod prelude {
         ProfileNode, RingSink, TraceEvent, TraceSink,
     };
     pub use ws_relational::{
-        engine, evaluate_query, evaluate_query_with, world_satisfies, Clause, CmpOp, Cursor,
-        Database, DtreeCompiler, EngineConfig, ExecContext, LineageDb, LineageRelation, Predicate,
+        engine, evaluate_query, evaluate_query_with, world_satisfies, Clause, CmpOp, Database,
+        DtreeCompiler, EngineConfig, ExecContext, LineageDb, LineageRelation, Predicate,
         QueryBackend, RaExpr, Relation, Schema, SchemaCatalog, Tuple, Value, VarTable, WorkerPool,
         WriteBackend,
     };

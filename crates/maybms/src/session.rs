@@ -385,6 +385,15 @@ impl SchemaCatalog for AnyBackend {
 impl QueryBackend for AnyBackend {
     type Error = Error;
 
+    fn execute_plan(
+        &mut self,
+        plan: &RaExpr,
+        out: &str,
+        config: &EngineConfig,
+    ) -> Option<Result<()>> {
+        dispatch!(self, b => b.execute_plan(plan, out, config).map(|r| r.map_err(Error::from)))
+    }
+
     fn materialize_base(&mut self, name: &str, out: &str) -> Result<()> {
         dispatch!(self, b => b.materialize_base(name, out).map_err(Error::from))
     }
@@ -774,10 +783,10 @@ struct CachedPlan {
 // The session.
 // ---------------------------------------------------------------------------
 
-/// Default number of rows a [`Rows`] cursor pulls per batch: the executor's
-/// native batch granularity ([`ws_relational::cursor::NATIVE_BATCH_ROWS`],
-/// one columnar morsel), so a refill moves exactly one kernel-sized unit.
-pub const DEFAULT_BATCH_SIZE: usize = ws_relational::cursor::NATIVE_BATCH_ROWS;
+/// Default number of rows a [`Rows`] cursor pulls per batch: one executor
+/// morsel ([`ws_relational::par::MORSEL_ROWS`]), so a refill moves exactly
+/// one kernel-sized unit.
+pub const DEFAULT_BATCH_SIZE: usize = ws_relational::par::MORSEL_ROWS;
 
 /// A stateful connection to one possible-worlds backend: catalog, engine
 /// configuration, prepared-plan cache and usage stats in one place.

@@ -22,7 +22,7 @@
 //! physically holding only the columns downstream operators will touch
 //! (`cols[i] = None` for pruned attributes).  This keeps schema-level errors
 //! (unknown attributes, duplicate product attributes, union compatibility)
-//! byte-identical to the row-at-a-time operators while letting leaf scans
+//! byte-identical to the reference evaluator while letting leaf scans
 //! skip encoding untouched columns.  [`Relation`]/[`Tuple`] remain the
 //! materialization boundary: batches exist only inside one plan execution.
 

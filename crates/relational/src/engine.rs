@@ -45,7 +45,6 @@ use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use std::collections::HashMap;
 
 /// The structural half of a backend: enough catalog information for the
 /// optimizer to reason about a plan without evaluating it.
@@ -68,13 +67,16 @@ pub trait QueryBackend: SchemaCatalog {
     /// The backend's error type.
     type Error: From<RelationalError>;
 
-    /// Whole-plan fast path: backends with their own vectorized executor can
+    /// Whole-plan executor: backends with their own vectorized executor
     /// evaluate `plan` in one go (materializing the result as `out`) and
     /// return `Some(result)`.  Returning `None` (the default) falls back to
-    /// the shared operator-by-operator executor below.  Only consulted when
-    /// [`EngineConfig::columnar`] is set; implementations must honor
-    /// `config.recognize_joins` and produce bit-identical rows to the
-    /// operator path.
+    /// the shared operator-by-operator executor below.  Implementations must
+    /// honor `config.recognize_joins`, `config.threads` and
+    /// `config.observe`.
+    ///
+    /// Wrapper backends (`AnyBackend`, `Durable<B>`, …) must forward this
+    /// method to the backend they wrap; a wrapper that keeps the default
+    /// silently sends every plan down the operator path instead.
     fn execute_plan(
         &mut self,
         _plan: &RaExpr,
@@ -433,16 +435,6 @@ pub struct EngineConfig {
     /// in morsel order, so results are identical (including order) for every
     /// thread count.  `0` is treated as 1.
     pub threads: usize,
-    /// Dispatch to a backend's whole-plan vectorized executor
-    /// ([`QueryBackend::execute_plan`]) when it has one (default).
-    ///
-    /// On the single-world [`Database`] backend this evaluates the plan over
-    /// dictionary-encoded column batches with selection vectors
-    /// ([`crate::batch`], [`crate::kernels`]) instead of row-at-a-time
-    /// operators; results are bit-identical either way, which the
-    /// equivalence suites check by running both settings.  Backends without
-    /// a columnar executor ignore the flag.
-    pub columnar: bool,
     /// Cache prepared plans keyed by their normalized fingerprint
     /// ([`crate::fingerprint::plan_key`]), so preparing the same query twice
     /// runs the optimizer once (default).  Honored by plan-caching layers
@@ -468,7 +460,6 @@ impl Default for EngineConfig {
             recognize_joins: true,
             drop_temps: false,
             threads: 1,
-            columnar: true,
             plan_cache: true,
             observe: false,
         }
@@ -513,12 +504,11 @@ impl EngineConfig {
             }
         }
         format!(
-            "optimize={} join-recognition={} drop-temps={} threads={} columnar={} plan-cache={} observe={}",
+            "optimize={} join-recognition={} drop-temps={} threads={} plan-cache={} observe={}",
             on_off(self.optimize),
             on_off(self.recognize_joins),
             on_off(self.drop_temps),
             self.threads.max(1),
-            on_off(self.columnar),
             on_off(self.plan_cache),
             on_off(self.observe),
         )
@@ -566,12 +556,10 @@ fn execute_with<B: QueryBackend>(
     out: &str,
     config: EngineConfig,
 ) -> std::result::Result<(), B::Error> {
-    if config.columnar {
-        // Whole-plan vectorized fast path: no scratch relations are created,
-        // so there is nothing to clean up on either outcome.
-        if let Some(result) = backend.execute_plan(plan, out, &config) {
-            return result;
-        }
+    // Whole-plan executor: no scratch relations are created, so there is
+    // nothing to clean up on either outcome.
+    if let Some(result) = backend.execute_plan(plan, out, &config) {
+        return result;
     }
     let mut ctx = ExecContext::new(&config);
     let result = eval_node(backend, plan, out, &mut ctx, config);
@@ -608,10 +596,10 @@ pub(crate) fn op_detail(plan: &RaExpr) -> String {
     }
 }
 
-/// One operator of the row-at-a-time path, wrapped in instrumentation when
-/// [`EngineConfig::observe`] is on: a profile node (rows out via
-/// [`QueryBackend::profile_rows`]) plus an `exec.op.<name>.ns` histogram
-/// sample on the scope's observer.  With the flag off this is a single
+/// One operator of the operator-by-operator path, wrapped in
+/// instrumentation when [`EngineConfig::observe`] is on: a profile node
+/// (path `"row"`, rows out via [`QueryBackend::profile_rows`]) plus an
+/// `exec.op.<name>.ns` histogram sample on the scope's observer.  With the flag off this is a single
 /// branch in front of [`eval_node_inner`].
 fn eval_node<B: QueryBackend>(
     backend: &mut B,
@@ -844,26 +832,32 @@ impl Database {
         *relation.schema_mut() = renamed;
         self.insert_relation(relation);
     }
+
+    /// Run a one-operator plan over catalog relations through the kernels —
+    /// the single-world backend's physical operators are thin shims over its
+    /// one executor.
+    fn apply_kernel(&mut self, plan: RaExpr, out: &str, ctx: &ExecContext) -> Result<()> {
+        let config = EngineConfig {
+            observe: ctx.obs().is_some(),
+            ..EngineConfig::default()
+        };
+        crate::kernels::execute(self, &plan, out, &config, ctx.pool())
+    }
 }
 
 impl QueryBackend for Database {
     type Error = RelationalError;
 
     /// The vectorized columnar executor ([`crate::kernels`]): the whole plan
-    /// evaluated over [`crate::batch::ColumnBatch`]es with selection vectors,
-    /// bit-identical to the operator path below.  Bare `Rel` plans fall back
-    /// to [`QueryBackend::materialize_base`] — a plain clone beats an
-    /// encode/decode roundtrip.
+    /// evaluated over [`crate::batch::ColumnBatch`]es with selection vectors.
     fn execute_plan(
         &mut self,
         plan: &RaExpr,
         out: &str,
         config: &EngineConfig,
     ) -> Option<Result<()>> {
-        if matches!(plan, RaExpr::Rel(_)) {
-            return None;
-        }
-        Some(crate::kernels::execute_columnar(self, plan, out, config))
+        let pool = WorkerPool::new(config.threads);
+        Some(crate::kernels::execute(self, plan, out, config, &pool))
     }
 
     /// Single-world relations have an exact, O(1) tuple count.
@@ -884,25 +878,7 @@ impl QueryBackend for Database {
         out: &str,
         ctx: &mut ExecContext,
     ) -> Result<()> {
-        let rel = self.relation(input)?;
-        let schema = rel.schema();
-        let chunks = ctx.pool().map_chunks(rel.rows(), |_, chunk| {
-            chunk
-                .iter()
-                .filter_map(|row| match pred.eval(schema, row) {
-                    Ok(true) => Some(Ok(row.clone())),
-                    Ok(false) => None,
-                    Err(e) => Some(Err(e)),
-                })
-                .collect::<Result<Vec<Tuple>>>()
-        });
-        let mut rows = Vec::new();
-        for chunk in chunks {
-            rows.extend(chunk?);
-        }
-        let result = Relation::with_rows(schema.clone(), rows)?;
-        self.store_as(result, out);
-        Ok(())
+        self.apply_kernel(RaExpr::rel(input).select(pred.clone()), out, ctx)
     }
 
     fn apply_project(
@@ -912,19 +888,7 @@ impl QueryBackend for Database {
         out: &str,
         ctx: &mut ExecContext,
     ) -> Result<()> {
-        let rel = self.relation(input)?;
-        let attr_refs: Vec<&str> = attrs.iter().map(String::as_str).collect();
-        let positions: Vec<usize> = attr_refs
-            .iter()
-            .map(|a| rel.schema().position_of(a))
-            .collect::<Result<_>>()?;
-        let schema = rel.schema().projected(&attr_refs)?;
-        let rows = ctx
-            .pool()
-            .map(rel.rows(), |row| row.project_positions(&positions));
-        let result = Relation::with_rows(schema, rows)?;
-        self.store_as(result, out);
-        Ok(())
+        self.apply_kernel(RaExpr::rel(input).project(attrs.to_vec()), out, ctx)
     }
 
     fn apply_product(
@@ -934,27 +898,11 @@ impl QueryBackend for Database {
         out: &str,
         ctx: &mut ExecContext,
     ) -> Result<()> {
-        let l = self.relation(left)?;
-        let r = self.relation(right)?;
-        let schema = l.schema().product(r.schema(), out)?;
-        let right_rows = r.rows();
-        let rows = ctx.pool().flat_map(l.rows(), |lt| {
-            right_rows.iter().map(|rt| lt.concat(rt)).collect()
-        });
-        let result = Relation::with_rows(schema, rows)?;
-        self.store_as(result, out);
-        Ok(())
+        self.apply_kernel(RaExpr::rel(left).product(RaExpr::rel(right)), out, ctx)
     }
 
-    /// Hash equi-join with a partitioned build and a parallel probe.
-    ///
-    /// The build phase hashes the right operand's join column chunk by chunk
-    /// (each worker builds a partial table, merged in chunk order so the
-    /// per-key row lists stay sorted by row index); the probe phase fans the
-    /// left rows out and emits, per left row, the matching right rows in
-    /// index order.  The output is therefore exactly the row order the
-    /// product-then-select default produces — `⊥`/`?` join keys never match,
-    /// mirroring [`CmpOp::eval`]'s undefined comparisons.
+    /// The kernels' hash join (recognized from `σ_{A=B}(L × R)`): exactly the
+    /// product-then-select row order, `⊥`/`?` keys never match.
     fn apply_equi_join(
         &mut self,
         left: &str,
@@ -964,82 +912,34 @@ impl QueryBackend for Database {
         out: &str,
         ctx: &mut ExecContext,
     ) -> Result<()> {
-        let l = self.relation(left)?;
-        let r = self.relation(right)?;
-        let schema = l.schema().product(r.schema(), out)?;
-        let lpos = l.schema().position_of(left_attr)?;
-        let rpos = r.schema().position_of(right_attr)?;
-
-        // Build: partition the right rows, hash each chunk, merge in chunk
-        // order (chunks are contiguous, so per-key row lists stay ascending).
-        let joinable = |v: &Value| !matches!(v, Value::Bottom | Value::Unknown);
-        let partials = ctx.pool().map_chunks(r.rows(), |offset, chunk| {
-            let mut table: HashMap<Value, Vec<usize>> = HashMap::new();
-            for (i, rt) in chunk.iter().enumerate() {
-                if joinable(&rt[rpos]) {
-                    table.entry(rt[rpos].clone()).or_default().push(offset + i);
-                }
-            }
-            table
-        });
-        let mut table: HashMap<Value, Vec<usize>> = HashMap::new();
-        for partial in partials {
-            for (key, indices) in partial {
-                table.entry(key).or_default().extend(indices);
-            }
-        }
-
-        // Probe: left rows in order; matches inherit the right rows' order.
-        let right_rows = r.rows();
-        let rows = ctx.pool().flat_map(l.rows(), |lt| {
-            if !joinable(&lt[lpos]) {
-                return Vec::new();
-            }
-            match table.get(&lt[lpos]) {
-                Some(matches) => matches.iter().map(|&i| lt.concat(&right_rows[i])).collect(),
-                None => Vec::new(),
-            }
-        });
-        let result = Relation::with_rows(schema, rows)?;
-        self.store_as(result, out);
-        Ok(())
+        let plan = RaExpr::rel(left)
+            .product(RaExpr::rel(right))
+            .select(Predicate::cmp_attr(left_attr, CmpOp::Eq, right_attr));
+        self.apply_kernel(plan, out, ctx)
     }
 
     fn apply_union(&mut self, left: &str, right: &str, out: &str) -> Result<()> {
-        let l = self.relation(left)?;
-        let r = self.relation(right)?;
-        l.schema().check_union_compatible(r.schema())?;
-        let mut result = Relation::new(l.schema().clone());
-        for row in l.rows().iter().chain(r.rows()) {
-            result.push(row.clone())?;
-        }
-        result.dedup();
-        self.store_as(result, out);
-        Ok(())
+        self.apply_kernel(
+            RaExpr::rel(left).union(RaExpr::rel(right)),
+            out,
+            &ExecContext::default(),
+        )
     }
 
     fn apply_difference(&mut self, left: &str, right: &str, out: &str) -> Result<()> {
-        let l = self.relation(left)?;
-        let r = self.relation(right)?;
-        l.schema().check_union_compatible(r.schema())?;
-        let right_rows: std::collections::HashSet<&crate::tuple::Tuple> = r.rows().iter().collect();
-        let mut result = Relation::new(l.schema().clone());
-        for row in l.rows() {
-            if !right_rows.contains(row) {
-                result.push(row.clone())?;
-            }
-        }
-        result.dedup();
-        self.store_as(result, out);
-        Ok(())
+        self.apply_kernel(
+            RaExpr::rel(left).difference(RaExpr::rel(right)),
+            out,
+            &ExecContext::default(),
+        )
     }
 
     fn apply_rename(&mut self, input: &str, from: &str, to: &str, out: &str) -> Result<()> {
-        let rel = self.relation(input)?;
-        let schema = rel.schema().renamed_attr(from, to)?;
-        let result = Relation::with_rows(schema, rel.rows().to_vec())?;
-        self.store_as(result, out);
-        Ok(())
+        self.apply_kernel(
+            RaExpr::rel(input).rename(from, to),
+            out,
+            &ExecContext::default(),
+        )
     }
 
     fn drop_scratch(&mut self, name: &str) {
@@ -1193,9 +1093,112 @@ mod tests {
         }
     }
 
+    /// A `Database` driven operator by operator: every physical operator is
+    /// forwarded, but `execute_plan` keeps the default, so the shared
+    /// executor walks the plan (scratch names, join recognition, cleanup).
+    struct Operators(Database);
+
+    impl SchemaCatalog for Operators {
+        fn schema_of(&self, relation: &str) -> Result<Schema> {
+            self.0.schema_of(relation)
+        }
+
+        fn contains_relation(&self, relation: &str) -> bool {
+            self.0.contains_relation(relation)
+        }
+    }
+
+    impl QueryBackend for Operators {
+        type Error = RelationalError;
+
+        fn materialize_base(&mut self, name: &str, out: &str) -> Result<()> {
+            self.0.materialize_base(name, out)
+        }
+
+        fn apply_select(
+            &mut self,
+            input: &str,
+            pred: &Predicate,
+            out: &str,
+            ctx: &mut ExecContext,
+        ) -> Result<()> {
+            self.0.apply_select(input, pred, out, ctx)
+        }
+
+        fn apply_project(
+            &mut self,
+            input: &str,
+            attrs: &[String],
+            out: &str,
+            ctx: &mut ExecContext,
+        ) -> Result<()> {
+            self.0.apply_project(input, attrs, out, ctx)
+        }
+
+        fn apply_product(
+            &mut self,
+            left: &str,
+            right: &str,
+            out: &str,
+            ctx: &mut ExecContext,
+        ) -> Result<()> {
+            self.0.apply_product(left, right, out, ctx)
+        }
+
+        fn apply_equi_join(
+            &mut self,
+            left: &str,
+            right: &str,
+            left_attr: &str,
+            right_attr: &str,
+            out: &str,
+            ctx: &mut ExecContext,
+        ) -> Result<()> {
+            self.0
+                .apply_equi_join(left, right, left_attr, right_attr, out, ctx)
+        }
+
+        fn apply_union(&mut self, left: &str, right: &str, out: &str) -> Result<()> {
+            self.0.apply_union(left, right, out)
+        }
+
+        fn apply_difference(&mut self, left: &str, right: &str, out: &str) -> Result<()> {
+            self.0.apply_difference(left, right, out)
+        }
+
+        fn apply_rename(&mut self, input: &str, from: &str, to: &str, out: &str) -> Result<()> {
+            self.0.apply_rename(input, from, to, out)
+        }
+
+        fn drop_scratch(&mut self, name: &str) {
+            self.0.drop_scratch(name);
+        }
+    }
+
+    #[test]
+    fn operators_match_the_whole_plan_executor_row_for_row() {
+        for (i, query) in query_suite().into_iter().enumerate() {
+            for config in [
+                EngineConfig::default(),
+                EngineConfig::naive(),
+                EngineConfig::with_threads(4),
+            ] {
+                let mut whole = big_db();
+                evaluate_query_with(&mut whole, &query, "OUT", config).unwrap();
+                let mut operators = Operators(big_db());
+                evaluate_query_with(&mut operators, &query, "OUT", config).unwrap();
+                assert_eq!(
+                    operators.0.relation("OUT").unwrap().rows(),
+                    whole.relation("OUT").unwrap().rows(),
+                    "query #{i} {query}: rows (or order) differ (config {config:?})"
+                );
+            }
+        }
+    }
+
     #[test]
     fn temp_cleanup_leaves_only_base_relations_and_the_result() {
-        let mut backend = db();
+        let mut backend = Operators(db());
         let query = query_suite().remove(3);
         evaluate_query_with(
             &mut backend,
@@ -1204,22 +1207,26 @@ mod tests {
             EngineConfig::with_temp_cleanup(),
         )
         .unwrap();
-        let mut names = backend.relation_names();
+        let mut names = backend.0.relation_names();
         names.sort_unstable();
         assert_eq!(names, vec!["OUT", "R", "S"]);
     }
 
     #[test]
     fn scratch_relations_are_dropped_on_error() {
-        let mut backend = db();
+        let mut backend = Operators(db());
         // The union is incompatible (arity 1 vs 2) and fails *after* both
         // operands have been materialized as scratch relations.
         let query = RaExpr::rel("R")
             .project(vec!["A"])
             .union(RaExpr::rel("S").select(Predicate::eq_const("C", 10i64)));
-        let before = backend.relation_names().len();
+        let before = backend.0.relation_names().len();
         assert!(evaluate_query_with(&mut backend, &query, "OUT", EngineConfig::naive()).is_err());
-        assert_eq!(backend.relation_names().len(), before, "no leaked scratch");
+        assert_eq!(
+            backend.0.relation_names().len(),
+            before,
+            "no leaked scratch"
+        );
     }
 
     #[test]
@@ -1352,13 +1359,11 @@ mod tests {
     fn engine_config_summary_is_self_describing() {
         assert_eq!(
             EngineConfig::default().summary(),
-            "optimize=on join-recognition=on drop-temps=off threads=1 columnar=on \
-             plan-cache=on observe=off"
+            "optimize=on join-recognition=on drop-temps=off threads=1 plan-cache=on observe=off"
         );
         assert_eq!(
             EngineConfig::naive().summary(),
-            "optimize=off join-recognition=off drop-temps=off threads=1 columnar=on \
-             plan-cache=on observe=off"
+            "optimize=off join-recognition=off drop-temps=off threads=1 plan-cache=on observe=off"
         );
         let parallel = EngineConfig::with_threads(8);
         assert!(parallel.summary().contains("threads=8"));

@@ -1,13 +1,14 @@
-//! Tight-loop kernels and the whole-plan columnar executor for the
-//! single-world [`Database`] backend.
+//! Tight-loop kernels and the columnar executor of the single-world
+//! [`Database`] backend — the only code that evaluates σ π × ⋈ ∪ − δ on a
+//! `Database`.
 //!
-//! The row-at-a-time operators in [`crate::engine`] clone whole [`Tuple`]s
-//! through every plan node.  This module evaluates an entire (optimized)
-//! plan over [`ColumnBatch`]es instead: base relations are encoded into flat
-//! columns (only the attributes the plan touches), selections become
-//! **selection vectors** computed by per-column kernels, products become
-//! repeat/tile loops, equi-joins hash flat `i64` key columns, and tuples are
-//! only materialized at the very end, for the rows that survived.
+//! An entire (optimized) plan is evaluated over [`ColumnBatch`]es rather
+//! than by cloning whole [`Tuple`]s through every plan node: base relations
+//! are encoded into flat columns (only the attributes the plan touches),
+//! selections become **selection vectors** computed by per-column kernels,
+//! products become repeat/tile loops, equi-joins hash flat `i64` key
+//! columns, and tuples are only materialized at the very end, for the rows
+//! that survived.
 //!
 //! Selections over base relations are additionally **late-materializing**: a
 //! `σ`-chain over a stored relation carries only a `View` — the relation's
@@ -18,24 +19,26 @@
 //!
 //! Equivalence contract (checked by the engine's equivalence suites):
 //!
-//! * **Row order** is bit-identical to the row-at-a-time operators for every
-//!   plan and thread count: selections preserve input order, products are
-//!   left-major, the hash join probes in left order with per-key right rows
-//!   ascending (exactly the product-then-select order), and union/difference
-//!   deduplicate into the same `BTreeSet` order.
+//! * **Answers** equal the reference evaluator [`crate::algebra::evaluate_set`]
+//!   as sets, for every plan.
+//! * **Row order** is deterministic and the same for every thread count:
+//!   selections preserve input order, products are left-major, the hash join
+//!   probes in left order with per-key right rows ascending (exactly the
+//!   product-then-select order), and union/difference deduplicate into
+//!   `BTreeSet` order.
 //! * **Comparison semantics** mirror [`CmpOp::eval`](crate::predicate::CmpOp::eval): comparisons involving
 //!   `⊥`/`?` or mixed types are undefined (`false`), and undefined join keys
 //!   never match.
-//! * **Error semantics** mirror the row path's lazy per-row evaluation: an
-//!   atom's attribute positions are only resolved while some row is still
-//!   active, so a conjunct that filters everything out masks errors in later
-//!   conjuncts, and empty inputs never touch the predicate.  (The one
+//! * **Error semantics** mirror lazy per-row evaluation: an atom's attribute
+//!   positions are only resolved while some row is still active, so a
+//!   conjunct that filters everything out masks errors in later conjuncts,
+//!   and empty inputs never touch the predicate.  (The one
 //!   divergence: a predicate with *several* unknown attributes may surface a
 //!   different one of those errors than strict row order would.)
 //!
 //! Parallelism reuses [`WorkerPool::map_chunks`], which hands out contiguous
 //! row morsels and concatenates per-morsel results in morsel order, so the
-//! columnar path is deterministic at any thread count too.
+//! executor is deterministic at any thread count.
 
 use crate::algebra::RaExpr;
 use crate::batch::{Column, ColumnBatch};
@@ -70,18 +73,21 @@ enum Eval {
     View(View),
 }
 
-/// Evaluate `plan` on `db` column-at-a-time and store the result as `out`.
+/// Evaluate `plan` on `db` column-at-a-time on `pool` and store the result
+/// as `out`.
 ///
-/// This is the [`crate::engine::QueryBackend::execute_plan`] implementation
-/// of [`Database`]; it creates no intermediate catalog relations.
-pub(crate) fn execute_columnar(
+/// This is [`Database`]'s only executor: its
+/// [`crate::engine::QueryBackend::execute_plan`] hands it whole plans and its
+/// physical operators hand it one-node plans.  It creates no intermediate
+/// catalog relations.
+pub(crate) fn execute(
     db: &mut Database,
     plan: &RaExpr,
     out: &str,
     config: &EngineConfig,
+    pool: &WorkerPool,
 ) -> Result<()> {
-    let pool = WorkerPool::new(config.threads);
-    let relation = match eval_expr(db, plan, None, config, &pool)? {
+    let relation = match eval_expr(db, plan, None, config, pool)? {
         Eval::Batch(batch) => batch.into_relation()?,
         // A σ-chain over a base relation: clone exactly the surviving rows.
         Eval::View(view) => {
@@ -158,7 +164,7 @@ fn record_selection(rows_in: usize, rows_out: usize) {
     record_morsels(rows_in);
 }
 
-/// One operator of the columnar path, wrapped in instrumentation when
+/// One operator of the executor, wrapped in instrumentation when
 /// [`EngineConfig::observe`] is on: a profile node (rows via [`eval_len`],
 /// path `"columnar"` or `"view"`) plus an `exec.op.<name>.ns` histogram
 /// sample.  With the flag off this is a single branch in front of
@@ -208,7 +214,7 @@ fn eval_expr_inner(
 ) -> Result<Eval> {
     match expr {
         RaExpr::Rel(name) => {
-            // Validate the name now, exactly where the row path would.
+            // Validate the name now, before any operator touches it.
             db.relation(name)?;
             Ok(Eval::View(View {
                 name: name.clone(),
@@ -255,7 +261,7 @@ fn eval_expr_inner(
                             // rows in place — no column encode at all.
                             // Compilation fails only on unknown attributes,
                             // which fall through to the batch path below so
-                            // error masking matches the row path; empty
+                            // error masking matches per-row evaluation; empty
                             // inputs also fall through (and never touch the
                             // predicate, exactly like zero row evaluations).
                             let rows = rel.rows();
@@ -553,7 +559,7 @@ pub(crate) fn select_vector(
     pool: &WorkerPool,
 ) -> Result<Vec<u32>> {
     if batch.is_empty() {
-        // Mirrors the row path: with no rows the predicate is never touched,
+        // Mirrors per-row evaluation: with no rows the predicate is never touched,
         // so unknown attributes go unnoticed.
         return Ok(Vec::new());
     }
@@ -568,7 +574,7 @@ pub(crate) fn select_vector(
 
 /// Evaluate `pred` over the active (ascending) row set, returning the
 /// surviving rows, still ascending.  Attribute positions are resolved only
-/// while the active set is non-empty, reproducing the row path's
+/// while the active set is non-empty, reproducing per-row evaluation's
 /// short-circuit error masking.
 fn eval_pred(batch: &ColumnBatch, pred: &Predicate, active: Vec<u32>) -> Result<Vec<u32>> {
     if active.is_empty() {

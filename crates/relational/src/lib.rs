@@ -19,10 +19,11 @@
 //!   [`optimizer`] that every possible-worlds representation of this
 //!   repository (single-world, WSD, UWSDT, U-relations, explicit worlds)
 //!   evaluates queries through, and
-//! * the **vectorized columnar executor** ([`batch`], [`kernels`]): plans on
-//!   the single-world backend evaluate batch-at-a-time over flat `i64` /
-//!   dictionary-encoded columns with selection vectors, bit-identical to the
-//!   operator path (toggle with [`engine::EngineConfig::columnar`]), and
+//! * the **vectorized columnar executor** ([`batch`], [`kernels`]): the one
+//!   executor of the single-world [`Database`] backend.  Whole plans (via
+//!   [`QueryBackend::execute_plan`]) and single operators alike evaluate
+//!   batch-at-a-time over flat `i64` / dictionary-encoded columns with
+//!   selection vectors, and
 //! * the **lineage layer** ([`lineage`]): boolean provenance over
 //!   finite-domain world variables with an annotated executor, a safe-plan
 //!   (extensional) evaluator, and a Shannon-expansion d-tree compiler — the
@@ -30,8 +31,7 @@
 //!   the shared Hoeffding (ε, δ) sample planner ([`approx`]) every
 //!   Monte-Carlo confidence estimator draws its trial blocks from, and
 //! * the deterministic fan-out/fan-in [`par::WorkerPool`] behind
-//!   [`engine::EngineConfig::threads`]: scans, selections, projections, the
-//!   equi-join build/probe phases and the columnar kernels hand out row
+//!   [`engine::EngineConfig::threads`]: the columnar kernels hand out row
 //!   morsels across cores with output canonicalized to the serial order for
 //!   any thread count.
 //!
@@ -44,7 +44,6 @@ pub mod algebra;
 pub mod approx;
 pub mod batch;
 pub mod constraint;
-pub mod cursor;
 pub mod database;
 pub mod engine;
 pub mod error;
@@ -66,7 +65,6 @@ pub use batch::{Column, ColumnBatch};
 pub use constraint::{
     world_satisfies, AttrComparison, Dependency, EqualityGeneratingDependency, FunctionalDependency,
 };
-pub use cursor::Cursor;
 pub use database::Database;
 pub use engine::{
     evaluate_query, evaluate_query_with, execute, EngineConfig, ExecContext, QueryBackend,

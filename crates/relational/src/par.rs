@@ -32,8 +32,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// fan-out.  Big enough that a morsel amortizes the claim (one atomic
 /// `fetch_add`) and fits kernels' cache-friendly tight loops; small enough
 /// that skewed per-row costs still balance across workers.  This is also the
-/// batch size the streaming cursors pull in
-/// ([`crate::cursor::NATIVE_BATCH_ROWS`] re-exports it for that purpose).
+/// batch size session result streams pull in (`maybms::DEFAULT_BATCH_SIZE`).
 pub const MORSEL_ROWS: usize = 1024;
 
 /// A fixed-size fan-out/fan-in worker pool.
@@ -152,33 +151,10 @@ impl WorkerPool {
         })
     }
 
-    /// Map every item, preserving input order.  Equivalent to (and with one
-    /// thread, exactly) `items.iter().map(f).collect()`.
-    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        concat(self.map_chunks(items, |_, chunk| chunk.iter().map(&f).collect::<Vec<R>>()))
-    }
-
-    /// Map every item to zero or more outputs, concatenated in input order —
-    /// the shape of a parallel selection (filter) or a parallel join probe.
-    pub fn flat_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> Vec<R> + Sync,
-    {
-        concat(self.map_chunks(items, |_, chunk| {
-            chunk.iter().flat_map(&f).collect::<Vec<R>>()
-        }))
-    }
-
-    /// [`WorkerPool::map`] for *coarse* work units (per-tuple confidence
-    /// computations, per-group compositions): statically splits down to as
-    /// few as one item per chunk instead of cutting [`MORSEL_ROWS`] morsels.
+    /// Map every item, preserving input order, for *coarse* work units
+    /// (per-tuple confidence computations, per-group compositions):
+    /// statically splits down to as few as one item per chunk instead of
+    /// cutting [`MORSEL_ROWS`] morsels.
     pub fn map_coarse<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -320,19 +296,7 @@ mod tests {
         let serial: Vec<i64> = items.iter().map(|x| x * 3).collect();
         for threads in [1usize, 2, 3, 8, 64] {
             let pool = WorkerPool::new(threads);
-            assert_eq!(pool.map(&items, |x| x * 3), serial);
             assert_eq!(pool.map_coarse(&items, |x| x * 3), serial);
-        }
-    }
-
-    #[test]
-    fn flat_map_preserves_order_and_filters() {
-        let items: Vec<i64> = (0..500).collect();
-        let serial: Vec<i64> = items.iter().filter(|x| *x % 3 == 0).cloned().collect();
-        for threads in [1usize, 4, 7] {
-            let pool = WorkerPool::new(threads);
-            let par = pool.flat_map(&items, |x| if x % 3 == 0 { vec![*x] } else { vec![] });
-            assert_eq!(par, serial);
         }
     }
 
@@ -389,7 +353,9 @@ mod tests {
         let serial: Vec<i64> = items.iter().filter(|x| *x % 5 == 0).cloned().collect();
         for threads in [1usize, 2, 3, 8] {
             let pool = WorkerPool::new(threads);
-            let par = pool.flat_map(&items, |x| if x % 5 == 0 { vec![*x] } else { vec![] });
+            let par: Vec<i64> = concat(pool.map_chunks(&items, |_, chunk| {
+                chunk.iter().filter(|x| *x % 5 == 0).cloned().collect()
+            }));
             assert_eq!(par, serial);
         }
     }

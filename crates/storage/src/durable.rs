@@ -45,8 +45,8 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ws_core::ops::update::{apply_update, UpdateExpr};
-use ws_relational::engine::{ExecContext, QueryBackend, SchemaCatalog, WriteBackend};
-use ws_relational::{Dependency, Predicate, Schema, Tuple, Value};
+use ws_relational::engine::{EngineConfig, ExecContext, QueryBackend, SchemaCatalog, WriteBackend};
+use ws_relational::{Dependency, Predicate, RaExpr, Schema, Tuple, Value};
 
 /// Durability counters, surfaced through `maybms::SessionStats`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -447,6 +447,21 @@ impl<B: SchemaCatalog> SchemaCatalog for Durable<B> {
 
 impl<B: QueryBackend> QueryBackend for Durable<B> {
     type Error = DurableError<B::Error>;
+
+    fn execute_plan(
+        &mut self,
+        plan: &RaExpr,
+        out: &str,
+        config: &EngineConfig,
+    ) -> Option<std::result::Result<(), Self::Error>> {
+        self.inner
+            .execute_plan(plan, out, config)
+            .map(|r| r.map_err(DurableError::Backend))
+    }
+
+    fn profile_rows(&self, relation: &str) -> Option<u64> {
+        self.inner.profile_rows(relation)
+    }
 
     fn materialize_base(&mut self, name: &str, out: &str) -> std::result::Result<(), Self::Error> {
         self.inner

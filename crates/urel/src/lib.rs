@@ -44,8 +44,7 @@ pub use convert::from_wsd;
 pub use database::UDatabase;
 pub use descriptor::WsDescriptor;
 pub use error::{Result, UrelError};
-#[allow(deprecated)] // the deprecated shim stays importable during migration
-pub use ops::{evaluate_query, possible_answer};
+pub use ops::possible_answer;
 pub use urelation::URelation;
 pub use world::{Assignment, WorldTable};
 
@@ -58,8 +57,7 @@ pub mod prelude {
     pub use crate::database::UDatabase;
     pub use crate::descriptor::WsDescriptor;
     pub use crate::error::{Result, UrelError};
-    #[allow(deprecated)] // the deprecated shim stays importable during migration
-    pub use crate::ops::{evaluate_query, possible_answer, possible_tuples};
+    pub use crate::ops::{possible_answer, possible_tuples};
     pub use crate::urelation::URelation;
     pub use crate::world::{Assignment, WorldTable};
 }

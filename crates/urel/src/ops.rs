@@ -240,20 +240,6 @@ impl QueryBackend for UDatabase {
     }
 }
 
-/// Evaluate a query through the unified `optimize → execute` pipeline and
-/// register its result under `out` in the catalog, returning the (final)
-/// relation name.  Scratch relations are dropped on success and on error —
-/// U-relations are self-contained, so cleanup cannot perturb the world
-/// table.
-#[deprecated(
-    since = "0.1.0",
-    note = "open a `maybms::Session` on the UDatabase (prepare/execute/stream), or call \
-            `ws_relational::engine::evaluate_query_with` directly"
-)]
-pub fn evaluate_query(udb: &mut UDatabase, query: &RaExpr, out: &str) -> Result<String> {
-    engine::evaluate_query_with(udb, query, out, EngineConfig::with_temp_cleanup())
-}
-
 /// The possible tuples of a query answer, computed without touching the
 /// input catalog: evaluate on a scratch store holding only the base
 /// relations the plan references (plus the world table), then strip

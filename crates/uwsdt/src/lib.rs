@@ -39,8 +39,6 @@ pub use confidence::{conf, expected_cardinality, is_certain, possible_with_confi
 pub use error::{Result, UwsdtError};
 pub use model::{Cid, Lwid, PresenceCondition, Uwsdt, UwsdtSnapshot, WorldEntry};
 pub use normalize::{normalize, NormalizationReport};
-#[allow(deprecated)] // the deprecated shim stays importable during migration
-pub use query::evaluate_query;
 pub use stats::{component_size_histogram, stats_for, UwsdtStats};
 
 /// Convenience re-exports for downstream crates and examples.
@@ -52,8 +50,6 @@ pub mod prelude {
     pub use crate::model::{Cid, Lwid, PresenceCondition, Uwsdt, WorldEntry};
     pub use crate::normalize::{normalize, NormalizationReport};
     pub use crate::ops;
-    #[allow(deprecated)] // the deprecated shim stays importable during migration
-    pub use crate::query::evaluate_query;
     pub use crate::stats::{
         bucketed_histogram, component_size_histogram, stats_all, stats_for, UwsdtStats,
     };

@@ -16,8 +16,8 @@
 use crate::error::{Result, UwsdtError};
 use crate::model::Uwsdt;
 use crate::ops;
-use ws_relational::engine::{self, ExecContext, QueryBackend, SchemaCatalog};
-use ws_relational::{Predicate, RaExpr, RelationalError, Schema};
+use ws_relational::engine::{ExecContext, QueryBackend, SchemaCatalog};
+use ws_relational::{Predicate, RelationalError, Schema};
 
 impl SchemaCatalog for Uwsdt {
     fn schema_of(&self, relation: &str) -> ws_relational::Result<Schema> {
@@ -109,23 +109,11 @@ impl QueryBackend for Uwsdt {
     }
 }
 
-/// Evaluate a relational-algebra query through the unified
-/// `optimize → execute` pipeline, materializing the result as relation
-/// `out` inside the same UWSDT.  Returns the result relation's name.
-#[deprecated(
-    since = "0.1.0",
-    note = "open a `maybms::Session` on the Uwsdt (prepare/execute/stream), or call \
-            `ws_relational::engine::evaluate_query` directly"
-)]
-pub fn evaluate_query(uwsdt: &mut Uwsdt, query: &RaExpr, out: &str) -> Result<String> {
-    engine::evaluate_query(uwsdt, query, out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build::{from_or_relation, OrField};
-    use ws_relational::{CmpOp, Relation, Schema, Value};
+    use ws_relational::{engine, CmpOp, RaExpr, Relation, Schema, Value};
 
     fn small_uwsdt() -> Uwsdt {
         let mut base = Relation::new(Schema::new("R", &["A", "B"]).unwrap());

@@ -6,8 +6,8 @@
 //! dependencies of Figure 25, and evaluates the queries Q1–Q6 of Figure 29 on
 //! the cleaned representation — one session, six prepared plans — printing
 //! the Figure-27-style characteristics of every result.  The single-world
-//! baseline streams through the volcano cursor of `ws-relational` without
-//! materializing anything.
+//! baseline runs the same prepared plans on a second session over the clean
+//! world.
 //!
 //! Run with: `cargo run --release --example census_cleaning -p maybms -- [tuples] [density]`
 //! (defaults: 20000 tuples, 0.1% density).
@@ -60,15 +60,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         after.c_size
     );
 
-    // Evaluate Q1–Q6 on the cleaned UWSDT (one session, prepared plans) and
-    // on the single clean world (streamed through the cursor).
-    let one_world = scenario.one_world();
+    // Evaluate Q1–Q6 on the cleaned UWSDT and on the single clean world
+    // (one session each, prepared plans).
+    let mut baseline = Session::new(scenario.one_world());
     let mut session = Session::new(uwsdt);
     println!(
         "\n{:<4} {:>10} {:>8} {:>9} {:>9} {:>10} {:>12}",
         "query", "rows |R|", "#comp", "#comp>1", "|C|", "uwsdt[s]", "one-world[s]"
     );
     for (label, query) in maybms::census::all_queries() {
+        let baseline_plan = baseline.prepare(query.clone())?;
         let prepared = session.prepare(query)?;
         let start = Instant::now();
         let out = session.materialize(&prepared)?;
@@ -76,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let stats = stats_for(session.backend(), &out)?;
 
         let start = Instant::now();
-        let baseline_rows = Cursor::open(&one_world, prepared.plan())?.try_count()?;
+        baseline.execute(&baseline_plan)?.for_each(drop);
         let baseline_time = start.elapsed();
 
         println!(
@@ -89,7 +90,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             uwsdt_time.as_secs_f64(),
             baseline_time.as_secs_f64()
         );
-        let _ = baseline_rows;
     }
     println!("\nsession: {}", session.summary());
 

@@ -177,42 +177,47 @@ fn batch_boundary_plans() -> Vec<RaExpr> {
     ]
 }
 
+// The `Database` executor's answers equal the reference evaluator at the
+// morsel boundaries, and its row order does not depend on the thread count.
 #[test]
 fn columnar_and_row_paths_are_bit_identical_at_batch_boundaries() {
-    // The columnar executor hands out 1024-row morsels
-    // (`ws_relational::cursor::NATIVE_BATCH_ROWS`): exercise the empty
-    // relation, a single row, the sizes straddling one morsel, and a
-    // multi-morsel relation.
-    assert_eq!(maybms::relational::cursor::NATIVE_BATCH_ROWS, 1024);
+    // The executor hands out 1024-row morsels (`par::MORSEL_ROWS`):
+    // exercise the empty relation, a single row, the sizes straddling one
+    // morsel, and a multi-morsel relation.
+    assert_eq!(maybms::relational::par::MORSEL_ROWS, 1024);
     for n in [0usize, 1, 1023, 1024, 1025, 2500] {
         let db = batch_boundary_db(n);
         for query in &batch_boundary_plans() {
+            let reference = maybms::relational::evaluate_set(&db, query).unwrap();
             for optimize in [false, true] {
-                // Anchor: row-at-a-time operators, serial.
-                let mut anchor_cfg = if optimize {
+                let serial_cfg = if optimize {
                     EngineConfig::default()
                 } else {
                     EngineConfig::naive()
                 };
-                anchor_cfg.columnar = false;
-                let mut anchor_db = db.clone();
-                let out = evaluate_query_with(&mut anchor_db, query, "OUT", anchor_cfg).unwrap();
-                let anchor = anchor_db.relation(&out).unwrap().rows().to_vec();
+                let mut serial_db = db.clone();
+                let out = evaluate_query_with(&mut serial_db, query, "OUT", serial_cfg).unwrap();
+                let serial = serial_db.relation(&out).unwrap().clone();
+                let mut answer = serial.clone();
+                answer.dedup();
+                assert!(
+                    reference.set_eq(&answer),
+                    "n={n} optimize={optimize}: answer differs from the reference for {query}"
+                );
 
-                for columnar in [false, true] {
-                    for threads in [1usize, 2, 4] {
-                        let mut config = anchor_cfg;
-                        config.columnar = columnar;
-                        config.threads = threads;
-                        let mut exec_db = db.clone();
-                        let out = evaluate_query_with(&mut exec_db, query, "OUT", config).unwrap();
-                        assert_eq!(
-                            exec_db.relation(&out).unwrap().rows(),
-                            &anchor[..],
-                            "n={n} optimize={optimize} columnar={columnar} \
-                             threads={threads}: rows (or order) differ for {query}"
-                        );
-                    }
+                for threads in [2usize, 4] {
+                    let config = EngineConfig {
+                        threads,
+                        ..serial_cfg
+                    };
+                    let mut exec_db = db.clone();
+                    let out = evaluate_query_with(&mut exec_db, query, "OUT", config).unwrap();
+                    assert_eq!(
+                        exec_db.relation(&out).unwrap().rows(),
+                        serial.rows(),
+                        "n={n} optimize={optimize} threads={threads}: \
+                         rows (or order) differ from threads=1 for {query}"
+                    );
                 }
             }
         }

@@ -11,7 +11,8 @@
 //! * **Profile consistency** — [`Session::explain_analyze`] reports row
 //!   counts that match the materialized results it profiles: the root
 //!   operator's `rows_out`, the profile's `rows`, and the confidence step's
-//!   inputs/outputs all agree with independently executed queries.
+//!   inputs/outputs all agree with independently executed queries, on bare
+//!   and on `Durable`-wrapped backends alike.
 //! * **Histogram algebra** (proptest) — merging folded histograms is
 //!   associative and agrees with recording the concatenated samples into
 //!   one histogram, so per-thread shards can be folded in any order.
@@ -100,8 +101,57 @@ fn observed_sessions_populate_the_registry() {
     );
 }
 
+/// Profile `plan` on one session and check the profile's row counts against
+/// independently materialized results.  A single-world backend must answer
+/// on its columnar executor: a wrapper that does not forward it falls back
+/// to the operator path (`"row"`).
+fn check_profile<B: SessionBackend>(label: &str, backend: B, plan: &RaExpr, single_world: bool)
+where
+    B::Error: Into<maybms::Error>,
+{
+    let mut session = Session::new(backend);
+    let prepared = session.prepare(plan.clone()).expect("plan prepares");
+    let rows = session.execute(&prepared).expect("plan runs").count() as u64;
+    let confidences = session
+        .confidence(&prepared)
+        .expect("confidence runs")
+        .len() as u64;
+    let profile = session
+        .explain_analyze(&prepared)
+        .expect("explain_analyze runs");
+    assert_eq!(
+        profile.rows, rows,
+        "[{label}] profile rows vs materialized rows of {plan}"
+    );
+    assert_eq!(
+        profile.root.rows_out, rows,
+        "[{label}] root operator rows_out"
+    );
+    assert_eq!(
+        profile.confidence.rows_in, rows,
+        "[{label}] confidence step consumes the answer stream"
+    );
+    assert_eq!(
+        profile.confidence.rows_out, confidences,
+        "[{label}] confidence step output count"
+    );
+    assert_eq!(
+        profile.cache, "hit",
+        "[{label}] the plan was prepared above"
+    );
+    // The rendered tree mentions the root and the confidence tier.
+    let rendered = profile.to_string();
+    assert!(rendered.contains("tier="), "{rendered}");
+    if single_world {
+        assert_ne!(
+            profile.root.path, "row",
+            "[{label}] the plan {plan} left the columnar executor:\n{rendered}"
+        );
+    }
+}
+
 // explain_analyze's numbers are not decorative: they match independently
-// materialized results on every backend.
+// materialized results on every backend, bare and wrapped for durability.
 #[test]
 fn profile_row_counts_match_materialized_results() {
     for seed in 0..4u64 {
@@ -110,36 +160,12 @@ fn profile_row_counts_match_materialized_results() {
         let mut generator = Generator::new(seed.wrapping_mul(17) + 3);
         let plan = generator.expr(2, false).expr;
         for (name, backend) in all_backends(&wsd) {
-            let mut session = Session::new(backend);
-            let prepared = session.prepare(plan.clone()).expect("plan prepares");
-            let rows = session.execute(&prepared).expect("plan runs").count() as u64;
-            let confidences = session
-                .confidence(&prepared)
-                .expect("confidence runs")
-                .len() as u64;
-            let profile = session
-                .explain_analyze(&prepared)
-                .expect("explain_analyze runs");
-            assert_eq!(
-                profile.rows, rows,
-                "[{name} seed={seed}] profile rows vs materialized rows of {plan}"
-            );
-            assert_eq!(
-                profile.root.rows_out, rows,
-                "[{name} seed={seed}] root operator rows_out"
-            );
-            assert_eq!(
-                profile.confidence.rows_in, rows,
-                "[{name} seed={seed}] confidence step consumes the answer stream"
-            );
-            assert_eq!(
-                profile.confidence.rows_out, confidences,
-                "[{name} seed={seed}] confidence step output count"
-            );
-            assert_eq!(profile.cache, "hit", "[{name}] the plan was prepared above");
-            // The rendered tree mentions the root and the confidence tier.
-            let rendered = profile.to_string();
-            assert!(rendered.contains("tier="), "{rendered}");
+            let single_world = matches!(backend, AnyBackend::Db(_));
+            let durable = Durable::create(Box::new(MemVfs::new()), backend.clone())
+                .expect("in-memory store initializes");
+            check_profile(&format!("{name} seed={seed}"), backend, &plan, single_world);
+            let label = format!("durable {name} seed={seed}");
+            check_profile(&label, durable, &plan, single_world);
         }
     }
 }

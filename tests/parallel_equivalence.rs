@@ -77,12 +77,11 @@ fn parallel_executor_output_is_identical_to_serial() {
 
 #[test]
 fn database_fan_out_is_identical_across_threads_at_morsel_boundaries() {
-    // The columnar executor fans contiguous 1024-row morsels out to the
-    // worker pool; relations sized right at the boundary (and an
-    // all-filtering selection, whose morsels all come back empty) must
-    // produce bit-identical rows at every thread count, with the columnar
-    // path both on and off.
-    let morsel = maybms::relational::cursor::NATIVE_BATCH_ROWS;
+    // The executor fans contiguous 1024-row morsels out to the worker pool;
+    // relations sized right at the boundary (and an all-filtering selection,
+    // whose morsels all come back empty) must produce the reference answer
+    // and bit-identical rows at every thread count.
+    let morsel = maybms::relational::par::MORSEL_ROWS;
     for n in [0usize, 1, morsel - 1, morsel, morsel + 1, 2 * morsel + 452] {
         let mut r = Relation::new(Schema::new("R", &["A", "B"]).unwrap());
         for i in 0..n {
@@ -99,27 +98,27 @@ fn database_fan_out_is_identical_across_threads_at_morsel_boundaries() {
                 .project(vec!["B"]),
         ];
         for query in &queries {
-            for columnar in [true, false] {
-                let serial_cfg = EngineConfig {
-                    columnar,
-                    ..EngineConfig::default()
-                };
-                let mut serial_db = db.clone();
-                let out = evaluate_query_with(&mut serial_db, query, "OUT", serial_cfg).unwrap();
-                let serial_rows = serial_db.relation(&out).unwrap().rows().to_vec();
+            let mut serial_db = db.clone();
+            let out =
+                evaluate_query_with(&mut serial_db, query, "OUT", EngineConfig::default()).unwrap();
+            let serial = serial_db.relation(&out).unwrap().clone();
+            let mut answer = serial.clone();
+            answer.dedup();
+            let reference = maybms::relational::evaluate_set(&db, query).unwrap();
+            assert!(
+                reference.set_eq(&answer),
+                "n={n}: answer differs from the reference for {query}"
+            );
 
-                for threads in [2usize, 4] {
-                    let mut config = serial_cfg;
-                    config.threads = threads;
-                    let mut par_db = db.clone();
-                    let out = evaluate_query_with(&mut par_db, query, "OUT", config).unwrap();
-                    assert_eq!(
-                        par_db.relation(&out).unwrap().rows(),
-                        &serial_rows[..],
-                        "n={n} columnar={columnar} threads={threads}: \
-                         rows (or order) changed for {query}"
-                    );
-                }
+            for threads in [2usize, 4] {
+                let mut par_db = db.clone();
+                let config = EngineConfig::with_threads(threads);
+                let out = evaluate_query_with(&mut par_db, query, "OUT", config).unwrap();
+                assert_eq!(
+                    par_db.relation(&out).unwrap().rows(),
+                    serial.rows(),
+                    "n={n} threads={threads}: rows (or order) changed for {query}"
+                );
             }
         }
     }
