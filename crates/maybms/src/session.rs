@@ -89,9 +89,11 @@ pub trait SessionBackend: QueryBackend {
     fn backend_name(&self) -> &'static str;
 
     /// Whether result relations are self-contained, i.e. dropping them after
-    /// streaming cannot perturb the rest of the store.  Component-sharing
-    /// representations (WSD, UWSDT) return `false` and keep their results
-    /// registered, mirroring [`EngineConfig::drop_temps`]'s guidance.
+    /// streaming cannot perturb the rest of the store.  Only the WSD returns
+    /// `false` and keeps its results registered: dropping a WSD relation
+    /// removes its columns from components the base relations share.  A
+    /// UWSDT scratch result only adds placeholders to the base's components,
+    /// so dropping it takes nothing the base needs.
     fn self_contained(&self) -> bool;
 
     /// Prepare the materialized result `out` for streaming and describe how
@@ -224,7 +226,7 @@ impl SessionBackend for Uwsdt {
     }
 
     fn self_contained(&self) -> bool {
-        false
+        true
     }
 
     fn open_rows(&mut self, out: &str) -> Result<RowSource> {
@@ -1360,8 +1362,8 @@ where
     ///   [`Session::prepare`] of such a plan re-optimizes (a cache miss in
     ///   [`SessionStats`]);
     /// * scratch results still registered in the backend — results of
-    ///   [`Session::materialize`], and streamed results on component-sharing
-    ///   backends (WSD, UWSDT), which outlive their [`Rows`] cursor — are
+    ///   [`Session::materialize`], and streamed results on the
+    ///   component-sharing WSD backend, which outlive their [`Rows`] cursor — are
     ///   dropped before the update runs.  Names returned by `materialize`
     ///   must therefore not be read after an `apply`; re-execute the plan
     ///   instead.  (A live [`Rows`] cursor borrows the session mutably, so
@@ -1653,6 +1655,42 @@ mod tests {
         let p = dynamic.prepare(query).unwrap();
         let dynamic_rows: Vec<Tuple> = dynamic.execute(&p).unwrap().collect();
         assert_eq!(typed_rows, dynamic_rows);
+    }
+
+    #[test]
+    fn uwsdt_sessions_drop_their_scratch_results() {
+        let base = ws_uwsdt::from_wsd(&ws_core::wsd::example_census_wsd()).unwrap();
+        let base_relations: Vec<String> = base
+            .relation_names()
+            .into_iter()
+            .map(String::from)
+            .collect();
+        let mut session = Session::new(base);
+        // The second plan's condition spans two components, so executing it
+        // composes base components.
+        let plans = [
+            q("R").select(Predicate::eq_const("M", 1i64)).project(["S"]),
+            q("R").select(Predicate::and(vec![
+                Predicate::eq_const("M", 1i64),
+                Predicate::cmp_const("S", CmpOp::Ge, 500i64),
+            ])),
+        ]
+        .map(|query| session.prepare(query).unwrap());
+        let answers = |session: &mut Session<Uwsdt>| {
+            plans
+                .iter()
+                .map(|plan| {
+                    let rows: Vec<Tuple> = session.execute(plan).unwrap().collect();
+                    (rows, session.confidence(plan).unwrap())
+                })
+                .collect::<Vec<_>>()
+        };
+        let first = answers(&mut session);
+        for _ in 0..50 {
+            assert_eq!(answers(&mut session), first);
+        }
+        assert_eq!(session.backend().relation_names(), base_relations);
+        session.backend().validate().unwrap();
     }
 
     #[test]

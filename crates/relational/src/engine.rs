@@ -419,11 +419,11 @@ pub struct EngineConfig {
     /// Drop scratch relations after *successful* evaluation too.
     ///
     /// Safe for backends whose relations are self-contained (single-world
-    /// databases, U-relations, explicit world-sets).  Component-sharing
-    /// representations (WSD, UWSDT) keep their intermediates by default:
-    /// projecting shared components away mid-stream may split local worlds
-    /// and change world counts observed by callers.  Error paths always
-    /// clean up regardless of this flag.
+    /// databases, U-relations, explicit world-sets, UWSDTs).  The WSD keeps
+    /// its intermediates by default: dropping a relation projects shared
+    /// components away, which may split local worlds and change world counts
+    /// observed by callers.  Error paths always clean up regardless of this
+    /// flag.
     pub drop_temps: bool,
     /// Worker threads for the parallel physical operators (default 1).
     ///

@@ -106,6 +106,7 @@ impl Client {
     /// Connect and perform the hello handshake.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ServiceError> {
         let stream = TcpStream::connect(addr).map_err(ServiceError::transport)?;
+        stream.set_nodelay(true).map_err(ServiceError::transport)?;
         let mut client = Client {
             stream: CountingStream::new(stream),
             backend: String::new(),

@@ -95,15 +95,14 @@ pub fn serve_metrics(
 fn answer_scrape(mut stream: TcpStream, observer: &Arc<Observer>) -> io::Result<()> {
     drain_request_head(&mut stream)?;
     let body = observer.metrics().snapshot().render_prometheus();
-    let head = format!(
+    let response = format!(
         "HTTP/1.1 200 OK\r\n\
          Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
          Content-Length: {}\r\n\
-         Connection: close\r\n\r\n",
+         Connection: close\r\n\r\n{body}",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    stream.write_all(response.as_bytes())?;
     stream.flush()
 }
 

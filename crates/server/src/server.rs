@@ -12,17 +12,19 @@
 //! shared WAL batches.
 
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use maybms::{AnyBackend, Prepared, Session, SessionBackend, SessionStats, UpdateExpr};
-use ws_relational::RaExpr;
+use ws_relational::{RaExpr, Tuple};
 
 use crate::store::ConcurrentStore;
-use crate::wire::{read_frame, write_frame, CountingStream, Request, Response, WIRE_VERSION};
+use crate::wire::{
+    push_frame, read_frame, write_frame, CountingStream, Request, Response, WIRE_VERSION,
+};
 
 /// Rows per [`Response::RowBatch`] frame.
 const ROW_BATCH: usize = 256;
@@ -189,6 +191,7 @@ fn handle_connection(
     stop: Arc<AtomicBool>,
     addr: SocketAddr,
 ) -> io::Result<()> {
+    stream.set_nodelay(true)?;
     let mut stream = CountingStream::new(stream);
     let mut conn = Conn {
         store,
@@ -272,21 +275,23 @@ fn handle_connection(
                 };
                 match rows {
                     Ok(rows) => {
-                        let mut chunks = rows.chunks(ROW_BATCH).peekable();
-                        if chunks.peek().is_none() {
+                        // Every batch frame of the answer leaves in one write;
+                        // an empty answer is one empty final batch.
+                        let batches: Vec<&[Tuple]> = if rows.is_empty() {
+                            vec![&[]]
+                        } else {
+                            rows.chunks(ROW_BATCH).collect()
+                        };
+                        let mut reply = Vec::new();
+                        for (i, batch) in batches.iter().enumerate() {
                             let resp = Response::RowBatch {
-                                rows: Vec::new(),
-                                done: true,
+                                rows: batch.to_vec(),
+                                done: i + 1 == batches.len(),
                             };
-                            write_frame(&mut stream, trace, &resp.encode())?;
+                            push_frame(&mut reply, trace, &resp.encode());
                         }
-                        while let Some(chunk) = chunks.next() {
-                            let resp = Response::RowBatch {
-                                rows: chunk.to_vec(),
-                                done: chunks.peek().is_none(),
-                            };
-                            write_frame(&mut stream, trace, &resp.encode())?;
-                        }
+                        stream.write_all(&reply)?;
+                        stream.flush()?;
                     }
                     Err(resp) => write_frame(&mut stream, trace, &resp.encode())?,
                 }
@@ -373,5 +378,64 @@ fn apply_through_store(store: &ConcurrentStore<AnyBackend>, update: UpdateExpr) 
         },
         Err(ws_storage::DurableError::Backend(e)) => error_response(&e),
         Err(ws_storage::DurableError::Storage(e)) => storage_error_response(&e),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+    use std::time::{Duration, Instant};
+    use ws_relational::{Database, Relation, Schema};
+    use ws_storage::{MemVfs, SyncPolicy};
+
+    fn median_of_20(mut round_trip: impl FnMut()) -> Duration {
+        let mut samples: Vec<Duration> = (0..20)
+            .map(|_| {
+                let start = Instant::now();
+                round_trip();
+                start.elapsed()
+            })
+            .collect();
+        samples.sort();
+        samples[samples.len() / 2]
+    }
+
+    /// A frame split over several writes, or an answer sent one batch per
+    /// write, waits out Nagle's algorithm against the peer's 40 ms delayed
+    /// ACK on every exchange; loopback round trips must stay far below that.
+    #[test]
+    fn loopback_round_trips_do_not_wait_for_delayed_acks() {
+        let mut rel = Relation::new(Schema::new("R", &["A", "B"]).unwrap());
+        for a in 0..700i64 {
+            rel.push_values([a, a % 7]).unwrap();
+        }
+        let mut db = Database::new();
+        db.insert_relation(rel);
+        let store = ConcurrentStore::create(
+            Box::new(MemVfs::new()),
+            AnyBackend::from(db),
+            SyncPolicy::EveryRecord,
+        )
+        .unwrap();
+        let server = spawn("127.0.0.1:0", store.clone()).unwrap();
+        let mut client = Client::connect(server.addr()).unwrap();
+
+        let metrics = median_of_20(|| assert_eq!(client.metrics().unwrap(), ""));
+        let plan = client.prepare(maybms::q("R")).unwrap();
+        // 700 rows travel as three RowBatch frames.
+        let execute = median_of_20(|| assert_eq!(client.execute(&plan).unwrap().len(), 700));
+        assert!(
+            metrics < Duration::from_millis(10),
+            "Metrics p50 {metrics:?}"
+        );
+        assert!(
+            execute < Duration::from_millis(20),
+            "Execute p50 {execute:?}"
+        );
+
+        client.close().unwrap();
+        server.shutdown().unwrap();
+        store.close().unwrap();
     }
 }

@@ -23,6 +23,12 @@
 //! One request yields one response, except [`Request::Execute`], which
 //! streams the answer as a sequence of [`Response::RowBatch`] frames whose
 //! last frame has `done = true`.
+//!
+//! Every exchange costs one round trip, not one per small write: a frame
+//! leaves in a single `write_all` (header and payload assembled first), the
+//! server sends all `RowBatch` frames of one answer in a single write, and
+//! both ends set `TCP_NODELAY`.  Split writes on a Nagle socket wait for the
+//! peer's delayed ACK (40 ms on Linux) before the rest of a frame may leave.
 
 use std::io::{Read, Write};
 
@@ -417,13 +423,28 @@ impl Response {
 // Framing.
 // ---------------------------------------------------------------------------
 
-/// Write one frame (length, checksum, request trace id, payload) and flush.
-pub fn write_frame(stream: &mut impl Write, request: u64, payload: &[u8]) -> std::io::Result<()> {
+/// Bytes of a frame header: length, checksum, request trace id.
+const HEADER_LEN: usize = 16;
+
+/// Payload bytes reserved before any arrive; larger payloads grow the buffer
+/// as they are read, so a lying length prefix cannot size an allocation.
+const READ_RESERVE: u32 = 64 << 10;
+
+/// Append one frame (length, checksum, request trace id, payload) to `buf`.
+pub(crate) fn push_frame(buf: &mut Vec<u8>, request: u64, payload: &[u8]) {
     debug_assert!(payload.len() as u64 <= MAX_FRAME as u64);
-    stream.write_all(&(payload.len() as u32).to_le_bytes())?;
-    stream.write_all(&crc32(payload).to_le_bytes())?;
-    stream.write_all(&request.to_le_bytes())?;
-    stream.write_all(payload)?;
+    buf.reserve(HEADER_LEN + payload.len());
+    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&crc32(payload).to_le_bytes());
+    buf.extend_from_slice(&request.to_le_bytes());
+    buf.extend_from_slice(payload);
+}
+
+/// Write one frame in a single `write_all` and flush.
+pub fn write_frame(stream: &mut impl Write, request: u64, payload: &[u8]) -> std::io::Result<()> {
+    let mut frame = Vec::new();
+    push_frame(&mut frame, request, payload);
+    stream.write_all(&frame)?;
     stream.flush()
 }
 
@@ -434,7 +455,7 @@ pub fn write_frame(stream: &mut impl Write, request: u64, payload: &[u8]) -> std
 /// byte (the peer hung up between messages); any torn or corrupt frame is an
 /// error.
 pub fn read_frame(stream: &mut impl Read) -> std::io::Result<Option<(u64, Vec<u8>)>> {
-    let mut header = [0u8; 16];
+    let mut header = [0u8; HEADER_LEN];
     let mut filled = 0;
     while filled < header.len() {
         let n = stream.read(&mut header[filled..])?;
@@ -461,8 +482,14 @@ pub fn read_frame(stream: &mut impl Read) -> std::io::Result<Option<(u64, Vec<u8
             format!("implausible frame length {len}"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    stream.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity(len.min(READ_RESERVE) as usize);
+    stream.take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() != len as usize {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "the stream ended inside a frame payload",
+        ));
+    }
     if crc32(&payload) != crc {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
@@ -636,5 +663,18 @@ mod tests {
         assert!(read_frame(&mut [][..].as_ref()).unwrap().is_none());
         // A torn header is an error.
         assert!(read_frame(&mut buf[..4].as_ref()).is_err());
+        // So is a torn payload.
+        let err = read_frame(&mut buf[..buf.len() - 1].as_ref()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn a_lying_length_prefix_costs_only_the_bytes_that_arrive() {
+        let mut header = Vec::new();
+        header.extend_from_slice(&MAX_FRAME.to_le_bytes());
+        header.extend_from_slice(&0u32.to_le_bytes());
+        header.extend_from_slice(&7u64.to_le_bytes());
+        let err = read_frame(&mut header.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 }

@@ -708,23 +708,50 @@ impl Uwsdt {
 
     /// Validate structural invariants: placeholders agree with templates,
     /// `C` entries refer to existing local worlds, probabilities sum to one.
+    ///
+    /// `?` template cells and `F` entries must correspond one to one.  This
+    /// runs on every snapshot decode, so it is checked without a [`FieldId`]
+    /// per template cell: every `F` entry of a represented relation must land
+    /// on a `?` cell, and each template must hold as many `?` cells as it has
+    /// `F` entries.  The culprit field is only built for the error message.
     pub fn validate(&self) -> Result<()> {
-        for (name, template) in &self.templates {
-            for (t, row) in template.rows().iter().enumerate() {
-                for (i, attr) in template.schema().attrs().iter().enumerate() {
-                    let field = FieldId::new(name, t, attr.as_ref());
-                    if row[i].is_unknown() {
-                        if !self.f.contains_key(&field) {
-                            return Err(UwsdtError::invalid(format!(
-                                "placeholder {field} has no F entry"
-                            )));
-                        }
-                    } else if self.f.contains_key(&field) {
-                        return Err(UwsdtError::invalid(format!(
-                            "certain field {field} has an F entry"
-                        )));
-                    }
+        let mut f_entries: HashMap<&str, usize> = HashMap::with_capacity(self.templates.len());
+        for field in self.f.keys() {
+            // Entries of relations without a template are checked against W
+            // and C only, below.
+            let Some(template) = self.templates.get(field.relation.as_ref()) else {
+                continue;
+            };
+            let cell = template
+                .schema()
+                .position(&field.attr)
+                .and_then(|pos| template.rows().get(field.tuple.0).map(|row| &row[pos]));
+            match cell {
+                Some(value) if value.is_unknown() => {
+                    *f_entries.entry(field.relation.as_ref()).or_default() += 1;
                 }
+                Some(_) => {
+                    return Err(UwsdtError::invalid(format!(
+                        "certain field {field} has an F entry"
+                    )))
+                }
+                None => {
+                    return Err(UwsdtError::invalid(format!(
+                        "placeholder {field} lies outside its template"
+                    )))
+                }
+            }
+        }
+        for (name, template) in &self.templates {
+            let unknown: usize = template
+                .rows()
+                .iter()
+                .map(|row| row.values().iter().filter(|v| v.is_unknown()).count())
+                .sum();
+            if unknown != f_entries.get(name.as_str()).copied().unwrap_or(0) {
+                // The counted entries sit on distinct `?` cells, so some `?`
+                // cell has none.
+                return Err(self.unregistered_placeholder(name, template));
             }
         }
         for (field, cid) in &self.f {
@@ -746,6 +773,24 @@ impl Uwsdt {
             }
         }
         Ok(())
+    }
+
+    /// The error naming the first `?` cell of `template` without an `F`
+    /// entry ([`Uwsdt::validate`]'s slow path).
+    fn unregistered_placeholder(&self, name: &str, template: &Relation) -> UwsdtError {
+        let relation: Arc<str> = Arc::from(name);
+        for (t, row) in template.rows().iter().enumerate() {
+            for (i, attr) in template.schema().attrs().iter().enumerate() {
+                let field =
+                    FieldId::from_parts(Arc::clone(&relation), ws_core::TupleId(t), attr.clone());
+                if row[i].is_unknown() && !self.f.contains_key(&field) {
+                    return UwsdtError::invalid(format!("placeholder {field} has no F entry"));
+                }
+            }
+        }
+        UwsdtError::invalid(format!(
+            "template {name} and its F entries disagree on the placeholder count"
+        ))
     }
 
     // ------------------------------------------------------------------
@@ -924,5 +969,43 @@ mod snapshot_tests {
 
         // The untouched snapshot still reconstructs.
         assert!(Uwsdt::from_snapshot(base).is_ok());
+    }
+
+    fn rejection(snapshot: UwsdtSnapshot) -> String {
+        Uwsdt::from_snapshot(snapshot).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn template_and_f_disagreements_are_rejected() {
+        let base = sample().to_snapshot();
+
+        // A template `?` whose field was removed from its component's field
+        // list (and, with it, its C entries): the `?` has no F entry.
+        let mut s = base.clone();
+        let field = s.components[0].2.remove(0);
+        s.values.retain(|(f, _)| *f != field);
+        let message = rejection(s);
+        assert!(message.contains("has no F entry"), "{message}");
+        assert!(message.contains(&field.to_string()), "{message}");
+
+        // A certain template cell that still carries an F entry.
+        let mut s = base.clone();
+        let field = s.components[0].2[0].clone();
+        let template = s
+            .templates
+            .iter_mut()
+            .find(|t| *t.schema().relation() == field.relation)
+            .unwrap();
+        let pos = template.schema().position(&field.attr).unwrap();
+        template.rows_mut()[field.tuple.0].set(pos, Value::int(0));
+        let message = rejection(s);
+        assert!(message.contains("has an F entry"), "{message}");
+        assert!(message.contains(&field.to_string()), "{message}");
+
+        // An F entry addressed past the template's last tuple.
+        let mut s = base;
+        s.components[0].2.push(FieldId::new("R", 99, "S"));
+        let message = rejection(s);
+        assert!(message.contains("lies outside its template"), "{message}");
     }
 }
