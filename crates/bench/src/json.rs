@@ -1,12 +1,12 @@
-//! A minimal JSON reader for the benchmark snapshots.
+//! A minimal JSON reader for `bench_e2e`.
 //!
-//! The workspace deliberately has no serialization dependency, and the two
-//! files the bench-regression gate compares — the committed `BENCH_seed.json`
-//! and the CI-produced `BENCH_ci.json` — are machine-written with a known
-//! shape (objects, arrays, strings, plain numbers).  This parser covers full
-//! JSON anyway so a hand-edited snapshot cannot silently mis-parse: strings
-//! with the standard escapes, numbers via [`f64`] parsing, `true`/`false`/
-//! `null`, and arbitrarily nested arrays and objects.
+//! The workspace deliberately has no serialization dependency, and the
+//! documents `bench_e2e` reads — the root `BENCHMARK.json` contract and the
+//! one-line JSON result each per-workload child process prints — are
+//! small and machine- or hand-written.  This parser covers full JSON so a
+//! hand-edited file cannot silently mis-parse: strings with the standard
+//! escapes, numbers via [`f64`] parsing, `true`/`false`/`null`, and
+//! arbitrarily nested arrays and objects.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -267,14 +267,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_the_recorder_line_shape() {
-        let line = r#"{"bench":"ablation_confidence","section":"tiers","name":"v14","metric":"safe_s","seconds":0.000123}"#;
+    fn parses_a_flat_result_line() {
+        let line = r#"{"workload":"served_read","lat_p50_ms":0.000123,"failed":0}"#;
         let value = Json::parse(line).unwrap();
-        assert_eq!(
-            value.get("bench").unwrap().as_str(),
-            Some("ablation_confidence")
-        );
-        assert_eq!(value.get("seconds").unwrap().as_f64(), Some(0.000123));
+        assert_eq!(value.get("workload").unwrap().as_str(), Some("served_read"));
+        assert_eq!(value.get("lat_p50_ms").unwrap().as_f64(), Some(0.000123));
     }
 
     #[test]

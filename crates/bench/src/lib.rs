@@ -1,18 +1,20 @@
 //! # ws-bench — benchmark harness for the paper's evaluation section
 //!
-//! One benchmark target per evaluation figure (see DESIGN.md §3 and
-//! EXPERIMENTS.md), plus ablation benches.  The helpers in this library crate
-//! are shared by the individual `benches/*.rs` harnesses: scenario grids,
-//! timing utilities and table printing.
+//! One benchmark target per reproduced evaluation figure (`fig26`–`fig30`),
+//! plus three ablations that each assert one ratio bound in-process (safe
+//! confidence tier vs. exact, group commit vs. per-record fsync, observed vs.
+//! unobserved session).  The helpers in this library crate are shared by the
+//! individual `benches/*.rs` harnesses: size sweeps, timing utilities and
+//! table printing.  The repository's end-to-end benchmark, `bench_e2e`
+//! (declared in `BENCHMARK.json`), is a separate package under `src/bin/`
+//! that imports [`json`].
 
 use std::time::{Duration, Instant};
-use ws_census::CensusScenario;
 
-pub mod gate;
 pub mod json;
 
 /// The default tuple counts of the scaled-down sweep (the paper sweeps
-/// 0.1M–12.5M tuples on a 32 GB server; see DESIGN.md for the substitution).
+/// 0.1M–12.5M tuples on a 32 GB server).
 pub const DEFAULT_SIZES: [usize; 5] = [1_000, 5_000, 10_000, 20_000, 50_000];
 
 /// The densities of the paper's evaluation (0.005% … 0.1%).
@@ -31,22 +33,6 @@ pub fn is_quick() -> bool {
     std::env::var("WS_BENCH_QUICK")
         .map(|v| !v.is_empty() && v != "0")
         .unwrap_or(false)
-}
-
-/// The worker-thread count of the parallel benchmark axis: `WS_BENCH_THREADS`
-/// if set, otherwise the machine's available parallelism (at least 2, so the
-/// parallel axis differs from the serial baseline even on one-core runners).
-pub fn bench_threads() -> usize {
-    std::env::var("WS_BENCH_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(2)
-                .max(2)
-        })
 }
 
 /// Read the benchmark tuple counts from the `WS_BENCH_SIZES` environment
@@ -76,83 +62,11 @@ pub fn bench_sizes() -> Vec<usize> {
     }
 }
 
-/// The scenario grid: every size × density combination with a fixed seed.
-pub fn scenario_grid() -> Vec<(CensusScenario, &'static str)> {
-    let mut out = Vec::new();
-    for &tuples in &bench_sizes() {
-        for (i, &density) in DENSITIES.iter().enumerate() {
-            out.push((
-                CensusScenario::new(tuples, density, 0xC0FFEE),
-                DENSITY_LABELS[i],
-            ));
-        }
-    }
-    out
-}
-
 /// Time a closure once, returning its result and the elapsed wall-clock time.
 pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();
     let value = f();
     (value, start.elapsed())
-}
-
-/// A machine-readable timing recorder for the ablation benches.
-///
-/// When the `WS_BENCH_JSON` environment variable names a file, every recorded
-/// measurement is appended to it as one JSON object per line
-/// (`{"bench": …, "section": …, "name": …, "metric": …, "seconds": …}`); the
-/// CI bench step wraps those lines into `BENCH_ci.json`, and the committed
-/// `BENCH_seed.json` snapshot was produced the same way.  Without the
-/// variable the recorder is a no-op, so interactive runs just print tables.
-#[derive(Debug, Default)]
-pub struct Recorder {
-    bench: String,
-    lines: Vec<String>,
-}
-
-impl Recorder {
-    /// A recorder for one bench binary.
-    pub fn new(bench: &str) -> Self {
-        Recorder {
-            bench: bench.to_string(),
-            lines: Vec::new(),
-        }
-    }
-
-    /// Record one timing: a section (table) name, a row name, a metric label
-    /// and the measured duration.  Labels must not contain `"` or `\`.
-    pub fn record(&mut self, section: &str, name: &str, metric: &str, elapsed: Duration) {
-        self.lines.push(format!(
-            "{{\"bench\":\"{}\",\"section\":\"{section}\",\"name\":\"{name}\",\
-             \"metric\":\"{metric}\",\"seconds\":{:.6}}}",
-            self.bench,
-            elapsed.as_secs_f64(),
-        ));
-    }
-
-    /// Append the recorded lines to the `WS_BENCH_JSON` file, if configured.
-    pub fn flush(&self) {
-        let Ok(path) = std::env::var("WS_BENCH_JSON") else {
-            return;
-        };
-        if path.is_empty() {
-            return;
-        }
-        use std::io::Write;
-        match std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-        {
-            Ok(mut file) => {
-                for line in &self.lines {
-                    let _ = writeln!(file, "{line}");
-                }
-            }
-            Err(e) => eprintln!("WS_BENCH_JSON: cannot open {path}: {e}"),
-        }
-    }
 }
 
 /// Format a duration in seconds with three decimal places.
@@ -181,22 +95,8 @@ mod tests {
     #[test]
     fn sizes_fall_back_to_defaults() {
         // The environment variable is unlikely to be set during unit tests;
-        // either way the result must be non-empty and sorted ascending-ish.
-        let sizes = bench_sizes();
-        assert!(!sizes.is_empty());
-        let grid = scenario_grid();
-        assert_eq!(grid.len(), sizes.len() * DENSITIES.len());
-    }
-
-    #[test]
-    fn recorder_formats_json_lines() {
-        let mut rec = Recorder::new("unit");
-        rec.record("sec", "row", "metric", Duration::from_millis(250));
-        assert_eq!(rec.lines.len(), 1);
-        assert!(rec.lines[0].contains("\"bench\":\"unit\""));
-        assert!(rec.lines[0].contains("\"seconds\":0.250000"));
-        // Without WS_BENCH_JSON flushing is a no-op.
-        rec.flush();
+        // either way the result must be non-empty.
+        assert!(!bench_sizes().is_empty());
     }
 
     #[test]

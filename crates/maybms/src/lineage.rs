@@ -341,18 +341,45 @@ mod tests {
 
     #[test]
     fn wsd_extraction_matches_exact_confidence() {
-        let wsd = ws_core::wsd::example_census_wsd();
-        let lin = wsd_lineage(&wsd, &relset(&["R"])).unwrap();
-        for (tuple, exact) in ws_core::confidence::possible_with_confidence(&wsd, "R").unwrap() {
-            let got = lineage_conf(&lin, "R", &tuple);
-            // The brute-force joint enumeration sums in a different order
-            // than the native exact path, so non-dyadic probabilities can
-            // differ in the last ulp; bit-identity on dyadic inputs is
-            // covered by the session-level equivalence suite.
-            assert!(
-                (got - exact).abs() < 1e-12,
-                "conf({tuple}) = {got}, exact {exact}"
-            );
+        let census = ws_census::CensusScenario::new(150, 0.001, 0xC0FFEE);
+        let inputs = [
+            (ws_core::wsd::example_census_wsd(), "R", vec!["M"]),
+            (
+                census.dirty_wsd().unwrap(),
+                ws_census::RELATION_NAME,
+                vec!["CITIZEN", "IMMIGR"],
+            ),
+        ];
+        for (wsd, relation, projection) in inputs {
+            let lin = wsd_lineage(&wsd, &relset(&[relation])).unwrap();
+            for (tuple, exact) in
+                ws_core::confidence::possible_with_confidence(&wsd, relation).unwrap()
+            {
+                let got = lineage_conf(&lin, relation, &tuple);
+                // The brute-force joint enumeration sums in a different order
+                // than the native exact path, so non-dyadic probabilities can
+                // differ in the last ulp; bit-identity on dyadic inputs is
+                // covered by the session-level equivalence suite.
+                assert!(
+                    (got - exact).abs() < 1e-12,
+                    "conf({tuple}) = {got}, exact {exact}"
+                );
+            }
+
+            // A projection merges derivations into multi-clause DNFs: the
+            // d-tree compiler and brute-force enumeration, two independent
+            // exact algorithms, must agree on every output tuple.
+            let query = ws_relational::RaExpr::rel(relation).project(projection);
+            let output = ws_relational::lineage::evaluate_lineage(&lin, &query).unwrap();
+            let mut compiler = ws_relational::lineage::DtreeCompiler::new(lin.vars());
+            for (tuple, dnf) in output.dnfs() {
+                let compiled = compiler.probability(&dnf).unwrap();
+                let enumerated = enumerate_probability(&dnf, lin.vars(), 1 << 24).unwrap();
+                assert!(
+                    (compiled - enumerated).abs() < 1e-9,
+                    "d-tree and enumeration disagree on {tuple}: {compiled} vs {enumerated}"
+                );
+            }
         }
     }
 

@@ -22,9 +22,6 @@
 //!   conditioning by world-table DNF rewriting) as the
 //!   [`ws_relational::WriteBackend`] implementation, and
 //! * [`confidence`] — exact and Monte-Carlo confidence computation.
-//!
-//! The `ablation_urel_join` bench compares the representation growth of a
-//! join pipeline on WSDs (component composition) against U-relations.
 
 pub mod confidence;
 pub mod convert;
