@@ -9,7 +9,7 @@
 
 use ws_core::chase::Dependency;
 use ws_core::{Result as WsResult, WorldSet, WsError};
-use ws_relational::engine::{self, EngineConfig};
+use ws_relational::engine;
 use ws_relational::{evaluate_set, Database, RaExpr, Relation, Tuple};
 
 /// Evaluate a relational-algebra query in every world, returning the
@@ -42,12 +42,7 @@ pub fn query_worlds(worlds: &WorldSet, query: &RaExpr, out_name: &str) -> WsResu
         return Ok(WorldSet::new());
     }
     let mut extended = worlds.clone();
-    engine::evaluate_query_with(
-        &mut extended,
-        query,
-        out_name,
-        EngineConfig::with_temp_cleanup(),
-    )?;
+    engine::evaluate_query(&mut extended, query, out_name)?;
     Ok(extended)
 }
 

@@ -8,8 +8,9 @@
 //! query `Q`, the result of [`engine::evaluate_query`] is a new relation
 //! inside the same WSD such that dropping all other relations yields a WSD
 //! representing `{ Q(A) | A ∈ rep(W) }` (Theorem 1).  Intermediate results
-//! get fresh relation names and remain represented, which is exactly what
-//! keeps correlated sub-queries correlated.
+//! get fresh relation names and stay represented only within one plan: long
+//! enough to keep correlated sub-queries correlated, after which the
+//! executor drops them and only the result relation remains.
 //!
 //! Composite selection conditions — which the paper's Fig. 9 leaves to the
 //! atomic cases — are handled by rewriting:
@@ -19,7 +20,7 @@
 use super::{copy, difference, product, project, rename, select_attr, select_const, union};
 use crate::error::{Result, WsError};
 use crate::wsd::Wsd;
-use ws_relational::engine::{self, ExecContext, QueryBackend, SchemaCatalog};
+use ws_relational::engine::{self, EngineConfig, ExecContext, QueryBackend, SchemaCatalog};
 use ws_relational::{Predicate, RaExpr, RelationalError, Schema};
 
 impl SchemaCatalog for Wsd {
@@ -36,6 +37,21 @@ impl SchemaCatalog for Wsd {
 
 impl QueryBackend for Wsd {
     type Error = WsError;
+
+    /// Every plan runs through the shared operator-by-operator executor.
+    fn execute_plan(
+        &mut self,
+        _plan: &RaExpr,
+        _out: &str,
+        _config: &EngineConfig,
+    ) -> Option<Result<()>> {
+        None
+    }
+
+    /// A WSD relation is spread over shared components: no cheap tuple count.
+    fn profile_rows(&self, _relation: &str) -> Option<u64> {
+        None
+    }
 
     fn materialize_base(&mut self, name: &str, out: &str) -> Result<()> {
         copy(self, name, out)

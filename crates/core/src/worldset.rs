@@ -210,6 +210,21 @@ fn apply_per_world(worlds: &mut WorldSet, expr: &ws_relational::RaExpr, out: &st
 impl ws_relational::QueryBackend for WorldSet {
     type Error = WsError;
 
+    /// Every plan runs through the shared operator-by-operator executor.
+    fn execute_plan(
+        &mut self,
+        _plan: &ws_relational::RaExpr,
+        _out: &str,
+        _config: &ws_relational::EngineConfig,
+    ) -> Option<Result<()>> {
+        None
+    }
+
+    /// A relation differs from world to world: no single tuple count.
+    fn profile_rows(&self, _relation: &str) -> Option<u64> {
+        None
+    }
+
     fn materialize_base(&mut self, name: &str, out: &str) -> Result<()> {
         apply_per_world(self, &ws_relational::RaExpr::rel(name), out)
     }

@@ -33,10 +33,12 @@
 //! `Durable<UDatabase>`, …) is a first-class [`SessionBackend`].
 
 use crate::error::{Error, Result};
-use crate::session::{AnyBackend, RowSource, Session, SessionBackend};
+use crate::session::{AnyBackend, Session, SessionBackend};
+use std::collections::BTreeSet;
 use std::path::Path;
 use ws_core::confidence::approx::ApproxConfig;
 use ws_core::{WorldSet, Wsd};
+use ws_relational::lineage::LineageDb;
 use ws_relational::{Database, Tuple, WorkerPool, WriteBackend};
 use ws_storage::codec::{Reader, Writer};
 use ws_storage::persist::{TAG_DATABASE, TAG_UREL, TAG_UWSDT, TAG_WORLDS, TAG_WSD};
@@ -93,16 +95,8 @@ impl<B: SessionBackend> SessionBackend for Durable<B> {
         self.inner().backend_name()
     }
 
-    fn self_contained(&self) -> bool {
-        self.inner().self_contained()
-    }
-
-    fn open_rows(&mut self, out: &str) -> Result<RowSource> {
-        self.inner_mut().open_rows(out)
-    }
-
-    fn fetch_batch(&self, out: &str, offset: usize, limit: usize) -> Result<Vec<Tuple>> {
-        self.inner().fetch_batch(out, offset, limit)
+    fn possible_rows(&self, out: &str) -> Result<Vec<Tuple>> {
+        self.inner().possible_rows(out)
     }
 
     fn confidence_rows(&self, out: &str, pool: &WorkerPool) -> Result<Vec<(Tuple, f64)>> {
@@ -120,6 +114,15 @@ impl<B: SessionBackend> SessionBackend for Durable<B> {
 
     fn durability(&self) -> Option<DurabilityStats> {
         Some(self.stats())
+    }
+
+    /// Deliberately not forwarded: durable sessions answer confidence by the
+    /// backend's native exact path.  Lineage extraction is redone on every
+    /// call today, which on the chased census UWSDT makes the lineage tiers
+    /// 5–10× slower than native exact; forward this once the extracted
+    /// lineage is cached per snapshot.
+    fn lineage(&self, _relations: &BTreeSet<String>) -> Option<LineageDb> {
+        None
     }
 }
 
@@ -160,21 +163,21 @@ where
     B: SessionBackend + WriteBackend + Persist + Clone,
     B::Error: Into<Error>,
 {
-    /// Checkpoint the durable backend: drop the session's live scratch
+    /// Checkpoint the durable backend: drop the session's materialized
     /// results, snapshot the state (scrubbed of any remaining `__` scratch
     /// relations) as the next generation, and truncate the WAL.  Returns
     /// the new snapshot generation.
     pub fn checkpoint(&mut self) -> Result<u64> {
-        // Scratch results are derived state; a snapshot must only ever hold
-        // base relations (re-execute plans after recovery instead).
-        self.drop_live_results();
+        // Materialized results are derived state; a snapshot must only ever
+        // hold base relations (re-execute plans after recovery instead).
+        self.drop_materialized();
         Ok(self.backend_mut().checkpoint()?)
     }
 
     /// Tear the session down with a result: flush and fsync the WAL,
     /// surfacing I/O errors that a plain `Drop` would have to swallow.
     pub fn close(mut self) -> Result<()> {
-        self.drop_live_results();
+        self.drop_materialized();
         self.into_backend().close()?;
         Ok(())
     }

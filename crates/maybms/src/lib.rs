@@ -1,5 +1,4 @@
-//! # maybms — one fluent, prepared, streaming API over every possible-worlds
-//! backend
+//! # maybms — one fluent, prepared API over every possible-worlds backend
 //!
 //! This crate is the front door of the *"10^(10^6) Worlds and Beyond"*
 //! reproduction, mirroring how the paper's prototype system (MayBMS) packaged
@@ -9,7 +8,7 @@
 //! ## The session API
 //!
 //! Open a [`Session`] on any backend, build queries with [`q`], prepare once,
-//! execute many, stream results:
+//! execute many, iterate the answers:
 //!
 //! ```
 //! use maybms::{q, Session};
@@ -25,7 +24,7 @@
 //! let married = session
 //!     .prepare(q("R").select(Predicate::eq_const("M", 1i64)).project(["S"]))?;
 //!
-//! // Streaming execution: `Rows` is an Iterator pulling row batches.
+//! // Execution copies the answer out of the backend; `Rows` iterates it.
 //! let answers: Vec<_> = session.execute(&married)?.collect();
 //! assert!(!answers.is_empty());
 //!
@@ -96,8 +95,8 @@ pub mod session;
 pub use builder::{q, typecheck, typecheck_update, IntoQuery, Query};
 pub use error::{Error, ErrorKind, Result};
 pub use session::{
-    AnyBackend, ConfidenceStrategy, Prepared, QueryProfile, RowSource, Rows, Session,
-    SessionBackend, SessionStats, DEFAULT_BATCH_SIZE,
+    AnyBackend, ConfidenceStrategy, Prepared, QueryProfile, Rows, Session, SessionBackend,
+    SessionStats,
 };
 pub use ws_core::ops::update::{apply_update, UpdateExpr};
 pub use ws_storage::{DurabilityStats, Durable, Persist, StorageError};
@@ -117,8 +116,8 @@ pub mod prelude {
     pub use crate::builder::{q, typecheck, typecheck_update, IntoQuery, Query};
     pub use crate::error::{Error, ErrorKind};
     pub use crate::session::{
-        AnyBackend, ConfidenceStrategy, Prepared, QueryProfile, RowSource, Rows, Session,
-        SessionBackend, SessionStats,
+        AnyBackend, ConfidenceStrategy, Prepared, QueryProfile, Rows, Session, SessionBackend,
+        SessionStats,
     };
     pub use ws_apps::{
         consistent_answers, possible_answers, repair_key_violations, MedicalScenario,

@@ -1,6 +1,6 @@
 //! The MayBMS-style front door: open a [`Session`] on any possible-worlds
-//! backend, build queries fluently, prepare once / execute many, stream
-//! results.
+//! backend, build queries fluently, prepare once / execute many, iterate the
+//! answers.
 //!
 //! Every representation of this repository evaluates queries through the one
 //! `optimize → execute` pipeline of [`ws_relational::engine`]; what used to
@@ -28,12 +28,17 @@
 //!   ([`mod@ws_relational::fingerprint`]), and runs the rule-based optimizer
 //!   **once** per distinct plan: re-preparing the same query — even written
 //!   with its conjuncts in a different order — is a cache hit.
-//! * [`Session::execute`] replays the cached physical plan and returns a
-//!   streaming [`Rows`] cursor that pulls row batches from the materialized
-//!   result instead of copying it out wholesale.
+//! * [`Session::execute`] replays the cached physical plan, copies the
+//!   possible answers out as owned rows and returns them as a [`Rows`]
+//!   iterator.
 //! * [`Session::confidence`] / [`Session::confidence_approx`] compute the
 //!   paper's §6 tuple confidences (exact, or (ε, δ)-approximate where the
 //!   backend has a Monte-Carlo evaluator) on the same prepared plan.
+//!
+//! Every read verb takes the same path on every backend: the plan's result
+//! is built as a `__session_q*` relation inside the backend, the answer is
+//! copied out, and the result is dropped before the call returns.  Only
+//! [`Session::materialize`] leaves a result behind.
 //!
 //! [`Session::over`] wraps the five concrete representations in one dynamic
 //! [`AnyBackend`], so code that picks a backend at run time still goes
@@ -63,57 +68,30 @@ use ws_uwsdt::Uwsdt;
 // Backend capabilities beyond QueryBackend.
 // ---------------------------------------------------------------------------
 
-/// How a session pulls rows out of a materialized query result.
-pub enum RowSource {
-    /// Rows stay inside the backend; the cursor fetches batches by range
-    /// (the single-world database, whose result relation is already the
-    /// answer).
-    InPlace {
-        /// Total number of streamable rows.
-        len: usize,
-    },
-    /// The backend extracted the possible tuples of the represented result
-    /// once (world-set representations, where the stored result is a
-    /// *representation*, not the answer).
-    Owned(Vec<Tuple>),
-}
-
 /// What a [`Session`] needs from a backend on top of the shared
-/// [`QueryBackend`] operators: result streaming and confidence extraction.
+/// [`QueryBackend`] operators: answer extraction and confidence.
+///
+/// Every method reads a result relation `out` the executor just built and
+/// returns an owned answer; the session drops `out` afterwards.  No method
+/// has a default body, so a wrapper backend cannot silently skip one.
 ///
 /// Implemented for the five representations ([`Database`], [`Wsd`],
-/// [`Uwsdt`], [`UDatabase`], [`WorldSet`]) and for the dynamic
-/// [`AnyBackend`].
+/// [`Uwsdt`], [`UDatabase`], [`WorldSet`]), for the dynamic [`AnyBackend`]
+/// and for the persistent `Durable<B>`.
 pub trait SessionBackend: QueryBackend {
     /// Short name used in stats and diagnostics.
     fn backend_name(&self) -> &'static str;
 
-    /// Whether result relations are self-contained, i.e. dropping them after
-    /// streaming cannot perturb the rest of the store.  Only the WSD returns
-    /// `false` and keeps its results registered: dropping a WSD relation
-    /// removes its columns from components the base relations share.  A
-    /// UWSDT scratch result only adds placeholders to the base's components,
-    /// so dropping it takes nothing the base needs.
-    fn self_contained(&self) -> bool;
-
-    /// Prepare the materialized result `out` for streaming and describe how
-    /// rows are pulled from it.
-    fn open_rows(&mut self, out: &str) -> Result<RowSource>;
-
-    /// Fetch rows `offset .. offset + limit` of an [`RowSource::InPlace`]
-    /// result.  Backends that always hand out [`RowSource::Owned`] never see
-    /// this call.
-    fn fetch_batch(&self, out: &str, offset: usize, limit: usize) -> Result<Vec<Tuple>> {
-        let _ = (out, offset, limit);
-        Ok(Vec::new())
-    }
+    /// The distinct possible tuples of result `out`, in the backend's
+    /// canonical order.
+    fn possible_rows(&self, out: &str) -> Result<Vec<Tuple>>;
 
     /// The possible tuples of result `out` with their exact confidences.
     fn confidence_rows(&self, out: &str, pool: &WorkerPool) -> Result<Vec<(Tuple, f64)>>;
 
     /// The possible tuples of result `out` with (ε, δ)-approximate
     /// confidences.  Backends without a Monte-Carlo evaluator (UWSDT, the
-    /// explicit world-set oracle, the single-world database) fall back to
+    /// explicit world-set oracle, the single-world database) answer with
     /// the exact computation — the approximation guarantee then holds
     /// trivially.
     fn confidence_rows_approx(
@@ -121,28 +99,20 @@ pub trait SessionBackend: QueryBackend {
         out: &str,
         config: &ApproxConfig,
         pool: &WorkerPool,
-    ) -> Result<Vec<(Tuple, f64)>> {
-        let _ = config;
-        self.confidence_rows(out, pool)
-    }
+    ) -> Result<Vec<(Tuple, f64)>>;
 
     /// The durability counters of a persistent backend; `None` for the
     /// in-memory representations.  [`Session::stats`] folds these into
     /// [`SessionStats`] so WAL and checkpoint activity shows up next to the
     /// query counters.
-    fn durability(&self) -> Option<DurabilityStats> {
-        None
-    }
+    fn durability(&self) -> Option<DurabilityStats>;
 
     /// Extract a [`LineageDb`] covering `relations` — a faithful mapping of
     /// this representation onto independent finite-domain variables, feeding
     /// the safe-plan and compiled-lineage confidence tiers.  `None` opts the
     /// backend out (the session then uses [`SessionBackend::confidence_rows`]
     /// directly), which is always safe; see [`crate::lineage`].
-    fn lineage(&self, relations: &BTreeSet<String>) -> Option<LineageDb> {
-        let _ = relations;
-        None
-    }
+    fn lineage(&self, relations: &BTreeSet<String>) -> Option<LineageDb>;
 }
 
 impl SessionBackend for Database {
@@ -150,33 +120,32 @@ impl SessionBackend for Database {
         "database"
     }
 
-    fn self_contained(&self) -> bool {
-        true
-    }
-
-    fn open_rows(&mut self, out: &str) -> Result<RowSource> {
+    fn possible_rows(&self, out: &str) -> Result<Vec<Tuple>> {
         // The single world's answer uses set semantics, matching the
-        // possible-tuple extraction of the world-set backends.
-        let mut rel = self
-            .remove_relation(out)
-            .ok_or_else(|| Error::other(format!("result relation `{out}` vanished")))?;
-        rel.dedup();
-        let len = rel.len();
-        self.insert_relation(rel);
-        Ok(RowSource::InPlace { len })
-    }
-
-    fn fetch_batch(&self, out: &str, offset: usize, limit: usize) -> Result<Vec<Tuple>> {
+        // possible-tuple extraction of the world-set backends.  Deduplicating
+        // by reference clones each distinct row exactly once.
         let rows = self.relation(out).map_err(Error::from)?.rows();
-        let end = offset.saturating_add(limit).min(rows.len());
-        Ok(rows.get(offset..end).unwrap_or_default().to_vec())
+        let distinct: BTreeSet<&Tuple> = rows.iter().collect();
+        Ok(distinct.into_iter().cloned().collect())
     }
 
     fn confidence_rows(&self, out: &str, _pool: &WorkerPool) -> Result<Vec<(Tuple, f64)>> {
         // One world: every distinct answer tuple is certain.
-        let mut rel = self.relation(out).map_err(Error::from)?.clone();
-        rel.dedup();
-        Ok(rel.rows().iter().map(|t| (t.clone(), 1.0)).collect())
+        let rows = self.possible_rows(out)?;
+        Ok(rows.into_iter().map(|t| (t, 1.0)).collect())
+    }
+
+    fn confidence_rows_approx(
+        &self,
+        out: &str,
+        _config: &ApproxConfig,
+        pool: &WorkerPool,
+    ) -> Result<Vec<(Tuple, f64)>> {
+        self.confidence_rows(out, pool)
+    }
+
+    fn durability(&self) -> Option<DurabilityStats> {
+        None
     }
 
     fn lineage(&self, relations: &BTreeSet<String>) -> Option<LineageDb> {
@@ -189,13 +158,8 @@ impl SessionBackend for Wsd {
         "wsd"
     }
 
-    fn self_contained(&self) -> bool {
-        false
-    }
-
-    fn open_rows(&mut self, out: &str) -> Result<RowSource> {
-        let possible = ws_core::confidence::possible(self, out)?;
-        Ok(RowSource::Owned(possible.rows().to_vec()))
+    fn possible_rows(&self, out: &str) -> Result<Vec<Tuple>> {
+        Ok(ws_core::confidence::possible(self, out)?.into_rows())
     }
 
     fn confidence_rows(&self, out: &str, pool: &WorkerPool) -> Result<Vec<(Tuple, f64)>> {
@@ -215,6 +179,10 @@ impl SessionBackend for Wsd {
         )?)
     }
 
+    fn durability(&self) -> Option<DurabilityStats> {
+        None
+    }
+
     fn lineage(&self, relations: &BTreeSet<String>) -> Option<LineageDb> {
         crate::lineage::wsd_lineage(self, relations)
     }
@@ -225,16 +193,25 @@ impl SessionBackend for Uwsdt {
         "uwsdt"
     }
 
-    fn self_contained(&self) -> bool {
-        true
-    }
-
-    fn open_rows(&mut self, out: &str) -> Result<RowSource> {
-        Ok(RowSource::Owned(ws_uwsdt::ops::possible_tuples(self, out)?))
+    fn possible_rows(&self, out: &str) -> Result<Vec<Tuple>> {
+        Ok(ws_uwsdt::ops::possible_tuples(self, out)?)
     }
 
     fn confidence_rows(&self, out: &str, _pool: &WorkerPool) -> Result<Vec<(Tuple, f64)>> {
         Ok(ws_uwsdt::confidence::possible_with_confidence(self, out)?)
+    }
+
+    fn confidence_rows_approx(
+        &self,
+        out: &str,
+        _config: &ApproxConfig,
+        pool: &WorkerPool,
+    ) -> Result<Vec<(Tuple, f64)>> {
+        self.confidence_rows(out, pool)
+    }
+
+    fn durability(&self) -> Option<DurabilityStats> {
+        None
     }
 
     fn lineage(&self, relations: &BTreeSet<String>) -> Option<LineageDb> {
@@ -247,13 +224,8 @@ impl SessionBackend for UDatabase {
         "urel"
     }
 
-    fn self_contained(&self) -> bool {
-        true
-    }
-
-    fn open_rows(&mut self, out: &str) -> Result<RowSource> {
-        let possible = self.relation(out).map_err(Error::from)?.possible_tuples();
-        Ok(RowSource::Owned(possible.rows().to_vec()))
+    fn possible_rows(&self, out: &str) -> Result<Vec<Tuple>> {
+        Ok(ws_urel::ops::possible_tuples(self, out)?)
     }
 
     fn confidence_rows(&self, out: &str, pool: &WorkerPool) -> Result<Vec<(Tuple, f64)>> {
@@ -273,6 +245,10 @@ impl SessionBackend for UDatabase {
         )?)
     }
 
+    fn durability(&self) -> Option<DurabilityStats> {
+        None
+    }
+
     fn lineage(&self, relations: &BTreeSet<String>) -> Option<LineageDb> {
         crate::lineage::urel_lineage(self, relations)
     }
@@ -283,12 +259,8 @@ impl SessionBackend for WorldSet {
         "worlds"
     }
 
-    fn self_contained(&self) -> bool {
-        true
-    }
-
-    fn open_rows(&mut self, out: &str) -> Result<RowSource> {
-        Ok(RowSource::Owned(ws_baselines::possible_tuples(self, out)?))
+    fn possible_rows(&self, out: &str) -> Result<Vec<Tuple>> {
+        Ok(ws_baselines::possible_tuples(self, out)?)
     }
 
     fn confidence_rows(&self, out: &str, _pool: &WorkerPool) -> Result<Vec<(Tuple, f64)>> {
@@ -300,6 +272,19 @@ impl SessionBackend for WorldSet {
                 Ok((t, c))
             })
             .collect()
+    }
+
+    fn confidence_rows_approx(
+        &self,
+        out: &str,
+        _config: &ApproxConfig,
+        pool: &WorkerPool,
+    ) -> Result<Vec<(Tuple, f64)>> {
+        self.confidence_rows(out, pool)
+    }
+
+    fn durability(&self) -> Option<DurabilityStats> {
+        None
     }
 
     fn lineage(&self, relations: &BTreeSet<String>) -> Option<LineageDb> {
@@ -498,16 +483,8 @@ impl SessionBackend for AnyBackend {
         dispatch!(self, b => b.backend_name())
     }
 
-    fn self_contained(&self) -> bool {
-        dispatch!(self, b => b.self_contained())
-    }
-
-    fn open_rows(&mut self, out: &str) -> Result<RowSource> {
-        dispatch!(self, b => b.open_rows(out))
-    }
-
-    fn fetch_batch(&self, out: &str, offset: usize, limit: usize) -> Result<Vec<Tuple>> {
-        dispatch!(self, b => b.fetch_batch(out, offset, limit))
+    fn possible_rows(&self, out: &str) -> Result<Vec<Tuple>> {
+        dispatch!(self, b => b.possible_rows(out))
     }
 
     fn confidence_rows(&self, out: &str, pool: &WorkerPool) -> Result<Vec<(Tuple, f64)>> {
@@ -521,6 +498,10 @@ impl SessionBackend for AnyBackend {
         pool: &WorkerPool,
     ) -> Result<Vec<(Tuple, f64)>> {
         dispatch!(self, b => b.confidence_rows_approx(out, config, pool))
+    }
+
+    fn durability(&self) -> Option<DurabilityStats> {
+        dispatch!(self, b => b.durability())
     }
 
     fn lineage(&self, relations: &BTreeSet<String>) -> Option<LineageDb> {
@@ -785,11 +766,6 @@ struct CachedPlan {
 // The session.
 // ---------------------------------------------------------------------------
 
-/// Default number of rows a [`Rows`] cursor pulls per batch: one executor
-/// morsel ([`ws_relational::par::MORSEL_ROWS`]), so a refill moves exactly
-/// one kernel-sized unit.
-pub const DEFAULT_BATCH_SIZE: usize = ws_relational::par::MORSEL_ROWS;
-
 /// A stateful connection to one possible-worlds backend: catalog, engine
 /// configuration, prepared-plan cache and usage stats in one place.
 #[derive(Debug)]
@@ -798,13 +774,12 @@ pub struct Session<B: SessionBackend> {
     config: EngineConfig,
     plans: HashMap<String, CachedPlan>,
     stats: SessionStats,
-    batch_size: usize,
     strategy: ConfidenceStrategy,
     scratch: usize,
-    /// Scratch result relations still registered in the backend (results on
-    /// component-sharing backends outlive their cursor; see
-    /// [`Session::apply`] for the staleness rule).
-    live_results: Vec<String>,
+    /// Results handed out by [`Session::materialize`] — the only scratch
+    /// relations a session leaves in its backend (see [`Session::apply`]
+    /// for the staleness rule).
+    materialized: Vec<String>,
     /// The observability domain queries report into, when one was attached
     /// with [`Session::set_observer`].
     observer: Option<Arc<Observer>>,
@@ -836,10 +811,9 @@ where
             config,
             plans: HashMap::new(),
             stats: SessionStats::default(),
-            batch_size: DEFAULT_BATCH_SIZE,
             strategy: ConfidenceStrategy::default(),
             scratch: 0,
-            live_results: Vec::new(),
+            materialized: Vec::new(),
             observer: None,
             session_id: 0,
         }
@@ -927,16 +901,6 @@ where
         self.strategy = strategy;
     }
 
-    /// Rows per [`Rows`] batch pull (default [`DEFAULT_BATCH_SIZE`]).
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
-    }
-
-    /// Change the cursor batch size (`0` is treated as 1).
-    pub fn set_batch_size(&mut self, batch_size: usize) {
-        self.batch_size = batch_size.max(1);
-    }
-
     /// Number of distinct plans currently cached.
     pub fn cached_plans(&self) -> usize {
         self.plans.len()
@@ -1000,57 +964,39 @@ where
         }
     }
 
-    /// Replay a prepared plan and stream its possible answer tuples.
+    /// Replay a prepared plan and return its possible answer tuples.
     ///
-    /// The result is materialized inside the backend under a fresh scratch
-    /// name and pulled out in batches of [`Session::batch_size`] rows; on
-    /// self-contained backends the scratch result is dropped when the cursor
-    /// is done with it.
-    pub fn execute(&mut self, prepared: &Prepared) -> Result<Rows<'_, B>> {
-        let out = self.run(prepared)?;
-        let source = self
-            .backend
-            .open_rows(&out)
-            .map_err(|e| e.with_plan(&prepared.display))?;
-        let (inner, cleanup) = match source {
-            RowSource::InPlace { len } => (RowsInner::InPlace { len, offset: 0 }, true),
-            RowSource::Owned(rows) => {
-                // The extraction already detached the answer from the store.
-                if self.backend.self_contained() {
-                    self.backend.drop_scratch(&out);
-                    self.live_results.retain(|r| r != &out);
-                }
-                (RowsInner::Owned(rows.into_iter()), false)
-            }
-        };
+    /// The result is built inside the backend under a fresh scratch name,
+    /// its distinct possible tuples are copied out, and the scratch result
+    /// is dropped before this returns.  The [`Rows`] iterator owns the
+    /// answer and counts the rows consumed from it.
+    pub fn execute(&mut self, prepared: &Prepared) -> Result<Rows<'_>> {
+        let rows = self.read_result(prepared, |session, out| session.backend.possible_rows(out))?;
         Ok(Rows {
-            backend: &mut self.backend,
+            rows: rows.into_iter(),
             stats: &mut self.stats,
-            live_results: &mut self.live_results,
-            out,
-            batch: self.batch_size,
-            inner,
-            buf: Vec::new().into_iter(),
-            cleanup,
         })
     }
 
     /// Prepare and execute in one step (still cached: repeated one-shot
     /// queries hit the plan cache).
-    pub fn query(&mut self, query: impl IntoQuery) -> Result<Rows<'_, B>> {
+    pub fn query(&mut self, query: impl IntoQuery) -> Result<Rows<'_>> {
         let prepared = self.prepare(query)?;
         self.execute(&prepared)
     }
 
     /// Execute a prepared plan and leave its result *materialized in the
-    /// backend* under the returned scratch name, without streaming anything
+    /// backend* under the returned scratch name, without copying anything
     /// out — for callers that want to inspect the result representation
     /// (UWSDT stats, component counts) or chain further queries over it.
     ///
-    /// The result stays registered on every backend; drop it through
-    /// [`Session::backend_mut`] when done.
+    /// This is the one verb that leaves a result behind.  It stays
+    /// registered until the caller drops it through [`Session::backend_mut`]
+    /// or the next [`Session::apply`] drops it (the staleness rule).
     pub fn materialize(&mut self, prepared: &Prepared) -> Result<String> {
-        self.run(prepared)
+        let out = self.run(prepared)?;
+        self.materialized.push(out.clone());
+        Ok(out)
     }
 
     /// The possible answer tuples of a prepared plan with their **exact**
@@ -1064,10 +1010,9 @@ where
     /// whenever a tier declines.  Every tier computes the same numbers;
     /// [`SessionStats`] records which one fired.
     pub fn confidence(&mut self, prepared: &Prepared) -> Result<Vec<(Tuple, f64)>> {
-        let out = self.run(prepared)?;
-        let rows = self.confidence_rows_tiered(prepared, &out);
-        self.finish_result(&out);
-        let rows = rows?;
+        let rows = self.read_result(prepared, |session, out| {
+            session.confidence_rows_tiered(out, prepared)
+        })?;
         self.stats.rows_streamed += rows.len() as u64;
         Ok(rows)
     }
@@ -1077,8 +1022,8 @@ where
     /// exact path as the unconditional fallback.
     fn confidence_rows_tiered(
         &mut self,
-        prepared: &Prepared,
         out: &str,
+        prepared: &Prepared,
     ) -> Result<Vec<(Tuple, f64)>> {
         let observer = self.observer.clone();
         if self.strategy != ConfidenceStrategy::ExactOnly {
@@ -1117,10 +1062,7 @@ where
         self.stats.conf_exact += 1;
         let started = Instant::now();
         let pool = WorkerPool::new(self.config.threads);
-        let rows = self
-            .backend
-            .confidence_rows(out, &pool)
-            .map_err(|e| e.with_plan(&prepared.display));
+        let rows = self.backend.confidence_rows(out, &pool);
         if let Some(observer) = &observer {
             let metrics = observer.metrics();
             metrics.counter("conf.tier.exact.hits").inc();
@@ -1162,31 +1104,21 @@ where
         Some((LineageTier::Compiled, probs))
     }
 
-    /// Pair the materialized result's possible tuples (in their canonical
-    /// streaming order) with the lineage-computed probabilities.  `None`
-    /// when any streamed tuple is missing from the map — the native exact
-    /// path then answers, so a divergence can never produce wrong numbers.
+    /// Pair the result's distinct possible tuples (in their canonical
+    /// order) with the lineage-computed probabilities.  `None` when any
+    /// tuple is missing from the map — the native exact path then answers,
+    /// so a divergence can never produce wrong numbers.
     fn lineage_rows(
-        &mut self,
+        &self,
         out: &str,
         probs: &BTreeMap<Tuple, f64>,
     ) -> Result<Option<Vec<(Tuple, f64)>>> {
-        let tuples = match self.backend.open_rows(out)? {
-            RowSource::Owned(rows) => rows,
-            RowSource::InPlace { len } => self.backend.fetch_batch(out, 0, len)?,
-        };
-        let mut rows = Vec::with_capacity(tuples.len());
-        let mut seen: BTreeSet<Tuple> = BTreeSet::new();
-        for tuple in tuples {
-            if !seen.insert(tuple.clone()) {
-                continue;
-            }
-            match probs.get(&tuple) {
-                Some(&p) => rows.push((tuple, p)),
-                None => return Ok(None),
-            }
-        }
-        Ok(Some(rows))
+        Ok(self
+            .backend
+            .possible_rows(out)?
+            .into_iter()
+            .map(|tuple| probs.get(&tuple).map(|&p| (tuple, p)))
+            .collect())
     }
 
     /// The possible answer tuples of a prepared plan with (ε, δ)-approximate
@@ -1197,14 +1129,10 @@ where
         prepared: &Prepared,
         config: &ApproxConfig,
     ) -> Result<Vec<(Tuple, f64)>> {
-        let out = self.run(prepared)?;
         let pool = WorkerPool::new(self.config.threads);
-        let rows = self
-            .backend
-            .confidence_rows_approx(&out, config, &pool)
-            .map_err(|e| e.with_plan(&prepared.display));
-        self.finish_result(&out);
-        let rows = rows?;
+        let rows = self.read_result(prepared, |session, out| {
+            session.backend.confidence_rows_approx(out, config, &pool)
+        })?;
         self.stats.conf_approx += 1;
         self.stats.rows_streamed += rows.len() as u64;
         Ok(rows)
@@ -1242,10 +1170,11 @@ where
         // already covers the plan; the stats delta identifies the tier).
         let before = self.stats;
         let started = Instant::now();
-        let out = self.run(prepared)?;
-        let conf = self.confidence_rows_tiered(prepared, &out);
-        self.finish_result(&out);
-        let confidences = conf?.len() as u64;
+        let confidences = self
+            .read_result(prepared, |session, out| {
+                session.confidence_rows_tiered(out, prepared)
+            })?
+            .len() as u64;
         let conf_elapsed = started.elapsed();
         let tier = if self.stats.conf_safe > before.conf_safe {
             "safe"
@@ -1281,6 +1210,20 @@ where
         })
     }
 
+    /// The one result path of every read verb: execute `prepared` into a
+    /// fresh scratch result, let `read` copy the answer out, and drop the
+    /// result before returning — whether `read` succeeded or not.
+    fn read_result<T>(
+        &mut self,
+        prepared: &Prepared,
+        read: impl FnOnce(&mut Self, &str) -> Result<T>,
+    ) -> Result<T> {
+        let out = self.run(prepared)?;
+        let answer = read(self, &out);
+        self.backend.drop_scratch(&out);
+        answer.map_err(|e| e.with_plan(&prepared.display))
+    }
+
     /// Execute the physical plan into a fresh scratch result, returning its
     /// name.
     fn run(&mut self, prepared: &Prepared) -> Result<String> {
@@ -1294,7 +1237,6 @@ where
         // The plan is already optimized; replay it as-is.
         let exec = EngineConfig {
             optimize: false,
-            drop_temps: self.backend.self_contained(),
             ..self.config
         };
         // With an observer attached, scope this execution (the engine's
@@ -1314,23 +1256,14 @@ where
         engine::evaluate_query_with(&mut self.backend, &prepared.plan, &out, exec)
             .map_err(|e| Into::<Error>::into(e).with_plan(&prepared.display))?;
         self.stats.executions += 1;
-        self.live_results.push(out.clone());
         Ok(out)
     }
 
-    fn finish_result(&mut self, out: &str) {
-        if self.backend.self_contained() {
-            self.backend.drop_scratch(out);
-            self.live_results.retain(|r| r != out);
-        }
-    }
-
-    /// Drop every scratch result still registered in the backend — the
+    /// Drop every result [`Session::materialize`] handed out — the
     /// staleness rule's cleanup before updates, and the pre-checkpoint sweep
-    /// of durable sessions (a snapshot must never embalm a session scratch
-    /// relation).
-    pub(crate) fn drop_live_results(&mut self) {
-        for out in std::mem::take(&mut self.live_results) {
+    /// of durable sessions.
+    pub(crate) fn drop_materialized(&mut self) {
+        for out in std::mem::take(&mut self.materialized) {
             self.backend.drop_scratch(&out);
         }
     }
@@ -1361,13 +1294,11 @@ where
     ///   removing worlds reweights every correlated relation), so the next
     ///   [`Session::prepare`] of such a plan re-optimizes (a cache miss in
     ///   [`SessionStats`]);
-    /// * scratch results still registered in the backend — results of
-    ///   [`Session::materialize`], and streamed results on the
-    ///   component-sharing WSD backend, which outlive their [`Rows`] cursor — are
-    ///   dropped before the update runs.  Names returned by `materialize`
-    ///   must therefore not be read after an `apply`; re-execute the plan
-    ///   instead.  (A live [`Rows`] cursor borrows the session mutably, so
-    ///   no cursor can ever observe a mid-stream update.)
+    /// * results of [`Session::materialize`] — the only scratch relations a
+    ///   session leaves in its backend — are dropped before the update runs.
+    ///   Names returned by `materialize` must therefore not be read after an
+    ///   `apply`; re-execute the plan instead.  Every other read verb has
+    ///   already copied its answer out and dropped its result.
     pub fn apply(&mut self, update: &UpdateExpr) -> Result<f64> {
         let _span = self.observer.as_ref().map(|observer| {
             observer
@@ -1376,10 +1307,10 @@ where
                 .field("update", update)
         });
         typecheck_update(&self.backend, update)?;
-        // Drop stale scratch results *before* mutating: on component-sharing
+        // Drop materialized results *before* mutating: on component-sharing
         // backends a registered result relation would otherwise be updated
         // (and, under conditioning, chased) along with the base relations.
-        self.drop_live_results();
+        self.drop_materialized();
         let mass = apply_update(&mut self.backend, update)
             .map_err(|e| Into::<Error>::into(e).with_plan(update))?;
         self.stats.updates_applied += 1;
@@ -1440,94 +1371,26 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// The streaming cursor.
+// The answer iterator.
 // ---------------------------------------------------------------------------
 
-enum RowsInner {
-    InPlace { len: usize, offset: usize },
-    Owned(std::vec::IntoIter<Tuple>),
-}
-
-/// A streaming cursor over one execution's possible answer tuples.
+/// One execution's possible answer tuples, already copied out of the
+/// backend.
 ///
-/// Pulls batches of [`Session::batch_size`] rows from the backend-resident
-/// result instead of copying the whole answer out at once; consume it with
-/// the [`Iterator`] combinators (`collect()`, `count()`, `take(n)`, …).
-/// Dropping the cursor — fully consumed or not — releases the scratch result
-/// on self-contained backends.
-pub struct Rows<'s, B: SessionBackend> {
-    backend: &'s mut B,
+/// Consume it with the [`Iterator`] combinators (`collect()`, `count()`,
+/// `take(n)`, …); every row consumed counts towards
+/// [`SessionStats::rows_streamed`].
+#[derive(Debug)]
+pub struct Rows<'s> {
+    rows: std::vec::IntoIter<Tuple>,
     stats: &'s mut SessionStats,
-    live_results: &'s mut Vec<String>,
-    out: String,
-    batch: usize,
-    inner: RowsInner,
-    buf: std::vec::IntoIter<Tuple>,
-    cleanup: bool,
 }
 
-impl<B: SessionBackend> fmt::Debug for Rows<'_, B> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Rows")
-            .field("result", &self.out)
-            .field("batch", &self.batch)
-            .field("remaining", &self.len_hint())
-            .finish()
-    }
-}
-
-impl<B: SessionBackend> Rows<'_, B> {
-    /// Total number of answer rows this cursor will stream.
-    pub fn len_hint(&self) -> usize {
-        match &self.inner {
-            RowsInner::InPlace { len, offset } => len - offset + self.buf.len(),
-            RowsInner::Owned(rows) => rows.len(),
-        }
-    }
-
-    /// The scratch relation the result was materialized under (still
-    /// registered on non-self-contained backends after the cursor is gone).
-    pub fn result_name(&self) -> &str {
-        &self.out
-    }
-
-    fn refill(&mut self) {
-        let RowsInner::InPlace { len, offset } = &mut self.inner else {
-            return;
-        };
-        if offset < len {
-            let limit = self.batch.min(*len - *offset);
-            let batch = self
-                .backend
-                .fetch_batch(&self.out, *offset, limit)
-                .unwrap_or_default();
-            *offset += batch.len();
-            if batch.is_empty() {
-                // Defensive: a vanished result ends the stream.
-                *offset = *len;
-            }
-            // One copy total: `fetch_batch` clones the batch out of the
-            // backend, and the cursor hands that same allocation out row by
-            // row — no per-row requeue into a second buffer.
-            self.buf = batch.into_iter();
-        }
-    }
-}
-
-impl<B: SessionBackend> Iterator for Rows<'_, B> {
+impl Iterator for Rows<'_> {
     type Item = Tuple;
 
     fn next(&mut self) -> Option<Tuple> {
-        let row = match &mut self.inner {
-            // Extracted results are already owned; stream them directly.
-            RowsInner::Owned(rows) => rows.next(),
-            RowsInner::InPlace { .. } => {
-                if self.buf.as_slice().is_empty() {
-                    self.refill();
-                }
-                self.buf.next()
-            }
-        };
+        let row = self.rows.next();
         if row.is_some() {
             self.stats.rows_streamed += 1;
         }
@@ -1535,19 +1398,11 @@ impl<B: SessionBackend> Iterator for Rows<'_, B> {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.len_hint();
-        (n, Some(n))
+        self.rows.size_hint()
     }
 }
 
-impl<B: SessionBackend> Drop for Rows<'_, B> {
-    fn drop(&mut self) {
-        if self.cleanup {
-            self.backend.drop_scratch(&self.out);
-            self.live_results.retain(|r| r != &self.out);
-        }
-    }
-}
+impl ExactSizeIterator for Rows<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -1568,7 +1423,6 @@ mod tests {
     #[test]
     fn prepare_execute_streams_deduplicated_rows_and_cleans_up() {
         let mut session = Session::new(db());
-        session.set_batch_size(2);
         let plan = session
             .prepare(q("R").select(Predicate::cmp_const("A", CmpOp::Ge, 2i64)))
             .unwrap();
@@ -1655,42 +1509,6 @@ mod tests {
         let p = dynamic.prepare(query).unwrap();
         let dynamic_rows: Vec<Tuple> = dynamic.execute(&p).unwrap().collect();
         assert_eq!(typed_rows, dynamic_rows);
-    }
-
-    #[test]
-    fn uwsdt_sessions_drop_their_scratch_results() {
-        let base = ws_uwsdt::from_wsd(&ws_core::wsd::example_census_wsd()).unwrap();
-        let base_relations: Vec<String> = base
-            .relation_names()
-            .into_iter()
-            .map(String::from)
-            .collect();
-        let mut session = Session::new(base);
-        // The second plan's condition spans two components, so executing it
-        // composes base components.
-        let plans = [
-            q("R").select(Predicate::eq_const("M", 1i64)).project(["S"]),
-            q("R").select(Predicate::and(vec![
-                Predicate::eq_const("M", 1i64),
-                Predicate::cmp_const("S", CmpOp::Ge, 500i64),
-            ])),
-        ]
-        .map(|query| session.prepare(query).unwrap());
-        let answers = |session: &mut Session<Uwsdt>| {
-            plans
-                .iter()
-                .map(|plan| {
-                    let rows: Vec<Tuple> = session.execute(plan).unwrap().collect();
-                    (rows, session.confidence(plan).unwrap())
-                })
-                .collect::<Vec<_>>()
-        };
-        let first = answers(&mut session);
-        for _ in 0..50 {
-            assert_eq!(answers(&mut session), first);
-        }
-        assert_eq!(session.backend().relation_names(), base_relations);
-        session.backend().validate().unwrap();
     }
 
     #[test]

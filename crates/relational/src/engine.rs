@@ -26,8 +26,9 @@
 //! * [`execute`] is the single shared executor: it walks the (optimized)
 //!   plan, allocates scratch names through [`TempNames`] (one generator for
 //!   the whole stack instead of per-crate copies), recognises equi-joins on
-//!   top of products, and guarantees that scratch relations are dropped when
-//!   evaluation fails part-way.
+//!   top of products, and drops every scratch relation it created once the
+//!   result is built — or once evaluation fails part-way — so only the
+//!   result relation is left in the backend.
 //! * [`evaluate_query`] / [`evaluate_query_with`] are the entry points every
 //!   backend's `evaluate_query` now delegates to.
 //!
@@ -69,30 +70,25 @@ pub trait QueryBackend: SchemaCatalog {
 
     /// Whole-plan executor: backends with their own vectorized executor
     /// evaluate `plan` in one go (materializing the result as `out`) and
-    /// return `Some(result)`.  Returning `None` (the default) falls back to
-    /// the shared operator-by-operator executor below.  Implementations must
-    /// honor `config.recognize_joins`, `config.threads` and
-    /// `config.observe`.
+    /// return `Some(result)`.  Returning `None` sends the plan to the shared
+    /// operator-by-operator executor below.  Implementations must honor
+    /// `config.recognize_joins`, `config.threads` and `config.observe`.
     ///
-    /// Wrapper backends (`AnyBackend`, `Durable<B>`, …) must forward this
-    /// method to the backend they wrap; a wrapper that keeps the default
-    /// silently sends every plan down the operator path instead.
+    /// There is no default: wrapper backends (`AnyBackend`, `Durable<B>`, …)
+    /// forward this to the backend they wrap, and every other backend states
+    /// its own answer.
     fn execute_plan(
         &mut self,
-        _plan: &RaExpr,
-        _out: &str,
-        _config: &EngineConfig,
-    ) -> Option<std::result::Result<(), Self::Error>> {
-        None
-    }
+        plan: &RaExpr,
+        out: &str,
+        config: &EngineConfig,
+    ) -> Option<std::result::Result<(), Self::Error>>;
 
     /// Best-effort row count of a materialized relation, used by profiles
-    /// (`explain_analyze`) to fill per-operator `rows_out`.  The default
-    /// `None` is for backends whose "relation" is a compressed
-    /// representation with no cheap tuple count; they report 0 in profiles.
-    fn profile_rows(&self, _relation: &str) -> Option<u64> {
-        None
-    }
+    /// (`explain_analyze`) to fill per-operator `rows_out`.  `None` is for
+    /// backends whose "relation" is a compressed representation with no
+    /// cheap tuple count; they report 0 in profiles.
+    fn profile_rows(&self, relation: &str) -> Option<u64>;
 
     /// Materialize base relation `name` under the result name `out`.
     fn materialize_base(&mut self, name: &str, out: &str) -> std::result::Result<(), Self::Error>;
@@ -175,9 +171,8 @@ pub trait QueryBackend: SchemaCatalog {
     ) -> std::result::Result<(), Self::Error>;
 
     /// Best-effort removal of a scratch relation.  Called by the executor
-    /// for every temporary it created on error paths (and, when
-    /// [`EngineConfig::drop_temps`] is set, after success as well); failures
-    /// are ignored.
+    /// for every intermediate it created, once the plan's result is built or
+    /// has failed; failures are ignored.
     fn drop_scratch(&mut self, name: &str);
 }
 
@@ -405,7 +400,9 @@ impl ExecContext {
     }
 }
 
-/// Knobs of the unified pipeline.
+/// Knobs of the unified pipeline: how a plan is rewritten and run, never
+/// what it leaves behind — the executor always drops its intermediates and
+/// keeps only the result relation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Run the rule-based optimizer before execution (default).
@@ -416,15 +413,6 @@ pub struct EngineConfig {
     /// operator — used by the cross-backend equivalence tests and by the
     /// optimizer-ablation bench as the true unoptimized baseline.
     pub recognize_joins: bool,
-    /// Drop scratch relations after *successful* evaluation too.
-    ///
-    /// Safe for backends whose relations are self-contained (single-world
-    /// databases, U-relations, explicit world-sets, UWSDTs).  The WSD keeps
-    /// its intermediates by default: dropping a relation projects shared
-    /// components away, which may split local worlds and change world counts
-    /// observed by callers.  Error paths always clean up regardless of this
-    /// flag.
-    pub drop_temps: bool,
     /// Worker threads for the parallel physical operators (default 1).
     ///
     /// `1` runs every operator serially on the calling thread, reproducing
@@ -458,7 +446,6 @@ impl Default for EngineConfig {
         EngineConfig {
             optimize: true,
             recognize_joins: true,
-            drop_temps: false,
             threads: 1,
             plan_cache: true,
             observe: false,
@@ -467,14 +454,6 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// The default pipeline with success-path scratch cleanup enabled.
-    pub fn with_temp_cleanup() -> Self {
-        EngineConfig {
-            drop_temps: true,
-            ..EngineConfig::default()
-        }
-    }
-
     /// The fully naive pipeline: no plan rewriting, no join recognition —
     /// every operator is executed exactly as written.
     pub fn naive() -> Self {
@@ -504,10 +483,9 @@ impl EngineConfig {
             }
         }
         format!(
-            "optimize={} join-recognition={} drop-temps={} threads={} plan-cache={} observe={}",
+            "optimize={} join-recognition={} threads={} plan-cache={} observe={}",
             on_off(self.optimize),
             on_off(self.recognize_joins),
-            on_off(self.drop_temps),
             self.threads.max(1),
             on_off(self.plan_cache),
             on_off(self.observe),
@@ -563,10 +541,10 @@ fn execute_with<B: QueryBackend>(
     }
     let mut ctx = ExecContext::new(&config);
     let result = eval_node(backend, plan, out, &mut ctx, config);
-    if result.is_err() || config.drop_temps {
-        for name in ctx.drain() {
-            backend.drop_scratch(&name);
-        }
+    // Intermediates are represented only while the plan runs: once `out` is
+    // built (or the plan failed) every one of them is dropped.
+    for name in ctx.drain() {
+        backend.drop_scratch(&name);
     }
     result
 }
@@ -1076,11 +1054,7 @@ mod tests {
     fn engine_matches_the_reference_evaluator_on_databases() {
         for (i, query) in query_suite().into_iter().enumerate() {
             let reference = evaluate_set(&db(), &query).unwrap();
-            for config in [
-                EngineConfig::default(),
-                EngineConfig::naive(),
-                EngineConfig::with_temp_cleanup(),
-            ] {
+            for config in [EngineConfig::default(), EngineConfig::naive()] {
                 let mut backend = db();
                 let out = evaluate_query_with(&mut backend, &query, "OUT", config).unwrap();
                 let mut result = backend.relation(&out).unwrap().clone();
@@ -1094,8 +1068,8 @@ mod tests {
     }
 
     /// A `Database` driven operator by operator: every physical operator is
-    /// forwarded, but `execute_plan` keeps the default, so the shared
-    /// executor walks the plan (scratch names, join recognition, cleanup).
+    /// forwarded, but `execute_plan` answers `None`, so the shared executor
+    /// walks the plan (scratch names, join recognition, cleanup).
     struct Operators(Database);
 
     impl SchemaCatalog for Operators {
@@ -1110,6 +1084,19 @@ mod tests {
 
     impl QueryBackend for Operators {
         type Error = RelationalError;
+
+        fn execute_plan(
+            &mut self,
+            _plan: &RaExpr,
+            _out: &str,
+            _config: &EngineConfig,
+        ) -> Option<Result<()>> {
+            None
+        }
+
+        fn profile_rows(&self, relation: &str) -> Option<u64> {
+            self.0.profile_rows(relation)
+        }
 
         fn materialize_base(&mut self, name: &str, out: &str) -> Result<()> {
             self.0.materialize_base(name, out)
@@ -1200,13 +1187,7 @@ mod tests {
     fn temp_cleanup_leaves_only_base_relations_and_the_result() {
         let mut backend = Operators(db());
         let query = query_suite().remove(3);
-        evaluate_query_with(
-            &mut backend,
-            &query,
-            "OUT",
-            EngineConfig::with_temp_cleanup(),
-        )
-        .unwrap();
+        evaluate_query_with(&mut backend, &query, "OUT", EngineConfig::naive()).unwrap();
         let mut names = backend.0.relation_names();
         names.sort_unstable();
         assert_eq!(names, vec!["OUT", "R", "S"]);
@@ -1359,11 +1340,11 @@ mod tests {
     fn engine_config_summary_is_self_describing() {
         assert_eq!(
             EngineConfig::default().summary(),
-            "optimize=on join-recognition=on drop-temps=off threads=1 plan-cache=on observe=off"
+            "optimize=on join-recognition=on threads=1 plan-cache=on observe=off"
         );
         assert_eq!(
             EngineConfig::naive().summary(),
-            "optimize=off join-recognition=off drop-temps=off threads=1 plan-cache=on observe=off"
+            "optimize=off join-recognition=off threads=1 plan-cache=on observe=off"
         );
         let parallel = EngineConfig::with_threads(8);
         assert!(parallel.summary().contains("threads=8"));

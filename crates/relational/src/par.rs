@@ -31,8 +31,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Rows per morsel: the unit of work idle threads claim during fine-grained
 /// fan-out.  Big enough that a morsel amortizes the claim (one atomic
 /// `fetch_add`) and fits kernels' cache-friendly tight loops; small enough
-/// that skewed per-row costs still balance across workers.  This is also the
-/// batch size session result streams pull in (`maybms::DEFAULT_BATCH_SIZE`).
+/// that skewed per-row costs still balance across workers.
 pub const MORSEL_ROWS: usize = 1024;
 
 /// A fixed-size fan-out/fan-in worker pool.

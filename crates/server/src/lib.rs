@@ -18,9 +18,9 @@
 //!   row batches / confidence / apply / condition / checkpoint / stats),
 //!   encoded with the same ws-storage codec the snapshot and WAL files use.
 //! * [`server`] + [`client`] — a thread-per-connection TCP [`server`] whose
-//!   connections re-pin snapshots and transparently re-prepare their plans
-//!   when writers commit, and a blocking [`Client`] mirroring the Session
-//!   API remotely.
+//!   connections re-pin snapshots when writers commit and keep their
+//!   prepared plans across re-pins, and a blocking [`Client`] mirroring the
+//!   Session API remotely.
 //!
 //! The `ws-serverd` binary serves a store directory; the repository-level
 //! `tests/service_equivalence.rs` suite proves the concurrency story

@@ -5,8 +5,10 @@
 //! (`Prepare`/`Execute`/`Confidence`) run against that pinned image without
 //! taking any store lock; before each query the connection compares its
 //! pinned sequence number with the store's and, if writers have committed in
-//! the meantime, re-pins the newest snapshot and transparently re-prepares
-//! its registered plans through the session plan cache.  Writes
+//! the meantime, re-pins the newest snapshot.  Its [`Prepared`] plans carry
+//! over unchanged: no wire verb changes a schema, and the optimizer reads
+//! only schemas, so a plan prepared on one snapshot is valid on every later
+//! one.  Writes
 //! (`Apply`/`Condition`/`Checkpoint`) go straight to the store's
 //! group-commit committer, so concurrent connections' updates coalesce into
 //! shared WAL batches.
@@ -19,7 +21,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use maybms::{AnyBackend, Prepared, Session, SessionBackend, SessionStats, UpdateExpr};
-use ws_relational::{RaExpr, Tuple};
+use ws_relational::Tuple;
 
 use crate::store::ConcurrentStore;
 use crate::wire::{
@@ -127,9 +129,8 @@ struct Conn {
     /// The session over the pinned snapshot, tagged with the sequence number
     /// it was pinned at.  Rebuilt lazily when the store moves on.
     session: Option<(u64, Session<AnyBackend>)>,
-    /// Plan handle → the lowered plan, the durable registration.
-    plans: HashMap<u64, RaExpr>,
-    /// Plan handle → the prepared form against the *current* session.
+    /// Plan handle → the prepared plan.  Survives re-pins: the optimizer
+    /// reads only schemas, and no wire verb changes one.
     prepared: HashMap<u64, Prepared>,
     next_plan: u64,
     /// Counters accumulated by sessions this connection already retired
@@ -138,36 +139,26 @@ struct Conn {
 }
 
 impl Conn {
-    /// Pin the newest snapshot if the committed sequence moved, re-preparing
-    /// every registered plan against the fresh session.
-    fn refresh(&mut self) -> Result<(), maybms::Error> {
-        let tip = self.store.seq();
-        let stale = match &self.session {
-            Some((seq, _)) => *seq != tip,
-            None => true,
-        };
-        if stale {
-            if let Some((_, old)) = &self.session {
-                self.carried.absorb(&old.stats());
-            }
-            let snapshot = self.store.snapshot();
-            let mut session = Session::new(snapshot.backend.clone());
-            if let Some(observer) = self.store.observer() {
-                session.set_observer(Arc::clone(observer));
-            }
-            self.prepared.clear();
-            for (&id, plan) in &self.plans {
-                let p = session.prepare(plan.clone())?;
-                self.prepared.insert(id, p);
-            }
-            self.session = Some((snapshot.seq, session));
-        }
-        Ok(())
-    }
-
-    /// The pinned session ([`Conn::refresh`] must have succeeded first).
+    /// Pin the newest snapshot if the committed sequence moved, and return
+    /// the pinned session.  Prepared plans carry over as they are.
     fn session(&mut self) -> &mut Session<AnyBackend> {
-        &mut self.session.as_mut().expect("session pinned by refresh").1
+        let tip = self.store.seq();
+        if let Some((_, old)) = self.session.as_ref().filter(|(seq, _)| *seq != tip) {
+            self.carried.absorb(&old.stats());
+            self.session = None;
+        }
+        let store = &self.store;
+        &mut self
+            .session
+            .get_or_insert_with(|| {
+                let snapshot = store.snapshot();
+                let mut session = Session::new(snapshot.backend.clone());
+                if let Some(observer) = store.observer() {
+                    session.set_observer(Arc::clone(observer));
+                }
+                (snapshot.seq, session)
+            })
+            .1
     }
 }
 
@@ -175,6 +166,13 @@ fn error_response(e: &maybms::Error) -> Response {
     Response::Error {
         inconsistent: e.is_inconsistent(),
         message: e.to_string(),
+    }
+}
+
+fn unknown_plan(plan: u64) -> Response {
+    Response::Error {
+        inconsistent: false,
+        message: format!("unknown plan handle {plan}"),
     }
 }
 
@@ -196,7 +194,6 @@ fn handle_connection(
     let mut conn = Conn {
         store,
         session: None,
-        plans: HashMap::new(),
         prepared: HashMap::new(),
         next_plan: 1,
         carried: SessionStats::default(),
@@ -227,51 +224,38 @@ fn handle_connection(
                         ),
                     }
                 } else {
-                    match conn.refresh() {
-                        Ok(()) => Response::HelloOk {
-                            version: WIRE_VERSION,
-                            backend: conn.session().backend().backend_name().to_string(),
-                            seq: conn.store.seq(),
-                        },
-                        Err(e) => error_response(&e),
+                    Response::HelloOk {
+                        version: WIRE_VERSION,
+                        backend: conn.session().backend().backend_name().to_string(),
+                        seq: conn.store.seq(),
                     }
                 };
                 write_frame(&mut stream, trace, &resp.encode())?;
             }
             Request::Prepare { plan } => {
-                let resp = match conn.refresh() {
-                    Ok(()) => match conn.session().prepare(plan.clone()) {
-                        Ok(p) => {
-                            let id = conn.next_plan;
-                            conn.next_plan += 1;
-                            let resp = Response::Prepared {
-                                plan: id,
-                                display: p.key().to_string(),
-                                attrs: p.attrs().to_vec(),
-                            };
-                            conn.plans.insert(id, plan);
-                            conn.prepared.insert(id, p);
-                            resp
-                        }
-                        Err(e) => error_response(&e),
-                    },
+                let resp = match conn.session().prepare(plan) {
+                    Ok(p) => {
+                        let id = conn.next_plan;
+                        conn.next_plan += 1;
+                        let resp = Response::Prepared {
+                            plan: id,
+                            display: p.key().to_string(),
+                            attrs: p.attrs().to_vec(),
+                        };
+                        conn.prepared.insert(id, p);
+                        resp
+                    }
                     Err(e) => error_response(&e),
                 };
                 write_frame(&mut stream, trace, &resp.encode())?;
             }
             Request::Execute { plan } => {
-                let rows = match conn.refresh() {
-                    Ok(()) => match conn.prepared.get(&plan).cloned() {
-                        Some(p) => match conn.session().execute(&p) {
-                            Ok(cursor) => Ok(cursor.collect::<Vec<_>>()),
-                            Err(e) => Err(error_response(&e)),
-                        },
-                        None => Err(Response::Error {
-                            inconsistent: false,
-                            message: format!("unknown plan handle {plan}"),
-                        }),
+                let rows = match conn.prepared.get(&plan).cloned() {
+                    Some(p) => match conn.session().execute(&p) {
+                        Ok(cursor) => Ok(cursor.collect::<Vec<_>>()),
+                        Err(e) => Err(error_response(&e)),
                     },
-                    Err(e) => Err(error_response(&e)),
+                    None => Err(unknown_plan(plan)),
                 };
                 match rows {
                     Ok(rows) => {
@@ -297,18 +281,12 @@ fn handle_connection(
                 }
             }
             Request::Confidence { plan } => {
-                let resp = match conn.refresh() {
-                    Ok(()) => match conn.prepared.get(&plan).cloned() {
-                        Some(p) => match conn.session().confidence(&p) {
-                            Ok(rows) => Response::Confidences { rows },
-                            Err(e) => error_response(&e),
-                        },
-                        None => Response::Error {
-                            inconsistent: false,
-                            message: format!("unknown plan handle {plan}"),
-                        },
+                let resp = match conn.prepared.get(&plan).cloned() {
+                    Some(p) => match conn.session().confidence(&p) {
+                        Ok(rows) => Response::Confidences { rows },
+                        Err(e) => error_response(&e),
                     },
-                    Err(e) => error_response(&e),
+                    None => unknown_plan(plan),
                 };
                 write_frame(&mut stream, trace, &resp.encode())?;
             }
@@ -328,21 +306,17 @@ fn handle_connection(
                 write_frame(&mut stream, trace, &resp.encode())?;
             }
             Request::Stats => {
-                let resp = match conn.refresh() {
-                    Ok(()) => {
-                        let mut stats = conn.carried;
-                        stats.absorb(&conn.session().stats());
-                        let store_stats = conn.store.stats();
-                        stats.snapshots_pinned = store_stats.snapshots_pinned;
-                        stats.commit_batches = store_stats.commit_batches;
-                        stats.batched_updates = store_stats.batched_updates;
-                        stats.wire_bytes_in = stream.bytes_in();
-                        stats.wire_bytes_out = stream.bytes_out();
-                        Response::Stats {
-                            summary: stats.to_string(),
-                        }
-                    }
-                    Err(e) => error_response(&e),
+                let session_stats = conn.session().stats();
+                let mut stats = conn.carried;
+                stats.absorb(&session_stats);
+                let store_stats = conn.store.stats();
+                stats.snapshots_pinned = store_stats.snapshots_pinned;
+                stats.commit_batches = store_stats.commit_batches;
+                stats.batched_updates = store_stats.batched_updates;
+                stats.wire_bytes_in = stream.bytes_in();
+                stats.wire_bytes_out = stream.bytes_out();
+                let resp = Response::Stats {
+                    summary: stats.to_string(),
                 };
                 write_frame(&mut stream, trace, &resp.encode())?;
             }

@@ -164,6 +164,21 @@ impl SchemaCatalog for UDatabase {
 impl QueryBackend for UDatabase {
     type Error = UrelError;
 
+    /// Every plan runs through the shared operator-by-operator executor.
+    fn execute_plan(
+        &mut self,
+        _plan: &RaExpr,
+        _out: &str,
+        _config: &EngineConfig,
+    ) -> Option<Result<()>> {
+        None
+    }
+
+    /// Annotated rows repeat a tuple once per descriptor: no cheap tuple count.
+    fn profile_rows(&self, _relation: &str) -> Option<u64> {
+        None
+    }
+
     fn materialize_base(&mut self, name: &str, out: &str) -> Result<()> {
         let relation = self.relation(name)?.clone();
         self.store_as(relation, out)
@@ -259,13 +274,13 @@ pub fn possible_answer(udb: &UDatabase, query: &RaExpr) -> Result<ws_relational:
         &mut counter,
         "urel_answer",
     );
-    engine::evaluate_query_with(&mut scratch, query, &out, EngineConfig::with_temp_cleanup())?;
+    engine::evaluate_query(&mut scratch, query, &out)?;
     Ok(scratch.relation(&out)?.possible_tuples())
 }
 
 /// Convenience: the distinct tuples of `relation` present in *some* world.
 pub fn possible_tuples(udb: &UDatabase, relation: &str) -> Result<Vec<Tuple>> {
-    Ok(udb.relation(relation)?.possible_tuples().rows().to_vec())
+    Ok(udb.relation(relation)?.possible_tuples().into_rows())
 }
 
 #[cfg(test)]
@@ -412,11 +427,10 @@ mod tests {
         // evaluate_query registers the result under the requested name and
         // leaves no scratch relations behind.
         let names_before = udb.relation_names().len();
-        let out = engine::evaluate_query_with(
+        let out = engine::evaluate_query(
             &mut udb,
             &RaExpr::rel("R").select(Predicate::eq_const("M", 1i64)),
             "Q",
-            EngineConfig::with_temp_cleanup(),
         )
         .unwrap();
         assert_eq!(out, "Q");
@@ -439,13 +453,7 @@ mod tests {
         // A failed evaluation must not leak scratch relations either.
         let mut scratch = census_udb();
         let names_before = scratch.relation_names().len();
-        assert!(engine::evaluate_query_with(
-            &mut scratch,
-            &query,
-            "Q",
-            EngineConfig::with_temp_cleanup()
-        )
-        .is_err());
+        assert!(engine::evaluate_query(&mut scratch, &query, "Q").is_err());
         assert_eq!(scratch.relation_names().len(), names_before);
     }
 
@@ -467,8 +475,7 @@ mod tests {
         let query = RaExpr::rel("A")
             .product(RaExpr::rel("B"))
             .select(Predicate::cmp_attr("X", CmpOp::Eq, "Y"));
-        engine::evaluate_query_with(&mut udb, &query, "J", EngineConfig::with_temp_cleanup())
-            .unwrap();
+        engine::evaluate_query(&mut udb, &query, "J").unwrap();
         let result = udb.relation("J").unwrap();
         // Exactly the four matching pairs, each annotated with a two-variable
         // descriptor; the world table still has two variables.

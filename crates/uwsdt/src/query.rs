@@ -16,8 +16,8 @@
 use crate::error::{Result, UwsdtError};
 use crate::model::Uwsdt;
 use crate::ops;
-use ws_relational::engine::{ExecContext, QueryBackend, SchemaCatalog};
-use ws_relational::{Predicate, RelationalError, Schema};
+use ws_relational::engine::{EngineConfig, ExecContext, QueryBackend, SchemaCatalog};
+use ws_relational::{Predicate, RaExpr, RelationalError, Schema};
 
 impl SchemaCatalog for Uwsdt {
     fn schema_of(&self, relation: &str) -> ws_relational::Result<Schema> {
@@ -33,6 +33,22 @@ impl SchemaCatalog for Uwsdt {
 
 impl QueryBackend for Uwsdt {
     type Error = UwsdtError;
+
+    /// Every plan runs through the shared operator-by-operator executor.
+    fn execute_plan(
+        &mut self,
+        _plan: &RaExpr,
+        _out: &str,
+        _config: &EngineConfig,
+    ) -> Option<Result<()>> {
+        None
+    }
+
+    /// A template row with placeholders stands for several tuples: no cheap
+    /// tuple count.
+    fn profile_rows(&self, _relation: &str) -> Option<u64> {
+        None
+    }
 
     fn materialize_base(&mut self, name: &str, out: &str) -> Result<()> {
         // A base relation at the root of a plan is materialized by the

@@ -9,8 +9,12 @@
 //!   rows two independent engine evaluations produce — same tuples, same
 //!   order.
 //! * Errors keep their plan context across the dynamic backend.
+//! * Sessions leave the catalog as they found it: every read verb drops its
+//!   result and intermediates on all five backends, bare and durable, and
+//!   `apply` drops what `materialize` left behind.
 
 use maybms::prelude::*;
+use maybms::storage::MemVfs;
 use maybms::{q, AnyBackend, Session};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -277,35 +281,126 @@ fn conditioning_and_joins_invalidate_conservatively() {
     assert!(summary.contains("updates-applied=2"));
 }
 
-/// The staleness rule of `Session::apply`: scratch results that outlive
-/// their cursor on component-sharing backends are dropped by the next
-/// update, so update-heavy sessions do not accumulate scratch relations.
-#[test]
-fn apply_drops_stale_scratch_results() {
-    let mut rng = StdRng::seed_from_u64(0xCAC50);
-    let wsd = random_wsd(&mut rng);
-    let baseline = wsd.relation_names().len();
-    let mut session = Session::new(wsd);
+// ---------------------------------------------------------------------------
+// Scratch hygiene: reads leave the catalog as they found it.
+// ---------------------------------------------------------------------------
 
-    // Streamed results stay registered on the WSD backend (it is not
-    // self-contained)…
-    let plan = session.prepare(q("R").project(["A"])).unwrap();
-    let _rows: Vec<Tuple> = session.execute(&plan).unwrap().collect();
-    let materialized = session.materialize(&plan).unwrap();
-    assert!(session.backend().contains_relation(&materialized));
-    assert!(session.backend().relation_names().len() > baseline);
+/// The relation names of whichever representation is inside, sorted.
+fn catalog(backend: &AnyBackend) -> Vec<String> {
+    let mut names: Vec<String> = match backend {
+        AnyBackend::Db(db) => db.relation_names().into_iter().map(String::from).collect(),
+        AnyBackend::Wsd(wsd) => wsd.relation_names().into_iter().map(String::from).collect(),
+        AnyBackend::Uwsdt(u) => u.relation_names().into_iter().map(String::from).collect(),
+        AnyBackend::Urel(udb) => udb.relation_names().into_iter().map(String::from).collect(),
+        AnyBackend::Worlds(ws) => {
+            let mut names = std::collections::BTreeSet::new();
+            for (db, _) in ws.worlds() {
+                names.extend(db.relation_names().into_iter().map(String::from));
+            }
+            names.into_iter().collect()
+        }
+    };
+    names.sort();
+    names
+}
 
-    // …until an update invalidates them.
+/// The representation's own integrity check, where it has one.
+fn validate(backend: &AnyBackend) -> Result<(), String> {
+    match backend {
+        AnyBackend::Wsd(wsd) => wsd.validate().map_err(|e| e.to_string()),
+        AnyBackend::Uwsdt(u) => u.validate().map_err(|e| e.to_string()),
+        AnyBackend::Urel(udb) => udb.validate().map_err(|e| e.to_string()),
+        AnyBackend::Db(_) | AnyBackend::Worlds(_) => Ok(()),
+    }
+}
+
+/// Run every read verb of `plans` on `session` and check after each one that
+/// the backend holds exactly its base relations and still validates; then
+/// check that `apply` drops what `materialize` left behind.
+fn reads_leave_the_catalog_as_they_found_it<B>(
+    label: &str,
+    mut session: Session<B>,
+    inner: impl Fn(&B) -> &AnyBackend,
+    plans: &[RaExpr],
+) where
+    B: SessionBackend + WriteBackend,
+    B::Error: Into<maybms::Error>,
+{
+    let base = catalog(inner(session.backend()));
+    let check = |session: &Session<B>, verb: &str, plan: &RaExpr| {
+        let backend = inner(session.backend());
+        assert_eq!(
+            catalog(backend),
+            base,
+            "[{label}] {verb} of {plan} left scratch relations behind"
+        );
+        if let Err(e) = validate(backend) {
+            panic!("[{label}] {verb} of {plan} broke the representation: {e}");
+        }
+    };
+    let approx = ApproxConfig::new(0.1, 0.1);
+    for plan in plans {
+        let prepared = session.prepare(plan.clone()).unwrap();
+        let rows = session.execute(&prepared).unwrap().count();
+        check(&session, "execute", plan);
+        assert_eq!(session.confidence(&prepared).unwrap().len(), rows);
+        check(&session, "confidence", plan);
+        session.confidence_approx(&prepared, &approx).unwrap();
+        check(&session, "confidence_approx", plan);
+        assert_eq!(
+            session.explain_analyze(&prepared).unwrap().rows,
+            rows as u64
+        );
+        check(&session, "explain_analyze", plan);
+    }
+
+    // `materialize` is the one verb that leaves its result registered, until
+    // the next update drops it.
+    let prepared = session.prepare(plans[0].clone()).unwrap();
+    let out = session.materialize(&prepared).unwrap();
+    assert!(
+        inner(session.backend()).contains_relation(&out),
+        "[{label}] materialize must register its result"
+    );
     session
         .apply(&maybms::UpdateExpr::insert("S", Tuple::from_iter([3i64])))
         .unwrap();
-    assert!(
-        !session.backend().contains_relation(&materialized),
-        "apply must drop stale materialized results"
-    );
-    assert_eq!(
-        session.backend().relation_names().len(),
-        baseline,
-        "apply must drop every stale scratch result"
-    );
+    check(&session, "materialize + apply", &plans[0]);
+}
+
+/// Every read verb, on every backend bare and durable, copies its answer out
+/// and drops its `__session_q*` result and every intermediate before it
+/// returns — including plans whose selections compose components.
+#[test]
+fn sessions_leave_the_catalog_as_they_found_it() {
+    let mut rng = StdRng::seed_from_u64(0xC1EA);
+    let mut generator = Generator::new(0xC1EA5);
+    for round in 0..4 {
+        let wsd = random_wsd(&mut rng);
+        let mut plans = vec![
+            // Compares two fields of one tuple, so WSD and UWSDT selections
+            // compose the components holding them.
+            RaExpr::rel("R").select(Predicate::cmp_attr("A", CmpOp::Eq, "B")),
+            RaExpr::rel("R")
+                .product(RaExpr::rel("S"))
+                .select(Predicate::cmp_attr("A", CmpOp::Le, "C"))
+                .project(vec!["B", "C"]),
+        ];
+        // U-relations reject difference; keep the random plans positive.
+        plans.extend((0..4).map(|_| generator.expr(rng.gen_range(1..=3usize), false).expr));
+        for (name, backend) in all_backends(&wsd) {
+            reads_leave_the_catalog_as_they_found_it(
+                &format!("{name} round {round}"),
+                Session::new(backend.clone()),
+                |b| b,
+                &plans,
+            );
+            reads_leave_the_catalog_as_they_found_it(
+                &format!("durable {name} round {round}"),
+                Session::create_durable_on(Box::new(MemVfs::new()), backend).unwrap(),
+                |b| b.inner(),
+                &plans,
+            );
+        }
+    }
 }
