@@ -1512,6 +1512,42 @@ mod tests {
     }
 
     #[test]
+    fn uwsdt_sessions_drop_their_scratch_results() {
+        let base = ws_uwsdt::from_wsd(&ws_core::wsd::example_census_wsd()).unwrap();
+        let base_relations: Vec<String> = base
+            .relation_names()
+            .into_iter()
+            .map(String::from)
+            .collect();
+        let mut session = Session::new(base);
+        // The second plan's condition spans two components, so executing it
+        // composes base components.
+        let plans = [
+            q("R").select(Predicate::eq_const("M", 1i64)).project(["S"]),
+            q("R").select(Predicate::and(vec![
+                Predicate::eq_const("M", 1i64),
+                Predicate::cmp_const("S", CmpOp::Ge, 500i64),
+            ])),
+        ]
+        .map(|query| session.prepare(query).unwrap());
+        let answers = |session: &mut Session<Uwsdt>| {
+            plans
+                .iter()
+                .map(|plan| {
+                    let rows: Vec<Tuple> = session.execute(plan).unwrap().collect();
+                    (rows, session.confidence(plan).unwrap())
+                })
+                .collect::<Vec<_>>()
+        };
+        let first = answers(&mut session);
+        for _ in 0..50 {
+            assert_eq!(answers(&mut session), first);
+        }
+        assert_eq!(session.backend().relation_names(), base_relations);
+        session.backend().validate().unwrap();
+    }
+
+    #[test]
     fn summary_names_backend_config_and_counters() {
         let session = Session::new(db());
         let summary = session.summary();

@@ -315,8 +315,7 @@ fn validate(backend: &AnyBackend) -> Result<(), String> {
 }
 
 /// Run every read verb of `plans` on `session` and check after each one that
-/// the backend holds exactly its base relations and still validates; then
-/// check that `apply` drops what `materialize` left behind.
+/// the backend holds exactly its base relations and still validates.
 fn reads_leave_the_catalog_as_they_found_it<B>(
     label: &str,
     mut session: Session<B>,
@@ -353,19 +352,6 @@ fn reads_leave_the_catalog_as_they_found_it<B>(
         );
         check(&session, "explain_analyze", plan);
     }
-
-    // `materialize` is the one verb that leaves its result registered, until
-    // the next update drops it.
-    let prepared = session.prepare(plans[0].clone()).unwrap();
-    let out = session.materialize(&prepared).unwrap();
-    assert!(
-        inner(session.backend()).contains_relation(&out),
-        "[{label}] materialize must register its result"
-    );
-    session
-        .apply(&maybms::UpdateExpr::insert("S", Tuple::from_iter([3i64])))
-        .unwrap();
-    check(&session, "materialize + apply", &plans[0]);
 }
 
 /// Every read verb, on every backend bare and durable, copies its answer out
@@ -402,5 +388,58 @@ fn sessions_leave_the_catalog_as_they_found_it() {
                 &plans,
             );
         }
+    }
+}
+
+/// The staleness rule of `Session::apply`: `materialize` is the one verb that
+/// leaves its result registered, and the next update drops it, so
+/// update-heavy sessions do not accumulate scratch relations.
+fn apply_drops_what_materialize_left<B>(
+    label: &str,
+    mut session: Session<B>,
+    inner: impl Fn(&B) -> &AnyBackend,
+    plan: &RaExpr,
+) where
+    B: SessionBackend + WriteBackend,
+    B::Error: Into<maybms::Error>,
+{
+    let base = catalog(inner(session.backend()));
+    let prepared = session.prepare(plan.clone()).unwrap();
+    let out = session.materialize(&prepared).unwrap();
+    assert!(
+        inner(session.backend()).contains_relation(&out),
+        "[{label}] materialize must register its result"
+    );
+    session
+        .apply(&maybms::UpdateExpr::insert("S", Tuple::from_iter([3i64])))
+        .unwrap();
+    let backend = inner(session.backend());
+    assert!(
+        !backend.contains_relation(&out),
+        "[{label}] apply must drop the stale materialized result"
+    );
+    assert_eq!(
+        catalog(backend),
+        base,
+        "[{label}] apply left scratch relations behind"
+    );
+    if let Err(e) = validate(backend) {
+        panic!("[{label}] materialize + apply broke the representation: {e}");
+    }
+}
+
+#[test]
+fn apply_drops_stale_scratch_results() {
+    let mut rng = StdRng::seed_from_u64(0xCAC50);
+    let wsd = random_wsd(&mut rng);
+    let plan = RaExpr::rel("R").project(vec!["A"]);
+    for (name, backend) in all_backends(&wsd) {
+        apply_drops_what_materialize_left(&name, Session::new(backend.clone()), |b| b, &plan);
+        apply_drops_what_materialize_left(
+            &format!("durable {name}"),
+            Session::create_durable_on(Box::new(MemVfs::new()), backend).unwrap(),
+            |b| b.inner(),
+            &plan,
+        );
     }
 }
