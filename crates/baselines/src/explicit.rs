@@ -32,9 +32,9 @@ pub fn query_distribution(worlds: &WorldSet, query: &RaExpr) -> WsResult<Vec<(Re
 ///
 /// Even this naive engine runs through the shared `optimize → execute`
 /// pipeline: the [`ws_relational::QueryBackend`] implementation on
-/// [`WorldSet`] (in `ws_core::worldset`) applies each physical operator to
-/// every world separately, so the oracle exercises exactly the same plans as
-/// the decomposed representations it validates.
+/// [`WorldSet`] (in `ws_core::worldset`) evaluates the optimized plan in
+/// every world separately, so the oracle answers exactly the plans the
+/// decomposed representations it validates are given.
 pub fn query_worlds(worlds: &WorldSet, query: &RaExpr, out_name: &str) -> WsResult<WorldSet> {
     // An empty (inconsistent) world-set has no catalog to resolve relations
     // against; the query over it is vacuously the empty world-set.

@@ -1,10 +1,11 @@
 //! The query processor `Q̂` on WSDs, as a backend of the unified engine.
 //!
-//! Queries are no longer walked by a WSD-private translator: the shared
-//! `optimize → execute` pipeline of [`ws_relational::engine`] plans the
-//! [`RaExpr`] (selection pushdown, projection collapsing, θ-join
-//! recognition) against this catalog and drives the per-operator algorithms
-//! of Figure 9 through the [`QueryBackend`] implementation below.  Given a
+//! The shared `optimize → execute` pipeline of [`ws_relational::engine`]
+//! plans the [`RaExpr`] (selection pushdown, projection collapsing, θ-join
+//! recognition) against this catalog; the WSD's
+//! [`QueryBackend::execute_plan`] hands the plan to the engine's shared
+//! walker ([`engine::walk`]), which drives the per-operator algorithms of
+//! Figure 9 through the [`Operators`] implementation below.  Given a
 //! query `Q`, the result of [`engine::evaluate_query`] is a new relation
 //! inside the same WSD such that dropping all other relations yields a WSD
 //! representing `{ Q(A) | A ∈ rep(W) }` (Theorem 1).  Intermediate results
@@ -20,7 +21,9 @@
 use super::{copy, difference, product, project, rename, select_attr, select_const, union};
 use crate::error::{Result, WsError};
 use crate::wsd::Wsd;
-use ws_relational::engine::{self, EngineConfig, ExecContext, QueryBackend, SchemaCatalog};
+use ws_relational::engine::{
+    self, EngineConfig, ExecContext, Operators, QueryBackend, SchemaCatalog,
+};
 use ws_relational::{Predicate, RaExpr, RelationalError, Schema};
 
 impl SchemaCatalog for Wsd {
@@ -38,21 +41,17 @@ impl SchemaCatalog for Wsd {
 impl QueryBackend for Wsd {
     type Error = WsError;
 
-    /// Every plan runs through the shared operator-by-operator executor.
-    fn execute_plan(
-        &mut self,
-        _plan: &RaExpr,
-        _out: &str,
-        _config: &EngineConfig,
-    ) -> Option<Result<()>> {
-        None
+    /// Every plan runs through the shared operator-by-operator walker.
+    fn execute_plan(&mut self, plan: &RaExpr, out: &str, config: &EngineConfig) -> Result<()> {
+        engine::walk(self, plan, out, config)
     }
 
-    /// A WSD relation is spread over shared components: no cheap tuple count.
-    fn profile_rows(&self, _relation: &str) -> Option<u64> {
-        None
+    fn drop_scratch(&mut self, name: &str) {
+        let _ = self.drop_relation(name);
     }
+}
 
+impl Operators for Wsd {
     fn materialize_base(&mut self, name: &str, out: &str) -> Result<()> {
         copy(self, name, out)
     }
@@ -98,10 +97,6 @@ impl QueryBackend for Wsd {
 
     fn apply_rename(&mut self, input: &str, from: &str, to: &str, out: &str) -> Result<()> {
         rename(self, input, out, from, to)
-    }
-
-    fn drop_scratch(&mut self, name: &str) {
-        let _ = self.drop_relation(name);
     }
 }
 

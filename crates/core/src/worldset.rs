@@ -166,10 +166,10 @@ impl WorldSet {
 }
 
 // ---------------------------------------------------------------------------
-// The explicit world-enumeration backend of the unified query engine: every
-// physical operator is applied to each world separately — infeasible at
-// scale (which is the paper's point) but the semantic ground truth the
-// decomposed representations are validated against.
+// The explicit world-enumeration backend of the unified query engine: the
+// whole plan is evaluated in each world separately — infeasible at scale
+// (which is the paper's point) but the semantic ground truth the decomposed
+// representations are validated against.
 // ---------------------------------------------------------------------------
 
 impl ws_relational::SchemaCatalog for WorldSet {
@@ -192,107 +192,41 @@ impl ws_relational::SchemaCatalog for WorldSet {
     }
 }
 
-/// Apply one already-planned operator expression to every world in place,
-/// storing the (set-semantics) result as `out` in each.  Worlds are mutated
-/// rather than rebuilt — a query plan applies many operators, and one
-/// world-set copy per operator (let alone per scratch drop) would dominate
-/// the oracle's cost.
-fn apply_per_world(worlds: &mut WorldSet, expr: &ws_relational::RaExpr, out: &str) -> Result<()> {
-    for (db, _) in &mut worlds.worlds {
-        let mut result = ws_relational::evaluate_set(db, expr)?;
-        let renamed = result.schema().renamed_relation(out);
-        *result.schema_mut() = renamed;
-        db.insert_relation(result);
-    }
-    Ok(())
-}
-
 impl ws_relational::QueryBackend for WorldSet {
     type Error = WsError;
 
-    /// Every plan runs through the shared operator-by-operator executor.
+    /// The oracle's own definition of a query: the set-semantics result of
+    /// `plan` in every world ([`ws_relational::evaluate_set`]), stored as
+    /// `out` in that world.  Worlds are extended in place rather than
+    /// rebuilt, and only once every world has evaluated, so a failing plan
+    /// leaves no partial result behind.
     fn execute_plan(
         &mut self,
-        _plan: &ws_relational::RaExpr,
-        _out: &str,
+        plan: &ws_relational::RaExpr,
+        out: &str,
         _config: &ws_relational::EngineConfig,
-    ) -> Option<Result<()>> {
-        None
-    }
-
-    /// A relation differs from world to world: no single tuple count.
-    fn profile_rows(&self, _relation: &str) -> Option<u64> {
-        None
-    }
-
-    fn materialize_base(&mut self, name: &str, out: &str) -> Result<()> {
-        apply_per_world(self, &ws_relational::RaExpr::rel(name), out)
-    }
-
-    fn apply_select(
-        &mut self,
-        input: &str,
-        pred: &ws_relational::Predicate,
-        out: &str,
-        _ctx: &mut ws_relational::ExecContext,
     ) -> Result<()> {
-        apply_per_world(
-            self,
-            &ws_relational::RaExpr::rel(input).select(pred.clone()),
-            out,
-        )
-    }
-
-    fn apply_project(
-        &mut self,
-        input: &str,
-        attrs: &[String],
-        out: &str,
-        _ctx: &mut ws_relational::ExecContext,
-    ) -> Result<()> {
-        apply_per_world(
-            self,
-            &ws_relational::RaExpr::rel(input).project(attrs.to_vec()),
-            out,
-        )
-    }
-
-    fn apply_product(
-        &mut self,
-        left: &str,
-        right: &str,
-        out: &str,
-        _ctx: &mut ws_relational::ExecContext,
-    ) -> Result<()> {
-        apply_per_world(
-            self,
-            &ws_relational::RaExpr::rel(left).product(ws_relational::RaExpr::rel(right)),
-            out,
-        )
-    }
-
-    fn apply_union(&mut self, left: &str, right: &str, out: &str) -> Result<()> {
-        apply_per_world(
-            self,
-            &ws_relational::RaExpr::rel(left).union(ws_relational::RaExpr::rel(right)),
-            out,
-        )
-    }
-
-    fn apply_difference(&mut self, left: &str, right: &str, out: &str) -> Result<()> {
-        apply_per_world(
-            self,
-            &ws_relational::RaExpr::rel(left).difference(ws_relational::RaExpr::rel(right)),
-            out,
-        )
-    }
-
-    fn apply_rename(&mut self, input: &str, from: &str, to: &str, out: &str) -> Result<()> {
-        apply_per_world(
-            self,
-            &ws_relational::RaExpr::rel(input).rename(from, to),
-            out,
-        )
+        use ws_relational::SchemaCatalog;
+        if let Some(missing) = plan
+            .base_relations()
+            .into_iter()
+            .find(|name| !self.contains_relation(name))
+        {
+            return Err(
+                ws_relational::RelationalError::UnknownRelation(missing.to_string()).into(),
+            );
+        }
+        let results = self
+            .worlds
+            .iter()
+            .map(|(db, _)| ws_relational::evaluate_set(db, plan))
+            .collect::<ws_relational::Result<Vec<_>>>()?;
+        for ((db, _), mut result) in self.worlds.iter_mut().zip(results) {
+            let renamed = result.schema().renamed_relation(out);
+            *result.schema_mut() = renamed;
+            db.insert_relation(result);
+        }
+        Ok(())
     }
 
     fn drop_scratch(&mut self, name: &str) {

@@ -74,16 +74,6 @@ impl Persist for AnyBackend {
             ))),
         }
     }
-
-    fn scrub_scratch(&mut self) {
-        match self {
-            AnyBackend::Db(b) => b.scrub_scratch(),
-            AnyBackend::Wsd(b) => b.scrub_scratch(),
-            AnyBackend::Uwsdt(b) => b.scrub_scratch(),
-            AnyBackend::Urel(b) => b.scrub_scratch(),
-            AnyBackend::Worlds(b) => b.scrub_scratch(),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -160,13 +150,13 @@ impl Session<Durable<AnyBackend>> {
 
 impl<B> Session<Durable<B>>
 where
-    B: SessionBackend + WriteBackend + Persist + Clone,
+    B: SessionBackend + WriteBackend + Persist,
     B::Error: Into<Error>,
 {
     /// Checkpoint the durable backend: drop the session's materialized
-    /// results, snapshot the state (scrubbed of any remaining `__` scratch
-    /// relations) as the next generation, and truncate the WAL.  Returns
-    /// the new snapshot generation.
+    /// results, snapshot every relation the store then holds as the next
+    /// generation, and truncate the WAL.  Returns the new snapshot
+    /// generation.
     pub fn checkpoint(&mut self) -> Result<u64> {
         // Materialized results are derived state; a snapshot must only ever
         // hold base relations (re-execute plans after recovery instead).

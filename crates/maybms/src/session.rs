@@ -54,7 +54,7 @@ use ws_core::confidence::approx::ApproxConfig;
 use ws_core::ops::update::{apply_update, UpdateExpr};
 use ws_core::{WorldSet, Wsd};
 use ws_obs::{Observer, ProfileNode};
-use ws_relational::engine::{self, EngineConfig, ExecContext, QueryBackend, SchemaCatalog};
+use ws_relational::engine::{self, EngineConfig, QueryBackend, SchemaCatalog};
 use ws_relational::lineage::{self, DtreeCompiler, LineageDb};
 use ws_relational::{
     fingerprint, optimizer, Database, Dependency, Predicate, RaExpr, Schema, Tuple, Value,
@@ -68,8 +68,8 @@ use ws_uwsdt::Uwsdt;
 // Backend capabilities beyond QueryBackend.
 // ---------------------------------------------------------------------------
 
-/// What a [`Session`] needs from a backend on top of the shared
-/// [`QueryBackend`] operators: answer extraction and confidence.
+/// What a [`Session`] needs from a backend on top of
+/// [`QueryBackend::execute_plan`]: answer extraction and confidence.
 ///
 /// Every method reads a result relation `out` the executor just built and
 /// returns an owned answer; the session drops `out` afterwards.  No method
@@ -372,82 +372,12 @@ impl SchemaCatalog for AnyBackend {
 impl QueryBackend for AnyBackend {
     type Error = Error;
 
-    fn execute_plan(
-        &mut self,
-        plan: &RaExpr,
-        out: &str,
-        config: &EngineConfig,
-    ) -> Option<Result<()>> {
-        dispatch!(self, b => b.execute_plan(plan, out, config).map(|r| r.map_err(Error::from)))
-    }
-
-    fn materialize_base(&mut self, name: &str, out: &str) -> Result<()> {
-        dispatch!(self, b => b.materialize_base(name, out).map_err(Error::from))
-    }
-
-    fn apply_select(
-        &mut self,
-        input: &str,
-        pred: &Predicate,
-        out: &str,
-        ctx: &mut ExecContext,
-    ) -> Result<()> {
-        dispatch!(self, b => b.apply_select(input, pred, out, ctx).map_err(Error::from))
-    }
-
-    fn apply_project(
-        &mut self,
-        input: &str,
-        attrs: &[String],
-        out: &str,
-        ctx: &mut ExecContext,
-    ) -> Result<()> {
-        dispatch!(self, b => b.apply_project(input, attrs, out, ctx).map_err(Error::from))
-    }
-
-    fn apply_product(
-        &mut self,
-        left: &str,
-        right: &str,
-        out: &str,
-        ctx: &mut ExecContext,
-    ) -> Result<()> {
-        dispatch!(self, b => b.apply_product(left, right, out, ctx).map_err(Error::from))
-    }
-
-    fn apply_equi_join(
-        &mut self,
-        left: &str,
-        right: &str,
-        left_attr: &str,
-        right_attr: &str,
-        out: &str,
-        ctx: &mut ExecContext,
-    ) -> Result<()> {
-        dispatch!(self, b => {
-            b.apply_equi_join(left, right, left_attr, right_attr, out, ctx)
-                .map_err(Error::from)
-        })
-    }
-
-    fn apply_union(&mut self, left: &str, right: &str, out: &str) -> Result<()> {
-        dispatch!(self, b => b.apply_union(left, right, out).map_err(Error::from))
-    }
-
-    fn apply_difference(&mut self, left: &str, right: &str, out: &str) -> Result<()> {
-        dispatch!(self, b => b.apply_difference(left, right, out).map_err(Error::from))
-    }
-
-    fn apply_rename(&mut self, input: &str, from: &str, to: &str, out: &str) -> Result<()> {
-        dispatch!(self, b => b.apply_rename(input, from, to, out).map_err(Error::from))
+    fn execute_plan(&mut self, plan: &RaExpr, out: &str, config: &EngineConfig) -> Result<()> {
+        dispatch!(self, b => b.execute_plan(plan, out, config).map_err(Error::from))
     }
 
     fn drop_scratch(&mut self, name: &str) {
         dispatch!(self, b => b.drop_scratch(name))
-    }
-
-    fn profile_rows(&self, relation: &str) -> Option<u64> {
-        dispatch!(self, b => b.profile_rows(relation))
     }
 }
 

@@ -4,33 +4,38 @@
 //! Section 5 of the paper stresses that the standard relational
 //! optimizations — selection pushdown, join recognition, plan sharing —
 //! remain applicable when queries are rewritten onto world-set
-//! representations.  Historically each representation layer of this
-//! repository (single-world, WSD, UWSDT, U-relations, and the explicit
-//! world-enumeration oracle) shipped its own naive plan walker over the
-//! unoptimized [`RaExpr`] tree.  This module replaces those four copies with
-//! one pipeline:
+//! representations.  Every representation of this repository (single-world,
+//! WSD, UWSDT, U-relations, and the explicit world-enumeration oracle) runs
+//! its queries through one pipeline:
 //!
 //! ```text
-//!           RaExpr ──► optimizer::optimize (catalog-generic) ──► execute
+//!   RaExpr ──► optimizer::optimize (catalog-generic) ──► QueryBackend::execute_plan
 //!                                                                  │
-//!                 QueryBackend: physical σ π × ⋈ ∪ − δ  ◄──────────┘
+//!       Database ── columnar kernels, whole plan ◄─────────────────┤
+//!       WorldSet ── evaluate_set in every world ◄──────────────────┤
+//!       Wsd · Uwsdt · UDatabase ── walk: Operators σ π × ⋈ ∪ − δ ◄─┘
 //! ```
 //!
 //! * [`SchemaCatalog`] is the structural interface the rule-based optimizer
 //!   needs: schemas of base relations, nothing else.  Every backend store
 //!   (`Database`, `Wsd`, `Uwsdt`, `UDatabase`, `WorldSet`) implements it.
-//! * [`QueryBackend`] adds the physical operators.  Each method materializes
-//!   one operator's result as a *named* relation inside the backend's own
-//!   catalog, which is what keeps correlated sub-queries correlated in the
-//!   world-set representations.
-//! * [`execute`] is the single shared executor: it walks the (optimized)
-//!   plan, allocates scratch names through [`TempNames`] (one generator for
-//!   the whole stack instead of per-crate copies), recognises equi-joins on
-//!   top of products, and drops every scratch relation it created once the
-//!   result is built — or once evaluation fails part-way — so only the
-//!   result relation is left in the backend.
-//! * [`evaluate_query`] / [`evaluate_query_with`] are the entry points every
-//!   backend's `evaluate_query` now delegates to.
+//! * [`QueryBackend`] is the one way a plan enters a backend:
+//!   [`QueryBackend::execute_plan`] materializes the plan's result as a
+//!   named relation, and [`QueryBackend::drop_scratch`] removes it again.
+//!   Which executor runs the plan is each backend's own choice, stated in
+//!   its `execute_plan` and nowhere else.
+//! * [`Operators`] are the physical operators of the three decompositions.
+//!   Each one materializes one operator's result as a *named* relation
+//!   inside the backend's own catalog, which is what keeps correlated
+//!   sub-queries correlated.
+//! * [`walk`] is the shared operator-by-operator executor those three call:
+//!   it walks the (optimized) plan, allocates scratch names through
+//!   [`TempNames`], recognises equi-joins on top of products, and drops
+//!   every scratch relation it created once the result is built — or once
+//!   evaluation fails part-way — so only the result relation is left in the
+//!   backend.
+//! * [`evaluate_query`] / [`evaluate_query_with`] are the one-shot
+//!   `optimize → execute_plan` entry points.
 //!
 //! The optimizer runs against the backend's catalog only — it never looks at
 //! rows — so a plan optimized once is valid for every backend holding the
@@ -40,7 +45,6 @@ use crate::algebra::RaExpr;
 use crate::database::Database;
 use crate::error::{RelationalError, Result};
 use crate::optimizer;
-use crate::par::WorkerPool;
 use crate::predicate::{CmpOp, Predicate};
 use crate::relation::Relation;
 use crate::schema::Schema;
@@ -57,39 +61,51 @@ pub trait SchemaCatalog {
     fn contains_relation(&self, relation: &str) -> bool;
 }
 
-/// A physical query backend: a store that can materialize each
-/// relational-algebra operator as a new named relation in its catalog.
+/// A physical query backend: a store that evaluates a planned query into a
+/// new named relation of its own catalog.
 ///
-/// The shared [`execute`] drives these operators; backends only decide *how*
-/// each operator touches their representation (per-world copies, template
-/// manipulation, descriptor conjunction, …), never *in which order* the plan
-/// is evaluated.
+/// [`QueryBackend::execute_plan`] is the one way a plan enters a backend.
+/// Each backend decides there which executor runs it: the single-world
+/// [`Database`] hands the whole plan to its columnar kernels, the explicit
+/// world set evaluates it in every world, and the three decompositions
+/// (WSD, UWSDT, U-relations) walk it operator by operator through
+/// [`walk`] over their [`Operators`].
 pub trait QueryBackend: SchemaCatalog {
     /// The backend's error type.
     type Error: From<RelationalError>;
 
-    /// Whole-plan executor: backends with their own vectorized executor
-    /// evaluate `plan` in one go (materializing the result as `out`) and
-    /// return `Some(result)`.  Returning `None` sends the plan to the shared
-    /// operator-by-operator executor below.  Implementations must honor
-    /// `config.recognize_joins`, `config.threads` and `config.observe`.
+    /// Evaluate the already-planned `plan`, materializing its result as
+    /// relation `out`.  Implementations must honor
+    /// `config.recognize_joins`, `config.threads` and `config.observe`
+    /// where they apply, and must leave only `out` behind — on failure,
+    /// not even that.
     ///
-    /// There is no default: wrapper backends (`AnyBackend`, `Durable<B>`, …)
-    /// forward this to the backend they wrap, and every other backend states
-    /// its own answer.
+    /// Wrapper backends (`AnyBackend`, `Durable<B>`) forward this to the
+    /// backend they wrap.
     fn execute_plan(
         &mut self,
         plan: &RaExpr,
         out: &str,
         config: &EngineConfig,
-    ) -> Option<std::result::Result<(), Self::Error>>;
+    ) -> std::result::Result<(), Self::Error>;
 
-    /// Best-effort row count of a materialized relation, used by profiles
-    /// (`explain_analyze`) to fill per-operator `rows_out`.  `None` is for
-    /// backends whose "relation" is a compressed representation with no
-    /// cheap tuple count; they report 0 in profiles.
-    fn profile_rows(&self, relation: &str) -> Option<u64>;
+    /// Best-effort removal of a scratch relation: the walker's
+    /// intermediates once the plan's result is built or has failed, and a
+    /// session's result once its answer is copied out.  Failures are
+    /// ignored.
+    fn drop_scratch(&mut self, name: &str);
+}
 
+/// The physical operators of a decomposed representation: each method
+/// materializes one operator's result as a *named* relation inside the
+/// backend's own catalog, which is what keeps correlated sub-queries
+/// correlated (the paper's Fig. 9 for WSDs, Fig. 16 for UWSDTs).
+///
+/// [`walk`] drives these operators; backends only decide *how* each
+/// operator touches their representation (template manipulation, component
+/// composition, descriptor conjunction, …), never *in which order* the plan
+/// is evaluated.
+pub trait Operators: QueryBackend {
     /// Materialize base relation `name` under the result name `out`.
     fn materialize_base(&mut self, name: &str, out: &str) -> std::result::Result<(), Self::Error>;
 
@@ -125,9 +141,8 @@ pub trait QueryBackend: SchemaCatalog {
     /// Equi-join `left ⋈_{left_attr = right_attr} right → out`.
     ///
     /// The default evaluates the join extensionally as a selection over the
-    /// product; backends with a real join algorithm (hash join on ordinary
-    /// databases and UWSDTs, descriptor-conjoining join on U-relations)
-    /// override this.
+    /// product; backends with a real join algorithm (hash join on UWSDTs,
+    /// descriptor-conjoining join on U-relations) override this.
     fn apply_equi_join(
         &mut self,
         left: &str,
@@ -169,11 +184,6 @@ pub trait QueryBackend: SchemaCatalog {
         to: &str,
         out: &str,
     ) -> std::result::Result<(), Self::Error>;
-
-    /// Best-effort removal of a scratch relation.  Called by the executor
-    /// for every intermediate it created, once the plan's result is built or
-    /// has failed; failures are ignored.
-    fn drop_scratch(&mut self, name: &str);
 }
 
 /// The write half of a backend: the paper's update language (possible and
@@ -341,17 +351,11 @@ impl TempNames {
     }
 }
 
-/// The per-execution state threaded through every physical operator: the
-/// scratch-name allocator plus the worker pool sized by
-/// [`EngineConfig::threads`].
-///
-/// Backends without parallel operators simply ignore [`ExecContext::pool`];
-/// backends that fan rows out (the single-world [`Database`] below) draw the
-/// pool from here so one `EngineConfig` knob controls the whole pipeline.
+/// The per-execution state the walker threads through every physical
+/// operator: the scratch-name allocator plus the observation scope.
 #[derive(Debug, Default)]
 pub struct ExecContext {
     temps: TempNames,
-    pool: WorkerPool,
     /// The observation scope of this execution — the observer plus the
     /// session/request ids every instrumented operator stamps on its
     /// measurements.  Captured from the thread-local [`ws_obs::scope`]
@@ -365,7 +369,6 @@ impl ExecContext {
     pub fn new(config: &EngineConfig) -> Self {
         ExecContext {
             temps: TempNames::new(),
-            pool: WorkerPool::new(config.threads),
             obs: if config.observe {
                 ws_obs::scope()
             } else {
@@ -383,11 +386,6 @@ impl ExecContext {
     /// A fresh scratch name that `exists` rejects; recorded for cleanup.
     pub fn fresh(&mut self, exists: impl Fn(&str) -> bool, hint: &str) -> String {
         self.temps.fresh(exists, hint)
-    }
-
-    /// The worker pool operators fan row batches out on.
-    pub fn pool(&self) -> &WorkerPool {
-        &self.pool
     }
 
     /// The scratch names handed out so far (in allocation order).
@@ -515,7 +513,7 @@ pub fn evaluate_query_with<B: QueryBackend>(
     } else {
         query.clone()
     };
-    execute_with(backend, &plan, out, config)?;
+    backend.execute_plan(&plan, out, &config)?;
     Ok(out.to_string())
 }
 
@@ -525,24 +523,22 @@ pub fn execute<B: QueryBackend>(
     plan: &RaExpr,
     out: &str,
 ) -> std::result::Result<(), B::Error> {
-    execute_with(backend, plan, out, EngineConfig::default())
+    backend.execute_plan(plan, out, &EngineConfig::default())
 }
 
-fn execute_with<B: QueryBackend>(
+/// The shared operator-by-operator executor behind the decompositions'
+/// [`QueryBackend::execute_plan`]: walks `plan`, allocates scratch names
+/// through the [`ExecContext`], recognises equi-joins on top of products
+/// (when `config.recognize_joins` is on), and drops every intermediate it
+/// created once `out` is built — or once the plan failed part-way.
+pub fn walk<B: Operators>(
     backend: &mut B,
     plan: &RaExpr,
     out: &str,
-    config: EngineConfig,
+    config: &EngineConfig,
 ) -> std::result::Result<(), B::Error> {
-    // Whole-plan executor: no scratch relations are created, so there is
-    // nothing to clean up on either outcome.
-    if let Some(result) = backend.execute_plan(plan, out, &config) {
-        return result;
-    }
-    let mut ctx = ExecContext::new(&config);
-    let result = eval_node(backend, plan, out, &mut ctx, config);
-    // Intermediates are represented only while the plan runs: once `out` is
-    // built (or the plan failed) every one of them is dropped.
+    let mut ctx = ExecContext::new(config);
+    let result = eval_node(backend, plan, out, &mut ctx, *config);
     for name in ctx.drain() {
         backend.drop_scratch(&name);
     }
@@ -576,10 +572,11 @@ pub(crate) fn op_detail(plan: &RaExpr) -> String {
 
 /// One operator of the operator-by-operator path, wrapped in
 /// instrumentation when [`EngineConfig::observe`] is on: a profile node
-/// (path `"row"`, rows out via [`QueryBackend::profile_rows`]) plus an
-/// `exec.op.<name>.ns` histogram sample on the scope's observer.  With the flag off this is a single
-/// branch in front of [`eval_node_inner`].
-fn eval_node<B: QueryBackend>(
+/// (path `"row"`; a decomposed relation has no cheap tuple count, so its
+/// `rows_out` is 0) plus an `exec.op.<name>.ns` histogram sample on the
+/// scope's observer.  With the flag off this is a single branch in front of
+/// [`eval_node_inner`].
+fn eval_node<B: Operators>(
     backend: &mut B,
     plan: &RaExpr,
     out: &str,
@@ -593,11 +590,7 @@ fn eval_node<B: QueryBackend>(
     let started = std::time::Instant::now();
     let result = eval_node_inner(backend, plan, out, ctx, config);
     if let Some(token) = token {
-        let rows_out = match &result {
-            Ok(()) => backend.profile_rows(out).unwrap_or(0),
-            Err(_) => 0,
-        };
-        token.finish(rows_out, 1, "row");
+        token.finish(0, 1, "row");
     }
     if let Some(scope) = ctx.obs() {
         scope
@@ -609,7 +602,7 @@ fn eval_node<B: QueryBackend>(
     result
 }
 
-fn eval_node_inner<B: QueryBackend>(
+fn eval_node_inner<B: Operators>(
     backend: &mut B,
     plan: &RaExpr,
     out: &str,
@@ -700,7 +693,7 @@ fn eval_node_inner<B: QueryBackend>(
 
 /// Evaluate an operand expression; base relations are used in place (no
 /// copy), composite expressions are materialized under a scratch name.
-fn eval_operand<B: QueryBackend>(
+fn eval_operand<B: Operators>(
     backend: &mut B,
     expr: &RaExpr,
     ctx: &mut ExecContext,
@@ -810,17 +803,6 @@ impl Database {
         *relation.schema_mut() = renamed;
         self.insert_relation(relation);
     }
-
-    /// Run a one-operator plan over catalog relations through the kernels —
-    /// the single-world backend's physical operators are thin shims over its
-    /// one executor.
-    fn apply_kernel(&mut self, plan: RaExpr, out: &str, ctx: &ExecContext) -> Result<()> {
-        let config = EngineConfig {
-            observe: ctx.obs().is_some(),
-            ..EngineConfig::default()
-        };
-        crate::kernels::execute(self, &plan, out, &config, ctx.pool())
-    }
 }
 
 impl QueryBackend for Database {
@@ -828,96 +810,8 @@ impl QueryBackend for Database {
 
     /// The vectorized columnar executor ([`crate::kernels`]): the whole plan
     /// evaluated over [`crate::batch::ColumnBatch`]es with selection vectors.
-    fn execute_plan(
-        &mut self,
-        plan: &RaExpr,
-        out: &str,
-        config: &EngineConfig,
-    ) -> Option<Result<()>> {
-        let pool = WorkerPool::new(config.threads);
-        Some(crate::kernels::execute(self, plan, out, config, &pool))
-    }
-
-    /// Single-world relations have an exact, O(1) tuple count.
-    fn profile_rows(&self, relation: &str) -> Option<u64> {
-        self.relation(relation).ok().map(|r| r.len() as u64)
-    }
-
-    fn materialize_base(&mut self, name: &str, out: &str) -> Result<()> {
-        let relation = self.relation(name)?.clone();
-        self.store_as(relation, out);
-        Ok(())
-    }
-
-    fn apply_select(
-        &mut self,
-        input: &str,
-        pred: &Predicate,
-        out: &str,
-        ctx: &mut ExecContext,
-    ) -> Result<()> {
-        self.apply_kernel(RaExpr::rel(input).select(pred.clone()), out, ctx)
-    }
-
-    fn apply_project(
-        &mut self,
-        input: &str,
-        attrs: &[String],
-        out: &str,
-        ctx: &mut ExecContext,
-    ) -> Result<()> {
-        self.apply_kernel(RaExpr::rel(input).project(attrs.to_vec()), out, ctx)
-    }
-
-    fn apply_product(
-        &mut self,
-        left: &str,
-        right: &str,
-        out: &str,
-        ctx: &mut ExecContext,
-    ) -> Result<()> {
-        self.apply_kernel(RaExpr::rel(left).product(RaExpr::rel(right)), out, ctx)
-    }
-
-    /// The kernels' hash join (recognized from `σ_{A=B}(L × R)`): exactly the
-    /// product-then-select row order, `⊥`/`?` keys never match.
-    fn apply_equi_join(
-        &mut self,
-        left: &str,
-        right: &str,
-        left_attr: &str,
-        right_attr: &str,
-        out: &str,
-        ctx: &mut ExecContext,
-    ) -> Result<()> {
-        let plan = RaExpr::rel(left)
-            .product(RaExpr::rel(right))
-            .select(Predicate::cmp_attr(left_attr, CmpOp::Eq, right_attr));
-        self.apply_kernel(plan, out, ctx)
-    }
-
-    fn apply_union(&mut self, left: &str, right: &str, out: &str) -> Result<()> {
-        self.apply_kernel(
-            RaExpr::rel(left).union(RaExpr::rel(right)),
-            out,
-            &ExecContext::default(),
-        )
-    }
-
-    fn apply_difference(&mut self, left: &str, right: &str, out: &str) -> Result<()> {
-        self.apply_kernel(
-            RaExpr::rel(left).difference(RaExpr::rel(right)),
-            out,
-            &ExecContext::default(),
-        )
-    }
-
-    fn apply_rename(&mut self, input: &str, from: &str, to: &str, out: &str) -> Result<()> {
-        self.apply_kernel(
-            RaExpr::rel(input).rename(from, to),
-            out,
-            &ExecContext::default(),
-        )
+    fn execute_plan(&mut self, plan: &RaExpr, out: &str, config: &EngineConfig) -> Result<()> {
+        crate::kernels::execute(self, plan, out, config)
     }
 
     fn drop_scratch(&mut self, name: &str) {
@@ -1063,16 +957,32 @@ mod tests {
                     reference.set_eq(&result),
                     "query #{i} {query}: {reference} vs {result} (config {config:?})"
                 );
+                let mut walked = Walked(db());
+                evaluate_query_with(&mut walked, &query, "OUT", config).unwrap();
+                let result = walked.0.relation("OUT").unwrap();
+                assert!(
+                    reference.set_eq(result),
+                    "walked query #{i} {query}: {reference} vs {result} (config {config:?})"
+                );
             }
         }
     }
 
-    /// A `Database` driven operator by operator: every physical operator is
-    /// forwarded, but `execute_plan` answers `None`, so the shared executor
-    /// walks the plan (scratch names, join recognition, cleanup).
-    struct Operators(Database);
+    /// A `Database` driven through the shared walker: every physical
+    /// operator is a one-node plan on the reference evaluator, so what the
+    /// tests observe is the walker itself (scratch names, join recognition,
+    /// cleanup).
+    struct Walked(Database);
 
-    impl SchemaCatalog for Operators {
+    impl Walked {
+        fn one_node(&mut self, plan: RaExpr, out: &str) -> Result<()> {
+            let result = evaluate_set(&self.0, &plan)?;
+            self.0.store_as(result, out);
+            Ok(())
+        }
+    }
+
+    impl SchemaCatalog for Walked {
         fn schema_of(&self, relation: &str) -> Result<Schema> {
             self.0.schema_of(relation)
         }
@@ -1082,79 +992,11 @@ mod tests {
         }
     }
 
-    impl QueryBackend for Operators {
+    impl QueryBackend for Walked {
         type Error = RelationalError;
 
-        fn execute_plan(
-            &mut self,
-            _plan: &RaExpr,
-            _out: &str,
-            _config: &EngineConfig,
-        ) -> Option<Result<()>> {
-            None
-        }
-
-        fn profile_rows(&self, relation: &str) -> Option<u64> {
-            self.0.profile_rows(relation)
-        }
-
-        fn materialize_base(&mut self, name: &str, out: &str) -> Result<()> {
-            self.0.materialize_base(name, out)
-        }
-
-        fn apply_select(
-            &mut self,
-            input: &str,
-            pred: &Predicate,
-            out: &str,
-            ctx: &mut ExecContext,
-        ) -> Result<()> {
-            self.0.apply_select(input, pred, out, ctx)
-        }
-
-        fn apply_project(
-            &mut self,
-            input: &str,
-            attrs: &[String],
-            out: &str,
-            ctx: &mut ExecContext,
-        ) -> Result<()> {
-            self.0.apply_project(input, attrs, out, ctx)
-        }
-
-        fn apply_product(
-            &mut self,
-            left: &str,
-            right: &str,
-            out: &str,
-            ctx: &mut ExecContext,
-        ) -> Result<()> {
-            self.0.apply_product(left, right, out, ctx)
-        }
-
-        fn apply_equi_join(
-            &mut self,
-            left: &str,
-            right: &str,
-            left_attr: &str,
-            right_attr: &str,
-            out: &str,
-            ctx: &mut ExecContext,
-        ) -> Result<()> {
-            self.0
-                .apply_equi_join(left, right, left_attr, right_attr, out, ctx)
-        }
-
-        fn apply_union(&mut self, left: &str, right: &str, out: &str) -> Result<()> {
-            self.0.apply_union(left, right, out)
-        }
-
-        fn apply_difference(&mut self, left: &str, right: &str, out: &str) -> Result<()> {
-            self.0.apply_difference(left, right, out)
-        }
-
-        fn apply_rename(&mut self, input: &str, from: &str, to: &str, out: &str) -> Result<()> {
-            self.0.apply_rename(input, from, to, out)
+        fn execute_plan(&mut self, plan: &RaExpr, out: &str, config: &EngineConfig) -> Result<()> {
+            walk(self, plan, out, config)
         }
 
         fn drop_scratch(&mut self, name: &str) {
@@ -1162,30 +1004,57 @@ mod tests {
         }
     }
 
-    #[test]
-    fn operators_match_the_whole_plan_executor_row_for_row() {
-        for (i, query) in query_suite().into_iter().enumerate() {
-            for config in [
-                EngineConfig::default(),
-                EngineConfig::naive(),
-                EngineConfig::with_threads(4),
-            ] {
-                let mut whole = big_db();
-                evaluate_query_with(&mut whole, &query, "OUT", config).unwrap();
-                let mut operators = Operators(big_db());
-                evaluate_query_with(&mut operators, &query, "OUT", config).unwrap();
-                assert_eq!(
-                    operators.0.relation("OUT").unwrap().rows(),
-                    whole.relation("OUT").unwrap().rows(),
-                    "query #{i} {query}: rows (or order) differ (config {config:?})"
-                );
-            }
+    impl Operators for Walked {
+        fn materialize_base(&mut self, name: &str, out: &str) -> Result<()> {
+            self.one_node(RaExpr::rel(name), out)
+        }
+
+        fn apply_select(
+            &mut self,
+            input: &str,
+            pred: &Predicate,
+            out: &str,
+            _ctx: &mut ExecContext,
+        ) -> Result<()> {
+            self.one_node(RaExpr::rel(input).select(pred.clone()), out)
+        }
+
+        fn apply_project(
+            &mut self,
+            input: &str,
+            attrs: &[String],
+            out: &str,
+            _ctx: &mut ExecContext,
+        ) -> Result<()> {
+            self.one_node(RaExpr::rel(input).project(attrs.to_vec()), out)
+        }
+
+        fn apply_product(
+            &mut self,
+            left: &str,
+            right: &str,
+            out: &str,
+            _ctx: &mut ExecContext,
+        ) -> Result<()> {
+            self.one_node(RaExpr::rel(left).product(RaExpr::rel(right)), out)
+        }
+
+        fn apply_union(&mut self, left: &str, right: &str, out: &str) -> Result<()> {
+            self.one_node(RaExpr::rel(left).union(RaExpr::rel(right)), out)
+        }
+
+        fn apply_difference(&mut self, left: &str, right: &str, out: &str) -> Result<()> {
+            self.one_node(RaExpr::rel(left).difference(RaExpr::rel(right)), out)
+        }
+
+        fn apply_rename(&mut self, input: &str, from: &str, to: &str, out: &str) -> Result<()> {
+            self.one_node(RaExpr::rel(input).rename(from, to), out)
         }
     }
 
     #[test]
     fn temp_cleanup_leaves_only_base_relations_and_the_result() {
-        let mut backend = Operators(db());
+        let mut backend = Walked(db());
         let query = query_suite().remove(3);
         evaluate_query_with(&mut backend, &query, "OUT", EngineConfig::naive()).unwrap();
         let mut names = backend.0.relation_names();
@@ -1195,7 +1064,7 @@ mod tests {
 
     #[test]
     fn scratch_relations_are_dropped_on_error() {
-        let mut backend = Operators(db());
+        let mut backend = Walked(db());
         // The union is incompatible (arity 1 vs 2) and fails *after* both
         // operands have been materialized as scratch relations.
         let query = RaExpr::rel("R")

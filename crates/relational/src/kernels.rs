@@ -73,21 +73,20 @@ enum Eval {
     View(View),
 }
 
-/// Evaluate `plan` on `db` column-at-a-time on `pool` and store the result
-/// as `out`.
+/// Evaluate `plan` on `db` column-at-a-time on a pool of `config.threads`
+/// workers and store the result as `out`.
 ///
 /// This is [`Database`]'s only executor: its
-/// [`crate::engine::QueryBackend::execute_plan`] hands it whole plans and its
-/// physical operators hand it one-node plans.  It creates no intermediate
-/// catalog relations.
+/// [`crate::engine::QueryBackend::execute_plan`] hands it every plan whole.
+/// It creates no intermediate catalog relations.
 pub(crate) fn execute(
     db: &mut Database,
     plan: &RaExpr,
     out: &str,
     config: &EngineConfig,
-    pool: &WorkerPool,
 ) -> Result<()> {
-    let relation = match eval_expr(db, plan, None, config, pool)? {
+    let pool = WorkerPool::new(config.threads);
+    let relation = match eval_expr(db, plan, None, config, &pool)? {
         Eval::Batch(batch) => batch.into_relation()?,
         // A σ-chain over a base relation: clone exactly the surviving rows.
         Eval::View(view) => {

@@ -14,16 +14,17 @@
 //! * hash [`Index`]es used by the higher layers for join and chase
 //!   acceleration,
 //! * a [`Database`] catalog mapping relation names to relations, and
-//! * the **unified query engine** ([`engine`]): the [`QueryBackend`] trait,
-//!   the shared plan executor and the catalog-generic rule-based
-//!   [`optimizer`] that every possible-worlds representation of this
-//!   repository (single-world, WSD, UWSDT, U-relations, explicit worlds)
-//!   evaluates queries through, and
+//! * the **unified query engine** ([`engine`]): the catalog-generic
+//!   rule-based [`optimizer`] and the [`QueryBackend`] trait whose one
+//!   method, [`QueryBackend::execute_plan`], every possible-worlds
+//!   representation of this repository (single-world, WSD, UWSDT,
+//!   U-relations, explicit worlds) evaluates queries through; the three
+//!   decompositions implement it with the shared operator walker
+//!   ([`engine::walk`] over [`engine::Operators`]), and
 //! * the **vectorized columnar executor** ([`batch`], [`kernels`]): the one
-//!   executor of the single-world [`Database`] backend.  Whole plans (via
-//!   [`QueryBackend::execute_plan`]) and single operators alike evaluate
-//!   batch-at-a-time over flat `i64` / dictionary-encoded columns with
-//!   selection vectors, and
+//!   executor of the single-world [`Database`] backend.  Whole plans
+//!   evaluate batch-at-a-time over flat `i64` / dictionary-encoded columns
+//!   with selection vectors, and
 //! * the **lineage layer** ([`lineage`]): boolean provenance over
 //!   finite-domain world variables with an annotated executor, a safe-plan
 //!   (extensional) evaluator, and a Shannon-expansion d-tree compiler — the

@@ -15,9 +15,11 @@
 //! errored live, and it errors identically on replay, leaving the state
 //! bit-identical to the crashed process's.
 //!
-//! Read path ([`ws_relational::QueryBackend`]) is pass-through: queries only
-//! materialize scratch relations, which are never logged and never
-//! snapshotted (see [`Persist::scrub_scratch`]).
+//! Read path ([`ws_relational::QueryBackend`]) is pass-through and never
+//! logged: a query's scratch result lives only until its caller drops it
+//! (`maybms::Session` does so before every read verb returns, and drops
+//! what `Session::materialize` handed out before it checkpoints), so a
+//! snapshot encodes exactly what the store holds.
 //!
 //! [`Durable::checkpoint`] writes snapshot generation `g+1` atomically, then
 //! resets the log to `g+1`; [`Durable::open`] loads the newest valid
@@ -45,7 +47,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ws_core::ops::update::{apply_update, UpdateExpr};
-use ws_relational::engine::{EngineConfig, ExecContext, QueryBackend, SchemaCatalog, WriteBackend};
+use ws_relational::engine::{EngineConfig, QueryBackend, SchemaCatalog, WriteBackend};
 use ws_relational::{Dependency, Predicate, RaExpr, Schema, Tuple, Value};
 
 /// Durability counters, surfaced through `maybms::SessionStats`.
@@ -127,9 +129,9 @@ impl<B> fmt::Debug for Durable<B> {
     }
 }
 
-impl<B: Persist + WriteBackend + Clone> Durable<B> {
+impl<B: Persist + WriteBackend> Durable<B> {
     /// Initialize a fresh store on `vfs`: snapshot generation 0 of the given
-    /// backend (scrubbed of scratch relations) plus an empty log.
+    /// backend plus an empty log.
     ///
     /// Refuses a medium that already holds a store (any snapshot file):
     /// writing generation 0 next to existing higher generations would make
@@ -149,9 +151,7 @@ impl<B: Persist + WriteBackend + Clone> Durable<B> {
                 existing.join(", ")
             )));
         }
-        let mut scrubbed = backend.clone();
-        scrubbed.scrub_scratch();
-        snapshot::write_snapshot(vfs.as_mut(), 0, &scrubbed)?;
+        snapshot::write_snapshot(vfs.as_mut(), 0, &backend)?;
         let wal = Wal::reset(vfs.as_mut(), 0)?;
         Ok(Durable {
             inner: backend,
@@ -169,7 +169,7 @@ impl<B: Persist + WriteBackend + Clone> Durable<B> {
         Self::create(Box::new(DirVfs::open(dir.as_ref())?), backend)
     }
 
-    /// Snapshot the current state (scrubbed of scratch relations) as the
+    /// Snapshot the current state — every relation the store holds — as the
     /// next generation and reset the log.  Returns the new generation.
     ///
     /// If the snapshot lands but the log reset fails, the handle is
@@ -179,10 +179,8 @@ impl<B: Persist + WriteBackend + Clone> Durable<B> {
     /// everything logged so far is safely inside the new snapshot).
     pub fn checkpoint(&mut self) -> Result<u64> {
         let started = Instant::now();
-        let mut scrubbed = self.inner.clone();
-        scrubbed.scrub_scratch();
         let generation = self.wal.generation() + 1;
-        snapshot::write_snapshot(self.vfs.as_mut(), generation, &scrubbed)?;
+        snapshot::write_snapshot(self.vfs.as_mut(), generation, &self.inner)?;
         match Wal::reset(self.vfs.as_mut(), generation) {
             Ok(wal) => self.wal = wal,
             Err(e) => {
@@ -201,9 +199,7 @@ impl<B: Persist + WriteBackend + Clone> Durable<B> {
         self.record_ns("wal.checkpoint_ns", started.elapsed());
         Ok(generation)
     }
-}
 
-impl<B: Persist + WriteBackend> Durable<B> {
     /// Recover a store from `vfs`: load the newest valid snapshot, truncate
     /// the WAL's torn tail, and replay the remaining records through the
     /// wrapped backend's own [`WriteBackend`] verbs.
@@ -274,15 +270,6 @@ impl<B> Durable<B> {
     /// Shared access to the wrapped backend.
     pub fn inner(&self) -> &B {
         &self.inner
-    }
-
-    /// Mutable access to the wrapped backend.
-    ///
-    /// Mutations made through this handle **bypass the log** and will not
-    /// survive recovery until the next [`Durable::checkpoint`]; it exists
-    /// for read-side engine plumbing and representation inspection.
-    pub fn inner_mut(&mut self) -> &mut B {
-        &mut self.inner
     }
 
     /// Tear the wrapper down without syncing, handing the backend back.
@@ -453,103 +440,9 @@ impl<B: QueryBackend> QueryBackend for Durable<B> {
         plan: &RaExpr,
         out: &str,
         config: &EngineConfig,
-    ) -> Option<std::result::Result<(), Self::Error>> {
+    ) -> std::result::Result<(), Self::Error> {
         self.inner
             .execute_plan(plan, out, config)
-            .map(|r| r.map_err(DurableError::Backend))
-    }
-
-    fn profile_rows(&self, relation: &str) -> Option<u64> {
-        self.inner.profile_rows(relation)
-    }
-
-    fn materialize_base(&mut self, name: &str, out: &str) -> std::result::Result<(), Self::Error> {
-        self.inner
-            .materialize_base(name, out)
-            .map_err(DurableError::Backend)
-    }
-
-    fn apply_select(
-        &mut self,
-        input: &str,
-        pred: &Predicate,
-        out: &str,
-        ctx: &mut ExecContext,
-    ) -> std::result::Result<(), Self::Error> {
-        self.inner
-            .apply_select(input, pred, out, ctx)
-            .map_err(DurableError::Backend)
-    }
-
-    fn apply_project(
-        &mut self,
-        input: &str,
-        attrs: &[String],
-        out: &str,
-        ctx: &mut ExecContext,
-    ) -> std::result::Result<(), Self::Error> {
-        self.inner
-            .apply_project(input, attrs, out, ctx)
-            .map_err(DurableError::Backend)
-    }
-
-    fn apply_product(
-        &mut self,
-        left: &str,
-        right: &str,
-        out: &str,
-        ctx: &mut ExecContext,
-    ) -> std::result::Result<(), Self::Error> {
-        self.inner
-            .apply_product(left, right, out, ctx)
-            .map_err(DurableError::Backend)
-    }
-
-    fn apply_equi_join(
-        &mut self,
-        left: &str,
-        right: &str,
-        left_attr: &str,
-        right_attr: &str,
-        out: &str,
-        ctx: &mut ExecContext,
-    ) -> std::result::Result<(), Self::Error> {
-        self.inner
-            .apply_equi_join(left, right, left_attr, right_attr, out, ctx)
-            .map_err(DurableError::Backend)
-    }
-
-    fn apply_union(
-        &mut self,
-        left: &str,
-        right: &str,
-        out: &str,
-    ) -> std::result::Result<(), Self::Error> {
-        self.inner
-            .apply_union(left, right, out)
-            .map_err(DurableError::Backend)
-    }
-
-    fn apply_difference(
-        &mut self,
-        left: &str,
-        right: &str,
-        out: &str,
-    ) -> std::result::Result<(), Self::Error> {
-        self.inner
-            .apply_difference(left, right, out)
-            .map_err(DurableError::Backend)
-    }
-
-    fn apply_rename(
-        &mut self,
-        input: &str,
-        from: &str,
-        to: &str,
-        out: &str,
-    ) -> std::result::Result<(), Self::Error> {
-        self.inner
-            .apply_rename(input, from, to, out)
             .map_err(DurableError::Backend)
     }
 

@@ -34,12 +34,6 @@ pub trait Persist: Sized {
     /// (`maybms::AnyBackend`) dispatch on it.
     fn decode_state(r: &mut Reader) -> Result<Self>;
 
-    /// Drop `__`-prefixed scratch relations (executor temporaries, session
-    /// result relations) before the state is persisted, so a checkpoint
-    /// taken mid-stream never embalms a scratch relation.  Called on a
-    /// *clone* of the live state by [`crate::Durable::checkpoint`].
-    fn scrub_scratch(&mut self);
-
     /// Encode to a standalone byte vector.
     fn encode_to_vec(&self) -> Vec<u8> {
         let mut w = Writer::new();
@@ -66,16 +60,6 @@ fn expect_tag(r: &mut Reader, expected: u8, what: &str) -> Result<()> {
     Ok(())
 }
 
-/// The names a scrub must drop: every relation whose name carries the shared
-/// `__` scratch prefix of the engine's temporary allocator.
-fn scratch_names<'a>(names: impl IntoIterator<Item = &'a str>) -> Vec<String> {
-    names
-        .into_iter()
-        .filter(|n| n.starts_with("__"))
-        .map(str::to_string)
-        .collect()
-}
-
 impl Persist for Database {
     fn encode_state(&self, w: &mut Writer) {
         w.u8(TAG_DATABASE);
@@ -85,12 +69,6 @@ impl Persist for Database {
     fn decode_state(r: &mut Reader) -> Result<Self> {
         expect_tag(r, TAG_DATABASE, "database")?;
         codec::dec_database(r)
-    }
-
-    fn scrub_scratch(&mut self) {
-        for name in scratch_names(self.relation_names()) {
-            self.remove_relation(&name);
-        }
     }
 }
 
@@ -104,14 +82,6 @@ impl Persist for Wsd {
         expect_tag(r, TAG_WSD, "wsd")?;
         codec::dec_wsd(r)
     }
-
-    fn scrub_scratch(&mut self) {
-        // `drop_relation` removes the relation's columns from shared
-        // components, preserving the correlations of everything else.
-        for name in scratch_names(self.relation_names()) {
-            let _ = self.drop_relation(&name);
-        }
-    }
 }
 
 impl Persist for Uwsdt {
@@ -123,12 +93,6 @@ impl Persist for Uwsdt {
     fn decode_state(r: &mut Reader) -> Result<Self> {
         expect_tag(r, TAG_UWSDT, "uwsdt")?;
         codec::dec_uwsdt(r)
-    }
-
-    fn scrub_scratch(&mut self) {
-        for name in scratch_names(self.relation_names()) {
-            let _ = self.drop_relation(&name);
-        }
     }
 }
 
@@ -142,12 +106,6 @@ impl Persist for UDatabase {
         expect_tag(r, TAG_UREL, "urel")?;
         codec::dec_udatabase(r)
     }
-
-    fn scrub_scratch(&mut self) {
-        for name in scratch_names(self.relation_names()) {
-            self.remove_relation(&name);
-        }
-    }
 }
 
 impl Persist for WorldSet {
@@ -160,22 +118,11 @@ impl Persist for WorldSet {
         expect_tag(r, TAG_WORLDS, "worlds")?;
         codec::dec_worldset(r)
     }
-
-    fn scrub_scratch(&mut self) {
-        let names: Vec<String> = match self.worlds().first() {
-            Some((db, _)) => scratch_names(db.relation_names()),
-            None => Vec::new(),
-        };
-        for name in names {
-            ws_relational::QueryBackend::drop_scratch(self, &name);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ws_relational::{Relation, Schema};
 
     #[test]
     fn all_five_representations_roundtrip_with_their_own_tag() {
@@ -211,34 +158,5 @@ mod tests {
         // Foreign tags are rejected.
         assert!(Wsd::decode_from_slice(&db.encode_to_vec()).is_err());
         assert!(Database::decode_from_slice(&worlds.encode_to_vec()).is_err());
-    }
-
-    #[test]
-    fn scrubbing_drops_only_scratch_relations() {
-        let mut db = Database::new();
-        let mut base = Relation::new(Schema::new("R", &["A"]).unwrap());
-        base.push_values([1i64]).unwrap();
-        db.insert_relation(base);
-        let mut scratch = Relation::new(Schema::new("__session_q0", &["A"]).unwrap());
-        scratch.push_values([2i64]).unwrap();
-        db.insert_relation(scratch);
-        db.scrub_scratch();
-        assert_eq!(db.relation_names(), vec!["R"]);
-
-        // On a WSD the scratch result shares components with the base
-        // relation; scrubbing must leave the base world-set intact.
-        let mut wsd = ws_core::wsd::example_census_wsd();
-        let before = wsd.rep().unwrap();
-        ws_relational::engine::evaluate_query(
-            &mut wsd,
-            &ws_relational::RaExpr::rel("R").project(vec!["S"]),
-            "__scratch_out",
-        )
-        .unwrap();
-        assert!(wsd.contains_relation("__scratch_out"));
-        wsd.scrub_scratch();
-        assert!(!wsd.contains_relation("__scratch_out"));
-        wsd.validate().unwrap();
-        assert!(before.same_worlds(&wsd.rep().unwrap()));
     }
 }

@@ -9,14 +9,18 @@
 //! (selection, projection, union, renaming), never expanded.
 //!
 //! The physical operators here mirror the named-perspective algebra of
-//! [`ws_relational::RaExpr`]; plan walking, optimization and θ-join
-//! recognition live in the shared engine ([`ws_relational::engine`]), which
-//! drives the [`QueryBackend`] implementation on [`UDatabase`].  The
+//! [`ws_relational::RaExpr`]; optimization, plan walking and θ-join
+//! recognition live in the shared engine ([`ws_relational::engine`]).  The
+//! [`QueryBackend::execute_plan`] of [`UDatabase`] hands each plan to the
+//! engine's walker ([`engine::walk`]), which drives the [`Operators`]
+//! implementation below.  The
 //! non-positive difference operator is deliberately unsupported (the paper
 //! evaluates differences via conditional confidence instead — see
 //! `ws_core::conditional`).
 
-use ws_relational::engine::{self, EngineConfig, ExecContext, QueryBackend, SchemaCatalog};
+use ws_relational::engine::{
+    self, EngineConfig, ExecContext, Operators, QueryBackend, SchemaCatalog,
+};
 use ws_relational::{CmpOp, Predicate, RaExpr, RelationalError, Schema, Tuple};
 
 use crate::database::UDatabase;
@@ -164,21 +168,17 @@ impl SchemaCatalog for UDatabase {
 impl QueryBackend for UDatabase {
     type Error = UrelError;
 
-    /// Every plan runs through the shared operator-by-operator executor.
-    fn execute_plan(
-        &mut self,
-        _plan: &RaExpr,
-        _out: &str,
-        _config: &EngineConfig,
-    ) -> Option<Result<()>> {
-        None
+    /// Every plan runs through the shared operator-by-operator walker.
+    fn execute_plan(&mut self, plan: &RaExpr, out: &str, config: &EngineConfig) -> Result<()> {
+        engine::walk(self, plan, out, config)
     }
 
-    /// Annotated rows repeat a tuple once per descriptor: no cheap tuple count.
-    fn profile_rows(&self, _relation: &str) -> Option<u64> {
-        None
+    fn drop_scratch(&mut self, name: &str) {
+        let _ = self.remove_relation(name);
     }
+}
 
+impl Operators for UDatabase {
     fn materialize_base(&mut self, name: &str, out: &str) -> Result<()> {
         let relation = self.relation(name)?.clone();
         self.store_as(relation, out)
@@ -248,10 +248,6 @@ impl QueryBackend for UDatabase {
     fn apply_rename(&mut self, input: &str, from: &str, to: &str, out: &str) -> Result<()> {
         let result = rename(self, input, from, to)?;
         self.store_as(result, out)
-    }
-
-    fn drop_scratch(&mut self, name: &str) {
-        let _ = self.remove_relation(name);
     }
 }
 

@@ -5,18 +5,23 @@
 //! [`ws_relational::engine`], mirroring the SQL-rewriting approach of §5:
 //! the size of the rewriting is linear in the query, and every operator
 //! touches the template relations with single-world cost plus component work
-//! proportional to the number of placeholders involved.
+//! proportional to the number of placeholders involved.  The UWSDT's
+//! [`QueryBackend::execute_plan`] hands each plan to the engine's shared
+//! walker ([`engine::walk`]), which drives the [`Operators`] below one
+//! operator at a time (Fig. 16).
 //!
 //! The θ-join optimization the paper describes for its experiments — a
 //! selection with an attribute-equality condition directly on top of a
 //! product becomes a hash [`crate::ops::join`], avoiding the materialization
-//! of the full cross product — is recognised by the shared executor; this
-//! backend only supplies the physical hash-join operator.
+//! of the full cross product — is recognised by the walker; this backend
+//! only supplies the physical hash-join operator.
 
 use crate::error::{Result, UwsdtError};
 use crate::model::Uwsdt;
 use crate::ops;
-use ws_relational::engine::{EngineConfig, ExecContext, QueryBackend, SchemaCatalog};
+use ws_relational::engine::{
+    self, EngineConfig, ExecContext, Operators, QueryBackend, SchemaCatalog,
+};
 use ws_relational::{Predicate, RaExpr, RelationalError, Schema};
 
 impl SchemaCatalog for Uwsdt {
@@ -34,22 +39,17 @@ impl SchemaCatalog for Uwsdt {
 impl QueryBackend for Uwsdt {
     type Error = UwsdtError;
 
-    /// Every plan runs through the shared operator-by-operator executor.
-    fn execute_plan(
-        &mut self,
-        _plan: &RaExpr,
-        _out: &str,
-        _config: &EngineConfig,
-    ) -> Option<Result<()>> {
-        None
+    /// Every plan runs through the shared operator-by-operator walker.
+    fn execute_plan(&mut self, plan: &RaExpr, out: &str, config: &EngineConfig) -> Result<()> {
+        engine::walk(self, plan, out, config)
     }
 
-    /// A template row with placeholders stands for several tuples: no cheap
-    /// tuple count.
-    fn profile_rows(&self, _relation: &str) -> Option<u64> {
-        None
+    fn drop_scratch(&mut self, name: &str) {
+        let _ = self.drop_relation(name);
     }
+}
 
+impl Operators for Uwsdt {
     fn materialize_base(&mut self, name: &str, out: &str) -> Result<()> {
         // A base relation at the root of a plan is materialized by the
         // identity projection, which copies the template and re-links its
@@ -118,10 +118,6 @@ impl QueryBackend for Uwsdt {
 
     fn apply_rename(&mut self, input: &str, from: &str, to: &str, out: &str) -> Result<()> {
         ops::rename(self, input, out, from, to)
-    }
-
-    fn drop_scratch(&mut self, name: &str) {
-        let _ = self.drop_relation(name);
     }
 }
 

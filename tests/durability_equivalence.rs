@@ -292,6 +292,63 @@ fn checkpoints_move_the_recovery_base_without_changing_answers() {
     }
 }
 
+/// A one-world store whose only base relation is named like a scratch
+/// result, plus the row the round trips below insert into it.
+fn audit_store() -> (Database, Tuple, Vec<Tuple>) {
+    let mut audit = Relation::new(Schema::new("__audit", &["WHO", "WHAT"]).unwrap());
+    audit.push_values(["alice", "login"]).unwrap();
+    let mut db = Database::new();
+    db.insert_relation(audit);
+    let inserted = Tuple::from_iter(["bob", "logout"]);
+    let mut expected = vec![Tuple::from_iter(["alice", "login"]), inserted.clone()];
+    expected.sort();
+    (db, inserted, expected)
+}
+
+// A checkpoint snapshots what the store holds: a *base* relation whose name
+// starts with `__` survives create → insert → close → reopen, on a bare
+// durable session and through the concurrent store's checkpoint.
+#[test]
+fn double_underscore_base_relations_survive_recovery() {
+    let (db, inserted, expected) = audit_store();
+    let vfs = MemVfs::new();
+    let mut session = Session::create_durable_on(boxed(&vfs), db.clone()).unwrap();
+    session
+        .apply(&UpdateExpr::insert("__audit", inserted.clone()))
+        .unwrap();
+    session.close().unwrap();
+    let mut reopened = Session::open_durable_on(boxed(&vfs)).unwrap();
+    assert_eq!(reopened.stats().wal_records, 1, "the insert replays");
+    let plan = reopened
+        .prepare(q("__audit"))
+        .expect("the reopened session still holds __audit");
+    let mut rows: Vec<Tuple> = reopened.execute(&plan).unwrap().collect();
+    rows.sort();
+    assert_eq!(rows, expected, "durable session lost __audit rows");
+
+    use ws_server::ConcurrentStore;
+    use ws_storage::SyncPolicy;
+    let vfs = MemVfs::new();
+    let store: ConcurrentStore<AnyBackend> =
+        ConcurrentStore::create(boxed(&vfs), db.into(), SyncPolicy::EveryRecord).unwrap();
+    store
+        .update(UpdateExpr::insert("__audit", inserted))
+        .unwrap();
+    assert_eq!(store.checkpoint().unwrap(), 1);
+    store.close().unwrap();
+    let store: ConcurrentStore<AnyBackend> =
+        ConcurrentStore::open(boxed(&vfs), SyncPolicy::EveryRecord).unwrap();
+    let snapshot = store.snapshot();
+    let mut session = Session::new(snapshot.backend.clone());
+    let plan = session
+        .prepare(q("__audit"))
+        .expect("the reopened store still holds __audit");
+    let mut rows: Vec<Tuple> = session.execute(&plan).unwrap().collect();
+    rows.sort();
+    assert_eq!(rows, expected, "checkpointed store lost __audit rows");
+    store.close().unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

@@ -434,7 +434,7 @@ fn apply_drops_stale_scratch_results() {
     let wsd = random_wsd(&mut rng);
     let plan = RaExpr::rel("R").project(vec!["A"]);
     for (name, backend) in all_backends(&wsd) {
-        apply_drops_what_materialize_left(&name, Session::new(backend.clone()), |b| b, &plan);
+        apply_drops_what_materialize_left(name, Session::new(backend.clone()), |b| b, &plan);
         apply_drops_what_materialize_left(
             &format!("durable {name}"),
             Session::create_durable_on(Box::new(MemVfs::new()), backend).unwrap(),
