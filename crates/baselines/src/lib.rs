@@ -6,7 +6,6 @@
 //! * [`tuple_independent`] — tuple-independent probabilistic databases
 //!   (Dalvi & Suciu \[15\]), which probabilistic WSDs strictly generalize
 //!   (Example 5 / Figure 7).
-//! * [`ctable`] — the c-table view \[20\] of a WSDT (the §1 equivalence).
 //! * [`uldb`] — ULDB-style x-relations (tuples with alternatives, \[11\]/\[28\]),
 //!   used to reproduce the representation-size comparison of the related-work
 //!   discussion (or-set relations are linear as WSDs, exponential as
@@ -14,13 +13,11 @@
 //! * [`explicit`] — the explicit world-enumeration engine: the naive
 //!   baseline and the correctness oracle used throughout the test suite.
 
-pub mod ctable;
 pub mod explicit;
 pub mod orset;
 pub mod tuple_independent;
 pub mod uldb;
 
-pub use ctable::{CTable, GlobalCondition, Term};
 pub use explicit::{chase_worlds, confidence, possible_tuples, query_distribution, query_worlds};
 pub use orset::{tightest_orset_cover, OrSet, OrSetRelation};
 pub use tuple_independent::{figure6_database, TupleIndependentDb, TupleIndependentRelation};

@@ -25,8 +25,9 @@ use maybms::{AnyBackend, ConfidenceStrategy, Session};
 use ws_bench::{is_quick, print_header, print_row, secs, time_once};
 use ws_census::CensusScenario;
 use ws_core::confidence::approx::ApproxConfig;
+use ws_relational::lineage::{Clause, LineageRelation};
 use ws_relational::{EngineConfig, RaExpr, Schema, Tuple, WorkerPool};
-use ws_urel::{UDatabase, URelation, WsDescriptor};
+use ws_urel::UDatabase;
 
 /// The safe-plan tier must beat native exact enumeration by this factor.
 const SAFE_SPEEDUP_REQUIRED: f64 = 3.0;
@@ -170,17 +171,14 @@ fn main() {
     };
     for &n in var_counts {
         let mut udb = UDatabase::new();
-        let mut rel = URelation::new(Schema::new("T", &["A", "B"]).unwrap());
+        let mut rel = LineageRelation::new(Schema::new("T", &["A", "B"]).unwrap());
         for i in 0..n {
-            let var = format!("x{i}");
-            udb.world_table_mut()
-                .add_variable(&var, vec![0.25, 0.75])
+            let var = udb
+                .vars_mut()
+                .add_var(format!("x{i}"), vec![0.25, 0.75])
                 .unwrap();
-            rel.push(
-                Tuple::from_iter([i as i64, 0i64]),
-                WsDescriptor::bind(&var, 1),
-            )
-            .unwrap();
+            rel.push(Tuple::from_iter([i as i64, 0i64]), Clause::of(var, 1))
+                .unwrap();
         }
         udb.insert_relation(rel);
         let query = RaExpr::rel("T")

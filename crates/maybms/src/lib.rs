@@ -66,8 +66,7 @@
 //! * [`apps`] — the §10 application scenarios (minimal repairs / consistent
 //!   query answering, linked medical data), and
 //! * [`baselines`] — or-sets, tuple-independent probabilistic databases,
-//!   c-tables, ULDB-style x-relations and the explicit world-enumeration
-//!   oracle.
+//!   ULDB-style x-relations and the explicit world-enumeration oracle.
 //!
 //! ## Under the hood
 //!
@@ -155,7 +154,7 @@ pub mod prelude {
     pub use ws_storage::{
         DirVfs, DurabilityStats, Durable, DurableError, MemVfs, Persist, StorageError, Vfs,
     };
-    pub use ws_urel::{UDatabase, URelation, WsDescriptor};
+    pub use ws_urel::UDatabase;
     pub use ws_uwsdt::{
         from_or_relation, from_wsd, from_wsdt, stats_for, OrField, Uwsdt, UwsdtError, UwsdtStats,
     };

@@ -21,7 +21,7 @@
 //! | `Database` | —                         | every row is certain            |
 //! | `Wsd`      | one per multi-world slot  | the slot's local worlds         |
 //! | `Uwsdt`    | one per multi-world `Cid` | the component's `WorldEntry`s   |
-//! | `UDatabase`| one per world-table var   | its distribution, verbatim      |
+//! | `UDatabase`| its own world table       | the database *is* lineage       |
 //! | `WorldSet` | a single selector         | the enumerated worlds           |
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -29,37 +29,14 @@ use std::collections::{BTreeMap, BTreeSet};
 use ws_core::{FieldId, WorldSet, Wsd};
 use ws_relational::lineage::{Clause, LineageDb, LineageRelation, Var, VarTable};
 use ws_relational::{Database, Tuple, Value};
+use ws_urel::convert::{combo_count, decode_choice};
 use ws_urel::UDatabase;
 use ws_uwsdt::Uwsdt;
 
 /// Cap on the per-tuple joint choice space an extractor will enumerate
 /// (product of the covering components' local-world counts).  Beyond this the
 /// extractor opts out and the session uses the backend's native exact path.
-pub const MAX_TUPLE_COMBOS: usize = 4096;
-
-/// Decode `code` into one choice per radix (row-major, first radix most
-/// significant), reusing `choice` as scratch.
-fn decode_choice(mut code: usize, radices: &[usize], choice: &mut [usize]) {
-    for i in (0..radices.len()).rev() {
-        choice[i] = code % radices[i];
-        code /= radices[i];
-    }
-}
-
-/// The joint choice count over `radices`, or `None` past [`MAX_TUPLE_COMBOS`].
-fn combo_count(radices: &[usize]) -> Option<usize> {
-    let mut combos = 1usize;
-    for &r in radices {
-        if r == 0 {
-            return None;
-        }
-        combos = combos.checked_mul(r)?;
-        if combos > MAX_TUPLE_COMBOS {
-            return None;
-        }
-    }
-    Some(combos)
-}
+pub use ws_urel::convert::MAX_TUPLE_COMBOS;
 
 /// A single certain world: every row of every read relation carries the empty
 /// clause (present in the one world with probability 1).
@@ -79,74 +56,9 @@ pub fn database_lineage(db: &Database, relations: &BTreeSet<String>) -> Option<L
 /// One variable per component slot with at least two local worlds; a tuple's
 /// concrete variants are the joint local-world choices of the slots covering
 /// its fields (skipping combinations that leave a field `⊥`, i.e. absent).
+/// This is the WSD → U-relation translation, [`ws_urel::convert::wsd_lineage`].
 pub fn wsd_lineage(wsd: &Wsd, relations: &BTreeSet<String>) -> Option<LineageDb> {
-    let mut vars = VarTable::new();
-    // Slots are global to the WSD (a component may span relations), so the
-    // slot → variable map is shared across the whole extraction.
-    let mut slot_vars: BTreeMap<usize, Var> = BTreeMap::new();
-    let mut annotated = Vec::new();
-    for name in relations {
-        let meta = wsd.meta(name).ok()?;
-        let attrs: Vec<_> = meta.attrs.clone();
-        let mut rel = LineageRelation::new(meta.schema(name));
-        for t in meta.live_tuples() {
-            // The slots covering this tuple, with each covered attribute's
-            // position inside its component row.
-            let mut covering: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
-            for (attr_idx, attr) in attrs.iter().enumerate() {
-                let field = FieldId::new(name.as_str(), t, attr.as_ref());
-                let slot = wsd.slot_of(&field).ok()?;
-                let comp = wsd.component(slot).ok()?;
-                let pos = comp.fields.iter().position(|f| f == &field)?;
-                covering.entry(slot).or_default().push((attr_idx, pos));
-            }
-            let slots: Vec<usize> = covering.keys().copied().collect();
-            let comps: Vec<_> = slots
-                .iter()
-                .map(|&s| wsd.component(s).ok())
-                .collect::<Option<Vec<_>>>()?;
-            let radices: Vec<usize> = comps.iter().map(|c| c.rows.len()).collect();
-            let combos = combo_count(&radices)?;
-            for (&slot, comp) in slots.iter().zip(&comps) {
-                if comp.rows.len() >= 2 && !slot_vars.contains_key(&slot) {
-                    let dist: Vec<f64> = comp.rows.iter().map(|w| w.prob).collect();
-                    let var = vars.add_var(format!("c{slot}"), dist).ok()?;
-                    slot_vars.insert(slot, var);
-                }
-            }
-            let mut choice = vec![0usize; slots.len()];
-            for code in 0..combos {
-                decode_choice(code, &radices, &mut choice);
-                let mut values = vec![Value::Bottom; attrs.len()];
-                for ((slot, comp), &pick) in slots.iter().zip(&comps).zip(&choice) {
-                    let world = &comp.rows[pick];
-                    for &(attr_idx, pos) in &covering[slot] {
-                        values[attr_idx] = world.values.get(pos)?.clone();
-                    }
-                }
-                // A ⊥ field means the tuple is absent in this combination.
-                if values.iter().any(Value::is_bottom) {
-                    continue;
-                }
-                let clause = Clause::from_bindings(
-                    slots
-                        .iter()
-                        .zip(&choice)
-                        .filter_map(|(slot, &pick)| {
-                            slot_vars.get(slot).map(|&var| (var, pick as u32))
-                        })
-                        .collect::<Vec<_>>(),
-                )?;
-                rel.push(Tuple::new(values), clause).ok()?;
-            }
-        }
-        annotated.push(rel);
-    }
-    let mut out = LineageDb::new(vars);
-    for rel in annotated {
-        out.insert_relation(rel);
-    }
-    Some(out)
+    ws_urel::convert::wsd_lineage(wsd, relations.iter().map(String::as_str)).ok()
 }
 
 /// One variable per multi-world component (`Cid`); a template tuple's
@@ -181,7 +93,7 @@ pub fn uwsdt_lineage(uwsdt: &Uwsdt, relations: &BTreeSet<String>) -> Option<Line
                 .map(|&cid| uwsdt.component_worlds(cid).ok())
                 .collect::<Option<Vec<_>>>()?;
             let radices: Vec<usize> = worlds.iter().map(|w| w.len()).collect();
-            let combos = combo_count(&radices)?;
+            let combos = combo_count(&radices, MAX_TUPLE_COMBOS)?;
             for (&cid, entries) in cid_list.iter().zip(&worlds) {
                 if entries.len() >= 2 && !cid_vars.contains_key(&cid) {
                     let dist: Vec<f64> = entries.iter().map(|w| w.prob).collect();
@@ -239,31 +151,12 @@ pub fn uwsdt_lineage(uwsdt: &Uwsdt, relations: &BTreeSet<String>) -> Option<Line
     Some(out)
 }
 
-/// U-relations translate verbatim: world-table variables become lineage
-/// variables (in sorted name order), descriptors become clauses.
+/// A U-database is lineage already: its own world table and the plan's
+/// relations, as they are.
 pub fn urel_lineage(udb: &UDatabase, relations: &BTreeSet<String>) -> Option<LineageDb> {
-    let table = udb.world_table();
-    let names: BTreeSet<String> = table.variables().map(str::to_string).collect();
-    let mut vars = VarTable::new();
-    let mut var_ids: BTreeMap<String, Var> = BTreeMap::new();
-    for name in names {
-        let dist = table.distribution(&name).ok()?.to_vec();
-        let var = vars.add_var(name.clone(), dist).ok()?;
-        var_ids.insert(name, var);
-    }
-    let mut out = LineageDb::new(vars);
+    let mut out = LineageDb::new(udb.vars().clone());
     for name in relations {
-        let rel = udb.relation(name).ok()?;
-        let mut annotated = LineageRelation::new(rel.schema().clone());
-        for (tuple, descriptor) in rel.rows() {
-            let mut atoms = Vec::with_capacity(descriptor.len());
-            for (var, index) in descriptor.bindings() {
-                atoms.push((*var_ids.get(var)?, u32::try_from(index).ok()?));
-            }
-            let clause = Clause::from_bindings(atoms)?;
-            annotated.push(tuple.clone(), clause).ok()?;
-        }
-        out.insert_relation(annotated);
+        out.insert_relation(udb.relation(name).ok()?.clone());
     }
     Some(out)
 }
@@ -385,7 +278,7 @@ mod tests {
 
     #[test]
     fn urel_extraction_matches_exact_confidence() {
-        let udb = ws_urel::convert::from_wsd(&ws_core::wsd::example_census_wsd()).unwrap();
+        let udb = ws_urel::from_wsd(&ws_core::wsd::example_census_wsd()).unwrap();
         let lin = urel_lineage(&udb, &relset(&["R"])).unwrap();
         for (tuple, exact) in ws_urel::confidence::possible_with_confidence(&udb, "R").unwrap() {
             let got = lineage_conf(&lin, "R", &tuple);

@@ -13,7 +13,8 @@
 //!                                                                  │
 //!       Database ── columnar kernels, whole plan ◄─────────────────┤
 //!       WorldSet ── evaluate_set in every world ◄──────────────────┤
-//!       Wsd · Uwsdt · UDatabase ── walk: Operators σ π × ⋈ ∪ − δ ◄─┘
+//!       UDatabase ── lineage::evaluate_lineage, whole plan ◄───────┤
+//!       Wsd · Uwsdt ── walk: Operators σ π × ⋈ ∪ − δ ◄─────────────┘
 //! ```
 //!
 //! * [`SchemaCatalog`] is the structural interface the rule-based optimizer
@@ -24,11 +25,12 @@
 //!   named relation, and [`QueryBackend::drop_scratch`] removes it again.
 //!   Which executor runs the plan is each backend's own choice, stated in
 //!   its `execute_plan` and nowhere else.
-//! * [`Operators`] are the physical operators of the three decompositions.
+//! * [`Operators`] are the physical operators of the two decompositions
+//!   (WSD and UWSDT).
 //!   Each one materializes one operator's result as a *named* relation
 //!   inside the backend's own catalog, which is what keeps correlated
 //!   sub-queries correlated.
-//! * [`walk`] is the shared operator-by-operator executor those three call:
+//! * [`walk`] is the shared operator-by-operator executor those two call:
 //!   it walks the (optimized) plan, allocates scratch names through
 //!   [`TempNames`], recognises equi-joins on top of products, and drops
 //!   every scratch relation it created once the result is built — or once
@@ -67,8 +69,9 @@ pub trait SchemaCatalog {
 /// [`QueryBackend::execute_plan`] is the one way a plan enters a backend.
 /// Each backend decides there which executor runs it: the single-world
 /// [`Database`] hands the whole plan to its columnar kernels, the explicit
-/// world set evaluates it in every world, and the three decompositions
-/// (WSD, UWSDT, U-relations) walk it operator by operator through
+/// world set evaluates it in every world, U-relations hand it to the
+/// lineage evaluator ([`crate::lineage::evaluate_lineage`]), and the two
+/// decompositions (WSD, UWSDT) walk it operator by operator through
 /// [`walk`] over their [`Operators`].
 pub trait QueryBackend: SchemaCatalog {
     /// The backend's error type.
@@ -103,7 +106,7 @@ pub trait QueryBackend: SchemaCatalog {
 ///
 /// [`walk`] drives these operators; backends only decide *how* each
 /// operator touches their representation (template manipulation, component
-/// composition, descriptor conjunction, …), never *in which order* the plan
+/// composition, …), never *in which order* the plan
 /// is evaluated.
 pub trait Operators: QueryBackend {
     /// Materialize base relation `name` under the result name `out`.
@@ -141,8 +144,8 @@ pub trait Operators: QueryBackend {
     /// Equi-join `left ⋈_{left_attr = right_attr} right → out`.
     ///
     /// The default evaluates the join extensionally as a selection over the
-    /// product; backends with a real join algorithm (hash join on UWSDTs,
-    /// descriptor-conjoining join on U-relations) override this.
+    /// product; backends with a real join algorithm (hash join on UWSDTs)
+    /// override this.
     fn apply_equi_join(
         &mut self,
         left: &str,
@@ -166,9 +169,7 @@ pub trait Operators: QueryBackend {
         out: &str,
     ) -> std::result::Result<(), Self::Error>;
 
-    /// Difference `left − right → out` (set semantics).  Backends restricted
-    /// to positive algebra (U-relations) report an unsupported-operation
-    /// error here.
+    /// Difference `left − right → out` (set semantics).
     fn apply_difference(
         &mut self,
         left: &str,
@@ -300,8 +301,7 @@ pub fn check_insertable(schema: &Schema, tuple: &Tuple) -> Result<()> {
 /// with any name for which `exists` returns true.
 ///
 /// This is the one shared implementation of the scratch-name generators that
-/// used to be copy-pasted across `ws_core::ops`, `ws_uwsdt::query` and
-/// `ws_urel::ops`.
+/// used to be copy-pasted across the backends' query modules.
 pub fn fresh_scratch_name(
     exists: impl Fn(&str) -> bool,
     counter: &mut usize,

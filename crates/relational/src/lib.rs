@@ -18,9 +18,10 @@
 //!   rule-based [`optimizer`] and the [`QueryBackend`] trait whose one
 //!   method, [`QueryBackend::execute_plan`], every possible-worlds
 //!   representation of this repository (single-world, WSD, UWSDT,
-//!   U-relations, explicit worlds) evaluates queries through; the three
-//!   decompositions implement it with the shared operator walker
-//!   ([`engine::walk`] over [`engine::Operators`]), and
+//!   U-relations, explicit worlds) evaluates queries through; the two
+//!   decompositions (WSD, UWSDT) implement it with the shared operator
+//!   walker ([`engine::walk`] over [`engine::Operators`]), U-relations with
+//!   the lineage evaluator, and
 //! * the **vectorized columnar executor** ([`batch`], [`kernels`]): the one
 //!   executor of the single-world [`Database`] backend.  Whole plans
 //!   evaluate batch-at-a-time over flat `i64` / dictionary-encoded columns

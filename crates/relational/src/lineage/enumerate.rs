@@ -1,7 +1,8 @@
 //! Brute-force exact probability of a DNF: enumerate the joint assignments
 //! of its variables.
 //!
-//! This is the oracle the compiled evaluators are pinned against: sum the
+//! This is the exact confidence evaluator of U-relations, and the oracle the
+//! compiled evaluators are pinned against: sum the
 //! probability of every joint assignment of the DNF's variables that
 //! satisfies at least one clause.  Exponential in the number of distinct
 //! variables, so it carries an explicit assignment limit; the d-tree
@@ -11,8 +12,9 @@ use super::model::{Dnf, Var, VarTable};
 use crate::error::{RelationalError, Result};
 use std::collections::BTreeSet;
 
-/// Default cap on the number of joint assignments (`2²⁰`), mirroring the
-/// exact U-relational evaluator's limit.
+/// Default cap on the number of joint assignments (`2²⁰`): the budget of
+/// exact U-relational confidence (`ws_urel::conf`), which is this
+/// enumerator.
 pub const DEFAULT_ENUM_LIMIT: u128 = 1 << 20;
 
 /// The exact probability of `dnf` under the independent variables of

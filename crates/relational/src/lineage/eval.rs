@@ -5,12 +5,15 @@
 //! operator, except that every intermediate row carries the [`Clause`](super::model::Clause) under
 //! which it exists:
 //!
-//! * a base scan emits the relation's annotated rows,
-//! * selection keeps a row's clause untouched,
+//! * a base scan emits the relation's annotated rows (borrowed, not copied),
+//! * selection keeps a row's clause untouched; its predicate is compiled
+//!   against the input schema once,
 //! * projection and renaming reshape the tuple and keep the clause,
 //! * product conjoins the operand clauses — derivations whose clauses bind a
 //!   shared variable to different choices are *impossible* (no world
-//!   contains both rows) and drop out, and
+//!   contains both rows) and drop out,
+//! * a selection directly over a product is a θ-join: the predicate filters
+//!   the pairs as they are formed, so the product is never materialized, and
 //! * union concatenates the derivations of both sides.
 //!
 //! Set-semantics deduplication is deferred to the end: the output tuple's
@@ -18,12 +21,19 @@
 //! clauses, grouped by [`LineageOutput::dnfs`].  Difference is rejected —
 //! negation takes the lineage outside DNF and outside the safe/compiled
 //! tiers; callers fall back to the backend's native exact path.
+//!
+//! This is the whole query executor of U-relations (`ws_urel`), and the
+//! shadow evaluator of the session's lineage confidence tiers for every
+//! other backend.
 
 use super::model::{Dnf, LineageDb, LineageRelation};
 use crate::algebra::RaExpr;
 use crate::error::{RelationalError, Result};
+use crate::predicate::Predicate;
 use crate::relation::Relation;
+use crate::schema::Schema;
 use crate::tuple::Tuple;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// The result of an annotated evaluation: every derivation of every output
@@ -37,6 +47,12 @@ impl LineageOutput {
     /// The annotated derivations (one row per derivation; tuples repeat).
     pub fn derivations(&self) -> &LineageRelation {
         &self.rows
+    }
+
+    /// The derivations as a relation named `name`.
+    pub fn into_relation(self, name: &str) -> LineageRelation {
+        let schema = self.rows.schema().renamed_relation(name);
+        self.rows.with_schema(schema)
     }
 
     /// The possible output tuples (set semantics, first-occurrence order).
@@ -64,23 +80,27 @@ impl LineageOutput {
 /// and on the same schema violations the single-world evaluator rejects.
 pub fn evaluate_lineage(db: &LineageDb, plan: &RaExpr) -> Result<LineageOutput> {
     Ok(LineageOutput {
-        rows: eval(db, plan)?,
+        rows: eval(db, plan)?.into_owned(),
     })
 }
 
-fn eval(db: &LineageDb, expr: &RaExpr) -> Result<LineageRelation> {
-    match expr {
-        RaExpr::Rel(name) => Ok(db.relation(name)?.clone()),
-        RaExpr::Select { pred, input } => {
-            let rel = eval(db, input)?;
-            let mut out = LineageRelation::new(rel.schema().clone());
-            for (tuple, clause) in rel.rows() {
-                if pred.eval(rel.schema(), tuple)? {
-                    out.push(tuple.clone(), clause.clone())?;
+fn eval<'a>(db: &'a LineageDb, expr: &RaExpr) -> Result<Cow<'a, LineageRelation>> {
+    Ok(match expr {
+        RaExpr::Rel(name) => Cow::Borrowed(db.relation(name)?),
+        RaExpr::Select { pred, input } => match input.as_ref() {
+            RaExpr::Product { left, right } => Cow::Owned(product(db, left, right, Some(pred))?),
+            _ => {
+                let rel = eval(db, input)?;
+                let mut out = LineageRelation::new(rel.schema().clone());
+                let keep = row_filter(pred, rel.schema());
+                for (tuple, clause) in rel.rows() {
+                    if keep(tuple)? {
+                        out.push(tuple.clone(), clause.clone())?;
+                    }
                 }
+                Cow::Owned(out)
             }
-            Ok(out)
-        }
+        },
         RaExpr::Project { attrs, input } => {
             let rel = eval(db, input)?;
             let positions: Vec<usize> = attrs
@@ -94,26 +114,9 @@ fn eval(db: &LineageDb, expr: &RaExpr) -> Result<LineageRelation> {
             for (tuple, clause) in rel.rows() {
                 out.push(tuple.project_positions(&positions), clause.clone())?;
             }
-            Ok(out)
+            Cow::Owned(out)
         }
-        RaExpr::Product { left, right } => {
-            let l = eval(db, left)?;
-            let r = eval(db, right)?;
-            let schema = l
-                .schema()
-                .product(r.schema(), l.schema().relation().as_ref())?;
-            let mut out = LineageRelation::new(schema);
-            for (lt, lc) in l.rows() {
-                for (rt, rc) in r.rows() {
-                    // A conflicting conjunction means no world derives the
-                    // combined row: drop the derivation entirely.
-                    if let Some(clause) = lc.conjoin(rc) {
-                        out.push(lt.concat(rt), clause)?;
-                    }
-                }
-            }
-            Ok(out)
-        }
+        RaExpr::Product { left, right } => Cow::Owned(product(db, left, right, None)?),
         RaExpr::Union { left, right } => {
             let l = eval(db, left)?;
             let r = eval(db, right)?;
@@ -122,21 +125,65 @@ fn eval(db: &LineageDb, expr: &RaExpr) -> Result<LineageRelation> {
             for (tuple, clause) in l.rows().iter().chain(r.rows()) {
                 out.push(tuple.clone(), clause.clone())?;
             }
-            Ok(out)
+            Cow::Owned(out)
         }
-        RaExpr::Difference { .. } => Err(RelationalError::Invalid(
-            "lineage evaluation does not support difference (negation has no DNF lineage)"
-                .to_string(),
-        )),
+        RaExpr::Difference { .. } => {
+            return Err(RelationalError::Invalid(
+                "lineage evaluation does not support difference (negation has no DNF lineage)"
+                    .to_string(),
+            ))
+        }
         RaExpr::Rename { from, to, input } => {
             let rel = eval(db, input)?;
             let schema = rel.schema().renamed_attr(from, to.as_str())?;
-            let mut out = LineageRelation::new(schema);
-            for (tuple, clause) in rel.rows() {
-                out.push(tuple.clone(), clause.clone())?;
-            }
-            Ok(out)
+            Cow::Owned(rel.into_owned().with_schema(schema))
         }
+    })
+}
+
+/// `left × right`, or the θ-join `σ_pred(left × right)` when `pred` is
+/// given: each pair is tested as it is formed, and only a kept pair's
+/// clauses are conjoined.
+fn product(
+    db: &LineageDb,
+    left: &RaExpr,
+    right: &RaExpr,
+    pred: Option<&Predicate>,
+) -> Result<LineageRelation> {
+    let l = eval(db, left)?;
+    let r = eval(db, right)?;
+    let schema = l
+        .schema()
+        .product(r.schema(), l.schema().relation().as_ref())?;
+    let keep = pred.map(|pred| row_filter(pred, &schema));
+    let mut out = LineageRelation::new(schema);
+    for (lt, lc) in l.rows() {
+        for (rt, rc) in r.rows() {
+            let joined = lt.concat(rt);
+            if let Some(keep) = &keep {
+                if !keep(&joined)? {
+                    continue;
+                }
+            }
+            // A conflicting conjunction means no world derives the
+            // combined row: drop the derivation entirely.
+            if let Some(clause) = lc.conjoin(rc) {
+                out.push(joined, clause)?;
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// A row test for `pred` over `schema`: the predicate compiled once, or —
+/// when it names an unknown attribute — the per-row evaluator, which
+/// reports that error only once a row reaches it.
+fn row_filter<'p>(pred: &'p Predicate, schema: &Schema) -> impl Fn(&Tuple) -> Result<bool> + 'p {
+    let compiled = pred.compile(schema).ok();
+    let schema = schema.clone();
+    move |tuple| match &compiled {
+        Some(compiled) => Ok(compiled.eval(tuple)),
+        None => pred.eval(&schema, tuple),
     }
 }
 
@@ -145,7 +192,6 @@ mod tests {
     use super::*;
     use crate::lineage::model::{Clause, VarTable};
     use crate::predicate::Predicate;
-    use crate::schema::Schema;
 
     /// Two tuple-independent relations: R(A, B) with vars x0, x1 and
     /// S(B) with var y.
@@ -209,6 +255,35 @@ mod tests {
         );
         let out = evaluate_lineage(&db2, &q).unwrap();
         assert!(out.dnfs().is_empty());
+    }
+
+    #[test]
+    fn theta_join_matches_the_filtered_product() {
+        let db = db();
+        let pred = Predicate::cmp_attr("B", crate::predicate::CmpOp::Ge, "C");
+        let product = RaExpr::rel("R").product(RaExpr::rel("S"));
+        let joined = evaluate_lineage(&db, &product.clone().select(pred.clone())).unwrap();
+        // The same plan with the selection one step removed from the
+        // product runs select-over-materialized-product.
+        let unfused = evaluate_lineage(
+            &db,
+            &product.rename("A", "A2").select(pred).rename("A2", "A"),
+        )
+        .unwrap();
+        assert_eq!(joined.derivations().rows(), unfused.derivations().rows());
+        assert_eq!(joined.dnfs().len(), 2);
+    }
+
+    #[test]
+    fn unknown_attributes_fail_only_once_a_row_reaches_them() {
+        let db = db();
+        let pred = Predicate::eq_const("NOPE", 1i64);
+        assert!(evaluate_lineage(&db, &RaExpr::rel("R").select(pred.clone())).is_err());
+        // No row reaches the predicate: the interpreted fallback never runs.
+        let empty = RaExpr::rel("R")
+            .select(Predicate::eq_const("A", 99i64))
+            .select(pred);
+        assert!(evaluate_lineage(&db, &empty).unwrap().dnfs().is_empty());
     }
 
     #[test]

@@ -10,13 +10,15 @@
 //!
 //! * [`model`] — the vocabulary: finite-domain world [`model::Var`]iables
 //!   with probability distributions ([`model::VarTable`]), conjunctive
-//!   [`model::Clause`]s (partial variable assignments, exactly the shape of
-//!   U-relational ws-descriptors and of WSD local-world choices), DNFs, and
-//!   lineage-annotated relations ([`model::LineageDb`]).
+//!   [`model::Clause`]s (partial variable assignments, e.g. WSD local-world
+//!   choices), DNFs, and lineage-annotated relations
+//!   ([`model::LineageDb`]).  This is the U-relational model: `ws_urel`
+//!   stores its databases in these types.
 //! * [`eval`] — the annotated executor: evaluates any positive
 //!   [`RaExpr`](crate::RaExpr) plan over a [`model::LineageDb`], propagating
 //!   one clause per derivation (products conjoin, inconsistent derivations
-//!   drop out) and returning each output tuple's full DNF.
+//!   drop out) and returning each output tuple's full DNF.  It is the query
+//!   executor of U-relations.
 //! * [`safe`] — the extensional (safe-plan) evaluator: a hierarchical-plan
 //!   test over the normalized fingerprint form plus an exact
 //!   independent-AND / disjoint-OR evaluation that pushes the probability
@@ -26,9 +28,9 @@
 //!   cofactor a DNF on its most-shared variable, recurse, memoize shared
 //!   cofactors, and split independent components, under an explicit node
 //!   budget.
-//! * [`enumerate`] — the brute-force exact oracle over the joint
-//!   assignments of a DNF's variables, used by the test suites to pin the
-//!   evaluators down.
+//! * [`enumerate`] — brute-force exact probability over the joint
+//!   assignments of a DNF's variables: U-relations' exact confidence, and
+//!   the oracle the test suites pin the other evaluators to.
 //!
 //! The session layer (`maybms::Session::confidence`) extracts a
 //! [`model::LineageDb`] view of each backend's base relations and picks the

@@ -3,21 +3,26 @@
 //!
 //! Every possible-worlds representation of this repository decomposes its
 //! uncertainty into *independent finite-domain choices*: a WSD component
-//! picks one of its local worlds, a U-relational world-table variable picks
-//! one of its domain values, a UWSDT component picks one `Lwid`, an explicit
-//! `WorldSet` picks one world.  A [`Var`] is one such choice; a [`VarTable`]
-//! holds one probability distribution per variable.  A [`Clause`] is a
-//! consistent partial assignment `x₁ = c₁ ∧ … ∧ xₖ = cₖ` — the exact shape
-//! of a U-relational ws-descriptor — and a [`Dnf`] (disjunction of clauses)
-//! is the lineage of one output tuple: the tuple exists in a world iff some
-//! clause is satisfied by the world's choices.
+//! picks one of its local worlds, a UWSDT component picks one `Lwid`, an
+//! explicit `WorldSet` picks one world.  A [`Var`] is one such choice; a
+//! [`VarTable`] holds one probability distribution per variable.  A
+//! [`Clause`] is a consistent partial assignment `x₁ = c₁ ∧ … ∧ xₖ = cₖ`,
+//! and a [`Dnf`] (disjunction of clauses) is the lineage of one output
+//! tuple: the tuple exists in a world iff some clause is satisfied by the
+//! world's choices.
+//!
+//! This is also the U-relational model itself (Antova–Jansen–Koch–Olteanu,
+//! ICDE 2008): a U-relation is a [`LineageRelation`], its world table is a
+//! [`VarTable`] and its ws-descriptors are [`Clause`]s.  `ws_urel` keeps its
+//! databases in exactly these types, so the other backends' lineage views
+//! are translations into U-relations and the U-relational one is the
+//! database itself.
 
 use crate::error::{RelationalError, Result};
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Index of a world variable in a [`VarTable`].
 pub type Var = u32;
@@ -96,6 +101,12 @@ impl VarTable {
     /// `P(var = choice)`.
     pub fn prob(&self, var: Var, choice: u32) -> f64 {
         self.dists[var as usize][choice as usize]
+    }
+
+    /// The variable registered under `name`, if any (the first one when
+    /// names repeat).
+    pub fn lookup(&self, name: &str) -> Option<Var> {
+        self.names.iter().position(|n| n == name).map(|v| v as Var)
     }
 }
 
@@ -205,6 +216,13 @@ impl Clause {
         true
     }
 
+    /// Whether every world satisfying `other` satisfies `self` too: `self`'s
+    /// bindings are a subset of `other`'s (absorption: `x=1` subsumes
+    /// `x=1 ∧ y=0`).
+    fn subsumes(&self, other: &Clause) -> bool {
+        self.atoms.iter().all(|&(v, c)| other.binding(v) == Some(c))
+    }
+
     /// The probability of the clause under independent variables: the
     /// product of its atom probabilities.
     pub fn probability(&self, vars: &VarTable) -> f64 {
@@ -250,6 +268,50 @@ impl LineageRelation {
     /// The annotated rows, in insertion order.
     pub fn rows(&self) -> &[(Tuple, Clause)] {
         &self.rows
+    }
+
+    /// Mutable access to the annotated rows (the caller keeps every tuple's
+    /// arity equal to the schema's).
+    pub fn rows_mut(&mut self) -> &mut Vec<(Tuple, Clause)> {
+        &mut self.rows
+    }
+
+    /// The same rows under `schema`, which has the schema's arity.
+    pub(crate) fn with_schema(mut self, schema: Schema) -> Self {
+        debug_assert_eq!(schema.arity(), self.schema.arity());
+        self.schema = schema;
+        self
+    }
+
+    /// Remove redundant rows: exact duplicates, and rows whose clause is
+    /// subsumed by another clause of the same tuple (`t@x=1` makes
+    /// `t@x=1 ∧ y=0` redundant).  Neither changes any tuple's lineage.
+    /// Survivors keep their relative order.
+    pub fn absorb(&mut self) {
+        let mut kept: Vec<Option<(Tuple, Clause)>> = Vec::with_capacity(self.rows.len());
+        // Indices into `kept` of each tuple's surviving rows.
+        let mut by_tuple: HashMap<Tuple, Vec<usize>> = HashMap::new();
+        for (tuple, clause) in self.rows.drain(..) {
+            let group = by_tuple.entry(tuple.clone()).or_default();
+            if group
+                .iter()
+                .any(|&i| matches!(&kept[i], Some((_, k)) if k.subsumes(&clause)))
+            {
+                continue;
+            }
+            // Equal clauses were caught above, so every kept clause the new
+            // one subsumes is strictly less general: drop it.
+            group.retain(|&i| {
+                let absorbed = matches!(&kept[i], Some((_, k)) if clause.subsumes(k));
+                if absorbed {
+                    kept[i] = None;
+                }
+                !absorbed
+            });
+            group.push(kept.len());
+            kept.push(Some((tuple, clause)));
+        }
+        self.rows = kept.into_iter().flatten().collect();
     }
 
     /// Number of annotated rows.
@@ -300,6 +362,36 @@ impl LineageDb {
         &self.vars
     }
 
+    /// Mutable access to the variable table (registering variables).
+    pub fn vars_mut(&mut self) -> &mut VarTable {
+        &mut self.vars
+    }
+
+    /// Retire the `retired` variables (conditioning merges them into one
+    /// composite variable) and renumber the rest, remapping every clause.
+    /// The caller has already rewritten every clause that bound a retired
+    /// variable.
+    pub fn retire_vars(&mut self, retired: &BTreeSet<Var>) {
+        let vars = std::mem::take(&mut self.vars);
+        let mut remap: Vec<Option<Var>> = Vec::with_capacity(vars.len());
+        for (var, (dist, name)) in vars.dists.into_iter().zip(vars.names).enumerate() {
+            if retired.contains(&(var as Var)) {
+                remap.push(None);
+            } else {
+                remap.push(Some(self.vars.len() as Var));
+                self.vars.dists.push(dist);
+                self.vars.names.push(name);
+            }
+        }
+        for relation in self.relations.values_mut() {
+            for (_, clause) in &mut relation.rows {
+                for atom in &mut clause.atoms {
+                    atom.0 = remap[atom.0 as usize].expect("no clause binds a retired variable");
+                }
+            }
+        }
+    }
+
     /// Insert an annotated relation under its schema name.
     pub fn insert_relation(&mut self, relation: LineageRelation) {
         self.relations
@@ -311,6 +403,23 @@ impl LineageDb {
         self.relations
             .get(name)
             .ok_or_else(|| RelationalError::UnknownRelation(name.to_string()))
+    }
+
+    /// Mutable access to an annotated relation.
+    pub fn relation_mut(&mut self, name: &str) -> Result<&mut LineageRelation> {
+        self.relations
+            .get_mut(name)
+            .ok_or_else(|| RelationalError::UnknownRelation(name.to_string()))
+    }
+
+    /// Every annotated relation, mutably, in name order.
+    pub fn relations_mut(&mut self) -> impl Iterator<Item = &mut LineageRelation> {
+        self.relations.values_mut()
+    }
+
+    /// Remove an annotated relation, returning it if present.
+    pub fn remove_relation(&mut self, name: &str) -> Option<LineageRelation> {
+        self.relations.remove(name)
     }
 
     /// The registered relation names, sorted.
@@ -363,6 +472,60 @@ mod tests {
         let c = Clause::from_bindings([(x, 0), (y, 1)]).unwrap();
         assert_eq!(c.probability(&vars), 0.375);
         assert_eq!(Clause::empty().probability(&vars), 1.0);
+    }
+
+    #[test]
+    fn var_lookup_and_retirement_renumber_clauses() {
+        let mut vars = VarTable::new();
+        for name in ["a", "b", "c", "d"] {
+            vars.add_var(name, vec![0.5, 0.5]).unwrap();
+        }
+        assert_eq!(vars.lookup("c"), Some(2));
+        assert_eq!(vars.lookup("z"), None);
+        let mut db = LineageDb::new(vars);
+        let mut rel = LineageRelation::new(Schema::new("R", &["A"]).unwrap());
+        rel.push(
+            Tuple::from_iter([1i64]),
+            Clause::from_bindings([(0, 1), (3, 0)]).unwrap(),
+        )
+        .unwrap();
+        rel.push(Tuple::from_iter([2i64]), Clause::of(2, 1))
+            .unwrap();
+        db.insert_relation(rel);
+        db.retire_vars(&BTreeSet::from([1]));
+        assert_eq!(db.vars().len(), 3);
+        assert_eq!(db.vars().lookup("d"), Some(2));
+        assert_eq!(db.vars().lookup("b"), None);
+        let rows = db.relation("R").unwrap().rows();
+        assert_eq!(rows[0].1.atoms(), &[(0, 1), (2, 0)]);
+        assert_eq!(rows[1].1.atoms(), &[(1, 1)]);
+    }
+
+    #[test]
+    fn absorb_keeps_the_most_general_clause_per_tuple() {
+        let general = Clause::of(0, 1);
+        let specific = Clause::from_bindings([(0, 1), (1, 0)]).unwrap();
+        assert!(general.subsumes(&specific));
+        assert!(!specific.subsumes(&general));
+        assert!(Clause::empty().subsumes(&general));
+        let mut rel = LineageRelation::new(Schema::new("R", &["A"]).unwrap());
+        let one = Tuple::from_iter([1i64]);
+        let two = Tuple::from_iter([2i64]);
+        rel.push(one.clone(), specific.clone()).unwrap();
+        rel.push(two.clone(), specific.clone()).unwrap();
+        rel.push(one.clone(), general.clone()).unwrap();
+        rel.push(one.clone(), general.clone()).unwrap();
+        rel.push(one.clone(), Clause::of(1, 1)).unwrap();
+        rel.absorb();
+        // Tuple 1's specific row and the duplicate go; tuple 2 keeps its own.
+        assert_eq!(
+            rel.rows(),
+            &[
+                (two, specific),
+                (one.clone(), general),
+                (one, Clause::of(1, 1))
+            ]
+        );
     }
 
     #[test]

@@ -21,14 +21,15 @@
 //! `decode(encode(x)) == x`.
 
 use crate::error::{Result, StorageError};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use ws_core::ops::update::UpdateExpr;
 use ws_core::{Component, FieldId, LocalWorld, RelationMeta, WorldSet, Wsd};
+use ws_relational::lineage::{Clause, LineageRelation, VarTable};
 use ws_relational::{
     AttrComparison, CmpOp, Database, Dependency, EqualityGeneratingDependency,
     FunctionalDependency, Predicate, RaExpr, Relation, Schema, Tuple, Value,
 };
-use ws_urel::{UDatabase, URelation, WsDescriptor};
+use ws_urel::UDatabase;
 use ws_uwsdt::{PresenceCondition, Uwsdt, UwsdtSnapshot, WorldEntry};
 
 /// Hard ceiling on any decoded collection length; combined with the
@@ -916,33 +917,15 @@ pub fn dec_uwsdt(r: &mut Reader) -> Result<Uwsdt> {
 // U-relations
 // ---------------------------------------------------------------------------
 
-fn enc_descriptor(w: &mut Writer, d: &WsDescriptor) {
-    w.len_of(d.len());
-    for (var, idx) in d.bindings() {
-        w.str(var);
-        w.u64(idx as u64);
-    }
-}
-
-fn dec_descriptor(r: &mut Reader) -> Result<WsDescriptor> {
-    let n = r.len_of("descriptor binding count")?;
-    let mut bindings = Vec::with_capacity(n);
-    for _ in 0..n {
-        let var = r.str("descriptor variable")?;
-        bindings.push((var, r.u64("descriptor index")? as usize));
-    }
-    WsDescriptor::of(bindings)
-        .ok_or_else(|| StorageError::corrupt("descriptor binds a variable twice"))
-}
-
-/// Encode a U-relational database (world table + annotated relations).
+/// Encode a U-relational database: the world table (each variable by name
+/// with its distribution), then every U-relation's rows, each clause as its
+/// bindings by variable name.
 pub fn enc_udatabase(w: &mut Writer, db: &UDatabase) {
-    let table = db.world_table();
-    let vars: Vec<&str> = table.variables().collect();
+    let vars = db.vars();
     w.len_of(vars.len());
-    for var in vars {
-        w.str(var);
-        let dist = table.distribution(var).expect("declared variable");
+    for var in 0..vars.len() as u32 {
+        w.str(vars.name(var));
+        let dist = vars.dist(var);
         w.len_of(dist.len());
         for p in dist {
             w.f64(*p);
@@ -954,38 +937,62 @@ pub fn enc_udatabase(w: &mut Writer, db: &UDatabase) {
         let rel = db.relation(name).expect("listed relation");
         enc_schema(w, rel.schema());
         w.len_of(rel.len());
-        for (tuple, descriptor) in rel.rows() {
+        for (tuple, clause) in rel.rows() {
             enc_tuple(w, tuple);
-            enc_descriptor(w, descriptor);
+            w.len_of(clause.atoms().len());
+            for &(var, choice) in clause.atoms() {
+                w.str(vars.name(var));
+                w.u64(choice as u64);
+            }
         }
     }
 }
 
-/// Decode a U-relational database (descriptors re-validated against the
+/// Decode a U-relational database (clauses re-validated against the
 /// decoded world table).
 pub fn dec_udatabase(r: &mut Reader) -> Result<UDatabase> {
-    let mut db = UDatabase::new();
+    let mut vars = VarTable::new();
+    let mut by_name = HashMap::new();
     let nv = r.len_of("world-table variable count")?;
     for _ in 0..nv {
-        let var = r.str("world-table variable")?;
+        let name = r.str("world-table variable")?;
         let nd = r.len_of("world-table domain size")?;
         let mut dist = Vec::with_capacity(nd);
         for _ in 0..nd {
             dist.push(r.f64("world-table probability")?);
         }
-        db.world_table_mut()
-            .add_variable(&var, dist)
-            .map_err(|e| StorageError::corrupt(format!("invalid variable `{var}`: {e}")))?;
+        let var = vars
+            .add_var(name.clone(), dist)
+            .map_err(|e| StorageError::corrupt(format!("invalid variable `{name}`: {e}")))?;
+        if by_name.insert(name.clone(), var).is_some() {
+            return Err(StorageError::corrupt(format!(
+                "variable `{name}` declared twice"
+            )));
+        }
     }
+    let mut db = UDatabase::new();
+    *db.vars_mut() = vars;
     let nr = r.len_of("U-relation count")?;
     for _ in 0..nr {
         let schema = dec_schema(r)?;
         let n = r.len_of("U-relation row count")?;
-        let mut rel = URelation::new(schema);
+        let mut rel = LineageRelation::new(schema);
         for _ in 0..n {
             let tuple = dec_tuple(r)?;
-            let descriptor = dec_descriptor(r)?;
-            rel.push(tuple, descriptor)
+            let nb = r.len_of("descriptor binding count")?;
+            let mut bindings = Vec::with_capacity(nb);
+            for _ in 0..nb {
+                let name = r.str("descriptor variable")?;
+                let var = *by_name.get(&name).ok_or_else(|| {
+                    StorageError::corrupt(format!("descriptor binds unknown variable `{name}`"))
+                })?;
+                let choice = u32::try_from(r.u64("descriptor index")?)
+                    .map_err(|_| StorageError::corrupt("descriptor index out of range"))?;
+                bindings.push((var, choice));
+            }
+            let clause = Clause::from_bindings(bindings)
+                .ok_or_else(|| StorageError::corrupt("descriptor binds a variable twice"))?;
+            rel.push(tuple, clause)
                 .map_err(|e| StorageError::corrupt(format!("invalid U-relation row: {e}")))?;
         }
         db.insert_relation(rel);
@@ -1135,6 +1142,58 @@ mod tests {
         let mut b = Writer::new();
         enc_wsd(&mut b, &decoded);
         assert_eq!(a.into_bytes(), b.into_bytes());
+    }
+
+    /// The U-database payload names variables, so clauses decode by name
+    /// whatever order the variables were written in — the layout stores
+    /// written before U-relations became lineage databases still use.
+    #[test]
+    fn udatabase_payload_decodes_bindings_by_name() {
+        let payload = |vars: &[(&str, &[f64])], rows: &[(i64, &[(&str, u64)])]| {
+            let mut w = Writer::new();
+            w.len_of(vars.len());
+            for (name, dist) in vars {
+                w.str(name);
+                w.len_of(dist.len());
+                for p in *dist {
+                    w.f64(*p);
+                }
+            }
+            w.len_of(1);
+            enc_schema(&mut w, &Schema::new("R", &["A"]).unwrap());
+            w.len_of(rows.len());
+            for (a, bindings) in rows {
+                enc_tuple(&mut w, &Tuple::from_iter([*a]));
+                w.len_of(bindings.len());
+                for (name, choice) in *bindings {
+                    w.str(name);
+                    w.u64(*choice);
+                }
+            }
+            w.into_bytes()
+        };
+        let vars: &[(&str, &[f64])] = &[("__ins0", &[0.5, 0.5]), ("c1", &[0.25, 0.75])];
+        let bytes = payload(vars, &[(1, &[("c1", 1)]), (2, &[("c1", 0), ("__ins0", 1)])]);
+        let db = dec_udatabase(&mut Reader::new(&bytes)).unwrap();
+        let (ins, c1) = (
+            db.vars().lookup("__ins0").unwrap(),
+            db.vars().lookup("c1").unwrap(),
+        );
+        assert_eq!(db.vars().dist(c1), &[0.25, 0.75]);
+        let rows = db.relation("R").unwrap().rows();
+        assert_eq!(rows[0].1, Clause::of(c1, 1));
+        assert_eq!(
+            rows[1].1,
+            Clause::from_bindings([(c1, 0), (ins, 1)]).unwrap()
+        );
+        let again = roundtrip(&db, enc_udatabase, dec_udatabase);
+        assert_eq!(again, db);
+
+        // A name bound but never declared, or declared twice, is corrupt.
+        let unknown = payload(vars, &[(1, &[("nope", 0)])]);
+        assert!(dec_udatabase(&mut Reader::new(&unknown)).is_err());
+        let twice = payload(&[("x", &[1.0]), ("x", &[1.0])], &[]);
+        assert!(dec_udatabase(&mut Reader::new(&twice)).is_err());
     }
 
     #[test]

@@ -1,18 +1,14 @@
 //! Confidence computation on U-relations.
 //!
-//! The confidence of a tuple is the probability that at least one of its
-//! annotated occurrences is present, i.e. the probability of the disjunction
-//! of its descriptors.  Exact computation is #P-hard in general (the
-//! descriptors form a DNF over the world-table variables), so this module
-//! offers two evaluators:
+//! The confidence of a tuple is the probability of its lineage: the
+//! disjunction ([`Dnf`]) of the clauses of the rows carrying it.  Exact
+//! computation is #P-hard in general, so this module offers:
 //!
-//! * [`conf`] — exact, by enumerating the joint assignments of the variables
-//!   that actually appear in the tuple's descriptors (all other variables
-//!   marginalize out).  Fails with [`UrelError::ExactTooLarge`] beyond a
-//!   configurable assignment budget.
-//! * [`approx_conf`] — a seeded Monte-Carlo estimator that samples total
-//!   assignments of the relevant variables from the world table, with a
-//!   fixed sample budget;
+//! * [`conf`] — exact, by [`enumerate_probability`]: the joint assignments
+//!   of the variables the DNF mentions (all other variables marginalize
+//!   out), up to [`DEFAULT_ENUM_LIMIT`] assignments;
+//! * [`approx_conf`] — a seeded Monte-Carlo estimator with a fixed sample
+//!   budget;
 //! * [`approx`] — the (ε, δ) refinement of the same estimator: the sample
 //!   count is derived from an additive error bound and failure probability
 //!   via the shared Hoeffding planner, blocks fan out on a
@@ -21,49 +17,49 @@
 
 pub mod approx;
 
-use std::collections::BTreeSet;
+use std::collections::HashMap;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
+use ws_relational::lineage::enumerate::DEFAULT_ENUM_LIMIT;
+use ws_relational::lineage::{enumerate_probability, Dnf, LineageRelation};
 use ws_relational::{Tuple, WorkerPool};
 
 use crate::database::UDatabase;
-use crate::descriptor::WsDescriptor;
 use crate::error::{Result, UrelError};
-use crate::world::Assignment;
+use approx::DnfSampler;
 
-/// Default budget of exact enumeration: up to this many joint assignments.
-pub const DEFAULT_EXACT_LIMIT: u128 = 1 << 20;
-
-/// Exact confidence of `tuple` in `relation` with the default budget.
-pub fn conf(udb: &UDatabase, relation: &str, tuple: &Tuple) -> Result<f64> {
-    conf_with_limit(udb, relation, tuple, DEFAULT_EXACT_LIMIT)
+/// The DNF of `tuple` in `relation`: the clauses of its rows (empty when
+/// the tuple is impossible).
+fn dnf_of(udb: &UDatabase, relation: &str, tuple: &Tuple) -> Result<Dnf> {
+    Ok(udb
+        .relation(relation)?
+        .rows()
+        .iter()
+        .filter(|(t, _)| t == tuple)
+        .map(|(_, clause)| clause.clone())
+        .collect())
 }
 
-/// Exact confidence with an explicit enumeration budget.
-pub fn conf_with_limit(udb: &UDatabase, relation: &str, tuple: &Tuple, limit: u128) -> Result<f64> {
-    let descriptors = udb.relation(relation)?.descriptors_of(tuple);
-    if descriptors.is_empty() {
-        return Ok(0.0);
+/// Every possible tuple of `relation` with its DNF, in first-occurrence
+/// order.
+fn dnfs_of(relation: &LineageRelation) -> Vec<(Tuple, Dnf)> {
+    let mut groups: Vec<(Tuple, Dnf)> = Vec::new();
+    let mut index: HashMap<&Tuple, usize> = HashMap::new();
+    for (tuple, clause) in relation.rows() {
+        let i = *index.entry(tuple).or_insert_with(|| {
+            groups.push((tuple.clone(), Dnf::new()));
+            groups.len() - 1
+        });
+        groups[i].1.push(clause.clone());
     }
-    // A tuple with an empty descriptor is present in every world.
-    if descriptors.iter().any(|d| d.is_empty()) {
-        return Ok(1.0);
-    }
-    let variables: Vec<String> = descriptors
-        .iter()
-        .flat_map(|d| d.variables().map(str::to_string))
-        .collect::<BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    let assignments = udb.world_table().enumerate_assignments(&variables, limit)?;
-    let mut total = 0.0;
-    for (assignment, p) in assignments {
-        if descriptors.iter().any(|d| d.satisfied_by(&assignment)) {
-            total += p;
-        }
-    }
-    Ok(total)
+    groups
+}
+
+/// Exact confidence of `tuple` in `relation`.
+pub fn conf(udb: &UDatabase, relation: &str, tuple: &Tuple) -> Result<f64> {
+    let dnf = dnf_of(udb, relation, tuple)?;
+    Ok(enumerate_probability(&dnf, udb.vars(), DEFAULT_ENUM_LIMIT)?)
 }
 
 /// Monte-Carlo estimate of the confidence of `tuple`, using `samples` draws
@@ -78,44 +74,12 @@ pub fn approx_conf(
     if samples == 0 {
         return Err(UrelError::invalid("approx_conf needs at least one sample"));
     }
-    let descriptors = udb.relation(relation)?.descriptors_of(tuple);
-    if descriptors.is_empty() {
-        return Ok(0.0);
-    }
-    if descriptors.iter().any(|d| d.is_empty()) {
-        return Ok(1.0);
-    }
-    let variables: Vec<String> = descriptors
-        .iter()
-        .flat_map(|d| d.variables().map(str::to_string))
-        .collect::<BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    let distributions: Vec<(String, Vec<f64>)> = variables
-        .iter()
-        .map(|v| Ok((v.clone(), udb.world_table().distribution(v)?.to_vec())))
-        .collect::<Result<_>>()?;
+    let sampler = match DnfSampler::new(&dnf_of(udb, relation, tuple)?, udb.vars()) {
+        Ok(sampler) => sampler,
+        Err(constant) => return Ok(constant),
+    };
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut hits = 0usize;
-    for _ in 0..samples {
-        let mut assignment = Assignment::new();
-        for (var, dist) in &distributions {
-            let mut draw: f64 = rng.gen();
-            let mut chosen = dist.len() - 1;
-            for (idx, p) in dist.iter().enumerate() {
-                if draw < *p {
-                    chosen = idx;
-                    break;
-                }
-                draw -= p;
-            }
-            assignment.insert(var.clone(), chosen);
-        }
-        if descriptors.iter().any(|d| d.satisfied_by(&assignment)) {
-            hits += 1;
-        }
-    }
-    Ok(hits as f64 / samples as f64)
+    Ok(sampler.hits(&mut rng, samples) as f64 / samples as f64)
 }
 
 /// The possible tuples of a relation together with their exact confidences.
@@ -131,32 +95,15 @@ pub fn possible_with_confidence_with(
     relation: &str,
     pool: &WorkerPool,
 ) -> Result<Vec<(Tuple, f64)>> {
-    let possible = udb.relation(relation)?.possible_tuples();
-    let rows = possible.rows();
-    let confidences = pool.map_coarse(rows, |t| conf(udb, relation, t));
-    rows.iter()
-        .zip(confidences)
-        .map(|(t, c)| Ok((t.clone(), c?)))
-        .collect()
-}
-
-/// Whether a tuple is certain (present in every world).
-pub fn is_certain(udb: &UDatabase, relation: &str, tuple: &Tuple) -> Result<bool> {
-    Ok(conf(udb, relation, tuple)? >= 1.0 - 1e-9)
-}
-
-/// The expected number of (distinct) tuples of a relation: the sum of the
-/// possible tuples' confidences.
-pub fn expected_cardinality(udb: &UDatabase, relation: &str) -> Result<f64> {
-    Ok(possible_with_confidence(udb, relation)?
+    let groups = dnfs_of(udb.relation(relation)?);
+    let confidences = pool.map_coarse(&groups, |(_, dnf)| {
+        enumerate_probability(dnf, udb.vars(), DEFAULT_ENUM_LIMIT)
+    });
+    groups
         .into_iter()
-        .map(|(_, c)| c)
-        .sum())
-}
-
-/// Helper used by tests and benches: the probability of a single descriptor.
-pub fn descriptor_probability(udb: &UDatabase, descriptor: &WsDescriptor) -> Result<f64> {
-    descriptor.probability(udb.world_table())
+        .zip(confidences)
+        .map(|((tuple, _), c)| Ok((tuple, c?)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -164,6 +111,7 @@ mod tests {
     use super::*;
     use crate::convert::from_wsd;
     use ws_core::wsd::example_census_wsd;
+    use ws_relational::engine::evaluate_query;
     use ws_relational::{Predicate, RaExpr, Value};
 
     #[test]
@@ -171,8 +119,7 @@ mod tests {
         // Q = π_S(R) over the Fig. 4 WSD: conf(185)=0.6, conf(186)=0.6,
         // conf(785)=0.8 (Example 11).
         let mut udb = from_wsd(&example_census_wsd()).unwrap();
-        ws_relational::engine::evaluate_query(&mut udb, &RaExpr::rel("R").project(vec!["S"]), "Q")
-            .unwrap();
+        evaluate_query(&mut udb, &RaExpr::rel("R").project(vec!["S"]), "Q").unwrap();
         for (value, expected) in [(185i64, 0.6), (186, 0.6), (785, 0.8)] {
             let t = Tuple::from_iter([Value::int(value)]);
             let c = conf(&udb, "Q", &t).unwrap();
@@ -190,15 +137,17 @@ mod tests {
         let query = RaExpr::rel("R")
             .select(Predicate::eq_const("M", 1i64))
             .project(vec!["S", "M"]);
-        ws_relational::engine::evaluate_query(&mut udb, &query, "Q").unwrap();
+        evaluate_query(&mut udb, &query, "Q").unwrap();
 
         let mut wsd_q = wsd.clone();
-        ws_relational::engine::evaluate_query(&mut wsd_q, &query, "Q").unwrap();
+        evaluate_query(&mut wsd_q, &query, "Q").unwrap();
         let expected = ws_core::confidence::possible_with_confidence(&wsd_q, "Q").unwrap();
         assert!(!expected.is_empty());
+        let ours = possible_with_confidence(&udb, "Q").unwrap();
+        assert_eq!(ours.len(), expected.len());
         for (tuple, c) in expected {
-            let ours = conf(&udb, "Q", &tuple).unwrap();
-            assert!((ours - c).abs() < 1e-9, "conf({tuple}) = {ours}, want {c}");
+            let mine = conf(&udb, "Q", &tuple).unwrap();
+            assert!((mine - c).abs() < 1e-9, "conf({tuple}) = {mine}, want {c}");
         }
     }
 
@@ -207,11 +156,10 @@ mod tests {
         let udb = from_wsd(&example_census_wsd()).unwrap();
         let absent = Tuple::from_iter([Value::int(999), Value::text("Nobody"), Value::int(1)]);
         assert_eq!(conf(&udb, "R", &absent).unwrap(), 0.0);
-        assert!(!is_certain(&udb, "R", &absent).unwrap());
         assert_eq!(approx_conf(&udb, "R", &absent, 100, 7).unwrap(), 0.0);
         assert!(conf(&udb, "NOPE", &absent).is_err());
 
-        // A certain tuple (empty descriptor) has confidence one.
+        // A certain tuple (empty clause) has confidence one.
         let mut rel =
             ws_relational::Relation::new(ws_relational::Schema::new("S", &["X"]).unwrap());
         rel.push_values([5i64]).unwrap();
@@ -221,24 +169,12 @@ mod tests {
         let five = Tuple::from_iter([5i64]);
         assert_eq!(conf(&udb2, "S", &five).unwrap(), 1.0);
         assert_eq!(approx_conf(&udb2, "S", &five, 10, 1).unwrap(), 1.0);
-        assert!(is_certain(&udb2, "S", &five).unwrap());
-    }
-
-    #[test]
-    fn expected_cardinality_sums_confidences() {
-        let udb = from_wsd(&example_census_wsd()).unwrap();
-        let with_conf = possible_with_confidence(&udb, "R").unwrap();
-        let expected: f64 = with_conf.iter().map(|(_, c)| c).sum();
-        assert!((expected_cardinality(&udb, "R").unwrap() - expected).abs() < 1e-12);
-        // Two tuples exist in every world of the running example.
-        assert!((expected - 2.0).abs() < 1e-9);
     }
 
     #[test]
     fn monte_carlo_estimates_converge_to_the_exact_value() {
         let mut udb = from_wsd(&example_census_wsd()).unwrap();
-        ws_relational::engine::evaluate_query(&mut udb, &RaExpr::rel("R").project(vec!["S"]), "Q")
-            .unwrap();
+        evaluate_query(&mut udb, &RaExpr::rel("R").project(vec!["S"]), "Q").unwrap();
         let tuple = Tuple::from_iter([Value::int(785)]);
         let exact = conf(&udb, "Q", &tuple).unwrap();
         let estimate = approx_conf(&udb, "Q", &tuple, 20_000, 42).unwrap();
@@ -247,19 +183,5 @@ mod tests {
             "Monte-Carlo estimate {estimate} too far from exact {exact}"
         );
         assert!(approx_conf(&udb, "Q", &tuple, 0, 42).is_err());
-    }
-
-    #[test]
-    fn exact_limit_is_enforced_and_descriptor_probability_works() {
-        let udb = from_wsd(&example_census_wsd()).unwrap();
-        let possible = udb.relation("R").unwrap().possible_tuples();
-        let tuple = possible.rows()[0].clone();
-        assert!(matches!(
-            conf_with_limit(&udb, "R", &tuple, 1),
-            Err(UrelError::ExactTooLarge { .. })
-        ));
-        let descriptor = udb.relation("R").unwrap().rows()[0].1.clone();
-        let p = descriptor_probability(&udb, &descriptor).unwrap();
-        assert!(p > 0.0 && p <= 1.0);
     }
 }

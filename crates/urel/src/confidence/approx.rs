@@ -1,9 +1,9 @@
 //! (ε, δ)-approximate confidence on U-relations: Monte-Carlo over the world
 //! table.
 //!
-//! The confidence of a tuple is the probability of the DNF formed by its
-//! descriptors over the independent world-table variables — the #P-hard
-//! problem the Karp–Luby estimator was designed for.  Like the WSD estimator
+//! The confidence of a tuple is the probability of its DNF over the
+//! independent world-table variables — the #P-hard problem the Karp–Luby
+//! estimator was designed for.  Like the WSD estimator
 //! ([`ws_core::confidence::approx`]), this module samples total assignments
 //! of the *relevant* variables only (everything else marginalizes out) and
 //! checks the DNF directly, giving the same additive (ε, δ) guarantee from
@@ -21,14 +21,86 @@
 
 use std::collections::BTreeSet;
 
+use rand::rngs::StdRng;
 use rand::Rng;
 use ws_relational::approx::{block_seed, run_trial_blocks, ApproxConfig};
+use ws_relational::lineage::{Clause, Dnf, Var, VarTable};
 use ws_relational::{Tuple, WorkerPool};
 
 use crate::database::UDatabase;
-use crate::descriptor::WsDescriptor;
-use crate::error::{Result, UrelError};
-use crate::world::Assignment;
+use crate::error::Result;
+
+/// One DNF prepared for Monte-Carlo trials: the cumulative distribution of
+/// each variable it mentions (ascending), and its clauses re-indexed onto
+/// positions in that list.
+pub(crate) struct DnfSampler {
+    cdfs: Vec<Vec<f64>>,
+    clauses: Vec<Vec<(usize, u32)>>,
+}
+
+impl DnfSampler {
+    /// A sampler for `dnf` — or, as the error, the DNF's probability when it
+    /// needs no sampling: 0 without clauses, 1 with an empty (certain) one.
+    pub(crate) fn new(dnf: &Dnf, vars: &VarTable) -> std::result::Result<Self, f64> {
+        if dnf.is_empty() {
+            return Err(0.0);
+        }
+        if dnf.iter().any(Clause::is_empty) {
+            return Err(1.0);
+        }
+        let relevant: Vec<Var> = dnf
+            .iter()
+            .flat_map(Clause::vars)
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let cdfs = relevant
+            .iter()
+            .map(|&v| {
+                let mut acc = 0.0;
+                vars.dist(v)
+                    .iter()
+                    .map(|p| {
+                        acc += p;
+                        acc
+                    })
+                    .collect()
+            })
+            .collect();
+        let clauses = dnf
+            .iter()
+            .map(|clause| {
+                clause
+                    .atoms()
+                    .iter()
+                    .map(|&(v, c)| (relevant.binary_search(&v).expect("relevant var"), c))
+                    .collect()
+            })
+            .collect();
+        Ok(DnfSampler { cdfs, clauses })
+    }
+
+    /// Run `trials` trials on `rng` (one inverse-CDF draw per variable);
+    /// returns how many satisfied the DNF.
+    pub(crate) fn hits(&self, rng: &mut StdRng, trials: usize) -> usize {
+        let mut choice = vec![0u32; self.cdfs.len()];
+        let mut hits = 0;
+        for _ in 0..trials {
+            for (cdf, slot) in self.cdfs.iter().zip(&mut choice) {
+                let draw: f64 = rng.gen();
+                *slot = cdf.partition_point(|&acc| acc <= draw).min(cdf.len() - 1) as u32;
+            }
+            if self
+                .clauses
+                .iter()
+                .any(|clause| clause.iter().all(|&(i, c)| choice[i] == c))
+            {
+                hits += 1;
+            }
+        }
+        hits
+    }
+}
 
 /// (ε, δ)-approximate confidence of `tuple` in `relation`, serial.
 pub fn conf(udb: &UDatabase, relation: &str, tuple: &Tuple, config: &ApproxConfig) -> Result<f64> {
@@ -44,70 +116,23 @@ pub fn conf_with(
     config: &ApproxConfig,
     pool: &WorkerPool,
 ) -> Result<f64> {
-    let descriptors = udb.relation(relation)?.descriptors_of(tuple);
-    estimate_dnf(udb, &descriptors, config, pool)
+    estimate_dnf(&super::dnf_of(udb, relation, tuple)?, udb, config, pool)
 }
 
-/// Estimate the probability of the disjunction of `descriptors`.
+/// Estimate the probability of `dnf`.
 fn estimate_dnf(
+    dnf: &Dnf,
     udb: &UDatabase,
-    descriptors: &[&WsDescriptor],
     config: &ApproxConfig,
     pool: &WorkerPool,
 ) -> Result<f64> {
-    if descriptors.is_empty() {
-        return Ok(0.0);
-    }
-    // A tuple with an empty descriptor is present in every world.
-    if descriptors.iter().any(|d| d.is_empty()) {
-        return Ok(1.0);
-    }
-    let variables: Vec<String> = descriptors
-        .iter()
-        .flat_map(|d| d.variables().map(str::to_string))
-        .collect::<BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    // Cumulative distributions of the relevant variables, for inverse-CDF
-    // sampling.
-    let cumulative: Vec<(String, Vec<f64>)> = variables
-        .iter()
-        .map(|v| {
-            let mut acc = 0.0;
-            let cdf = udb
-                .world_table()
-                .distribution(v)?
-                .iter()
-                .map(|p| {
-                    acc += p;
-                    acc
-                })
-                .collect();
-            Ok::<_, UrelError>((v.clone(), cdf))
-        })
-        .collect::<Result<_>>()?;
-    let samples = config
-        .samples()
-        .map_err(|e| UrelError::invalid(e.to_string()))?;
+    let sampler = match DnfSampler::new(dnf, udb.vars()) {
+        Ok(sampler) => sampler,
+        Err(constant) => return Ok(constant),
+    };
+    let samples = config.samples()?;
     let hits: usize = run_trial_blocks(pool, samples, config.seed, |rng, block_len| {
-        // One assignment per block, variable names cloned once; its
-        // `values_mut()` iterates in key order, which is exactly the order
-        // of `cumulative` (both sorted by variable name).
-        let mut assignment: Assignment = cumulative
-            .iter()
-            .map(|(var, _)| (var.clone(), 0usize))
-            .collect();
-        let mut hits = 0usize;
-        for _ in 0..block_len {
-            for ((_, cdf), slot) in cumulative.iter().zip(assignment.values_mut()) {
-                let draw: f64 = rng.gen();
-                *slot = cdf.partition_point(|&acc| acc <= draw).min(cdf.len() - 1);
-            }
-            if descriptors.iter().any(|d| d.satisfied_by(&assignment)) {
-                hits += 1;
-            }
-        }
-        hits
+        sampler.hits(rng, block_len)
     })
     .into_iter()
     .sum();
@@ -125,27 +150,29 @@ pub fn possible_with_confidence(
 }
 
 /// [`possible_with_confidence`] parallelized per tuple-group on `pool`:
-/// each possible tuple's descriptor DNF is estimated independently, with a
-/// per-tuple seed derived from the tuple's index.  Output order (and every
-/// estimate) is identical for any thread count.
+/// each possible tuple's DNF is estimated independently, with a per-tuple
+/// seed derived from the tuple's index.  Output order (and every estimate)
+/// is identical for any thread count.
 pub fn possible_with_confidence_with(
     udb: &UDatabase,
     relation: &str,
     config: &ApproxConfig,
     pool: &WorkerPool,
 ) -> Result<Vec<(Tuple, f64)>> {
-    let possible = udb.relation(relation)?.possible_tuples();
-    let rows = possible.rows();
-    let indexed: Vec<(usize, &Tuple)> = rows.iter().enumerate().collect();
-    let estimates = pool.map_coarse(&indexed, |(idx, tuple)| {
+    let groups: Vec<(usize, (Tuple, Dnf))> = super::dnfs_of(udb.relation(relation)?)
+        .into_iter()
+        .enumerate()
+        .collect();
+    let estimates = pool.map_coarse(&groups, |(idx, (_, dnf))| {
         // Per-tuple seed: keeps tuple estimates uncorrelated while the inner
         // sampler stays serial (the fan-out here is already per tuple).
         let tuple_config = config.with_seed(block_seed(config.seed, u64::MAX - *idx as u64));
-        conf(udb, relation, tuple, &tuple_config)
+        estimate_dnf(dnf, udb, &tuple_config, &WorkerPool::serial())
     });
-    rows.iter()
+    groups
+        .into_iter()
         .zip(estimates)
-        .map(|(tuple, estimate)| Ok((tuple.clone(), estimate?)))
+        .map(|((_, (tuple, _)), estimate)| Ok((tuple, estimate?)))
         .collect()
 }
 
@@ -195,10 +222,10 @@ mod tests {
         assert_eq!(conf(&udb, "R", &absent, &config).unwrap(), 0.0);
         assert!(conf(&udb, "NOPE", &absent, &config).is_err());
         // Invalid (ε, δ) is rejected as soon as sampling is actually needed.
-        let present = udb.relation("R").unwrap().possible_tuples().rows()[0].clone();
+        let present = udb.relation("R").unwrap().rows()[0].0.clone();
         assert!(conf(&udb, "R", &present, &ApproxConfig::new(0.5, 2.0)).is_err());
 
-        // A certain tuple (empty descriptor) needs no sampling at all.
+        // A certain tuple (empty clause) needs no sampling at all.
         let mut rel =
             ws_relational::Relation::new(ws_relational::Schema::new("S", &["X"]).unwrap());
         rel.push_values([5i64]).unwrap();

@@ -1,116 +1,158 @@
-//! Conversion from world-set decompositions to U-relations.
+//! WSD → U-relations: the one translation of a world-set decomposition into
+//! lineage.
 //!
-//! Every non-trivial WSD component (more than one local world) becomes one
-//! world-table variable whose domain indexes the component's local worlds and
+//! Every WSD component slot with at least two local worlds becomes one
+//! variable `c{slot}` whose domain indexes the component's local worlds and
 //! whose distribution is the component's probability column.  A tuple of a
-//! represented relation then expands into one annotated row per combination
-//! of local worlds of the components its fields live in — skipping the
-//! combinations in which the tuple is absent (a `⊥` field) — with the
-//! descriptor recording exactly that combination.
+//! represented relation expands into one annotated row per joint local-world
+//! choice of the slots covering its fields — skipping the choices in which a
+//! field is `⊥` (the tuple is absent) — and the row's clause records exactly
+//! that choice.
 //!
-//! The expansion is per-tuple (the same granularity as the tuple-level view
-//! used for confidence computation in §6), so the result size is bounded by
-//! the tuple-level normalization of the WSD, not by the number of worlds.
+//! The expansion is per tuple (the granularity of §6's tuple-level view), so
+//! its size is bounded by the tuple-level normalization of the WSD, not by
+//! the number of worlds.  A tuple whose joint choice space exceeds
+//! [`MAX_TUPLE_COMBOS`] is refused.  The session's lineage confidence tiers
+//! use the same translation (`maybms::lineage::wsd_lineage`).
 
 use std::collections::BTreeMap;
 
 use ws_core::{FieldId, Wsd};
-use ws_relational::{Schema, Tuple};
+use ws_relational::lineage::{Clause, LineageDb, LineageRelation, Var, VarTable};
+use ws_relational::{Tuple, Value};
 
 use crate::database::UDatabase;
-use crate::descriptor::WsDescriptor;
-use crate::error::Result;
-use crate::urelation::URelation;
+use crate::error::{Result, UrelError};
 
-/// The world-table variable name assigned to a WSD component slot.
-pub fn variable_for_slot(slot: usize) -> String {
-    format!("c{slot}")
+/// Cap on the per-tuple joint choice space a translation will enumerate
+/// (the product of the covering components' local-world counts).
+pub const MAX_TUPLE_COMBOS: usize = 4096;
+
+/// Decode `code` into one choice per radix (row-major, first radix most
+/// significant), reusing `choice` as scratch.
+#[inline]
+pub fn decode_choice(mut code: usize, radices: &[usize], choice: &mut [usize]) {
+    for i in (0..radices.len()).rev() {
+        choice[i] = code % radices[i];
+        code /= radices[i];
+    }
 }
 
-/// Convert a WSD into an equivalent U-relational database.
-pub fn from_wsd(wsd: &Wsd) -> Result<UDatabase> {
-    let mut udb = UDatabase::new();
-
-    // One variable per uncertain component.
-    let mut var_names: BTreeMap<usize, String> = BTreeMap::new();
-    for (slot, comp) in wsd.components() {
-        if comp.len() > 1 {
-            let name = variable_for_slot(slot);
-            udb.world_table_mut()
-                .add_variable(&name, comp.rows.iter().map(|r| r.prob).collect())?;
-            var_names.insert(slot, name);
+/// The joint choice count over `radices`, or `None` past `limit` (or for an
+/// empty radix).
+#[inline]
+pub fn combo_count(radices: &[usize], limit: usize) -> Option<usize> {
+    let mut combos = 1usize;
+    for &r in radices {
+        if r == 0 {
+            return None;
+        }
+        combos = combos.checked_mul(r)?;
+        if combos > limit {
+            return None;
         }
     }
+    Some(combos)
+}
 
-    for rel_name in wsd.relation_names() {
-        let meta = wsd.meta(rel_name)?.clone();
-        let attr_names: Vec<&str> = meta.attrs.iter().map(|a| a.as_ref()).collect();
-        let schema = Schema::new(rel_name, &attr_names)?;
-        let mut urel = URelation::new(schema);
-
+/// Translate the named relations of `wsd` into lineage (see the module
+/// docs).  Variables are registered in the order tuples first need them.
+pub fn wsd_lineage<'a>(
+    wsd: &Wsd,
+    relations: impl IntoIterator<Item = &'a str>,
+) -> Result<LineageDb> {
+    let mut vars = VarTable::new();
+    // Slots are global to the WSD (a component may span relations), so the
+    // slot → variable map is shared across the whole translation.
+    let mut slot_vars: BTreeMap<usize, Var> = BTreeMap::new();
+    let mut annotated = Vec::new();
+    for name in relations {
+        let meta = wsd.meta(name)?;
+        let mut rel = LineageRelation::new(meta.schema(name));
         for t in meta.live_tuples() {
-            // The component slots this tuple's fields live in.
-            let mut slots: Vec<usize> = Vec::new();
-            for a in &meta.attrs {
-                let slot = wsd.slot_of(&FieldId::new(rel_name, t, a.as_ref()))?;
-                if !slots.contains(&slot) {
-                    slots.push(slot);
+            // The slots covering this tuple, with each covered attribute's
+            // position inside its component row.
+            let mut covering: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
+            for (attr_idx, attr) in meta.attrs.iter().enumerate() {
+                let field = FieldId::new(name, t, attr.as_ref());
+                let slot = wsd.slot_of(&field)?;
+                let pos = wsd
+                    .component(slot)?
+                    .fields
+                    .iter()
+                    .position(|f| f == &field)
+                    .ok_or_else(|| {
+                        UrelError::invalid(format!("{field} is not in its component"))
+                    })?;
+                covering.entry(slot).or_default().push((attr_idx, pos));
+            }
+            let slots: Vec<usize> = covering.keys().copied().collect();
+            let comps = slots
+                .iter()
+                .map(|&s| wsd.component(s))
+                .collect::<ws_core::Result<Vec<_>>>()?;
+            let radices: Vec<usize> = comps.iter().map(|c| c.rows.len()).collect();
+            let combos = combo_count(&radices, MAX_TUPLE_COMBOS).ok_or_else(|| {
+                UrelError::invalid(format!(
+                    "tuple {name}.{t} has more than {MAX_TUPLE_COMBOS} joint local-world choices"
+                ))
+            })?;
+            for (&slot, comp) in slots.iter().zip(&comps) {
+                if comp.rows.len() >= 2 && !slot_vars.contains_key(&slot) {
+                    let dist: Vec<f64> = comp.rows.iter().map(|w| w.prob).collect();
+                    slot_vars.insert(slot, vars.add_var(format!("c{slot}"), dist)?);
                 }
             }
-            slots.sort_unstable();
-
-            // Enumerate the combinations of local worlds of those slots.
-            let mut combos: Vec<Vec<(usize, usize)>> = vec![Vec::new()];
-            for &slot in &slots {
-                let comp = wsd.component(slot)?;
-                let mut next = Vec::with_capacity(combos.len() * comp.len());
-                for combo in &combos {
-                    for row in 0..comp.len() {
-                        let mut extended = combo.clone();
-                        extended.push((slot, row));
-                        next.push(extended);
+            let mut choice = vec![0usize; slots.len()];
+            'combo: for code in 0..combos {
+                decode_choice(code, &radices, &mut choice);
+                let mut values = vec![Value::Bottom; meta.attrs.len()];
+                for ((slot, comp), &pick) in slots.iter().zip(&comps).zip(&choice) {
+                    for &(attr_idx, pos) in &covering[slot] {
+                        let value = comp.rows[pick].values.get(pos).ok_or_else(|| {
+                            UrelError::invalid(format!(
+                                "a local world of slot {slot} lacks a value"
+                            ))
+                        })?;
+                        // A ⊥ field: the tuple is absent in this choice.
+                        if value.is_bottom() {
+                            continue 'combo;
+                        }
+                        values[attr_idx] = value.clone();
                     }
                 }
-                combos = next;
-            }
-
-            'combo: for combo in combos {
-                let mut values = Vec::with_capacity(meta.attrs.len());
-                for a in &meta.attrs {
-                    let field = FieldId::new(rel_name, t, a.as_ref());
-                    let slot = wsd.slot_of(&field)?;
-                    let &(_, row) = combo
-                        .iter()
-                        .find(|(s, _)| *s == slot)
-                        .expect("every involved slot is part of the combination");
-                    let value = wsd.component(slot)?.value_at(row, &field)?;
-                    if value.is_bottom() {
-                        // The tuple is absent from the worlds of this combination.
-                        continue 'combo;
-                    }
-                    values.push(value.clone());
-                }
-                let descriptor = WsDescriptor::of(
-                    combo
-                        .iter()
-                        .filter_map(|(slot, row)| var_names.get(slot).map(|n| (n.clone(), *row))),
-                )
-                .expect("distinct slots cannot bind the same variable twice");
-                urel.push(Tuple::new(values), descriptor)?;
+                let clause =
+                    Clause::from_bindings(slots.iter().zip(&choice).filter_map(|(slot, &pick)| {
+                        slot_vars.get(slot).map(|&v| (v, pick as u32))
+                    }))
+                    .expect("distinct slots bind distinct variables");
+                rel.push(Tuple::new(values), clause)?;
             }
         }
-        urel.absorb();
-        udb.insert_relation(urel);
+        annotated.push(rel);
     }
-    debug_assert!(udb.validate().is_ok());
-    Ok(udb)
+    let mut out = LineageDb::new(vars);
+    for rel in annotated {
+        out.insert_relation(rel);
+    }
+    Ok(out)
+}
+
+/// Convert a WSD into an equivalent U-relational database: every relation
+/// translated by [`wsd_lineage`], redundant rows absorbed.
+pub fn from_wsd(wsd: &Wsd) -> Result<UDatabase> {
+    let mut lineage = wsd_lineage(wsd, wsd.relation_names())?;
+    for relation in lineage.relations_mut() {
+        relation.absorb();
+    }
+    Ok(UDatabase::from_lineage(lineage))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ws_core::wsd::example_census_wsd;
-    use ws_relational::Value;
+    use ws_relational::Schema;
 
     #[test]
     fn census_example_round_trips_through_u_relations() {
@@ -145,11 +187,11 @@ mod tests {
         let mut wsd = Wsd::new();
         wsd.add_certain_relation(&rel).unwrap();
         let udb = from_wsd(&wsd).unwrap();
-        assert!(udb.world_table().is_empty());
+        assert!(udb.vars().is_empty());
         assert_eq!(udb.world_count(), 1);
         let u = udb.relation("S").unwrap();
         assert_eq!(u.len(), 2);
-        assert!(u.rows().iter().all(|(_, d)| d.is_empty()));
+        assert!(u.rows().iter().all(|(_, c)| c.is_empty()));
     }
 
     #[test]
@@ -166,9 +208,9 @@ mod tests {
         )
         .unwrap();
         let udb = from_wsd(&wsd).unwrap();
-        assert_eq!(udb.world_table().len(), 1);
+        assert_eq!(udb.vars().len(), 1);
         let u = udb.relation("T").unwrap();
         assert_eq!(u.len(), 3);
-        assert_eq!(u.possible_tuples().len(), 3);
+        assert_eq!(u.possible().unwrap().len(), 3);
     }
 }

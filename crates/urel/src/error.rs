@@ -11,24 +11,11 @@ pub type Result<T> = std::result::Result<T, UrelError>;
 pub enum UrelError {
     /// A relation name was not found in the U-database.
     UnknownRelation(String),
-    /// A world-table variable was referenced but never declared.
-    UnknownVariable(String),
     /// A malformed input (invalid probabilities, arity mismatch, …).
     Invalid(String),
-    /// The requested operation is not supported on U-relations
-    /// (e.g. relational difference, which is not a positive operator).
-    Unsupported(String),
     /// Conditioning removed every possible world (no assignment satisfies
     /// the constraints).
     Inconsistent,
-    /// Exact confidence computation would have to enumerate more assignments
-    /// than the configured limit; use the Monte-Carlo estimator instead.
-    ExactTooLarge {
-        /// Number of relevant variables.
-        variables: usize,
-        /// Number of assignments that enumeration would require.
-        assignments: u128,
-    },
     /// An error bubbled up from the relational substrate.
     Relational(ws_relational::RelationalError),
     /// An error bubbled up from the WSD layer (conversions).
@@ -46,18 +33,8 @@ impl fmt::Display for UrelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             UrelError::UnknownRelation(name) => write!(f, "unknown relation `{name}`"),
-            UrelError::UnknownVariable(name) => write!(f, "unknown world-table variable `{name}`"),
             UrelError::Invalid(msg) => write!(f, "invalid input: {msg}"),
-            UrelError::Unsupported(msg) => write!(f, "unsupported operation: {msg}"),
             UrelError::Inconsistent => write!(f, "world-set is inconsistent (no world remains)"),
-            UrelError::ExactTooLarge {
-                variables,
-                assignments,
-            } => write!(
-                f,
-                "exact confidence over {variables} variables needs {assignments} assignments; \
-                 use approx_conf"
-            ),
             UrelError::Relational(e) => write!(f, "relational error: {e}"),
             UrelError::Ws(e) => write!(f, "world-set error: {e}"),
         }
@@ -90,18 +67,7 @@ mod tests {
         assert!(UrelError::UnknownRelation("R".into())
             .to_string()
             .contains("R"));
-        assert!(UrelError::UnknownVariable("x".into())
-            .to_string()
-            .contains("x"));
         assert!(UrelError::invalid("bad").to_string().contains("bad"));
-        assert!(UrelError::Unsupported("difference".into())
-            .to_string()
-            .contains("difference"));
-        let e = UrelError::ExactTooLarge {
-            variables: 40,
-            assignments: 1 << 40,
-        };
-        assert!(e.to_string().contains("40"));
         let rel_err: UrelError = ws_relational::RelationalError::UnknownRelation("S".into()).into();
         assert!(rel_err.to_string().contains("S"));
         let ws_err: UrelError = ws_core::WsError::invalid("oops").into();

@@ -6,55 +6,35 @@
 //! and points to **U-relations** (Antova, Jansen, Koch, Olteanu, ICDE 2008)
 //! as the follow-up representation that "encodes correlations in a more
 //! intensional way" and thereby keeps every positive operator purely
-//! relational.  This crate implements that representation as an extension of
-//! the reproduction:
+//! relational.
 //!
-//! * a [`world::WorldTable`] of independent finite variables (one per
-//!   uncertain WSD component),
-//! * [`descriptor::WsDescriptor`]s — partial variable assignments annotating
-//!   tuples with the worlds they belong to,
-//! * [`urelation::URelation`] / [`database::UDatabase`] — annotated relations
-//!   and their catalog,
-//! * [`convert::from_wsd`] — the WSD → U-relation translation,
-//! * [`ops`] — positive relational algebra (selection, projection, product /
-//!   θ-join, union, renaming) with pairwise descriptor conjunction,
+//! A U-relation is a relation whose rows carry a conjunction of bindings of
+//! independent finite variables — which is exactly a lineage-annotated
+//! relation.  This crate therefore keeps no model of its own: a
+//! [`UDatabase`] is a [`ws_relational::lineage::LineageDb`] (the world table
+//! is its [`VarTable`](ws_relational::lineage::VarTable), the ws-descriptors
+//! are [`Clause`](ws_relational::lineage::Clause)s), and it adds the
+//! U-relational verbs on top:
+//!
+//! * [`convert`] — the WSD → U-relation translation (the same one the
+//!   session's lineage tiers use for WSDs),
+//! * [`ops`] — queries: a whole plan is one call to
+//!   [`evaluate_lineage`](ws_relational::lineage::evaluate_lineage),
 //! * [`update`] — the update language (inserts, deletes, modifications,
 //!   conditioning by world-table DNF rewriting) as the
 //!   [`ws_relational::WriteBackend`] implementation, and
-//! * [`confidence`] — exact and Monte-Carlo confidence computation.
+//! * [`confidence`] — exact confidence by
+//!   [`enumerate_probability`](ws_relational::lineage::enumerate_probability)
+//!   and the Monte-Carlo estimators.
 
 pub mod confidence;
 pub mod convert;
 pub mod database;
-pub mod descriptor;
 pub mod error;
 pub mod ops;
 pub mod update;
-pub mod urelation;
-pub mod world;
 
-pub use confidence::{
-    approx_conf, conf, expected_cardinality, is_certain, possible_with_confidence,
-    possible_with_confidence_with,
-};
+pub use confidence::{approx_conf, conf, possible_with_confidence, possible_with_confidence_with};
 pub use convert::from_wsd;
 pub use database::UDatabase;
-pub use descriptor::WsDescriptor;
 pub use error::{Result, UrelError};
-pub use ops::possible_answer;
-pub use urelation::URelation;
-pub use world::{Assignment, WorldTable};
-
-/// Convenience re-exports for downstream crates and examples.
-pub mod prelude {
-    pub use crate::confidence::{
-        approx_conf, conf, expected_cardinality, is_certain, possible_with_confidence,
-    };
-    pub use crate::convert::from_wsd;
-    pub use crate::database::UDatabase;
-    pub use crate::descriptor::WsDescriptor;
-    pub use crate::error::{Result, UrelError};
-    pub use crate::ops::{possible_answer, possible_tuples};
-    pub use crate::urelation::URelation;
-    pub use crate::world::{Assignment, WorldTable};
-}

@@ -6,7 +6,8 @@
 //! intensional work is concentrated in two places:
 //!
 //! * **possible inserts** declare a fresh independent world-table variable
-//!   `z ~ (1 − p, p)` and annotate the inserted tuple with `⟨z = 1⟩`;
+//!   `z ~ (1 − p, p)` and annotate the inserted tuple with the clause
+//!   `z = 1`;
 //! * **conditioning** rewrites the world table itself.  A violation of a
 //!   constraint is witnessed by a *clause* — the conjunction of the
 //!   descriptors of the offending tuples — and the worlds to eliminate are
@@ -14,39 +15,35 @@
 //!   hold independent variables, the variables mentioned by the DNF are
 //!   merged into one composite variable whose domain enumerates the
 //!   *surviving* joint assignments (renormalized by the surviving mass
-//!   `P(ψ)`), and every descriptor binding one of the merged variables is
-//!   expanded into one row per consistent surviving assignment — the
-//!   DNF-to-composite-variable rewrite.
+//!   `P(ψ)`), every clause binding one of the merged variables is expanded
+//!   into one row per consistent surviving assignment, and the merged
+//!   variables are retired — the DNF-to-composite-variable rewrite.
 
+use crate::convert::{combo_count, decode_choice};
 use crate::database::UDatabase;
-use crate::descriptor::WsDescriptor;
 use crate::error::{Result, UrelError};
-use crate::world::Assignment;
 use std::collections::BTreeSet;
 use ws_relational::engine::{check_assignments, check_insertable, check_probability};
+use ws_relational::lineage::{Clause, Var};
 use ws_relational::{Dependency, Predicate, Tuple, Value, WriteBackend};
 
 /// Cap on the joint assignments enumerated while conditioning; beyond this
 /// the exact rewrite is refused (mirroring exact confidence computation).
-pub const CONDITION_ASSIGNMENT_LIMIT: u128 = 1 << 20;
+pub const CONDITION_ASSIGNMENT_LIMIT: usize = 1 << 20;
 
 /// A fresh world-table variable name with the given prefix.
 fn fresh_variable(db: &UDatabase, prefix: &str) -> String {
-    let mut n = 0usize;
-    loop {
-        let name = format!("__{prefix}{n}");
-        if !db.world_table().contains(&name) {
-            return name;
-        }
-        n += 1;
-    }
+    (0..)
+        .map(|n| format!("__{prefix}{n}"))
+        .find(|name| db.vars().lookup(name).is_none())
+        .expect("some suffix is free")
 }
 
 impl WriteBackend for UDatabase {
     fn insert_certain(&mut self, relation: &str, tuple: &Tuple) -> Result<()> {
         let rel = self.relation_mut(relation)?;
         check_insertable(rel.schema(), tuple)?;
-        rel.push(tuple.clone(), WsDescriptor::empty())?;
+        rel.push(tuple.clone(), Clause::empty())?;
         rel.absorb();
         Ok(())
     }
@@ -60,11 +57,10 @@ impl WriteBackend for UDatabase {
         if prob >= 1.0 {
             return self.insert_certain(relation, tuple);
         }
-        let var = fresh_variable(self, "ins");
-        self.world_table_mut()
-            .add_variable(var.clone(), vec![1.0 - prob, prob])?;
+        let name = fresh_variable(self, "ins");
+        let var = self.vars_mut().add_var(name, vec![1.0 - prob, prob])?;
         self.relation_mut(relation)?
-            .push(tuple.clone(), WsDescriptor::bind(var, 1))?;
+            .push(tuple.clone(), Clause::of(var, 1))?;
         Ok(())
     }
 
@@ -75,7 +71,7 @@ impl WriteBackend for UDatabase {
             schema.position_of(a)?;
         }
         // A row's values are world-independent, so a matching row is deleted
-        // from every world its descriptor reaches: drop the row.
+        // from every world its clause reaches: drop the row.
         let keep: Vec<bool> = rel
             .rows()
             .iter()
@@ -116,9 +112,9 @@ impl WriteBackend for UDatabase {
     }
 
     fn apply_condition(&mut self, constraints: &[Dependency]) -> Result<f64> {
-        // 1. Collect the violation clauses: conjunctive descriptors whose
-        //    worlds must be eliminated.
-        let mut clauses: Vec<WsDescriptor> = Vec::new();
+        // 1. Collect the violation clauses: conjunctions whose worlds must
+        //    be eliminated.
+        let mut clauses: Vec<Clause> = Vec::new();
         for dep in constraints {
             match dep {
                 Dependency::Egd(egd) => {
@@ -127,14 +123,14 @@ impl WriteBackend for UDatabase {
                     for atom in egd.body.iter().chain(std::iter::once(&egd.head)) {
                         schema.position_of(&atom.attr)?;
                     }
-                    for (tuple, descriptor) in rel.rows() {
+                    for (tuple, clause) in rel.rows() {
                         let body = egd.body.iter().all(|atom| {
                             let pos = schema.position(&atom.attr).unwrap();
                             atom.eval(&tuple[pos])
                         });
                         let head_pos = schema.position(&egd.head.attr).unwrap();
                         if body && !egd.head.eval(&tuple[head_pos]) {
-                            clauses.push(descriptor.clone());
+                            clauses.push(clause.clone());
                         }
                     }
                 }
@@ -152,15 +148,15 @@ impl WriteBackend for UDatabase {
                         .map(|a| schema.position_of(a))
                         .collect::<ws_relational::Result<_>>()?;
                     let rows = rel.rows();
-                    for (i, (s, ds)) in rows.iter().enumerate() {
-                        for (t, dt) in &rows[i + 1..] {
+                    for (i, (s, cs)) in rows.iter().enumerate() {
+                        for (t, ct) in &rows[i + 1..] {
                             let agree_lhs = lhs.iter().all(|&p| s[p] == t[p]);
                             let agree_rhs = rhs.iter().all(|&p| s[p] == t[p]);
                             if agree_lhs && !agree_rhs {
                                 // Both tuples present together violate the
                                 // FD; a conflicting conjunction means they
                                 // never co-exist.
-                                if let Some(both) = ds.conjoin(dt) {
+                                if let Some(both) = cs.conjoin(ct) {
                                     clauses.push(both);
                                 }
                             }
@@ -174,24 +170,45 @@ impl WriteBackend for UDatabase {
         if clauses.is_empty() {
             return Ok(1.0);
         }
-        if clauses.iter().any(WsDescriptor::is_empty) {
+        if clauses.iter().any(Clause::is_empty) {
             // A violation that holds in every world: nothing survives.
             return Err(UrelError::Inconsistent);
         }
 
         // 2. Enumerate the joint assignments of the variables the DNF
-        //    mentions and keep the satisfying ones.
-        let vars: Vec<String> = {
-            let set: BTreeSet<&str> = clauses.iter().flat_map(WsDescriptor::variables).collect();
-            set.into_iter().map(str::to_string).collect()
-        };
-        let assignments = self
-            .world_table()
-            .enumerate_assignments(&vars, CONDITION_ASSIGNMENT_LIMIT)?;
-        let surviving: Vec<(Assignment, f64)> = assignments
-            .into_iter()
-            .filter(|(a, _)| !clauses.iter().any(|c| c.satisfied_by(a)))
+        //    mentions and keep the ones no violation clause holds in.
+        let merged: BTreeSet<Var> = clauses.iter().flat_map(Clause::vars).collect();
+        let merged_list: Vec<Var> = merged.iter().copied().collect();
+        let position = |v: Var| merged_list.binary_search(&v).ok();
+        let radices: Vec<usize> = merged_list
+            .iter()
+            .map(|&v| self.vars().domain_size(v))
             .collect();
+        let combos = combo_count(&radices, CONDITION_ASSIGNMENT_LIMIT).ok_or_else(|| {
+            UrelError::invalid(format!(
+                "conditioning needs more than {CONDITION_ASSIGNMENT_LIMIT} joint assignments"
+            ))
+        })?;
+        let holds = |clause: &Clause, choice: &[usize]| {
+            clause
+                .atoms()
+                .iter()
+                .filter_map(|&(v, c)| position(v).map(|i| (i, c)))
+                .all(|(i, c)| choice[i] == c as usize)
+        };
+        let mut surviving: Vec<(Vec<usize>, f64)> = Vec::new();
+        let mut choice = vec![0usize; merged_list.len()];
+        for code in 0..combos {
+            decode_choice(code, &radices, &mut choice);
+            if !clauses.iter().any(|clause| holds(clause, &choice)) {
+                let p = merged_list
+                    .iter()
+                    .zip(&choice)
+                    .map(|(&v, &c)| self.vars().prob(v, c as u32))
+                    .product();
+                surviving.push((choice.clone(), p));
+            }
+        }
         let mass: f64 = surviving.iter().map(|(_, p)| p).sum();
         if surviving.is_empty() || mass <= 0.0 {
             return Err(UrelError::Inconsistent);
@@ -199,48 +216,42 @@ impl WriteBackend for UDatabase {
 
         // 3. Merge the involved variables into one composite variable whose
         //    domain indexes the surviving joint assignments, renormalized.
-        let z = fresh_variable(self, "cond");
-        self.world_table_mut()
-            .add_variable(z.clone(), surviving.iter().map(|(_, p)| p / mass).collect())?;
-        for var in &vars {
-            self.world_table_mut().remove_variable(var)?;
-        }
+        let name = fresh_variable(self, "cond");
+        let z = self
+            .vars_mut()
+            .add_var(name, surviving.iter().map(|(_, p)| p / mass).collect())?;
 
-        // 4. Rewrite every descriptor binding a merged variable into one row
-        //    per consistent surviving assignment (DNF expansion), leaving
-        //    rows over untouched variables alone.
-        for rel in self.relations_mut() {
+        // 4. Rewrite every clause binding a merged variable into one row per
+        //    consistent surviving assignment (DNF expansion), leaving rows
+        //    over untouched variables alone; then retire the merged
+        //    variables.
+        for rel in self.lineage_mut().relations_mut() {
             let old_rows = std::mem::take(rel.rows_mut());
             let mut rewritten = Vec::with_capacity(old_rows.len());
-            for (tuple, descriptor) in old_rows {
-                let touches_merged = descriptor.variables().any(|v| vars.iter().any(|w| w == v));
-                if !touches_merged {
-                    rewritten.push((tuple, descriptor));
+            for (tuple, clause) in old_rows {
+                if !clause.vars().any(|v| merged.contains(&v)) {
+                    rewritten.push((tuple, clause));
                     continue;
                 }
-                let rest: Vec<(String, usize)> = descriptor
-                    .bindings()
-                    .filter(|(v, _)| !vars.iter().any(|w| w == v))
-                    .map(|(v, i)| (v.to_string(), i))
+                let rest: Vec<(Var, u32)> = clause
+                    .atoms()
+                    .iter()
+                    .copied()
+                    .filter(|(v, _)| !merged.contains(v))
                     .collect();
                 for (k, (assignment, _)) in surviving.iter().enumerate() {
-                    let consistent = descriptor
-                        .bindings()
-                        .filter(|(v, _)| vars.iter().any(|w| w == v))
-                        .all(|(v, i)| assignment.get(v) == Some(&i));
-                    if !consistent {
-                        continue;
+                    if holds(&clause, assignment) {
+                        let bindings = rest.iter().copied().chain([(z, k as u32)]);
+                        let clause = Clause::from_bindings(bindings)
+                            .expect("disjoint binding sets cannot conflict");
+                        rewritten.push((tuple.clone(), clause));
                     }
-                    let mut bindings = rest.clone();
-                    bindings.push((z.clone(), k));
-                    let rewritten_descriptor =
-                        WsDescriptor::of(bindings).expect("disjoint binding sets cannot conflict");
-                    rewritten.push((tuple.clone(), rewritten_descriptor));
                 }
             }
             *rel.rows_mut() = rewritten;
             rel.absorb();
         }
+        self.lineage_mut().retire_vars(&merged);
         Ok(mass)
     }
 }

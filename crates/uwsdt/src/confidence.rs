@@ -17,7 +17,7 @@ use crate::model::{Cid, Lwid, Uwsdt};
 use crate::ops::possible_tuples;
 use std::collections::{BTreeMap, BTreeSet};
 use ws_core::FieldId;
-use ws_relational::{Tuple, Value};
+use ws_relational::Tuple;
 
 /// The confidence of `tuple` in `relation`: the probability that some world
 /// contains it.
@@ -174,83 +174,11 @@ pub fn possible_with_confidence(uwsdt: &Uwsdt, relation: &str) -> Result<Vec<(Tu
     Ok(out)
 }
 
-/// A tuple is certain iff it appears in every world.
-pub fn is_certain(uwsdt: &Uwsdt, relation: &str, tuple: &Tuple) -> Result<bool> {
-    Ok(conf(uwsdt, relation, tuple)? >= 1.0 - 1e-9)
-}
-
-/// The expected number of tuples of a relation (sum of tuple presence
-/// probabilities) — a cheap summary statistic used in reports.
-pub fn expected_cardinality(uwsdt: &Uwsdt, relation: &str) -> Result<f64> {
-    let template = uwsdt.template(relation)?;
-    let mut expected = 0.0;
-    for (t, row) in template.rows().iter().enumerate() {
-        let placeholders: Vec<FieldId> = template
-            .schema()
-            .attrs()
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| row[*i].is_unknown())
-            .map(|(_, a)| FieldId::new(relation, t, a.as_ref()))
-            .collect();
-        let presence = uwsdt.presence_of(relation, t);
-        if placeholders.is_empty() && presence.is_empty() {
-            expected += 1.0;
-            continue;
-        }
-        let mut cids: Vec<Cid> = placeholders
-            .iter()
-            .filter_map(|f| uwsdt.component_of(f))
-            .chain(presence.iter().map(|c| c.cid))
-            .collect();
-        cids.sort_unstable();
-        cids.dedup();
-        expected += joint_probability(uwsdt, &cids, |chosen| {
-            for cond in presence {
-                if !cond.lwids.contains(&chosen[&cond.cid]) {
-                    return false;
-                }
-            }
-            placeholders.iter().all(|f| {
-                let cid = uwsdt.component_of(f).expect("placeholder has a component");
-                uwsdt
-                    .placeholder_values(f)
-                    .map(|vals| vals.contains_key(&chosen[&cid]))
-                    .unwrap_or(false)
-            })
-        })?;
-    }
-    Ok(expected)
-}
-
-/// The distinct values a relation's attribute can take across all worlds,
-/// with the confidence of each value (marginal distribution of the column
-/// restricted to present tuples being counted at least once).
-pub fn possible_column_values(
-    uwsdt: &Uwsdt,
-    relation: &str,
-    attr: &str,
-) -> Result<BTreeSet<Value>> {
-    let template = uwsdt.template(relation)?;
-    let pos = template.schema().position_of(attr)?;
-    let mut out = BTreeSet::new();
-    for (t, row) in template.rows().iter().enumerate() {
-        if row[pos].is_unknown() {
-            for v in uwsdt.possible_field_values(relation, t, attr)? {
-                out.insert(v);
-            }
-        } else {
-            out.insert(row[pos].clone());
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build::{from_or_relation, from_wsd, OrField};
-    use ws_relational::{CmpOp, Predicate, RaExpr, Relation, Schema};
+    use ws_relational::{CmpOp, Predicate, RaExpr, Relation, Schema, Value};
 
     #[test]
     fn example11_confidences_via_the_uwsdt() {
@@ -311,28 +239,10 @@ mod tests {
     }
 
     #[test]
-    fn certain_tuples_and_expected_cardinality() {
+    fn conf_rejects_bad_arity_and_unknown_relations() {
         let mut base = Relation::new(Schema::new("R", &["A"]).unwrap());
         base.push_values([1i64]).unwrap();
-        base.push_values([2i64]).unwrap();
-        let noise = vec![OrField::uniform(1, "A", vec![Value::int(2), Value::int(3)])];
-        let mut uwsdt = from_or_relation(&base, &noise).unwrap();
-        assert!(is_certain(&uwsdt, "R", &Tuple::from_iter([1i64])).unwrap());
-        assert!(!is_certain(&uwsdt, "R", &Tuple::from_iter([2i64])).unwrap());
-        assert!((expected_cardinality(&uwsdt, "R").unwrap() - 2.0).abs() < 1e-9);
-        // A selection that keeps tuple 2 only half the time reduces the
-        // expected cardinality of the answer accordingly.
-        ws_relational::engine::evaluate_query(
-            &mut uwsdt,
-            &RaExpr::rel("R").select(Predicate::cmp_const("A", CmpOp::Le, 2i64)),
-            "Q",
-        )
-        .unwrap();
-        assert!((expected_cardinality(&uwsdt, "Q").unwrap() - 1.5).abs() < 1e-9);
-        // Column values across worlds.
-        let values = possible_column_values(&uwsdt, "R", "A").unwrap();
-        assert_eq!(values.len(), 3);
-        // Arity mismatch is rejected.
+        let uwsdt = from_or_relation(&base, &[]).unwrap();
         assert!(conf(&uwsdt, "R", &Tuple::from_iter([1i64, 2])).is_err());
         assert!(conf(&uwsdt, "NOPE", &Tuple::from_iter([1i64])).is_err());
     }

@@ -35,7 +35,7 @@ pub mod stats;
 pub mod update;
 
 pub use build::{from_or_relation, from_wsd, from_wsdt, OrField};
-pub use confidence::{conf, expected_cardinality, is_certain, possible_with_confidence};
+pub use confidence::{conf, possible_with_confidence};
 pub use error::{Result, UwsdtError};
 pub use model::{Cid, Lwid, PresenceCondition, Uwsdt, UwsdtSnapshot, WorldEntry};
 pub use normalize::{normalize, NormalizationReport};
@@ -45,7 +45,7 @@ pub use stats::{component_size_histogram, stats_for, UwsdtStats};
 pub mod prelude {
     pub use crate::build::{from_or_relation, from_wsd, from_wsdt, OrField};
     pub use crate::chase::{chase, chase_egd, chase_fd};
-    pub use crate::confidence::{conf, expected_cardinality, is_certain, possible_with_confidence};
+    pub use crate::confidence::{conf, possible_with_confidence};
     pub use crate::error::{Result, UwsdtError};
     pub use crate::model::{Cid, Lwid, PresenceCondition, Uwsdt, WorldEntry};
     pub use crate::normalize::{normalize, NormalizationReport};

@@ -147,7 +147,8 @@ impl Uwsdt {
     }
 
     /// Remove a relation (template, placeholders, presence conditions).
-    /// Components that no longer define any placeholder are dropped.
+    /// Components the relation referenced and nothing else does are
+    /// dropped.
     pub fn drop_relation(&mut self, name: &str) -> Result<()> {
         let template = self
             .templates
@@ -159,10 +160,22 @@ impl Uwsdt {
             .filter(|fid| fid.in_relation(name))
             .cloned()
             .collect();
+        // The components this relation referenced may now be unreferenced.
+        let mut cids: Vec<Cid> = fields
+            .iter()
+            .filter_map(|f| self.f.get(f).copied())
+            .collect();
+        cids.extend(
+            self.presence
+                .iter()
+                .filter(|((rel, _), _)| rel == name)
+                .flat_map(|(_, conditions)| conditions.iter().map(|c| c.cid)),
+        );
         for fid in fields {
             self.remove_placeholder(&fid);
         }
         self.presence.retain(|(rel, _), _| rel != name);
+        self.drop_unreferenced(cids);
         drop(template);
         Ok(())
     }
@@ -262,16 +275,14 @@ impl Uwsdt {
         Ok(())
     }
 
-    /// Drop a placeholder field entirely (used by projections).
+    /// Drop a placeholder field entirely.  Its component stays, even when
+    /// this was its last placeholder: only [`Uwsdt::drop_unreferenced`]
+    /// drops components.
     pub(crate) fn remove_placeholder(&mut self, field: &FieldId) {
         if let Some(cid) = self.f.remove(field) {
             self.c.remove(field);
             if let Some(fields) = self.comp_fields.get_mut(&cid) {
                 fields.retain(|f| f != field);
-                if fields.is_empty() {
-                    self.comp_fields.remove(&cid);
-                    self.w.remove(&cid);
-                }
             }
         }
     }
@@ -554,28 +565,27 @@ impl Uwsdt {
         Ok(())
     }
 
-    /// Drop a component that neither defines a placeholder nor appears in any
-    /// presence condition; fails otherwise (removing it would change the
-    /// represented world-set).
-    pub(crate) fn drop_component(&mut self, cid: Cid) -> Result<()> {
-        if self
-            .comp_fields
-            .get(&cid)
-            .map(|f| !f.is_empty())
-            .unwrap_or(false)
-        {
-            return Err(UwsdtError::invalid(format!(
-                "component {cid} still defines placeholders"
-            )));
+    /// Drop every component among `candidates` that nothing references any
+    /// more: no placeholder (`F` entry) lives in it and no presence condition
+    /// names it.  This is the one rule by which a component leaves `W`;
+    /// dropping a referenced one would change the represented world-set.
+    /// Returns the number of dropped components.
+    pub(crate) fn drop_unreferenced(&mut self, candidates: impl IntoIterator<Item = Cid>) -> usize {
+        let mut unreferenced: BTreeSet<Cid> = candidates
+            .into_iter()
+            .filter(|cid| self.w.contains_key(cid) && self.component_fields(*cid).is_empty())
+            .collect();
+        if unreferenced.is_empty() {
+            return 0;
         }
-        if self.presence.values().flatten().any(|c| c.cid == cid) {
-            return Err(UwsdtError::invalid(format!(
-                "component {cid} is still referenced by a presence condition"
-            )));
+        for condition in self.presence.values().flatten() {
+            unreferenced.remove(&condition.cid);
         }
-        self.comp_fields.remove(&cid);
-        self.w.remove(&cid);
-        Ok(())
+        for cid in &unreferenced {
+            self.comp_fields.remove(cid);
+            self.w.remove(cid);
+        }
+        unreferenced.len()
     }
 
     // ------------------------------------------------------------------
@@ -707,7 +717,8 @@ impl Uwsdt {
     }
 
     /// Validate structural invariants: placeholders agree with templates,
-    /// `C` entries refer to existing local worlds, probabilities sum to one.
+    /// `C` entries refer to existing local worlds, probabilities sum to one,
+    /// and every presence condition names a live component.
     ///
     /// `?` template cells and `F` entries must correspond one to one.  This
     /// runs on every snapshot decode, so it is checked without a [`FieldId`]
@@ -771,6 +782,14 @@ impl Uwsdt {
                     "placeholder {field} refers to unknown local worlds"
                 )));
             }
+        }
+        if let Some(condition) = self
+            .presence
+            .values()
+            .flatten()
+            .find(|c| !self.w.contains_key(&c.cid))
+        {
+            return Err(UwsdtError::UnknownComponent(condition.cid));
         }
         Ok(())
     }

@@ -228,15 +228,8 @@ pub fn remove_vacuous_presence(uwsdt: &mut Uwsdt) -> Result<usize> {
 /// Drop components that define no placeholder and appear in no presence
 /// condition.  Returns the number of dropped components.
 pub fn prune_unreferenced_components(uwsdt: &mut Uwsdt) -> Result<usize> {
-    let referenced: BTreeSet<Cid> = uwsdt.all_presence().map(|(_, _, c)| c.cid).collect();
-    let mut pruned = 0;
-    for cid in uwsdt.component_ids() {
-        if uwsdt.component_fields(cid).is_empty() && !referenced.contains(&cid) {
-            uwsdt.drop_component(cid)?;
-            pruned += 1;
-        }
-    }
-    Ok(pruned)
+    let cids = uwsdt.component_ids();
+    Ok(uwsdt.drop_unreferenced(cids))
 }
 
 /// Run every normalization pass to a fixpoint.

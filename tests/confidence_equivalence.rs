@@ -181,13 +181,13 @@ fn difference_plans_fall_back_to_the_native_exact_path() {
 #[test]
 fn safe_tier_fires_on_hierarchical_plans() {
     let mut udb = UDatabase::new();
-    let mut rel = URelation::new(Schema::new("T", &["A", "B"]).unwrap());
+    let mut rel = LineageRelation::new(Schema::new("T", &["A", "B"]).unwrap());
     for i in 0..12i64 {
-        let var = format!("x{i}");
-        udb.world_table_mut()
-            .add_variable(&var, vec![0.25, 0.75])
+        let var = udb
+            .vars_mut()
+            .add_var(format!("x{i}"), vec![0.25, 0.75])
             .unwrap();
-        rel.push(Tuple::from_iter([i, i % 3]), WsDescriptor::bind(&var, 1))
+        rel.push(Tuple::from_iter([i, i % 3]), Clause::of(var, 1))
             .unwrap();
     }
     udb.insert_relation(rel);
@@ -218,16 +218,16 @@ fn safe_tier_fires_on_hierarchical_plans() {
 #[test]
 fn unsafe_plans_compile_lineage_instead() {
     let mut udb = UDatabase::new();
-    let mut rel = URelation::new(Schema::new("T", &["A", "B"]).unwrap());
+    let mut rel = LineageRelation::new(Schema::new("T", &["A", "B"]).unwrap());
     for (i, (a, b)) in [(1i64, 1i64), (1, 2), (2, 1), (2, 2)]
         .into_iter()
         .enumerate()
     {
-        let var = format!("x{i}");
-        udb.world_table_mut()
-            .add_variable(&var, vec![0.5, 0.5])
+        let var = udb
+            .vars_mut()
+            .add_var(format!("x{i}"), vec![0.5, 0.5])
             .unwrap();
-        rel.push(Tuple::from_iter([a, b]), WsDescriptor::bind(&var, 1))
+        rel.push(Tuple::from_iter([a, b]), Clause::of(var, 1))
             .unwrap();
     }
     udb.insert_relation(rel);

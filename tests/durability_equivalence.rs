@@ -292,6 +292,67 @@ fn checkpoints_move_the_recovery_base_without_changing_answers() {
     }
 }
 
+/// A delete that matches nothing still normalizes the chased census UWSDT.
+/// Normalization must never drop a component a presence condition still
+/// names: the checkpointed store has to reopen, validate, and answer Q1–Q6
+/// exactly as before the delete.
+#[test]
+fn a_no_op_delete_on_the_chased_census_survives_checkpoint_and_reopen() {
+    let relation = maybms::census::RELATION_NAME;
+    let delete = UpdateExpr::delete(relation, Predicate::eq_const("CITIZEN", 1_000_000i64));
+    let queries: Vec<RaExpr> = maybms::census::all_queries()
+        .into_iter()
+        .map(|(_, query)| query)
+        .collect();
+    for seed in 101..=110u64 {
+        let scenario = CensusScenario::new(10_000, 0.001, seed);
+        let before = AnyBackend::from(scenario.chased_uwsdt().expect("the census chase succeeds"));
+        let vfs = MemVfs::new();
+        let mut durable = Session::create_durable_on(boxed(&vfs), before.clone()).unwrap();
+        durable.apply(&delete).unwrap();
+        durable.checkpoint().unwrap();
+        let written = durable.backend().inner().clone();
+        durable.close().unwrap();
+
+        let reopened = Durable::<AnyBackend>::open(boxed(&vfs))
+            .unwrap_or_else(|e| panic!("[seed {seed}] the checkpointed store reopens: {e}"))
+            .into_inner();
+        let AnyBackend::Uwsdt(recovered) = &reopened else {
+            panic!("[seed {seed}] the store reopens as a UWSDT");
+        };
+        recovered
+            .validate()
+            .unwrap_or_else(|e| panic!("[seed {seed}] the reopened UWSDT validates: {e}"));
+        // The UWSDT's own exact path: the lineage tiers would add nothing
+        // here but time.
+        let confidences = |backend: AnyBackend| {
+            let mut session = Session::over(backend);
+            session.set_confidence_strategy(ConfidenceStrategy::ExactOnly);
+            queries
+                .iter()
+                .map(|query| {
+                    let prepared = session.prepare(query).expect("Q1–Q6 typecheck");
+                    let rows = session.confidence(&prepared).expect("Q1–Q6 evaluate");
+                    rows.into_iter()
+                        .map(|(tuple, c)| (tuple, c.to_bits()))
+                        .collect::<Vec<_>>()
+                })
+                .collect::<Vec<_>>()
+        };
+        let expected = confidences(before);
+        assert_eq!(
+            confidences(written),
+            expected,
+            "[seed {seed}] a delete that matches nothing changes Q1–Q6"
+        );
+        assert_eq!(
+            confidences(reopened),
+            expected,
+            "[seed {seed}] Q1–Q6 confidences change across checkpoint and reopen"
+        );
+    }
+}
+
 /// A one-world store whose only base relation is named like a scratch
 /// result, plus the row the round trips below insert into it.
 fn audit_store() -> (Database, Tuple, Vec<Tuple>) {
