@@ -23,15 +23,23 @@
 //! | `Uwsdt`    | one per multi-world `Cid` | the component's `WorldEntry`s   |
 //! | `UDatabase`| its own world table       | the database *is* lineage       |
 //! | `WorldSet` | a single selector         | the enumerated worlds           |
+//!
+//! Extraction is a per-snapshot cost, not a per-call one: the session keeps
+//! each extracted [`LineageDb`] (and each decline) keyed by the relation set
+//! until the backend changes, so an extractor runs once per relation set and
+//! backend state.  The UWSDT extractor, the one the census workload takes,
+//! costs O(template rows + placeholders): it indexes the uncertain tuples
+//! once from `F` and the presence conditions and copies every other template
+//! row as it is, instead of probing `F` for every template cell.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use ws_core::{FieldId, WorldSet, Wsd};
 use ws_relational::lineage::{Clause, LineageDb, LineageRelation, Var, VarTable};
-use ws_relational::{Database, Tuple, Value};
+use ws_relational::{Database, Relation, Tuple, Value};
 use ws_urel::convert::{combo_count, decode_choice};
 use ws_urel::UDatabase;
-use ws_uwsdt::Uwsdt;
+use ws_uwsdt::{PresenceCondition, Uwsdt};
 
 /// Cap on the per-tuple joint choice space an extractor will enumerate
 /// (product of the covering components' local-world counts).  Beyond this the
@@ -64,82 +72,35 @@ pub fn wsd_lineage(wsd: &Wsd, relations: &BTreeSet<String>) -> Option<LineageDb>
 /// One variable per multi-world component (`Cid`); a template tuple's
 /// variants are the joint local-world choices of the components behind its
 /// placeholders and presence conditions, filtered by those conditions.
+///
+/// The uncertain tuples are indexed once from `F` and the presence
+/// conditions, so the cost is O(template rows + placeholders): a tuple with
+/// neither is pushed as it is under the empty clause after a scan for a stray
+/// `?`/`⊥` (a placeholder without an `F` entry), which declines.
 pub fn uwsdt_lineage(uwsdt: &Uwsdt, relations: &BTreeSet<String>) -> Option<LineageDb> {
     let mut vars = VarTable::new();
     let mut cid_vars: BTreeMap<usize, Var> = BTreeMap::new();
     let mut annotated = Vec::new();
     for name in relations {
         let template = uwsdt.template(name).ok()?;
-        let schema = template.schema().clone();
-        let attrs: Vec<String> = schema.attrs().iter().map(|a| a.to_string()).collect();
-        let mut rel = LineageRelation::new(schema);
+        let mut uncertain = uncertain_tuples(uwsdt, name, template)?
+            .into_iter()
+            .peekable();
+        let mut rel = LineageRelation::new(template.schema().clone());
         for (t, row) in template.rows().iter().enumerate() {
-            // The components this tuple depends on: its placeholder fields
-            // plus its presence conditions.
-            let mut placeholders: Vec<(usize, FieldId, usize)> = Vec::new();
-            let mut cids: BTreeSet<usize> = BTreeSet::new();
-            for (attr_idx, attr) in attrs.iter().enumerate() {
-                let field = FieldId::new(name.as_str(), t, attr);
-                if let Some(cid) = uwsdt.component_of(&field) {
-                    placeholders.push((attr_idx, field, cid));
-                    cids.insert(cid);
+            match uncertain.next_if(|(u, _)| *u == t) {
+                Some((_, deps)) => {
+                    push_variants(uwsdt, row, &deps, &mut vars, &mut cid_vars, &mut rel)?
                 }
-            }
-            let presence = uwsdt.presence_of(name, t);
-            cids.extend(presence.iter().map(|cond| cond.cid));
-            let cid_list: Vec<usize> = cids.into_iter().collect();
-            let worlds: Vec<_> = cid_list
-                .iter()
-                .map(|&cid| uwsdt.component_worlds(cid).ok())
-                .collect::<Option<Vec<_>>>()?;
-            let radices: Vec<usize> = worlds.iter().map(|w| w.len()).collect();
-            let combos = combo_count(&radices, MAX_TUPLE_COMBOS)?;
-            for (&cid, entries) in cid_list.iter().zip(&worlds) {
-                if entries.len() >= 2 && !cid_vars.contains_key(&cid) {
-                    let dist: Vec<f64> = entries.iter().map(|w| w.prob).collect();
-                    let var = vars.add_var(format!("w{cid}"), dist).ok()?;
-                    cid_vars.insert(cid, var);
+                None => {
+                    // A `?` here is a placeholder without an `F` entry; it
+                    // (or a `⊥`) would leak a marker into the answer, so
+                    // decline rather than guess.
+                    if row.values().iter().any(|v| v.is_unknown() || v.is_bottom()) {
+                        return None;
+                    }
+                    rel.push(row.clone(), Clause::empty()).ok()?;
                 }
-            }
-            let cid_pos: BTreeMap<usize, usize> =
-                cid_list.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-            let mut choice = vec![0usize; cid_list.len()];
-            for code in 0..combos {
-                decode_choice(code, &radices, &mut choice);
-                // The tuple exists only in local worlds its presence
-                // conditions list.
-                let present = presence.iter().all(|cond| {
-                    cid_pos
-                        .get(&cond.cid)
-                        .is_some_and(|&i| cond.lwids.contains(&worlds[i][choice[i]].lwid))
-                });
-                if !present {
-                    continue;
-                }
-                let mut values: Vec<Value> = row.values().to_vec();
-                for (attr_idx, field, cid) in &placeholders {
-                    let i = cid_pos[cid];
-                    let lwid = worlds[i][choice[i]].lwid;
-                    // Every local world of a placeholder's component carries
-                    // a value; a gap means the mapping cannot be trusted.
-                    values[*attr_idx] = uwsdt
-                        .placeholder_values(field)
-                        .and_then(|m| m.get(&lwid))?
-                        .clone();
-                }
-                // A leftover `?` (or `⊥`) would leak a marker into the
-                // answer; decline rather than guess.
-                if values.iter().any(|v| v.is_unknown() || v.is_bottom()) {
-                    return None;
-                }
-                let clause = Clause::from_bindings(
-                    cid_list
-                        .iter()
-                        .zip(&choice)
-                        .filter_map(|(cid, &pick)| cid_vars.get(cid).map(|&var| (var, pick as u32)))
-                        .collect::<Vec<_>>(),
-                )?;
-                rel.push(Tuple::new(values), clause).ok()?;
             }
         }
         annotated.push(rel);
@@ -149,6 +110,114 @@ pub fn uwsdt_lineage(uwsdt: &Uwsdt, relations: &BTreeSet<String>) -> Option<Line
         out.insert_relation(rel);
     }
     Some(out)
+}
+
+/// What one uncertain template tuple depends on: its placeholder fields
+/// (attribute position, field, component) and its presence conditions.
+#[derive(Default)]
+struct TupleDeps<'u> {
+    placeholders: Vec<(usize, FieldId, usize)>,
+    presence: Vec<&'u PresenceCondition>,
+}
+
+/// The tuples of `name` that have a placeholder or a presence condition,
+/// keyed by tuple index.  Entries outside the template never match a row.
+fn uncertain_tuples<'u>(
+    uwsdt: &'u Uwsdt,
+    name: &str,
+    template: &Relation,
+) -> Option<BTreeMap<usize, TupleDeps<'u>>> {
+    let mut deps: BTreeMap<usize, TupleDeps<'u>> = BTreeMap::new();
+    for field in uwsdt.placeholders_of(name) {
+        let Some(attr_idx) = template.schema().position(&field.attr) else {
+            continue;
+        };
+        let cid = uwsdt.component_of(&field)?;
+        deps.entry(field.tuple.0)
+            .or_default()
+            .placeholders
+            .push((attr_idx, field, cid));
+    }
+    for (relation, t, condition) in uwsdt.all_presence() {
+        if relation == name {
+            deps.entry(t).or_default().presence.push(condition);
+        }
+    }
+    Some(deps)
+}
+
+/// Push the variants of one uncertain tuple: one row per joint local-world
+/// choice of its components that satisfies its presence conditions, with
+/// the placeholders filled in.  `None` declines the whole extraction.
+fn push_variants(
+    uwsdt: &Uwsdt,
+    row: &Tuple,
+    deps: &TupleDeps<'_>,
+    vars: &mut VarTable,
+    cid_vars: &mut BTreeMap<usize, Var>,
+    rel: &mut LineageRelation,
+) -> Option<()> {
+    let cids: BTreeSet<usize> = deps
+        .placeholders
+        .iter()
+        .map(|&(_, _, cid)| cid)
+        .chain(deps.presence.iter().map(|cond| cond.cid))
+        .collect();
+    let cid_list: Vec<usize> = cids.into_iter().collect();
+    let worlds: Vec<_> = cid_list
+        .iter()
+        .map(|&cid| uwsdt.component_worlds(cid).ok())
+        .collect::<Option<Vec<_>>>()?;
+    let radices: Vec<usize> = worlds.iter().map(|w| w.len()).collect();
+    let combos = combo_count(&radices, MAX_TUPLE_COMBOS)?;
+    for (&cid, entries) in cid_list.iter().zip(&worlds) {
+        if entries.len() >= 2 && !cid_vars.contains_key(&cid) {
+            let dist: Vec<f64> = entries.iter().map(|w| w.prob).collect();
+            let var = vars.add_var(format!("w{cid}"), dist).ok()?;
+            cid_vars.insert(cid, var);
+        }
+    }
+    let cid_pos: BTreeMap<usize, usize> =
+        cid_list.iter().enumerate().map(|(i, &c)| (c, i)).collect();
+    let mut choice = vec![0usize; cid_list.len()];
+    for code in 0..combos {
+        decode_choice(code, &radices, &mut choice);
+        // The tuple exists only in local worlds its presence conditions
+        // list.
+        let present = deps.presence.iter().all(|cond| {
+            cid_pos
+                .get(&cond.cid)
+                .is_some_and(|&i| cond.lwids.contains(&worlds[i][choice[i]].lwid))
+        });
+        if !present {
+            continue;
+        }
+        let mut values: Vec<Value> = row.values().to_vec();
+        for (attr_idx, field, cid) in &deps.placeholders {
+            let i = cid_pos[cid];
+            let lwid = worlds[i][choice[i]].lwid;
+            // Every local world of a placeholder's component carries a
+            // value; a gap means the mapping cannot be trusted.
+            values[*attr_idx] = uwsdt
+                .placeholder_values(field)
+                .and_then(|m| m.get(&lwid))?
+                .clone();
+        }
+        // A leftover `?` (or `⊥`) would leak a marker into the answer;
+        // decline rather than guess.
+        if values.iter().any(|v| v.is_unknown() || v.is_bottom()) {
+            return None;
+        }
+        let clause = Clause::from_bindings(
+            cid_list
+                .iter()
+                .zip(&choice)
+                .filter_map(|(cid, &pick)| cid_vars.get(cid).map(|&var| (var, pick as u32)))
+                .collect::<Vec<_>>(),
+        )?;
+        rel.push(Tuple::new(values), clause).ok()?;
+    }
+    Some(())
 }
 
 /// A U-database is lineage already: its own world table and the plan's
@@ -309,6 +378,74 @@ mod tests {
                 "conf({tuple}) = {got}, exact {exact}"
             );
         }
+    }
+
+    /// The shape the benchmark serves: a chased census UWSDT, mostly certain
+    /// template rows plus a few hundred uncertain tuples.  The extraction
+    /// must succeed and answer Q1–Q6 through the lineage tiers with the
+    /// numbers of the UWSDT's own exact enumeration.
+    #[test]
+    fn uwsdt_extraction_is_faithful_on_the_chased_census() {
+        let uwsdt = ws_census::CensusScenario::new(2_000, 0.001, 0x5EED)
+            .chased_uwsdt()
+            .unwrap();
+        let relations = relset(&[ws_census::RELATION_NAME]);
+        assert!(uwsdt_lineage(&uwsdt, &relations).is_some());
+        for (label, query) in ws_census::all_queries() {
+            let mut tiered = crate::Session::new(uwsdt.clone());
+            let prepared = tiered.prepare(query.clone()).unwrap();
+            let got = tiered.confidence(&prepared).unwrap();
+            let stats = tiered.stats();
+            assert_eq!(stats.conf_exact, 0, "{label} left the lineage tiers");
+            let mut exact = crate::Session::new(uwsdt.clone());
+            exact.set_confidence_strategy(crate::ConfidenceStrategy::ExactOnly);
+            let prepared = exact.prepare(query).unwrap();
+            let want = exact.confidence(&prepared).unwrap();
+            assert_eq!(got.len(), want.len(), "{label}: possible tuples differ");
+            for ((tg, cg), (tw, cw)) in got.iter().zip(&want) {
+                assert_eq!(tg, tw, "{label}: tuple order differs");
+                assert!(
+                    (cg - cw).abs() < 1e-12,
+                    "{label}: conf({tg}) = {cg}, exact {cw}"
+                );
+            }
+        }
+    }
+
+    /// A `?` template cell without an `F` entry has no values to fill in:
+    /// the extractor declines, on a certain tuple and on an uncertain one.
+    #[test]
+    fn uwsdt_placeholder_without_f_entry_declines() {
+        let schema = ws_relational::Schema::new("R", &["A", "B"]).unwrap();
+        let relations = relset(&["R"]);
+        // A tuple with no registered placeholder.
+        let mut stray = ws_relational::Relation::new(schema.clone());
+        stray.push_values([1i64, 2]).unwrap();
+        stray
+            .push(Tuple::new(vec![Value::int(3), Value::Unknown]))
+            .unwrap();
+        let mut uwsdt = Uwsdt::new();
+        uwsdt.add_template(stray).unwrap();
+        assert!(uwsdt_lineage(&uwsdt, &relations).is_none());
+        // A tuple whose other placeholder is registered.
+        let mut half = ws_relational::Relation::new(schema);
+        half.push(Tuple::new(vec![Value::Unknown, Value::Unknown]))
+            .unwrap();
+        let mut uwsdt = Uwsdt::new();
+        uwsdt.add_template(half).unwrap();
+        uwsdt
+            .add_placeholder(
+                FieldId::new("R", 0, "A"),
+                vec![(Value::int(1), 0.5), (Value::int(2), 0.5)],
+            )
+            .unwrap();
+        assert!(uwsdt_lineage(&uwsdt, &relations).is_none());
+        // Registering the second placeholder makes the mapping faithful.
+        uwsdt
+            .add_placeholder(FieldId::new("R", 0, "B"), vec![(Value::int(7), 1.0)])
+            .unwrap();
+        let lin = uwsdt_lineage(&uwsdt, &relations).unwrap();
+        assert_eq!(lineage_conf(&lin, "R", &Tuple::from_iter([1i64, 7])), 0.5);
     }
 
     #[test]

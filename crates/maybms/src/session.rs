@@ -561,6 +561,10 @@ pub struct SessionStats {
     /// [`Session::confidence_approx`] calls (Monte-Carlo or the backend's
     /// exact fallback).
     pub conf_approx: u64,
+    /// Lineage extractions the confidence tiers asked the backend for — one
+    /// per relation set the plans read, until the backend changes (every
+    /// other call reads the session's memo; see [`Session::confidence`]).
+    pub lineage_extractions: u64,
     /// Read snapshots pinned from a concurrent store (ws-server sessions
     /// only; 0 on plain sessions).
     pub snapshots_pinned: u64,
@@ -594,6 +598,7 @@ impl SessionStats {
         self.conf_compiled += other.conf_compiled;
         self.conf_exact += other.conf_exact;
         self.conf_approx += other.conf_approx;
+        self.lineage_extractions += other.lineage_extractions;
         self.snapshots_pinned += other.snapshots_pinned;
         self.commit_batches += other.commit_batches;
         self.batched_updates += other.batched_updates;
@@ -618,7 +623,8 @@ impl fmt::Display for SessionStats {
             f,
             "plans-prepared={} cache-hits={} executions={} rows-streamed={} \
              updates-applied={} plans-invalidated={} wal-records={} wal-bytes={} \
-             checkpoints={} conf-safe={} conf-compiled={} conf-exact={} conf-approx={}",
+             checkpoints={} conf-safe={} conf-compiled={} conf-exact={} conf-approx={} \
+             lineage-extractions={}",
             self.plans_prepared,
             self.cache_hits,
             self.executions,
@@ -632,6 +638,7 @@ impl fmt::Display for SessionStats {
             self.conf_compiled,
             self.conf_exact,
             self.conf_approx,
+            self.lineage_extractions,
         )?;
         // The service counters print unconditionally (0 on plain sessions),
         // so a local and a remote `summary()` always show the same fields.
@@ -710,6 +717,11 @@ pub struct Session<B: SessionBackend> {
     /// relations a session leaves in its backend (see [`Session::apply`]
     /// for the staleness rule).
     materialized: Vec<String>,
+    /// The lineage the confidence tiers extracted, keyed by the base
+    /// relations a plan reads; `None` memoizes a decline.  Emptied wherever
+    /// the backend can change under the session: [`Session::apply`] and
+    /// [`Session::backend_mut`].
+    lineage: BTreeMap<BTreeSet<String>, Option<Arc<LineageDb>>>,
     /// The observability domain queries report into, when one was attached
     /// with [`Session::set_observer`].
     observer: Option<Arc<Observer>>,
@@ -744,6 +756,7 @@ where
             strategy: ConfidenceStrategy::default(),
             scratch: 0,
             materialized: Vec::new(),
+            lineage: BTreeMap::new(),
             observer: None,
             session_id: 0,
         }
@@ -782,8 +795,11 @@ where
 
     /// Mutable access to the underlying backend (loading data, chasing
     /// dependencies).  Structural changes to *schemas* invalidate prepared
-    /// plans; call [`Session::clear_plan_cache`] afterwards.
+    /// plans; call [`Session::clear_plan_cache`] afterwards.  The lineage
+    /// memo of [`Session::confidence`] is emptied here, since the caller may
+    /// change any relation.
     pub fn backend_mut(&mut self) -> &mut B {
+        self.lineage.clear();
         &mut self.backend
     }
 
@@ -939,6 +955,13 @@ where
     /// the backend's native exact enumeration (on the session's worker pool)
     /// whenever a tier declines.  Every tier computes the same numbers;
     /// [`SessionStats`] records which one fired.
+    ///
+    /// The lineage is extracted once per set of base relations the plan
+    /// reads and kept until the backend changes ([`Session::apply`],
+    /// [`Session::backend_mut`]); a backend that declines is not asked again
+    /// either.  Executing a plan never touches a base relation's possible
+    /// worlds, so every later call on the same relations reads the memo
+    /// ([`SessionStats::lineage_extractions`] counts the extractions).
     pub fn confidence(&mut self, prepared: &Prepared) -> Result<Vec<(Tuple, f64)>> {
         let rows = self.read_result(prepared, |session, out| {
             session.confidence_rows_tiered(out, prepared)
@@ -1010,7 +1033,7 @@ where
     /// lineage tier applies (no mapping, negation in the plan, compiler
     /// budget exhausted).
     fn lineage_probabilities(
-        &self,
+        &mut self,
         prepared: &Prepared,
     ) -> Option<(LineageTier, BTreeMap<Tuple, f64>)> {
         let relations: BTreeSet<String> = prepared
@@ -1019,7 +1042,7 @@ where
             .into_iter()
             .map(str::to_string)
             .collect();
-        let db = self.backend.lineage(&relations)?;
+        let db = self.lineage_of(relations)?;
         if self.strategy == ConfidenceStrategy::Tiered && lineage::is_safe_shape(&prepared.plan) {
             if let Ok(Some(probs)) = lineage::safe_probabilities(&db, &prepared.plan) {
                 return Some((LineageTier::Safe, probs));
@@ -1032,6 +1055,28 @@ where
             probs.insert(tuple, compiler.probability(&dnf).ok()?);
         }
         Some((LineageTier::Compiled, probs))
+    }
+
+    /// The lineage of `relations`, from the memo or — on a miss — extracted
+    /// from the backend and memoized, a decline included.
+    fn lineage_of(&mut self, relations: BTreeSet<String>) -> Option<Arc<LineageDb>> {
+        let metrics = self.observer.as_ref().map(|observer| observer.metrics());
+        if let Some(memo) = self.lineage.get(&relations) {
+            if let Some(metrics) = metrics {
+                metrics.counter("conf.lineage.memo.hits").inc();
+            }
+            return memo.clone();
+        }
+        let started = Instant::now();
+        let db = self.backend.lineage(&relations).map(Arc::new);
+        self.stats.lineage_extractions += 1;
+        if let Some(metrics) = metrics {
+            metrics
+                .histogram("conf.lineage.extract.ns")
+                .record_duration(started.elapsed());
+        }
+        self.lineage.insert(relations, db.clone());
+        db
     }
 
     /// Pair the result's distinct possible tuples (in their canonical
@@ -1228,7 +1273,9 @@ where
     ///   session leaves in its backend — are dropped before the update runs.
     ///   Names returned by `materialize` must therefore not be read after an
     ///   `apply`; re-execute the plan instead.  Every other read verb has
-    ///   already copied its answer out and dropped its result.
+    ///   already copied its answer out and dropped its result;
+    /// * the lineage memo of [`Session::confidence`] is emptied whole, so the
+    ///   next confidence call re-extracts from the updated backend.
     pub fn apply(&mut self, update: &UpdateExpr) -> Result<f64> {
         let _span = self.observer.as_ref().map(|observer| {
             observer
@@ -1241,6 +1288,7 @@ where
         // backends a registered result relation would otherwise be updated
         // (and, under conditioning, chased) along with the base relations.
         self.drop_materialized();
+        self.lineage.clear();
         let mass = apply_update(&mut self.backend, update)
             .map_err(|e| Into::<Error>::into(e).with_plan(update))?;
         self.stats.updates_applied += 1;

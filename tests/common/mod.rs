@@ -435,6 +435,17 @@ pub fn oracle_apply_update(worlds: &mut Vec<(Database, f64)>, update: &UpdateExp
     }
 }
 
+/// Run [`maybms::uwsdt::Uwsdt::validate`] on a UWSDT backend (the other
+/// representations have no such invariant to check); the update and
+/// durability suites call this after every update.
+pub fn assert_valid(backend: &AnyBackend, context: &dyn std::fmt::Display) {
+    if let AnyBackend::Uwsdt(uwsdt) = backend {
+        uwsdt
+            .validate()
+            .unwrap_or_else(|e| panic!("[{context}] the UWSDT no longer validates: {e}"));
+    }
+}
+
 /// The possible tuples of a relation across an explicit world list, sorted.
 pub fn oracle_possible_in(worlds: &[(Database, f64)], relation: &str) -> BTreeSet<Tuple> {
     worlds

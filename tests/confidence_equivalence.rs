@@ -281,3 +281,144 @@ fn approx_stays_within_epsilon_of_every_exact_tier() {
         }
     }
 }
+
+/// `R[A, B]` with two uncertain `B` fields (1/2 each) and one certain tuple,
+/// so every step of [`every_mutation_empties_the_lineage_memo`] moves some
+/// confidence of `π_B(R)` — a stale lineage memo would answer with the old
+/// number.
+fn memo_wsd() -> Wsd {
+    let mut wsd = Wsd::new();
+    wsd.register_relation("R", &["A", "B"], 3).unwrap();
+    for (t, a) in [1i64, 2, 3].into_iter().enumerate() {
+        wsd.set_certain(FieldId::new("R", t, "A"), Value::int(a))
+            .unwrap();
+    }
+    // The first enumerated world is B = 1, 3, 4: it satisfies the EGD below,
+    // so the single-world backend survives the conditioning step.
+    wsd.set_uniform(
+        FieldId::new("R", 0, "B"),
+        vec![Value::int(1), Value::int(2)],
+    )
+    .unwrap();
+    wsd.set_uniform(
+        FieldId::new("R", 1, "B"),
+        vec![Value::int(3), Value::int(2)],
+    )
+    .unwrap();
+    wsd.set_certain(FieldId::new("R", 2, "B"), Value::int(4))
+        .unwrap();
+    wsd.validate().unwrap();
+    wsd
+}
+
+/// `query`'s confidences by world enumeration: each answer tuple's summed
+/// world weight.
+fn oracle_confidences(
+    worlds: &[(Database, f64)],
+    query: &RaExpr,
+) -> std::collections::BTreeMap<Tuple, f64> {
+    let mut conf = std::collections::BTreeMap::new();
+    for (db, p) in worlds {
+        for tuple in maybms::relational::evaluate_set(db, query)
+            .unwrap()
+            .into_rows()
+        {
+            *conf.entry(tuple).or_insert(0.0) += p;
+        }
+    }
+    conf
+}
+
+/// The session's lineage memo never outlives the state it was extracted
+/// from.  On every backend a warm `confidence(Q)` is followed by an insert,
+/// a conditioning step, a delete, a modify and one direct `backend_mut()`
+/// edit; after each, `confidence(Q)` equals the world-enumeration oracle bit
+/// for bit and is answered from a fresh extraction.
+#[test]
+fn every_mutation_empties_the_lineage_memo() {
+    let wsd = memo_wsd();
+    let query = RaExpr::rel("R").project(vec!["B"]);
+    let egd = Dependency::Egd(EqualityGeneratingDependency::implies(
+        "R",
+        "A",
+        2i64,
+        "B",
+        CmpOp::Ne,
+        2i64,
+    ));
+    let steps = [
+        (
+            "insert",
+            UpdateExpr::insert("R", Tuple::from_iter([5i64, 1])),
+        ),
+        ("condition", UpdateExpr::condition(vec![egd])),
+        (
+            "delete",
+            UpdateExpr::delete("R", Predicate::eq_const("A", 5i64)),
+        ),
+        (
+            "modify",
+            UpdateExpr::modify(
+                "R",
+                Predicate::eq_const("A", 3i64),
+                vec![("B".to_string(), Value::int(1))],
+            ),
+        ),
+    ];
+    let edit = UpdateExpr::delete("R", Predicate::eq_const("A", 3i64));
+    for (name, backend) in all_backends(&wsd) {
+        let mut worlds = match name {
+            "database" => vec![(wsd.enumerate_worlds(1 << 20).unwrap().remove(0).0, 1.0)],
+            _ => wsd.enumerate_worlds(1 << 20).unwrap(),
+        };
+        let mut session = Session::over(backend);
+        let prepared = session.prepare(query.clone()).unwrap();
+        let check = |session: &mut Session<AnyBackend>,
+                     worlds: &[(Database, f64)],
+                     step: &str,
+                     extractions: u64| {
+            let context = format!("{name} after {step}");
+            let rows = session.confidence(&prepared).unwrap();
+            let expected = oracle_confidences(worlds, &query);
+            assert_eq!(
+                rows.iter().map(|(t, _)| t.clone()).collect::<BTreeSet<_>>(),
+                expected.keys().cloned().collect::<BTreeSet<_>>(),
+                "[{context}] possible-tuple sets differ"
+            );
+            for (tuple, conf) in &rows {
+                assert_eq!(
+                    conf.to_bits(),
+                    expected[tuple].to_bits(),
+                    "[{context}] conf({tuple}) = {conf}, oracle {}",
+                    expected[tuple]
+                );
+            }
+            let stats = session.stats();
+            assert_eq!(
+                stats.conf_exact, 0,
+                "[{context}] a lineage tier must answer"
+            );
+            assert_eq!(
+                stats.lineage_extractions, extractions,
+                "[{context}] lineage extractions"
+            );
+        };
+        // Warm the memo: the second call reads it.
+        check(&mut session, &worlds, "the first call", 1);
+        check(&mut session, &worlds, "a memo hit", 1);
+        let mut extractions = 1;
+        for (step, update) in &steps {
+            session.apply(update).unwrap();
+            assert!(
+                common::oracle_apply_update(&mut worlds, update).is_some(),
+                "[{name}] {step} must stay consistent"
+            );
+            extractions += 1;
+            check(&mut session, &worlds, step, extractions);
+            check(&mut session, &worlds, step, extractions);
+        }
+        apply_update(session.backend_mut(), &edit).unwrap();
+        common::oracle_apply_update(&mut worlds, &edit).unwrap();
+        check(&mut session, &worlds, "a backend_mut edit", extractions + 1);
+    }
+}

@@ -23,7 +23,7 @@ use rand::{Rng, SeedableRng};
 use ws_storage::wal::{self, WAL_FILE};
 
 mod common;
-use common::{all_backends, random_update, random_wsd, GenExpr, Generator};
+use common::{all_backends, assert_valid, random_update, random_wsd, GenExpr, Generator};
 
 fn boxed(vfs: &MemVfs) -> Box<dyn Vfs> {
     Box::new(vfs.clone())
@@ -86,7 +86,13 @@ fn run_side_by_side(label: &str, backend: &AnyBackend, updates: &[UpdateExpr]) -
     let mut durable = Session::create_durable_on(boxed(&vfs), backend.clone()).unwrap();
     let mut oracle = Session::over(backend.clone());
     for update in updates {
-        match (durable.apply(update), oracle.apply(update)) {
+        let outcomes = (durable.apply(update), oracle.apply(update));
+        assert_valid(
+            durable.backend().inner(),
+            &format!("{label} durable: {update}"),
+        );
+        assert_valid(oracle.backend(), &format!("{label} in-memory: {update}"));
+        match outcomes {
             (Ok(a), Ok(b)) => assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
@@ -126,6 +132,7 @@ fn reference_state(backend: &AnyBackend, prefix: &[UpdateExpr]) -> AnyBackend {
     let mut state = backend.clone();
     for update in prefix {
         let _ = maybms::apply_update(&mut state, update);
+        assert_valid(&state, update);
     }
     state
 }
@@ -258,6 +265,7 @@ fn checkpoints_move_the_recovery_base_without_changing_answers() {
             let mut durable = Session::create_durable_on(boxed(&vfs), backend.clone()).unwrap();
             for u in &before {
                 durable.apply(u).unwrap();
+                assert_valid(durable.backend().inner(), &format!("{name}: {u}"));
             }
             // Leave a live scratch result registered, then checkpoint: the
             // snapshot must hold base relations only.
@@ -268,6 +276,7 @@ fn checkpoints_move_the_recovery_base_without_changing_answers() {
             assert_eq!(durable.stats().wal_records, 0);
             for u in &after {
                 durable.apply(u).unwrap();
+                assert_valid(durable.backend().inner(), &format!("{name}: {u}"));
             }
             durable.close().unwrap();
 
@@ -281,6 +290,7 @@ fn checkpoints_move_the_recovery_base_without_changing_answers() {
             let mut reference = backend.clone();
             for u in before.iter().chain(&after) {
                 maybms::apply_update(&mut reference, u).unwrap();
+                assert_valid(&reference, &format!("{name} reference: {u}"));
             }
             let config = EngineConfig::default();
             assert_eq!(
@@ -310,6 +320,7 @@ fn a_no_op_delete_on_the_chased_census_survives_checkpoint_and_reopen() {
         let vfs = MemVfs::new();
         let mut durable = Session::create_durable_on(boxed(&vfs), before.clone()).unwrap();
         durable.apply(&delete).unwrap();
+        assert_valid(durable.backend().inner(), &format!("seed {seed}: {delete}"));
         durable.checkpoint().unwrap();
         let written = durable.backend().inner().clone();
         durable.close().unwrap();

@@ -355,3 +355,60 @@ fn the_wire_protocol_round_trips_the_session_verbs_concurrently() {
     handle.shutdown().unwrap();
     store.close().unwrap();
 }
+
+/// A connection keeps its session — and with it the lineage memo — for as
+/// long as the store does not move: two connections running 12 confidences
+/// each over the same relation extract lineage once apiece, and the wire
+/// `Stats` reply says so.
+#[test]
+fn a_connection_extracts_lineage_once_per_snapshot() {
+    let mut rng = StdRng::seed_from_u64(0x11E4);
+    let wsd = random_wsd(&mut rng);
+    let backend = AnyBackend::from(maybms::uwsdt::from_wsd(&wsd).unwrap());
+    let vfs = MemVfs::new();
+    let store: ConcurrentStore<AnyBackend> = ConcurrentStore::create_recording(
+        boxed(&vfs),
+        backend,
+        SyncPolicy::GroupCommit {
+            max_batch: 8,
+            max_wait: Duration::from_millis(2),
+        },
+    )
+    .unwrap();
+    let handle = ws_server::spawn("127.0.0.1:0", store.clone()).unwrap();
+    let addr = handle.addr();
+    let readers: Vec<_> = (0..2)
+        .map(|_| {
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                // Two plans over the same base relation share one memo entry.
+                let plans = [
+                    client.prepare(maybms::q("R")).unwrap(),
+                    client.prepare(maybms::q("R").project(["B"])).unwrap(),
+                ];
+                for i in 0..12 {
+                    client.confidence(&plans[i % 2]).unwrap();
+                }
+                let summary = client.stats().unwrap();
+                client.close().unwrap();
+                summary
+            })
+        })
+        .collect();
+    for reader in readers {
+        let summary = reader.join().unwrap();
+        assert!(
+            summary
+                .split_whitespace()
+                .any(|kv| kv == "lineage-extractions=1"),
+            "one extraction per connection expected in {summary:?}"
+        );
+        assert!(
+            summary.split_whitespace().any(|kv| kv == "conf-exact=0"),
+            "the lineage tiers must answer: {summary:?}"
+        );
+    }
+    assert_eq!(store.seq(), 0, "the store never moved");
+    handle.shutdown().unwrap();
+    store.close().unwrap();
+}

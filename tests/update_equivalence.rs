@@ -20,7 +20,8 @@ use rand::{Rng, SeedableRng};
 
 mod common;
 use common::{
-    all_backends, oracle_apply_update, oracle_possible_query, random_update, random_wsd, Generator,
+    all_backends, assert_valid, oracle_apply_update, oracle_possible_query, random_update,
+    random_wsd, Generator,
 };
 
 /// One step of an interleaved sequence.
@@ -117,6 +118,7 @@ fn replay(
                     (reported - mass).abs() < 1e-9,
                     "[{label}] {update}: mass {reported} vs oracle {mass}"
                 );
+                assert_valid(session.backend(), &format!("{label}: {update}"));
             }
             (Step::Update(update), Expected::Inconsistent) => {
                 let err = session
@@ -126,6 +128,7 @@ fn replay(
                     err.is_inconsistent(),
                     "[{label}] {update}: expected an inconsistency error, got {err}"
                 );
+                assert_valid(session.backend(), &format!("{label}: {update}"));
                 return;
             }
             (Step::Query(query), Expected::Possible(oracle)) => {
@@ -254,6 +257,7 @@ proptest! {
             }
             let mut session = Session::over(backend);
             session.apply(&update).unwrap();
+            assert_valid(session.backend(), &format!("{name}: {update}"));
             let snapshot = |session: &mut Session<AnyBackend>| {
                 ["R", "S"]
                     .iter()
@@ -265,6 +269,7 @@ proptest! {
             };
             let before = snapshot(&mut session);
             let mass = session.condition(&[]).unwrap();
+            assert_valid(session.backend(), &format!("{name}: ⊤"));
             prop_assert_eq!(mass, 1.0, "[{}] ⊤ must not remove mass", name);
             let after = snapshot(&mut session);
             prop_assert_eq!(&before, &after, "[{}] conditioning on ⊤ changed {}", name, update);
@@ -299,12 +304,14 @@ proptest! {
             session
                 .apply(&UpdateExpr::insert_possible("R", tuple.clone(), prob))
                 .unwrap();
+            assert_valid(session.backend(), &format!("{name}: insert"));
             prop_assert!(
                 possible_r(&mut session).contains(&tuple),
                 "[{}] the inserted tuple must be possible",
                 name
             );
             session.apply(&UpdateExpr::delete("R", pred.clone())).unwrap();
+            assert_valid(session.backend(), &format!("{name}: delete"));
             let after = possible_r(&mut session);
             prop_assert_eq!(&before, &after, "[{}] insert→delete must round-trip", name);
         }
