@@ -15,9 +15,10 @@
 //!
 //! The UWSDT evaluator (serial only) is kept as the cross-representation
 //! reference point.  A second section answers one hierarchical query through
-//! each `Session::confidence` tier and asserts the safe-plan tier is at least
-//! `SAFE_SPEEDUP_REQUIRED` (3×) faster than native exact enumeration at every
-//! variable count, so a violated bound exits the bench non-zero.  Run with:
+//! each `Session::confidence` tier and asserts the compiled-lineage tier is
+//! at least `COMPILED_SPEEDUP_REQUIRED` (3×) faster than native exact
+//! enumeration at every variable count, so a violated bound exits the bench
+//! non-zero.  Run with:
 //! `cargo bench -p ws-bench --bench ablation_confidence`
 //! (`WS_BENCH_QUICK=1` for the CI smoke grid).
 
@@ -29,8 +30,9 @@ use ws_relational::lineage::{Clause, LineageRelation};
 use ws_relational::{EngineConfig, RaExpr, Schema, Tuple, WorkerPool};
 use ws_urel::UDatabase;
 
-/// The safe-plan tier must beat native exact enumeration by this factor.
-const SAFE_SPEEDUP_REQUIRED: f64 = 3.0;
+/// The compiled-lineage tier must beat native exact enumeration by this
+/// factor.
+const COMPILED_SPEEDUP_REQUIRED: f64 = 3.0;
 
 fn main() {
     let par_threads = std::thread::available_parallelism()
@@ -149,21 +151,15 @@ fn main() {
     // Session::confidence tier.  A tuple-independent relation with n
     // variables all projecting onto one output tuple is the worst case for
     // native exact enumeration (2^n joint assignments) and the best case for
-    // the safe-plan tier (one linear 1 − Π(1 − p) pass); the compiled d-tree
-    // sits in between (independent components, no Shannon expansion needed).
-    // All three must produce bit-identical numbers — the probabilities are
-    // dyadic (1/4, 3/4), so no exact algorithm rounds anywhere.
+    // the compiled d-tree (read-once lineage: one independent-component
+    // split, one 1 − Π(1 − p) pass, no Shannon expansion).  Both tiers must
+    // produce bit-identical numbers — the probabilities are dyadic (1/4,
+    // 3/4), so no exact algorithm rounds anywhere.
     // ----------------------------------------------------------------------
     println!();
-    println!("# Confidence tiers: safe plan vs compiled lineage vs native exact");
+    println!("# Confidence tiers: compiled lineage vs native exact");
     println!("(tuple-independent U-relation, query π_B(σ_A<n(T)); n independent variables)");
-    print_header(&[
-        "variables",
-        "safe (s)",
-        "compiled (s)",
-        "exact (s)",
-        "exact/safe",
-    ]);
+    print_header(&["variables", "compiled (s)", "exact (s)", "exact/compiled"]);
     let var_counts: &[usize] = if is_quick() {
         &[14, 16]
     } else {
@@ -196,41 +192,36 @@ fn main() {
             let (rows, t) = time_once(|| session.confidence(&prepared).unwrap());
             (rows, session.stats(), t)
         };
-        let (safe_rows, safe_stats, safe_time) = timed_tier(ConfidenceStrategy::Tiered);
-        let (compiled_rows, compiled_stats, compiled_time) =
-            timed_tier(ConfidenceStrategy::CompiledOnly);
+        let (compiled_rows, compiled_stats, compiled_time) = timed_tier(ConfidenceStrategy::Tiered);
         let (exact_rows, exact_stats, exact_time) = timed_tier(ConfidenceStrategy::ExactOnly);
 
         // Each strategy must hit its intended tier and agree bit-for-bit.
-        assert_eq!(safe_stats.conf_safe, 1, "safe tier did not fire");
         assert_eq!(
             compiled_stats.conf_compiled, 1,
             "compiled tier did not fire"
         );
         assert_eq!(exact_stats.conf_exact, 1, "exact tier did not fire");
-        for rows in [&compiled_rows, &exact_rows] {
-            assert_eq!(safe_rows.len(), rows.len());
-            for ((ts, cs), (to, co)) in safe_rows.iter().zip(rows.iter()) {
-                assert_eq!(ts, to, "tiers disagree on the possible tuples");
-                assert_eq!(cs.to_bits(), co.to_bits(), "tiers are not bit-identical");
-            }
+        assert_eq!(compiled_rows.len(), exact_rows.len());
+        for ((tc, cc), (te, ce)) in compiled_rows.iter().zip(exact_rows.iter()) {
+            assert_eq!(tc, te, "tiers disagree on the possible tuples");
+            assert_eq!(cc.to_bits(), ce.to_bits(), "tiers are not bit-identical");
         }
         print_row(&[
             n.to_string(),
-            secs(safe_time),
             secs(compiled_time),
             secs(exact_time),
             format!(
                 "{:.1}x",
-                exact_time.as_secs_f64() / safe_time.as_secs_f64().max(1e-9)
+                exact_time.as_secs_f64() / compiled_time.as_secs_f64().max(1e-9)
             ),
         ]);
-        // The acceptance bound: on hierarchical queries the safe tier is at
-        // least SAFE_SPEEDUP_REQUIRED× faster than native exact enumeration.
+        // The acceptance bound: on hierarchical queries the compiled tier is
+        // at least COMPILED_SPEEDUP_REQUIRED× faster than native exact
+        // enumeration.
         assert!(
-            safe_time.as_secs_f64() * SAFE_SPEEDUP_REQUIRED <= exact_time.as_secs_f64(),
-            "safe tier ({safe_time:?}) is not {SAFE_SPEEDUP_REQUIRED}× faster than \
-             exact ({exact_time:?}) at n = {n}",
+            compiled_time.as_secs_f64() * COMPILED_SPEEDUP_REQUIRED <= exact_time.as_secs_f64(),
+            "compiled tier ({compiled_time:?}) is not {COMPILED_SPEEDUP_REQUIRED}× faster \
+             than exact ({exact_time:?}) at n = {n}",
         );
     }
 }

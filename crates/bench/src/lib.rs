@@ -1,9 +1,9 @@
 //! # ws-bench — benchmark harness for the paper's evaluation section
 //!
 //! One benchmark target per reproduced evaluation figure (`fig26`–`fig30`),
-//! plus three ablations that each assert one ratio bound in-process (safe
-//! confidence tier vs. exact, group commit vs. per-record fsync, observed vs.
-//! unobserved session).  The helpers in this library crate are shared by the
+//! plus three ablations that each assert one ratio bound in-process
+//! (compiled confidence tier vs. exact, group commit vs. per-record fsync,
+//! observed vs. unobserved session).  The helpers in this library crate are shared by the
 //! individual `benches/*.rs` harnesses: size sweeps, timing utilities and
 //! table printing.  The repository's end-to-end benchmark, `bench_e2e`
 //! (declared in `BENCHMARK.json`), is a separate package under `src/bin/`

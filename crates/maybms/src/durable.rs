@@ -107,10 +107,11 @@ impl<B: SessionBackend> SessionBackend for Durable<B> {
     }
 
     /// Deliberately not forwarded: durable sessions answer confidence by the
-    /// backend's native exact path.  Lineage extraction is redone on every
-    /// call today, which on the chased census UWSDT makes the lineage tiers
-    /// 5–10× slower than native exact; forward this once the extracted
-    /// lineage is cached per snapshot.
+    /// backend's native exact path.  A compiled-tier confidence still
+    /// executes the plan on the backend before it evaluates the lineage, so
+    /// on the chased census UWSDT it would cost about as much as native
+    /// exact; forward this once the compiled tier answers from the lineage
+    /// alone.
     fn lineage(&self, _relations: &BTreeSet<String>) -> Option<LineageDb> {
         None
     }

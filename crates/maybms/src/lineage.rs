@@ -1,14 +1,15 @@
 //! Lineage extraction: map each possible-worlds representation onto the
-//! finite-domain variables of [`ws_relational::lineage`], so the tiered
-//! [`crate::Session::confidence`] strategy can shadow-evaluate a prepared
-//! plan extensionally (safe plans) or through the d-tree compiler.
+//! finite-domain variables of [`ws_relational::lineage`], so
+//! [`crate::Session::confidence`]'s compiled tier can shadow-evaluate a
+//! prepared plan and compile each answer's lineage to a d-tree — the one
+//! lineage tier, in front of the backend's native exact path.
 //!
 //! Every extractor answers `Option<LineageDb>`:
 //!
 //! * `Some(db)` — a **faithful** translation: for every base relation the
 //!   plan reads, the annotated rows and their clauses describe exactly the
-//!   same distribution over worlds as the backend itself.  Tier results
-//!   computed from it are exact.
+//!   same distribution over worlds as the backend itself.  Compiled
+//!   confidences computed from it are exact.
 //! * `None` — the representation opted out (per-tuple joint spaces above
 //!   [`MAX_TUPLE_COMBOS`], un-normalized world weights, anything the mapping
 //!   cannot express).  The session falls back to the backend's native exact
@@ -382,7 +383,7 @@ mod tests {
 
     /// The shape the benchmark serves: a chased census UWSDT, mostly certain
     /// template rows plus a few hundred uncertain tuples.  The extraction
-    /// must succeed and answer Q1–Q6 through the lineage tiers with the
+    /// must succeed and answer Q1–Q6 through the compiled tier with the
     /// numbers of the UWSDT's own exact enumeration.
     #[test]
     fn uwsdt_extraction_is_faithful_on_the_chased_census() {
@@ -396,7 +397,7 @@ mod tests {
             let prepared = tiered.prepare(query.clone()).unwrap();
             let got = tiered.confidence(&prepared).unwrap();
             let stats = tiered.stats();
-            assert_eq!(stats.conf_exact, 0, "{label} left the lineage tiers");
+            assert_eq!(stats.conf_exact, 0, "{label} left the compiled tier");
             let mut exact = crate::Session::new(uwsdt.clone());
             exact.set_confidence_strategy(crate::ConfidenceStrategy::ExactOnly);
             let prepared = exact.prepare(query).unwrap();

@@ -109,9 +109,9 @@ pub trait SessionBackend: QueryBackend {
 
     /// Extract a [`LineageDb`] covering `relations` — a faithful mapping of
     /// this representation onto independent finite-domain variables, feeding
-    /// the safe-plan and compiled-lineage confidence tiers.  `None` opts the
-    /// backend out (the session then uses [`SessionBackend::confidence_rows`]
-    /// directly), which is always safe; see [`crate::lineage`].
+    /// the compiled-lineage confidence tier.  `None` opts the backend out
+    /// (the session then uses [`SessionBackend::confidence_rows`] directly),
+    /// which is always safe; see [`crate::lineage`].
     fn lineage(&self, relations: &BTreeSet<String>) -> Option<LineageDb>;
 }
 
@@ -487,39 +487,27 @@ impl fmt::Display for Prepared {
 /// plans and inputs admit cheaper *exact* evaluation.  The session tries, in
 /// order:
 ///
-/// 1. **Safe plan** — when the plan shape is hierarchical
-///    ([`lineage::is_safe_shape`]) and every extensional rewrite step is
-///    verifiably sound on the actual lineage
-///    ([`lineage::safe_probabilities`]), probabilities are aggregated inside
-///    the plan (independent-AND / disjoint-OR / independent-project) in one
-///    linear pass.
-/// 2. **Compiled lineage** — otherwise the output DNFs are compiled to a
-///    Shannon-expansion d-tree with memoized cofactor sharing
-///    ([`DtreeCompiler`]), still exact, within a node budget.
-/// 3. **Native exact** — when the backend has no lineage mapping or a tier
-///    declines, the backend's own exact enumeration answers.
+/// 1. **Compiled lineage** — the plan is evaluated over the backend's
+///    extracted lineage ([`lineage::evaluate_lineage`]) and each output
+///    tuple's DNF is compiled to a Shannon-expansion d-tree with
+///    independent-component splits and memoized cofactor sharing
+///    ([`DtreeCompiler`]), within a node budget.  Hierarchical (safe) plans
+///    have read-once lineage, which the component split compiles in one
+///    pass.
+/// 2. **Native exact** — when the backend has no lineage mapping, the plan
+///    has a difference, or the d-tree exceeds its budget, the backend's own
+///    exact enumeration answers.
 ///
-/// Every tier is exact; the strategy only chooses *how* the same numbers are
-/// computed, and [`SessionStats`] records which tier fired.
+/// Both tiers are exact; the strategy only chooses *how* the same numbers
+/// are computed, and [`SessionStats`] records which tier fired.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ConfidenceStrategy {
-    /// Safe plan, then compiled lineage, then the native exact path.
+    /// Compiled lineage, then the native exact path.
     #[default]
     Tiered,
-    /// Skip the safe-plan tier: always compile the lineage d-tree (with the
-    /// native exact path as fallback).  Mostly useful for testing and
-    /// benchmarking the compiler.
-    CompiledOnly,
-    /// Always use the backend's native exact enumeration (the pre-tier
-    /// behavior).
+    /// Always use the backend's native exact enumeration (the oracle the
+    /// equivalence suites pin the compiled tier to).
     ExactOnly,
-}
-
-/// Which lineage tier produced an answer (internal bookkeeping for the
-/// [`SessionStats`] counters).
-enum LineageTier {
-    Safe,
-    Compiled,
 }
 
 /// Counters of one session's lifetime, for benches and capacity planning.
@@ -549,14 +537,15 @@ pub struct SessionStats {
     /// Checkpoints taken through [`Session::checkpoint`] (durable sessions
     /// only).
     pub checkpoints: u64,
-    /// [`Session::confidence`] calls answered by the safe-plan (extensional)
-    /// tier.
+    /// Always 0: the safe-plan tier is gone (the compiled tier answers
+    /// hierarchical plans).  Kept for `bench_e2e` and the wire summary's
+    /// `conf-safe=` field.
     pub conf_safe: u64,
     /// [`Session::confidence`] calls answered by the compiled-lineage
     /// (d-tree) tier.
     pub conf_compiled: u64,
     /// [`Session::confidence`] calls answered by the backend's native exact
-    /// path (the lineage tiers declined or were disabled).
+    /// path (the compiled tier declined or was disabled).
     pub conf_exact: u64,
     /// [`Session::confidence_approx`] calls (Monte-Carlo or the backend's
     /// exact fallback).
@@ -668,7 +657,7 @@ pub struct QueryProfile {
     /// The confidence step: rows in = streamed answers, rows out = distinct
     /// tuples with confidences, detail = the tier that fired.
     pub confidence: ProfileNode,
-    /// Which confidence tier answered: `"safe"`, `"compiled"` or `"exact"`.
+    /// Which confidence tier answered: `"compiled"` or `"exact"`.
     pub tier: &'static str,
     /// Whether the plan was in the prepared-plan cache: `"hit"` or `"miss"`.
     pub cache: &'static str,
@@ -950,11 +939,10 @@ where
     ///
     /// Under the default [`ConfidenceStrategy::Tiered`] the session
     /// shadow-evaluates the plan over the backend's extracted lineage and
-    /// answers from the cheapest applicable exact tier — safe-plan
-    /// extensional evaluation, then the compiled d-tree — falling back to
-    /// the backend's native exact enumeration (on the session's worker pool)
-    /// whenever a tier declines.  Every tier computes the same numbers;
-    /// [`SessionStats`] records which one fired.
+    /// compiles each answer's lineage to a d-tree, falling back to the
+    /// backend's native exact enumeration (on the session's worker pool)
+    /// whenever the compiled tier declines.  Both tiers compute the same
+    /// numbers; [`SessionStats`] records which one fired.
     ///
     /// The lineage is extracted once per set of base relations the plan
     /// reads and kept until the backend changes ([`Session::apply`],
@@ -970,9 +958,9 @@ where
         Ok(rows)
     }
 
-    /// The tier ladder behind [`Session::confidence`]: lineage tiers first
-    /// (unless [`ConfidenceStrategy::ExactOnly`]), the backend's native
-    /// exact path as the unconditional fallback.
+    /// The tier ladder behind [`Session::confidence`]: the compiled tier
+    /// first (unless [`ConfidenceStrategy::ExactOnly`]), the backend's
+    /// native exact path as the unconditional fallback.
     fn confidence_rows_tiered(
         &mut self,
         out: &str,
@@ -981,30 +969,21 @@ where
         let observer = self.observer.clone();
         if self.strategy != ConfidenceStrategy::ExactOnly {
             let started = Instant::now();
-            if let Some((tier, probs)) = self.lineage_probabilities(prepared) {
+            if let Some(probs) = self.lineage_probabilities(prepared) {
                 if let Some(rows) = self.lineage_rows(out, &probs)? {
-                    let name = match tier {
-                        LineageTier::Safe => {
-                            self.stats.conf_safe += 1;
-                            "safe"
-                        }
-                        LineageTier::Compiled => {
-                            self.stats.conf_compiled += 1;
-                            "compiled"
-                        }
-                    };
+                    self.stats.conf_compiled += 1;
                     if let Some(observer) = &observer {
                         let metrics = observer.metrics();
-                        metrics.counter(&format!("conf.tier.{name}.hits")).inc();
+                        metrics.counter("conf.tier.compiled.hits").inc();
                         metrics
-                            .histogram(&format!("conf.tier.{name}.ns"))
+                            .histogram("conf.tier.compiled.ns")
                             .record_duration(started.elapsed());
                     }
                     return Ok(rows);
                 }
             }
             if let Some(observer) = &observer {
-                // The lineage tiers were tried and declined; the native
+                // The compiled tier was tried and declined; the native
                 // exact path below answers.
                 observer
                     .metrics()
@@ -1027,15 +1006,10 @@ where
     }
 
     /// Shadow-evaluate `prepared` over the backend's lineage, returning each
-    /// possible output tuple's exact probability — by the safe-plan tier
-    /// when the plan is hierarchical and every extensional step is sound on
-    /// the actual lineage, by the d-tree compiler otherwise.  `None` when no
-    /// lineage tier applies (no mapping, negation in the plan, compiler
-    /// budget exhausted).
-    fn lineage_probabilities(
-        &mut self,
-        prepared: &Prepared,
-    ) -> Option<(LineageTier, BTreeMap<Tuple, f64>)> {
+    /// possible output tuple's exact probability by the d-tree compiler.
+    /// `None` when the compiled tier does not apply (no mapping, negation in
+    /// the plan, compiler budget exhausted).
+    fn lineage_probabilities(&mut self, prepared: &Prepared) -> Option<BTreeMap<Tuple, f64>> {
         let relations: BTreeSet<String> = prepared
             .plan
             .base_relations()
@@ -1043,18 +1017,13 @@ where
             .map(str::to_string)
             .collect();
         let db = self.lineage_of(relations)?;
-        if self.strategy == ConfidenceStrategy::Tiered && lineage::is_safe_shape(&prepared.plan) {
-            if let Ok(Some(probs)) = lineage::safe_probabilities(&db, &prepared.plan) {
-                return Some((LineageTier::Safe, probs));
-            }
-        }
         let output = lineage::evaluate_lineage(&db, &prepared.plan).ok()?;
         let mut compiler = DtreeCompiler::new(db.vars());
         let mut probs = BTreeMap::new();
         for (tuple, dnf) in output.dnfs() {
             probs.insert(tuple, compiler.probability(&dnf).ok()?);
         }
-        Some((LineageTier::Compiled, probs))
+        Some(probs)
     }
 
     /// The lineage of `relations`, from the memo or — on a miss — extracted
@@ -1151,9 +1120,7 @@ where
             })?
             .len() as u64;
         let conf_elapsed = started.elapsed();
-        let tier = if self.stats.conf_safe > before.conf_safe {
-            "safe"
-        } else if self.stats.conf_compiled > before.conf_compiled {
+        let tier = if self.stats.conf_compiled > before.conf_compiled {
             "compiled"
         } else {
             "exact"

@@ -27,9 +27,9 @@
 //!   evaluate batch-at-a-time over flat `i64` / dictionary-encoded columns
 //!   with selection vectors, and
 //! * the **lineage layer** ([`lineage`]): boolean provenance over
-//!   finite-domain world variables with an annotated executor, a safe-plan
-//!   (extensional) evaluator, and a Shannon-expansion d-tree compiler — the
-//!   engine-side half of the tiered `Session::confidence` strategy — plus
+//!   finite-domain world variables with an annotated executor and a
+//!   Shannon-expansion d-tree compiler — the engine-side half of
+//!   `Session::confidence`'s compiled tier — plus
 //!   the shared Hoeffding (ε, δ) sample planner ([`approx`]) every
 //!   Monte-Carlo confidence estimator draws its trial blocks from, and
 //! * the deterministic fan-out/fan-in [`par::WorkerPool`] behind

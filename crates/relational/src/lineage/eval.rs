@@ -2,7 +2,7 @@
 //! propagating one clause per derivation.
 //!
 //! This mirrors the single-world evaluator in [`crate::algebra`] operator by
-//! operator, except that every intermediate row carries the [`Clause`](super::model::Clause) under
+//! operator, except that every intermediate row carries the [`Clause`] under
 //! which it exists:
 //!
 //! * a base scan emits the relation's annotated rows (borrowed, not copied),
@@ -19,14 +19,14 @@
 //! Set-semantics deduplication is deferred to the end: the output tuple's
 //! lineage is the disjunction ([`Dnf`]) of **all** of its derivations'
 //! clauses, grouped by [`LineageOutput::dnfs`].  Difference is rejected —
-//! negation takes the lineage outside DNF and outside the safe/compiled
-//! tiers; callers fall back to the backend's native exact path.
+//! negation takes the lineage outside DNF and outside the compiled tier;
+//! callers fall back to the backend's native exact path.
 //!
 //! This is the whole query executor of U-relations (`ws_urel`), and the
-//! shadow evaluator of the session's lineage confidence tiers for every
+//! shadow evaluator of the session's compiled confidence tier for every
 //! other backend.
 
-use super::model::{Dnf, LineageDb, LineageRelation};
+use super::model::{Clause, Dnf, LineageDb, LineageRelation};
 use crate::algebra::RaExpr;
 use crate::error::{RelationalError, Result};
 use crate::predicate::Predicate;
@@ -34,7 +34,7 @@ use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 /// The result of an annotated evaluation: every derivation of every output
 /// tuple, in plan order.
@@ -63,12 +63,12 @@ impl LineageOutput {
     /// Group the derivations into one [`Dnf`] per distinct output tuple.
     pub fn dnfs(&self) -> BTreeMap<Tuple, Dnf> {
         let mut out: BTreeMap<Tuple, Dnf> = BTreeMap::new();
+        // Derivations repeat when distinct plan paths produce the same
+        // clause; the disjunction is idempotent, so keep the first copy.
+        let mut seen: HashSet<(&Tuple, &Clause)> = HashSet::new();
         for (tuple, clause) in self.rows.rows() {
-            let dnf = out.entry(tuple.clone()).or_default();
-            // Derivations repeat when distinct plan paths produce the same
-            // clause; the disjunction is idempotent, so keep one copy.
-            if !dnf.contains(clause) {
-                dnf.push(clause.clone());
+            if seen.insert((tuple, clause)) {
+                out.entry(tuple.clone()).or_default().push(clause.clone());
             }
         }
         out

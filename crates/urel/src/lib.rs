@@ -17,7 +17,7 @@
 //! U-relational verbs on top:
 //!
 //! * [`convert`] — the WSD → U-relation translation (the same one the
-//!   session's lineage tiers use for WSDs),
+//!   session's compiled confidence tier uses for WSDs),
 //! * [`ops`] — queries: a whole plan is one call to
 //!   [`evaluate_lineage`](ws_relational::lineage::evaluate_lineage),
 //! * [`update`] — the update language (inserts, deletes, modifications,

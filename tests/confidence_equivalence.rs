@@ -3,8 +3,8 @@
 //!
 //! The inputs are *dyadic* world-sets — every probability is one of
 //! 1/4, 1/2, 3/4 or 1 (two mantissa bits), with small joint spaces — so every
-//! exact algorithm (safe-plan extensional evaluation, the d-tree compiler,
-//! each backend's native enumeration) computes sums and products of exactly
+//! exact algorithm (lineage evaluation plus the d-tree compiler, each
+//! backend's native enumeration) computes sums and products of exactly
 //! representable `f64`s with no rounding anywhere.  Equality is therefore
 //! checked with `f64::to_bits`, not a tolerance: the tiers are proven to be
 //! the *same function*, across all five representations, with the optimizer
@@ -98,11 +98,10 @@ fn assert_bit_identical(
 }
 
 /// The tentpole proof: random positive plans on dyadic world-sets — for
-/// every backend × strategy × thread count × optimizer setting, the tiered
-/// confidences are bit-identical to the native exact enumeration.
+/// every backend × thread count × optimizer setting, the tiered confidences
+/// are bit-identical to the native exact enumeration.
 #[test]
 fn tiers_are_bit_identical_to_exact_enumeration_on_dyadic_inputs() {
-    let strategies = [ConfidenceStrategy::Tiered, ConfidenceStrategy::CompiledOnly];
     for seed in 0..10u64 {
         let mut rng = StdRng::seed_from_u64(0xD1AD_0000 + seed);
         let wsd = dyadic_wsd(&mut rng);
@@ -124,19 +123,20 @@ fn tiers_are_bit_identical_to_exact_enumeration_on_dyadic_inputs() {
                         optimize,
                     );
                     assert_eq!(exact_stats.conf_exact, 1, "[{context}] ExactOnly tier");
-                    for strategy in strategies {
-                        let (rows, stats) =
-                            conf_rows(backend.clone(), &gen.expr, strategy, threads, optimize);
-                        assert_bit_identical(&exact, &rows, &context);
-                        assert_eq!(
-                            stats.conf_safe + stats.conf_compiled + stats.conf_exact,
-                            1,
-                            "[{context}] exactly one tier must fire"
-                        );
-                        if strategy == ConfidenceStrategy::CompiledOnly {
-                            assert_eq!(stats.conf_safe, 0, "[{context}] CompiledOnly used safe");
-                        }
-                    }
+                    let (rows, stats) = conf_rows(
+                        backend.clone(),
+                        &gen.expr,
+                        ConfidenceStrategy::Tiered,
+                        threads,
+                        optimize,
+                    );
+                    assert_bit_identical(&exact, &rows, &context);
+                    assert_eq!(
+                        stats.conf_compiled + stats.conf_exact,
+                        1,
+                        "[{context}] exactly one tier must fire"
+                    );
+                    assert_eq!(stats.conf_safe, 0, "[{context}] the safe tier is gone");
                 }
             }
         }
@@ -171,15 +171,15 @@ fn difference_plans_fall_back_to_the_native_exact_path() {
             stats.conf_exact, 1,
             "[{name}] difference must use the exact tier"
         );
-        assert_eq!(stats.conf_safe + stats.conf_compiled, 0);
+        assert_eq!(stats.conf_compiled, 0);
     }
 }
 
-/// A hierarchical (safe) plan on a tuple-independent U-relation: the safe
-/// tier must fire and agree bit-for-bit with the d-tree compiler and the
+/// A hierarchical (safe) plan on a tuple-independent U-relation has
+/// read-once lineage: the compiled tier answers it, bit-identical to the
 /// native enumeration.
 #[test]
-fn safe_tier_fires_on_hierarchical_plans() {
+fn hierarchical_plans_answer_from_the_compiled_tier() {
     let mut udb = UDatabase::new();
     let mut rel = LineageRelation::new(Schema::new("T", &["A", "B"]).unwrap());
     for i in 0..12i64 {
@@ -202,19 +202,18 @@ fn safe_tier_fires_on_hierarchical_plans() {
         1,
         true,
     );
-    let (tiered, stats) = conf_rows(backend.clone(), &query, ConfidenceStrategy::Tiered, 1, true);
+    let (tiered, stats) = conf_rows(backend, &query, ConfidenceStrategy::Tiered, 1, true);
     assert_eq!(
-        stats.conf_safe, 1,
-        "hierarchical plan must hit the safe tier"
+        stats.conf_compiled, 1,
+        "hierarchical plan must hit the compiled tier"
     );
-    assert_bit_identical(&exact, &tiered, &"safe tier");
-    let (compiled, stats) = conf_rows(backend, &query, ConfidenceStrategy::CompiledOnly, 1, true);
-    assert_eq!(stats.conf_compiled, 1);
-    assert_bit_identical(&exact, &compiled, &"compiled tier");
+    assert_eq!(stats.conf_safe, 0, "the safe tier is gone");
+    assert_bit_identical(&exact, &tiered, &"compiled tier");
 }
 
-/// A self-join is not hierarchical: the tiered strategy must skip the safe
-/// tier and answer through the d-tree compiler, still bit-identical.
+/// A self-join is not hierarchical, so its lineage need not be read-once:
+/// the d-tree compiler answers it through Shannon expansion, still
+/// bit-identical.
 #[test]
 fn unsafe_plans_compile_lineage_instead() {
     let mut udb = UDatabase::new();
@@ -247,7 +246,7 @@ fn unsafe_plans_compile_lineage_instead() {
     let (tiered, stats) = conf_rows(backend, &query, ConfidenceStrategy::Tiered, 1, true);
     assert_eq!(
         stats.conf_compiled, 1,
-        "self-join must decline the safe tier and compile"
+        "self-join must answer from the compiled tier"
     );
     assert_bit_identical(&exact, &tiered, &"compiled tier on self-join");
 }

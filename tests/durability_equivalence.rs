@@ -334,7 +334,7 @@ fn a_no_op_delete_on_the_chased_census_survives_checkpoint_and_reopen() {
         recovered
             .validate()
             .unwrap_or_else(|e| panic!("[seed {seed}] the reopened UWSDT validates: {e}"));
-        // The UWSDT's own exact path: the lineage tiers would add nothing
+        // The UWSDT's own exact path: the compiled tier would add nothing
         // here but time.
         let confidences = |backend: AnyBackend| {
             let mut session = Session::over(backend);

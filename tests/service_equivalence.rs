@@ -405,7 +405,7 @@ fn a_connection_extracts_lineage_once_per_snapshot() {
         );
         assert!(
             summary.split_whitespace().any(|kv| kv == "conf-exact=0"),
-            "the lineage tiers must answer: {summary:?}"
+            "the compiled tier must answer: {summary:?}"
         );
     }
     assert_eq!(store.seq(), 0, "the store never moved");
