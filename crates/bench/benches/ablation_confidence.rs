@@ -2,16 +2,19 @@
 //!
 //! Section 6 defines (NP-hard) exact confidence computation on tuple-level
 //! WSDs; the U-relation extension evaluates the same operator over DNF
-//! descriptors, and PR 2 adds (ε, δ)-approximate Monte-Carlo evaluators for
-//! both plus a worker pool the per-tuple work fans out on.  This bench
-//! measures the time to compute the confidences of all possible tuples of a
-//! projection query along two axes:
+//! descriptors, and `Session::confidence_approx` estimates it by Monte-Carlo
+//! over any backend's lineage, fanned out per tuple on a worker pool.  This
+//! bench measures the time to compute the confidences of all possible tuples
+//! of a projection query along two axes:
 //!
 //! * **threads ∈ {1, N}** — the serial baseline against the machine-sized
-//!   pool (at least 2 workers); exact results are asserted bit-identical
-//!   across thread counts,
-//! * **exact vs. (ε, δ)-approximate** — the §6 / DNF algorithms against the
-//!   Monte-Carlo estimators at ε = 0.02, δ = 0.01.
+//!   pool (at least 2 workers); exact results and estimates are asserted
+//!   bit-identical across thread counts,
+//! * **exact vs. (ε, δ)-approximate** — the §6 / DNF algorithms on the
+//!   evaluated answer against one `Session::confidence_approx` call at
+//!   ε = 0.02, δ = 0.01 on a fresh session over the WSD and over the
+//!   U-database.  The approximate time is end to end: plan execution,
+//!   lineage extraction and evaluation, and sampling.
 //!
 //! The UWSDT evaluator (serial only) is kept as the cross-representation
 //! reference point.  A second section answers one hierarchical query through
@@ -22,12 +25,13 @@
 //! `cargo bench -p ws-bench --bench ablation_confidence`
 //! (`WS_BENCH_QUICK=1` for the CI smoke grid).
 
+use std::collections::BTreeMap;
+
 use maybms::{AnyBackend, ConfidenceStrategy, Session};
 use ws_bench::{is_quick, print_header, print_row, secs, time_once};
 use ws_census::CensusScenario;
-use ws_core::confidence::approx::ApproxConfig;
 use ws_relational::lineage::{Clause, LineageRelation};
-use ws_relational::{EngineConfig, RaExpr, Schema, Tuple, WorkerPool};
+use ws_relational::{ApproxConfig, EngineConfig, RaExpr, Schema, Tuple, WorkerPool};
 use ws_urel::UDatabase;
 
 /// The compiled-lineage tier must beat native exact enumeration by this
@@ -85,7 +89,8 @@ fn main() {
         let out_wsd = ws_relational::evaluate_query(&mut wsd_q, &query, "Q").unwrap();
         let mut uwsdt = scenario.dirty_uwsdt().unwrap();
         let out_uw = ws_relational::evaluate_query(&mut uwsdt, &query, "Q").unwrap();
-        let mut udb = ws_urel::from_wsd(&wsd).unwrap();
+        let u_base = ws_urel::from_wsd(&wsd).unwrap();
+        let mut udb = u_base.clone();
         let out_u = ws_relational::evaluate_query(&mut udb, &query, "Q").unwrap();
 
         // The serial UWSDT reference point (no parallel API), once per grid
@@ -93,7 +98,14 @@ fn main() {
         let (uw_conf, uw_time) =
             time_once(|| ws_uwsdt::possible_with_confidence(&uwsdt, &out_uw).unwrap());
 
-        let mut serial_exact = None;
+        // One `confidence_approx` call on a fresh session at `threads`.
+        let timed_approx = |backend: AnyBackend, threads: usize| {
+            let mut session = Session::with_config(backend, EngineConfig::with_threads(threads));
+            let prepared = session.prepare(query.clone()).unwrap();
+            time_once(|| session.confidence_approx(&prepared, &approx).unwrap())
+        };
+
+        let mut serial = None;
         for threads in [1usize, par_threads] {
             let pool = WorkerPool::new(threads);
             let (wsd_conf, wsd_time) = time_once(|| {
@@ -101,35 +113,31 @@ fn main() {
             });
             let (u_conf, u_time) =
                 time_once(|| ws_urel::possible_with_confidence_with(&udb, &out_u, &pool).unwrap());
-            let (_, wsd_mc_time) = time_once(|| {
-                ws_core::confidence::approx::possible_with_confidence_with(
-                    &wsd_q, &out_wsd, &approx, &pool,
-                )
-                .unwrap()
-            });
-            let (_, u_mc_time) = time_once(|| {
-                ws_urel::confidence::approx::possible_with_confidence_with(
-                    &udb, &out_u, &approx, &pool,
-                )
-                .unwrap()
-            });
+            let (wsd_mc, wsd_mc_time) = timed_approx(AnyBackend::from(wsd.clone()), threads);
+            let (u_mc, u_mc_time) = timed_approx(AnyBackend::from(u_base.clone()), threads);
 
             assert_eq!(wsd_conf.len(), uw_conf.len());
             assert_eq!(wsd_conf.len(), u_conf.len());
-            // Acceptance gate: exact results are bit-identical across thread
-            // counts.
-            match &serial_exact {
-                None => serial_exact = Some((wsd_conf.clone(), u_conf.clone())),
-                Some((wsd_serial, u_serial)) => {
-                    assert_eq!(
-                        &wsd_conf, wsd_serial,
-                        "WSD exact drifted at {threads} threads"
-                    );
-                    assert_eq!(
-                        &u_conf, u_serial,
-                        "U-rel exact drifted at {threads} threads"
-                    );
-                }
+            // Every estimate lands within ε of the exact confidence.
+            let exact: BTreeMap<&Tuple, f64> = wsd_conf.iter().map(|(t, c)| (t, *c)).collect();
+            for (tuple, estimate) in wsd_mc.iter().chain(&u_mc) {
+                let truth = exact[tuple];
+                assert!(
+                    (estimate - truth).abs() <= approx.epsilon,
+                    "approx conf({tuple}) = {estimate}, exact {truth}"
+                );
+            }
+            assert_eq!(wsd_mc.len(), wsd_conf.len());
+            assert_eq!(u_mc.len(), u_conf.len());
+            // Acceptance gate: exact results and estimates are bit-identical
+            // across thread counts.
+            let results = (wsd_conf.clone(), u_conf.clone(), wsd_mc, u_mc);
+            match &serial {
+                None => serial = Some(results),
+                Some(serial) => assert!(
+                    serial == &results,
+                    "confidences drifted at {threads} threads"
+                ),
             }
 
             print_row(&[

@@ -15,10 +15,11 @@
 //! in the worst case — unavoidable, since deciding tuple certainty is already
 //! NP-hard on WSDs \[9\] — but stays small when components span few tuples.
 //!
-//! Two escape hatches for the hot path: per-tuple confidences fan out on a
-//! [`WorkerPool`] ([`TupleLevelView::possible_with_confidence_with`]), and
-//! the [`approx`] submodule estimates confidences by Monte-Carlo over
-//! component local worlds with an (ε, δ) guarantee, never composing at all.
+//! Per-tuple confidences fan out on a [`WorkerPool`]
+//! ([`TupleLevelView::possible_with_confidence_with`]).  This is the WSD's
+//! native exact path; the (ε, δ) estimate of a WSD query answer runs on its
+//! lineage instead (`maybms::Session::confidence_approx` over
+//! `ws_relational::approx`), which never composes components either.
 
 use crate::component::Component;
 use crate::error::Result;
@@ -26,8 +27,6 @@ use crate::field::FieldId;
 use crate::wsd::Wsd;
 use std::collections::{BTreeMap, BTreeSet};
 use ws_relational::{Relation, Schema, Tuple, Value, WorkerPool};
-
-pub mod approx;
 
 /// A tuple-level view of one relation of a WSD: every tuple slot's fields are
 /// gathered into a single (composed) component.

@@ -36,7 +36,6 @@ use crate::error::{Error, Result};
 use crate::session::{AnyBackend, Session, SessionBackend};
 use std::collections::BTreeSet;
 use std::path::Path;
-use ws_core::confidence::approx::ApproxConfig;
 use ws_core::{WorldSet, Wsd};
 use ws_relational::lineage::LineageDb;
 use ws_relational::{Database, Tuple, WorkerPool, WriteBackend};
@@ -93,21 +92,12 @@ impl<B: SessionBackend> SessionBackend for Durable<B> {
         self.inner().confidence_rows(out, pool)
     }
 
-    fn confidence_rows_approx(
-        &self,
-        out: &str,
-        config: &ApproxConfig,
-        pool: &WorkerPool,
-    ) -> Result<Vec<(Tuple, f64)>> {
-        self.inner().confidence_rows_approx(out, config, pool)
-    }
-
     fn durability(&self) -> Option<DurabilityStats> {
         Some(self.stats())
     }
 
-    /// Deliberately not forwarded: durable sessions answer confidence by the
-    /// backend's native exact path.  A compiled-tier confidence still
+    /// Deliberately not forwarded: durable sessions answer confidence — and
+    /// approximate confidence — by the backend's native exact path.  A compiled-tier confidence still
     /// executes the plan on the backend before it evaluates the lineage, so
     /// on the chased census UWSDT it would cost about as much as native
     /// exact; forward this once the compiled tier answers from the lineage

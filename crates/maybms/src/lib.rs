@@ -41,8 +41,8 @@
 //! ```
 //!
 //! [`Session::over`] wraps a run-time-chosen backend in [`AnyBackend`];
-//! [`Session::confidence_approx`] switches to the (ε, δ)-approximate §6
-//! evaluators where the backend has one.  Errors from every layer surface as
+//! [`Session::confidence_approx`] switches to (ε, δ)-approximate §6
+//! confidences: the same lineage ladder, sampled instead of compiled.  Errors from every layer surface as
 //! one [`Error`] carrying the plan they belong to.
 //!
 //! ## The representation crates
@@ -77,9 +77,9 @@
 //! [`prelude::EngineConfig::threads`]; `threads = 1` reproduces the serial
 //! engine exactly, and parallel output is canonicalized to the serial order
 //! for any thread count, so prepared re-execution is bit-identical at any
-//! parallelism.  The NP-hard §6 confidence computation additionally has
-//! (ε, δ)-approximate Monte-Carlo evaluators driven by
-//! [`prelude::ApproxConfig`].
+//! parallelism.  The NP-hard §6 confidence computation additionally has one
+//! (ε, δ)-approximate Monte-Carlo estimator over lineage
+//! ([`relational::approx`]), driven by [`prelude::ApproxConfig`].
 //!
 //! The repository-level `examples/` and `tests/` directories are compiled as
 //! part of this crate; see the README for a guided tour and the old-API →
@@ -132,9 +132,7 @@ pub mod prelude {
         },
         conditional::{conditional_conf, joint_probability, satisfaction_probability},
         confidence::{
-            approx::{hoeffding_samples, ApproxConfig},
-            conf, possible, possible_with_confidence, possible_with_confidence_with,
-            TupleLevelView,
+            conf, possible, possible_with_confidence, possible_with_confidence_with, TupleLevelView,
         },
         interval::{IntervalView, ProbInterval},
         normalize::normalize,
@@ -146,10 +144,10 @@ pub mod prelude {
         ProfileNode, RingSink, TraceEvent, TraceSink,
     };
     pub use ws_relational::{
-        engine, evaluate_query, evaluate_query_with, world_satisfies, Clause, CmpOp, Database,
-        DtreeCompiler, EngineConfig, ExecContext, LineageDb, LineageRelation, Predicate,
-        QueryBackend, RaExpr, Relation, Schema, SchemaCatalog, Tuple, Value, VarTable, WorkerPool,
-        WriteBackend,
+        engine, evaluate_query, evaluate_query_with, hoeffding_samples, world_satisfies,
+        ApproxConfig, Clause, CmpOp, Database, DtreeCompiler, EngineConfig, ExecContext, LineageDb,
+        LineageRelation, Predicate, QueryBackend, RaExpr, Relation, Schema, SchemaCatalog, Tuple,
+        Value, VarTable, WorkerPool, WriteBackend,
     };
     pub use ws_storage::{
         DirVfs, DurabilityStats, Durable, DurableError, MemVfs, Persist, StorageError, Vfs,

@@ -32,8 +32,9 @@
 //!   possible answers out as owned rows and returns them as a [`Rows`]
 //!   iterator.
 //! * [`Session::confidence`] / [`Session::confidence_approx`] compute the
-//!   paper's §6 tuple confidences (exact, or (ε, δ)-approximate where the
-//!   backend has a Monte-Carlo evaluator) on the same prepared plan.
+//!   paper's §6 tuple confidences on the same prepared plan: exact, or
+//!   (ε, δ)-approximate by the one Monte-Carlo estimator over the plan's
+//!   lineage ([`ws_relational::approx`]).
 //!
 //! Every read verb takes the same path on every backend: the plan's result
 //! is built as a `__session_q*` relation inside the backend, the answer is
@@ -50,12 +51,12 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
-use ws_core::confidence::approx::ApproxConfig;
 use ws_core::ops::update::{apply_update, UpdateExpr};
 use ws_core::{WorldSet, Wsd};
 use ws_obs::{Observer, ProfileNode};
+use ws_relational::approx::{self, ApproxConfig};
 use ws_relational::engine::{self, EngineConfig, QueryBackend, SchemaCatalog};
-use ws_relational::lineage::{self, DtreeCompiler, LineageDb};
+use ws_relational::lineage::{self, Dnf, DtreeCompiler, LineageDb};
 use ws_relational::{
     fingerprint, optimizer, Database, Dependency, Predicate, RaExpr, Schema, Tuple, Value,
     WorkerPool, WriteBackend,
@@ -69,7 +70,10 @@ use ws_uwsdt::Uwsdt;
 // ---------------------------------------------------------------------------
 
 /// What a [`Session`] needs from a backend on top of
-/// [`QueryBackend::execute_plan`]: answer extraction and confidence.
+/// [`QueryBackend::execute_plan`]: answer extraction, exact confidence and
+/// lineage.  Approximate confidence needs nothing more:
+/// [`Session::confidence_approx`] samples the lineage, and answers with
+/// [`SessionBackend::confidence_rows`] where there is none.
 ///
 /// Every method reads a result relation `out` the executor just built and
 /// returns an owned answer; the session drops `out` afterwards.  No method
@@ -89,18 +93,6 @@ pub trait SessionBackend: QueryBackend {
     /// The possible tuples of result `out` with their exact confidences.
     fn confidence_rows(&self, out: &str, pool: &WorkerPool) -> Result<Vec<(Tuple, f64)>>;
 
-    /// The possible tuples of result `out` with (ε, δ)-approximate
-    /// confidences.  Backends without a Monte-Carlo evaluator (UWSDT, the
-    /// explicit world-set oracle, the single-world database) answer with
-    /// the exact computation — the approximation guarantee then holds
-    /// trivially.
-    fn confidence_rows_approx(
-        &self,
-        out: &str,
-        config: &ApproxConfig,
-        pool: &WorkerPool,
-    ) -> Result<Vec<(Tuple, f64)>>;
-
     /// The durability counters of a persistent backend; `None` for the
     /// in-memory representations.  [`Session::stats`] folds these into
     /// [`SessionStats`] so WAL and checkpoint activity shows up next to the
@@ -109,9 +101,10 @@ pub trait SessionBackend: QueryBackend {
 
     /// Extract a [`LineageDb`] covering `relations` — a faithful mapping of
     /// this representation onto independent finite-domain variables, feeding
-    /// the compiled-lineage confidence tier.  `None` opts the backend out
-    /// (the session then uses [`SessionBackend::confidence_rows`] directly),
-    /// which is always safe; see [`crate::lineage`].
+    /// the compiled-lineage confidence tier and the Monte-Carlo estimator.
+    /// `None` opts the backend out (the session then uses
+    /// [`SessionBackend::confidence_rows`] directly, for approximate
+    /// confidences too), which is always safe; see [`crate::lineage`].
     fn lineage(&self, relations: &BTreeSet<String>) -> Option<LineageDb>;
 }
 
@@ -133,15 +126,6 @@ impl SessionBackend for Database {
         // One world: every distinct answer tuple is certain.
         let rows = self.possible_rows(out)?;
         Ok(rows.into_iter().map(|t| (t, 1.0)).collect())
-    }
-
-    fn confidence_rows_approx(
-        &self,
-        out: &str,
-        _config: &ApproxConfig,
-        pool: &WorkerPool,
-    ) -> Result<Vec<(Tuple, f64)>> {
-        self.confidence_rows(out, pool)
     }
 
     fn durability(&self) -> Option<DurabilityStats> {
@@ -168,17 +152,6 @@ impl SessionBackend for Wsd {
         )?)
     }
 
-    fn confidence_rows_approx(
-        &self,
-        out: &str,
-        config: &ApproxConfig,
-        pool: &WorkerPool,
-    ) -> Result<Vec<(Tuple, f64)>> {
-        Ok(ws_core::confidence::approx::possible_with_confidence_with(
-            self, out, config, pool,
-        )?)
-    }
-
     fn durability(&self) -> Option<DurabilityStats> {
         None
     }
@@ -199,15 +172,6 @@ impl SessionBackend for Uwsdt {
 
     fn confidence_rows(&self, out: &str, _pool: &WorkerPool) -> Result<Vec<(Tuple, f64)>> {
         Ok(ws_uwsdt::confidence::possible_with_confidence(self, out)?)
-    }
-
-    fn confidence_rows_approx(
-        &self,
-        out: &str,
-        _config: &ApproxConfig,
-        pool: &WorkerPool,
-    ) -> Result<Vec<(Tuple, f64)>> {
-        self.confidence_rows(out, pool)
     }
 
     fn durability(&self) -> Option<DurabilityStats> {
@@ -231,17 +195,6 @@ impl SessionBackend for UDatabase {
     fn confidence_rows(&self, out: &str, pool: &WorkerPool) -> Result<Vec<(Tuple, f64)>> {
         Ok(ws_urel::confidence::possible_with_confidence_with(
             self, out, pool,
-        )?)
-    }
-
-    fn confidence_rows_approx(
-        &self,
-        out: &str,
-        config: &ApproxConfig,
-        pool: &WorkerPool,
-    ) -> Result<Vec<(Tuple, f64)>> {
-        Ok(ws_urel::confidence::approx::possible_with_confidence_with(
-            self, out, config, pool,
         )?)
     }
 
@@ -272,15 +225,6 @@ impl SessionBackend for WorldSet {
                 Ok((t, c))
             })
             .collect()
-    }
-
-    fn confidence_rows_approx(
-        &self,
-        out: &str,
-        _config: &ApproxConfig,
-        pool: &WorkerPool,
-    ) -> Result<Vec<(Tuple, f64)>> {
-        self.confidence_rows(out, pool)
     }
 
     fn durability(&self) -> Option<DurabilityStats> {
@@ -419,15 +363,6 @@ impl SessionBackend for AnyBackend {
 
     fn confidence_rows(&self, out: &str, pool: &WorkerPool) -> Result<Vec<(Tuple, f64)>> {
         dispatch!(self, b => b.confidence_rows(out, pool))
-    }
-
-    fn confidence_rows_approx(
-        &self,
-        out: &str,
-        config: &ApproxConfig,
-        pool: &WorkerPool,
-    ) -> Result<Vec<(Tuple, f64)>> {
-        dispatch!(self, b => b.confidence_rows_approx(out, config, pool))
     }
 
     fn durability(&self) -> Option<DurabilityStats> {
@@ -734,8 +669,7 @@ where
         Session::with_config(backend, EngineConfig::default())
     }
 
-    /// Open a session with explicit engine knobs (threads, optimizer,
-    /// plan-cache, …).
+    /// Open a session with explicit engine knobs (threads, optimizer, …).
     pub fn with_config(backend: B, config: EngineConfig) -> Session<B> {
         Session {
             backend,
@@ -857,30 +791,25 @@ where
         let attrs = typecheck(&self.backend, &expr)?;
         let key = fingerprint::plan_key(&expr);
         let digest = fingerprint::fingerprint(&expr);
-        let plan = if self.config.plan_cache {
-            if let Some(cached) = self.plans.get(&key) {
-                self.stats.cache_hits += 1;
-                cached.plan.clone()
-            } else {
-                let planned = self.optimize(&expr)?;
-                self.plans.insert(
-                    key.clone(),
-                    CachedPlan {
-                        plan: planned.clone(),
-                        fingerprint: digest,
-                        relations: expr
-                            .base_relations()
-                            .into_iter()
-                            .map(str::to_string)
-                            .collect(),
-                    },
-                );
-                self.stats.plans_prepared += 1;
-                planned
-            }
+        let plan = if let Some(cached) = self.plans.get(&key) {
+            self.stats.cache_hits += 1;
+            cached.plan.clone()
         } else {
+            let planned = self.optimize(&expr)?;
+            self.plans.insert(
+                key.clone(),
+                CachedPlan {
+                    plan: planned.clone(),
+                    fingerprint: digest,
+                    relations: expr
+                        .base_relations()
+                        .into_iter()
+                        .map(str::to_string)
+                        .collect(),
+                },
+            );
             self.stats.plans_prepared += 1;
-            self.optimize(&expr)?
+            planned
         };
         Ok(Prepared {
             display: expr.to_string(),
@@ -1005,11 +934,26 @@ where
         rows
     }
 
-    /// Shadow-evaluate `prepared` over the backend's lineage, returning each
-    /// possible output tuple's exact probability by the d-tree compiler.
-    /// `None` when the compiled tier does not apply (no mapping, negation in
-    /// the plan, compiler budget exhausted).
+    /// Each possible output tuple's exact probability by the d-tree
+    /// compiler.  `None` when the compiled tier does not apply (no lineage,
+    /// compiler budget exhausted).
     fn lineage_probabilities(&mut self, prepared: &Prepared) -> Option<BTreeMap<Tuple, f64>> {
+        let (db, dnfs) = self.lineage_dnfs(prepared)?;
+        let mut compiler = DtreeCompiler::new(db.vars());
+        let mut probs = BTreeMap::new();
+        for (tuple, dnf) in dnfs {
+            probs.insert(tuple, compiler.probability(&dnf).ok()?);
+        }
+        Some(probs)
+    }
+
+    /// Shadow-evaluate `prepared` over the backend's lineage: the lineage
+    /// and each possible output tuple's DNF.  `None` when no lineage applies
+    /// (no mapping, negation in the plan).
+    fn lineage_dnfs(
+        &mut self,
+        prepared: &Prepared,
+    ) -> Option<(Arc<LineageDb>, BTreeMap<Tuple, Dnf>)> {
         let relations: BTreeSet<String> = prepared
             .plan
             .base_relations()
@@ -1017,13 +961,8 @@ where
             .map(str::to_string)
             .collect();
         let db = self.lineage_of(relations)?;
-        let output = lineage::evaluate_lineage(&db, &prepared.plan).ok()?;
-        let mut compiler = DtreeCompiler::new(db.vars());
-        let mut probs = BTreeMap::new();
-        for (tuple, dnf) in output.dnfs() {
-            probs.insert(tuple, compiler.probability(&dnf).ok()?);
-        }
-        Some(probs)
+        let dnfs = lineage::evaluate_lineage(&db, &prepared.plan).ok()?.dnfs();
+        Some((db, dnfs))
     }
 
     /// The lineage of `relations`, from the memo or — on a miss — extracted
@@ -1066,20 +1005,49 @@ where
     }
 
     /// The possible answer tuples of a prepared plan with (ε, δ)-approximate
-    /// confidences, where the backend has a Monte-Carlo evaluator (WSDs,
-    /// U-relations); other backends answer exactly.
+    /// confidences: [`Session::confidence`]'s ladder with the Monte-Carlo
+    /// estimator of [`ws_relational::approx`] in place of the d-tree.
+    ///
+    /// The backend executes the plan and fixes the tuples and their order,
+    /// exactly as for [`Session::confidence`]; each answer's lineage DNF is
+    /// then estimated (fanned out per tuple on the session's worker pool,
+    /// bit-identical for every thread count).  Where there is no lineage —
+    /// a plan with a difference, a backend that declines (a WSD tuple with
+    /// more than [`crate::lineage::MAX_TUPLE_COMBOS`] joint choices), a
+    /// durable backend — the backend's native exact path answers, and the
+    /// guarantee holds trivially.  Errors on an (ε, δ) outside `(0, 1)`.
     pub fn confidence_approx(
         &mut self,
         prepared: &Prepared,
         config: &ApproxConfig,
     ) -> Result<Vec<(Tuple, f64)>> {
-        let pool = WorkerPool::new(self.config.threads);
+        config.samples()?;
         let rows = self.read_result(prepared, |session, out| {
-            session.backend.confidence_rows_approx(out, config, &pool)
+            session.approx_rows(out, prepared, config)
         })?;
         self.stats.conf_approx += 1;
         self.stats.rows_streamed += rows.len() as u64;
         Ok(rows)
+    }
+
+    /// The estimator behind [`Session::confidence_approx`], with the
+    /// backend's native exact path as the fallback.
+    fn approx_rows(
+        &mut self,
+        out: &str,
+        prepared: &Prepared,
+        config: &ApproxConfig,
+    ) -> Result<Vec<(Tuple, f64)>> {
+        let pool = WorkerPool::new(self.config.threads);
+        if let Some((db, dnfs)) = self.lineage_dnfs(prepared) {
+            let (tuples, dnfs): (Vec<Tuple>, Vec<Dnf>) = dnfs.into_iter().unzip();
+            let estimates = approx::estimate_probabilities(&dnfs, db.vars(), config, &pool)?;
+            let probs: BTreeMap<Tuple, f64> = tuples.into_iter().zip(estimates).collect();
+            if let Some(rows) = self.lineage_rows(out, &probs)? {
+                return Ok(rows);
+            }
+        }
+        self.backend.confidence_rows(out, &pool)
     }
 
     /// Execute `prepared` with profiling on and return a [`QueryProfile`]:
@@ -1404,21 +1372,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_can_be_disabled() {
-        let config = EngineConfig {
-            plan_cache: false,
-            ..EngineConfig::default()
-        };
-        let mut session = Session::with_config(db(), config);
-        let query = q("R").project(["A"]);
-        session.prepare(query.clone()).unwrap();
-        session.prepare(query).unwrap();
-        let stats = session.stats();
-        assert_eq!((stats.plans_prepared, stats.cache_hits), (2, 0));
-        assert_eq!(session.cached_plans(), 0);
-    }
-
-    #[test]
     fn typecheck_failures_carry_plan_context() {
         let mut session = Session::new(db());
         let err = session.prepare(q("R").project(["Z"])).unwrap_err();
@@ -1497,7 +1450,8 @@ mod tests {
         let session = Session::new(db());
         let summary = session.summary();
         assert!(summary.contains("backend=database"));
-        assert!(summary.contains("plan-cache=on"));
+        assert!(summary.contains("threads=1"));
+        assert!(!summary.contains("plan-cache="));
         assert!(summary.contains("plans-prepared=0"));
         assert!(summary.contains("cached-plans=0"));
     }

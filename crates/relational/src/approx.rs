@@ -1,12 +1,13 @@
-//! The shared Hoeffding (ε, δ) sample planner behind every Monte-Carlo
-//! confidence estimator of the stack.
+//! The one Monte-Carlo confidence estimator of the stack: a sampler over
+//! DNF lineage plus the Hoeffding (ε, δ) sample planner behind it.
 //!
-//! The WSD estimator (`ws_core::confidence::approx`) and the U-relational
-//! estimator (`ws_urel::confidence::approx`) both reduce to the same
-//! question: how many i.i.d. Bernoulli trials give an additive
-//! (ε, δ)-approximation, and how are those trials fanned out over a
-//! [`WorkerPool`] without the thread count changing the estimate?  This
-//! module is the single answer both samplers share:
+//! Every backend maps onto [`crate::lineage`], so one estimator serves them
+//! all: `maybms::Session::confidence_approx` evaluates a plan's lineage and
+//! hands each answer's [`Dnf`] to [`estimate_probabilities`], exactly where
+//! `Session::confidence` hands it to the d-tree compiler.  Each trial draws
+//! one value per variable the DNF mentions (every other variable
+//! marginalizes out) and checks the clauses directly, so a trial costs
+//! O(variables + atoms) and nothing is ever composed or expanded.
 //!
 //! * [`hoeffding_samples`] — the `⌈ln(2/δ) / (2ε²)⌉` trial bound from
 //!   Hoeffding's inequality: `Pr[|p̂ − p| > ε] ≤ 2·exp(−2nε²)`, so `n`
@@ -14,21 +15,18 @@
 //!   probability at least `1 − δ`).  The guarantee is additive and per
 //!   estimated tuple; clients needing it simultaneously for `m` tuples
 //!   should pass `δ/m`.
-//! * [`block_seed`] / [`run_trial_blocks`] — the determinism story: trials
-//!   are drawn in fixed-size blocks ([`SAMPLE_BLOCK`]), each block's RNG is
-//!   seeded from `(seed, block index)` alone, and per-block results are
-//!   collected in block order — so the aggregate is bit-identical for every
-//!   [`WorkerPool`] thread count, including serial, and the seeding scheme
-//!   cannot diverge between the representations.
+//! * determinism — [`estimate_probabilities`] fans out per DNF on a
+//!   [`WorkerPool`] and draws DNF `i`'s trials from one RNG seeded from
+//!   `(seed, u64::MAX − i)` alone, so estimates stay uncorrelated and are
+//!   bit-identical for any thread count, including serial.
+
+use std::collections::BTreeSet;
 
 use crate::error::{RelationalError, Result};
+use crate::lineage::{Clause, Dnf, Var, VarTable};
 use crate::par::WorkerPool;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-/// Trials per Monte-Carlo block: the unit of parallel fan-out and of seed
-/// derivation (see the module docs on determinism).
-pub const SAMPLE_BLOCK: usize = 1024;
+use rand::{Rng, SeedableRng};
 
 /// Hard ceiling on the trial count an [`ApproxConfig`] may request
 /// (`≈ 4.2M`), so accidentally tiny `ε`/`δ` fail fast instead of hanging.
@@ -42,7 +40,7 @@ pub struct ApproxConfig {
     /// Failure probability `δ`: the estimate may miss `[p − ε, p + ε]` with
     /// probability at most `δ`.
     pub delta: f64,
-    /// Base RNG seed; block `b` derives its own seed from `(seed, b)`.
+    /// Base RNG seed; DNF `i` derives its own seed from `(seed, i)`.
     pub seed: u64,
 }
 
@@ -97,33 +95,109 @@ pub fn hoeffding_samples(epsilon: f64, delta: f64) -> Result<usize> {
     Ok((n as usize).max(1))
 }
 
-/// The per-block RNG seed: mixes the block index through SplitMix64's
-/// increment so nearby blocks diverge immediately.  Shared by the WSD and
-/// U-relational estimators so both samplers have the same determinism story.
-pub fn block_seed(seed: u64, block: u64) -> u64 {
-    seed ^ (block.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+/// The RNG seed of one independent trial stream: mixes the stream index
+/// through SplitMix64's increment so nearby streams diverge immediately.
+fn stream_seed(seed: u64, stream: u64) -> u64 {
+    seed ^ (stream.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Run `samples` Monte-Carlo trials as [`SAMPLE_BLOCK`]-sized blocks fanned
-/// out on `pool`, collecting one result per block in block order.
+/// One DNF prepared for Monte-Carlo trials: the cumulative distribution of
+/// each variable it mentions (ascending), and its clauses re-indexed onto
+/// positions in that list.
+struct DnfSampler {
+    cdfs: Vec<Vec<f64>>,
+    clauses: Vec<Vec<(usize, u32)>>,
+}
+
+impl DnfSampler {
+    /// A sampler for `dnf` — or, as the error, the DNF's probability when it
+    /// needs no sampling: 0 without clauses, 1 with an empty (certain) one.
+    fn new(dnf: &Dnf, vars: &VarTable) -> std::result::Result<Self, f64> {
+        if dnf.is_empty() {
+            return Err(0.0);
+        }
+        if dnf.iter().any(Clause::is_empty) {
+            return Err(1.0);
+        }
+        let relevant: Vec<Var> = dnf
+            .iter()
+            .flat_map(Clause::vars)
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let cdfs = relevant
+            .iter()
+            .map(|&v| {
+                let mut acc = 0.0;
+                vars.dist(v)
+                    .iter()
+                    .map(|p| {
+                        acc += p;
+                        acc
+                    })
+                    .collect()
+            })
+            .collect();
+        let clauses = dnf
+            .iter()
+            .map(|clause| {
+                clause
+                    .atoms()
+                    .iter()
+                    .map(|&(v, c)| (relevant.binary_search(&v).expect("relevant var"), c))
+                    .collect()
+            })
+            .collect();
+        Ok(DnfSampler { cdfs, clauses })
+    }
+
+    /// Run `trials` trials on `rng` (one inverse-CDF draw per variable);
+    /// returns how many satisfied the DNF.
+    fn hits(&self, rng: &mut StdRng, trials: usize) -> usize {
+        let mut choice = vec![0u32; self.cdfs.len()];
+        let mut hits = 0;
+        for _ in 0..trials {
+            for (cdf, slot) in self.cdfs.iter().zip(&mut choice) {
+                let draw: f64 = rng.gen();
+                *slot = cdf.partition_point(|&acc| acc <= draw).min(cdf.len() - 1) as u32;
+            }
+            if self
+                .clauses
+                .iter()
+                .any(|clause| clause.iter().all(|&(i, c)| choice[i] == c))
+            {
+                hits += 1;
+            }
+        }
+        hits
+    }
+}
+
+/// (ε, δ)-approximate probabilities of `dnfs` over the independent
+/// variables of `vars`, one per DNF in input order.
 ///
-/// This is the one block driver behind every (ε, δ) estimator of the stack
-/// (WSD and U-relational): each block gets an RNG seeded from
-/// `(seed, block index)` alone and its trial count (the last block may be
-/// partial), so the aggregate over the returned blocks is bit-identical for
-/// any thread count and the seeding scheme cannot diverge between the
-/// representations.
-pub fn run_trial_blocks<R, F>(pool: &WorkerPool, samples: usize, seed: u64, per_block: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&mut StdRng, usize) -> R + Sync,
-{
-    let blocks = samples.div_ceil(SAMPLE_BLOCK);
-    pool.run_blocks(blocks, |b| {
-        let mut rng = StdRng::seed_from_u64(block_seed(seed, b as u64));
-        let block_len = SAMPLE_BLOCK.min(samples - b * SAMPLE_BLOCK);
-        per_block(&mut rng, block_len)
-    })
+/// Each DNF is estimated from its own `config.samples()` trials, the DNFs
+/// fanned out on `pool` with DNF `i` seeded from
+/// `stream_seed(config.seed, u64::MAX − i)`, so the result is bit-identical
+/// for every thread count.  A DNF without clauses is 0 and one with an empty
+/// (certain) clause is 1, without sampling.  Errors when `config` is outside
+/// `(0, 1)` or needs more than [`MAX_SAMPLES`] trials.
+pub fn estimate_probabilities(
+    dnfs: &[Dnf],
+    vars: &VarTable,
+    config: &ApproxConfig,
+    pool: &WorkerPool,
+) -> Result<Vec<f64>> {
+    let samples = config.samples()?;
+    let indexed: Vec<(u64, &Dnf)> = (0u64..).zip(dnfs).collect();
+    let estimate = |&(i, dnf): &(u64, &Dnf)| match DnfSampler::new(dnf, vars) {
+        Ok(sampler) => {
+            let mut rng = StdRng::seed_from_u64(stream_seed(config.seed, u64::MAX - i));
+            sampler.hits(&mut rng, samples) as f64 / samples as f64
+        }
+        Err(constant) => constant,
+    };
+    Ok(pool.map_coarse(&indexed, estimate))
 }
 
 #[cfg(test)]
@@ -144,29 +218,66 @@ mod tests {
         assert!(ApproxConfig::new(2.0, 0.5).samples().is_err());
     }
 
-    #[test]
-    fn trial_blocks_are_thread_invariant() {
-        use rand::Rng;
-        let count = |pool: &WorkerPool| -> usize {
-            run_trial_blocks(pool, 3000, 0xABCD, |rng, block_len| {
-                (0..block_len).filter(|_| rng.gen::<f64>() < 0.25).count()
-            })
-            .into_iter()
-            .sum()
-        };
-        let serial = count(&WorkerPool::serial());
-        for threads in [2usize, 4, 8] {
-            assert_eq!(count(&WorkerPool::new(threads)), serial);
-        }
-        // The estimate is in the right ballpark (3000 trials at p = 0.25).
-        assert!((500..1000).contains(&serial), "hits = {serial}");
+    /// Two correlated DNFs over `x ∈ {0, 1, 2}` (1/2, 1/4, 1/4) and
+    /// `y ∈ {0, 1}` (3/4, 1/4): `x=0 ∨ y=1` (5/8) and `x=1 ∧ y=0` (3/16).
+    fn two_dnfs() -> (VarTable, Vec<Dnf>) {
+        let mut vars = VarTable::new();
+        let x = vars.add_var("x", vec![0.5, 0.25, 0.25]).unwrap();
+        let y = vars.add_var("y", vec![0.75, 0.25]).unwrap();
+        let dnfs = vec![
+            vec![Clause::of(x, 0), Clause::of(y, 1)],
+            vec![Clause::from_bindings([(x, 1), (y, 0)]).unwrap()],
+        ];
+        (vars, dnfs)
     }
 
     #[test]
-    fn block_seeds_diverge() {
-        let s0 = block_seed(42, 0);
-        let s1 = block_seed(42, 1);
+    fn estimates_land_within_epsilon_and_ignore_the_thread_count() {
+        let (vars, dnfs) = two_dnfs();
+        let config = ApproxConfig::new(0.02, 0.01);
+        let serial = estimate_probabilities(&dnfs, &vars, &config, &WorkerPool::serial()).unwrap();
+        for (estimate, exact) in serial.iter().zip([0.625, 0.1875]) {
+            assert!(
+                (estimate - exact).abs() <= config.epsilon,
+                "{estimate} vs {exact}"
+            );
+        }
+        for threads in [2usize, 4, 8] {
+            let pool = WorkerPool::new(threads);
+            assert_eq!(
+                estimate_probabilities(&dnfs, &vars, &config, &pool).unwrap(),
+                serial
+            );
+        }
+    }
+
+    #[test]
+    fn impossible_and_certain_dnfs_need_no_sampling() {
+        let (vars, dnfs) = two_dnfs();
+        let trivial = vec![Dnf::new(), vec![dnfs[0][0].clone(), Clause::empty()]];
+        let estimates = estimate_probabilities(
+            &trivial,
+            &vars,
+            &ApproxConfig::default(),
+            &WorkerPool::serial(),
+        )
+        .unwrap();
+        assert_eq!(estimates, vec![0.0, 1.0]);
+    }
+
+    #[test]
+    fn bad_epsilon_delta_is_rejected() {
+        let (vars, dnfs) = two_dnfs();
+        for config in [ApproxConfig::new(0.5, 2.0), ApproxConfig::new(0.0, 0.1)] {
+            assert!(estimate_probabilities(&dnfs, &vars, &config, &WorkerPool::serial()).is_err());
+        }
+    }
+
+    #[test]
+    fn stream_seeds_diverge() {
+        let s0 = stream_seed(42, 0);
+        let s1 = stream_seed(42, 1);
         assert_ne!(s0, s1);
-        assert_ne!(block_seed(42, u64::MAX), s0);
+        assert_ne!(stream_seed(42, u64::MAX), s0);
     }
 }

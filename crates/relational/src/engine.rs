@@ -421,12 +421,6 @@ pub struct EngineConfig {
     /// in morsel order, so results are identical (including order) for every
     /// thread count.  `0` is treated as 1.
     pub threads: usize,
-    /// Cache prepared plans keyed by their normalized fingerprint
-    /// ([`crate::fingerprint::plan_key`]), so preparing the same query twice
-    /// runs the optimizer once (default).  Honored by plan-caching layers
-    /// (`maybms::Session`); the one-shot [`evaluate_query`] entry points
-    /// below plan every call regardless.
-    pub plan_cache: bool,
     /// Record per-operator timings, row counts and profile nodes into the
     /// thread-local [`ws_obs::Scope`] / [`ws_obs::profile`] collector while
     /// executing (default **off**).
@@ -445,7 +439,6 @@ impl Default for EngineConfig {
             optimize: true,
             recognize_joins: true,
             threads: 1,
-            plan_cache: true,
             observe: false,
         }
     }
@@ -481,11 +474,10 @@ impl EngineConfig {
             }
         }
         format!(
-            "optimize={} join-recognition={} threads={} plan-cache={} observe={}",
+            "optimize={} join-recognition={} threads={} observe={}",
             on_off(self.optimize),
             on_off(self.recognize_joins),
             self.threads.max(1),
-            on_off(self.plan_cache),
             on_off(self.observe),
         )
     }
@@ -1209,20 +1201,15 @@ mod tests {
     fn engine_config_summary_is_self_describing() {
         assert_eq!(
             EngineConfig::default().summary(),
-            "optimize=on join-recognition=on threads=1 plan-cache=on observe=off"
+            "optimize=on join-recognition=on threads=1 observe=off"
         );
         assert_eq!(
             EngineConfig::naive().summary(),
-            "optimize=off join-recognition=off threads=1 plan-cache=on observe=off"
+            "optimize=off join-recognition=off threads=1 observe=off"
         );
         let parallel = EngineConfig::with_threads(8);
         assert!(parallel.summary().contains("threads=8"));
         assert_eq!(EngineConfig::with_threads(0).threads, 1);
-        let uncached = EngineConfig {
-            plan_cache: false,
-            ..EngineConfig::default()
-        };
-        assert!(uncached.summary().contains("plan-cache=off"));
         let observed = EngineConfig {
             observe: true,
             ..EngineConfig::default()

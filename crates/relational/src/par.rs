@@ -3,8 +3,8 @@
 //!
 //! The paper's setting — querying world-sets far too large to enumerate —
 //! makes the physical operators and the §6 confidence computation the hot
-//! paths of the whole stack, and both are embarrassingly parallel over rows,
-//! tuples or Monte-Carlo sample blocks.  This module provides the one shared
+//! paths of the whole stack, and both are embarrassingly parallel over rows
+//! or tuples.  This module provides the one shared
 //! fan-out/fan-in primitive those call sites use:
 //!
 //! * fine-grained row work is split into contiguous fixed-size **morsels**
@@ -165,21 +165,6 @@ impl WorkerPool {
             items[range].iter().map(&f).collect::<Vec<R>>()
         }))
     }
-
-    /// Run `blocks` independent work units identified by index, returning the
-    /// results in index order.  This is the Monte-Carlo shape: each block
-    /// seeds its own RNG from its index, so the aggregate is independent of
-    /// how blocks are distributed over threads.
-    pub fn run_blocks<R, F>(&self, blocks: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let ranges = chunk_ranges(blocks, self.coarse_parts(blocks));
-        concat(run_ranges(&ranges, |_, range| {
-            range.map(&f).collect::<Vec<R>>()
-        }))
-    }
 }
 
 /// Split `0..len` into consecutive [`MORSEL_ROWS`]-sized ranges (the last
@@ -297,17 +282,6 @@ mod tests {
             let pool = WorkerPool::new(threads);
             assert_eq!(pool.map_coarse(&items, |x| x * 3), serial);
         }
-    }
-
-    #[test]
-    fn run_blocks_is_deterministic_in_index_order() {
-        for threads in [1usize, 2, 5] {
-            let pool = WorkerPool::new(threads);
-            let blocks = pool.run_blocks(17, |b| b * b);
-            assert_eq!(blocks, (0..17).map(|b| b * b).collect::<Vec<_>>());
-        }
-        // Zero blocks: nothing to do.
-        assert!(WorkerPool::new(4).run_blocks(0, |b| b).is_empty());
     }
 
     #[test]

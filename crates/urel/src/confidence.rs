@@ -1,33 +1,23 @@
-//! Confidence computation on U-relations.
+//! Exact confidence computation on U-relations.
 //!
 //! The confidence of a tuple is the probability of its lineage: the
-//! disjunction ([`Dnf`]) of the clauses of the rows carrying it.  Exact
-//! computation is #P-hard in general, so this module offers:
-//!
-//! * [`conf`] — exact, by [`enumerate_probability`]: the joint assignments
-//!   of the variables the DNF mentions (all other variables marginalize
-//!   out), up to [`DEFAULT_ENUM_LIMIT`] assignments;
-//! * [`approx_conf`] — a seeded Monte-Carlo estimator with a fixed sample
-//!   budget;
-//! * [`approx`] — the (ε, δ) refinement of the same estimator: the sample
-//!   count is derived from an additive error bound and failure probability
-//!   via the shared Hoeffding planner, blocks fan out on a
-//!   [`WorkerPool`], and [`approx::possible_with_confidence`] parallelizes
-//!   per tuple-group.
-
-pub mod approx;
+//! disjunction ([`Dnf`]) of the clauses of the rows carrying it.  [`conf`]
+//! and [`possible_with_confidence`] compute it exactly by
+//! [`enumerate_probability`]: the joint assignments of the variables the DNF
+//! mentions (all other variables marginalize out), up to
+//! [`DEFAULT_ENUM_LIMIT`] assignments.  This is U-relations' native exact
+//! path.  Exact computation is #P-hard in general; the (ε, δ) estimate runs
+//! on the same DNFs through `maybms::Session::confidence_approx` and the one
+//! Monte-Carlo estimator, `ws_relational::approx`.
 
 use std::collections::HashMap;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use ws_relational::lineage::enumerate::DEFAULT_ENUM_LIMIT;
 use ws_relational::lineage::{enumerate_probability, Dnf, LineageRelation};
 use ws_relational::{Tuple, WorkerPool};
 
 use crate::database::UDatabase;
-use crate::error::{Result, UrelError};
-use approx::DnfSampler;
+use crate::error::Result;
 
 /// The DNF of `tuple` in `relation`: the clauses of its rows (empty when
 /// the tuple is impossible).
@@ -60,26 +50,6 @@ fn dnfs_of(relation: &LineageRelation) -> Vec<(Tuple, Dnf)> {
 pub fn conf(udb: &UDatabase, relation: &str, tuple: &Tuple) -> Result<f64> {
     let dnf = dnf_of(udb, relation, tuple)?;
     Ok(enumerate_probability(&dnf, udb.vars(), DEFAULT_ENUM_LIMIT)?)
-}
-
-/// Monte-Carlo estimate of the confidence of `tuple`, using `samples` draws
-/// from a deterministic RNG seeded with `seed`.
-pub fn approx_conf(
-    udb: &UDatabase,
-    relation: &str,
-    tuple: &Tuple,
-    samples: usize,
-    seed: u64,
-) -> Result<f64> {
-    if samples == 0 {
-        return Err(UrelError::invalid("approx_conf needs at least one sample"));
-    }
-    let sampler = match DnfSampler::new(&dnf_of(udb, relation, tuple)?, udb.vars()) {
-        Ok(sampler) => sampler,
-        Err(constant) => return Ok(constant),
-    };
-    let mut rng = StdRng::seed_from_u64(seed);
-    Ok(sampler.hits(&mut rng, samples) as f64 / samples as f64)
 }
 
 /// The possible tuples of a relation together with their exact confidences.
@@ -156,7 +126,6 @@ mod tests {
         let udb = from_wsd(&example_census_wsd()).unwrap();
         let absent = Tuple::from_iter([Value::int(999), Value::text("Nobody"), Value::int(1)]);
         assert_eq!(conf(&udb, "R", &absent).unwrap(), 0.0);
-        assert_eq!(approx_conf(&udb, "R", &absent, 100, 7).unwrap(), 0.0);
         assert!(conf(&udb, "NOPE", &absent).is_err());
 
         // A certain tuple (empty clause) has confidence one.
@@ -168,20 +137,5 @@ mod tests {
         let udb2 = from_wsd(&wsd).unwrap();
         let five = Tuple::from_iter([5i64]);
         assert_eq!(conf(&udb2, "S", &five).unwrap(), 1.0);
-        assert_eq!(approx_conf(&udb2, "S", &five, 10, 1).unwrap(), 1.0);
-    }
-
-    #[test]
-    fn monte_carlo_estimates_converge_to_the_exact_value() {
-        let mut udb = from_wsd(&example_census_wsd()).unwrap();
-        evaluate_query(&mut udb, &RaExpr::rel("R").project(vec!["S"]), "Q").unwrap();
-        let tuple = Tuple::from_iter([Value::int(785)]);
-        let exact = conf(&udb, "Q", &tuple).unwrap();
-        let estimate = approx_conf(&udb, "Q", &tuple, 20_000, 42).unwrap();
-        assert!(
-            (estimate - exact).abs() < 0.02,
-            "Monte-Carlo estimate {estimate} too far from exact {exact}"
-        );
-        assert!(approx_conf(&udb, "Q", &tuple, 0, 42).is_err());
     }
 }

@@ -24,8 +24,9 @@
 //!   conditioning by world-table DNF rewriting) as the
 //!   [`ws_relational::WriteBackend`] implementation, and
 //! * [`confidence`] — exact confidence by
-//!   [`enumerate_probability`](ws_relational::lineage::enumerate_probability)
-//!   and the Monte-Carlo estimators.
+//!   [`enumerate_probability`](ws_relational::lineage::enumerate_probability).
+//!   The (ε, δ) estimate is the stack's one Monte-Carlo estimator,
+//!   [`ws_relational::approx`], reached through `maybms::Session`.
 
 pub mod confidence;
 pub mod convert;
@@ -34,7 +35,7 @@ pub mod error;
 pub mod ops;
 pub mod update;
 
-pub use confidence::{approx_conf, conf, possible_with_confidence, possible_with_confidence_with};
+pub use confidence::{conf, possible_with_confidence, possible_with_confidence_with};
 pub use convert::from_wsd;
 pub use database::UDatabase;
 pub use error::{Result, UrelError};

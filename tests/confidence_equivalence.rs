@@ -16,7 +16,7 @@ use std::collections::BTreeSet;
 
 use common::{all_backends, Generator};
 use maybms::prelude::*;
-use maybms::{AnyBackend, ConfidenceStrategy, Session};
+use maybms::{AnyBackend, ConfidenceStrategy, Session, SessionBackend};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -251,34 +251,113 @@ fn unsafe_plans_compile_lineage_instead() {
     assert_bit_identical(&exact, &tiered, &"compiled tier on self-join");
 }
 
-/// The Monte-Carlo tier is untouched by the strategy: estimates stay within
-/// ε of the exact confidences and the approx counter records the call.
+/// `confidence(Q)` then `confidence_approx(Q)` in one session, with the
+/// stats between the two calls and after them.
+fn exact_then_approx<B>(
+    mut session: Session<B>,
+    query: &RaExpr,
+    config: &ApproxConfig,
+) -> [(Vec<(Tuple, f64)>, SessionStats); 2]
+where
+    B: SessionBackend,
+    B::Error: Into<maybms::Error>,
+{
+    let prepared = session.prepare(query.clone()).unwrap();
+    let exact = session.confidence(&prepared).unwrap();
+    let between = session.stats();
+    let approx = session.confidence_approx(&prepared, config).unwrap();
+    [(exact, between), (approx, session.stats())]
+}
+
+/// The Monte-Carlo estimator runs the confidence ladder: on every backend,
+/// bare and durable, `confidence_approx` returns exactly `confidence`'s
+/// tuples in `confidence`'s order, each estimate within ε, and the call
+/// moves only the approx counter.  Bare backends sample their lineage;
+/// durable ones (no lineage) answer exactly.
 #[test]
 fn approx_stays_within_epsilon_of_every_exact_tier() {
     let mut rng = StdRng::seed_from_u64(0xA11C_0007);
     let wsd = dyadic_wsd(&mut rng);
-    let query = RaExpr::rel("R").project(vec!["B"]);
+    let queries = [
+        RaExpr::rel("R").project(vec!["B"]),
+        RaExpr::rel("R")
+            .product(RaExpr::rel("S"))
+            .select(Predicate::cmp_attr("A", CmpOp::Le, "C"))
+            .project(vec!["B", "C"]),
+    ];
     let config = ApproxConfig::new(0.05, 0.01);
     for (name, backend) in all_backends(&wsd) {
-        let (exact, _) = conf_rows(backend.clone(), &query, ConfidenceStrategy::Tiered, 1, true);
-        let mut session = Session::over(backend);
-        let prepared = session.prepare(query.clone()).unwrap();
-        let approx = session.confidence_approx(&prepared, &config).unwrap();
-        assert_eq!(session.stats().conf_approx, 1);
-        assert_eq!(exact.len(), approx.len(), "[{name}] possible sets differ");
-        // The Monte-Carlo evaluators order tuples their own way; compare as
-        // maps.
-        let estimates: std::collections::BTreeMap<Tuple, f64> = approx.into_iter().collect();
-        for (tuple, ce) in &exact {
-            let ca = estimates
-                .get(tuple)
-                .unwrap_or_else(|| panic!("[{name}] {tuple} missing from approx"));
-            assert!(
-                (ce - ca).abs() <= config.epsilon,
-                "[{name}] approx conf({tuple}) = {ca}, exact {ce}"
-            );
+        for query in &queries {
+            let durable = Durable::create(Box::new(MemVfs::new()), backend.clone()).unwrap();
+            for (label, [(exact, between), (approx, after)]) in [
+                (
+                    "bare",
+                    exact_then_approx(Session::over(backend.clone()), query, &config),
+                ),
+                (
+                    "durable",
+                    exact_then_approx(Session::new(durable), query, &config),
+                ),
+            ] {
+                let context = format!("{label} {name} {query}");
+                assert_eq!(
+                    exact.iter().map(|(t, _)| t).collect::<Vec<_>>(),
+                    approx.iter().map(|(t, _)| t).collect::<Vec<_>>(),
+                    "[{context}] approx must list confidence's tuples in its order"
+                );
+                for ((tuple, ce), (_, ca)) in exact.iter().zip(&approx) {
+                    assert!(
+                        (ce - ca).abs() <= config.epsilon,
+                        "[{context}] approx conf({tuple}) = {ca}, exact {ce}"
+                    );
+                }
+                if label == "durable" {
+                    // No lineage behind a durable backend: the native exact
+                    // path answers.
+                    assert_bit_identical(&exact, &approx, &context);
+                } else if exact.iter().any(|(_, c)| *c > 0.0 && *c < 1.0) {
+                    assert!(
+                        exact.iter().zip(&approx).any(|((_, ce), (_, ca))| ce != ca),
+                        "[{context}] uncertain answers must be sampled, not computed exactly"
+                    );
+                }
+                assert_eq!(after.conf_approx, between.conf_approx + 1, "[{context}]");
+                assert_eq!(
+                    (after.conf_compiled, after.conf_exact),
+                    (between.conf_compiled, between.conf_exact),
+                    "[{context}] approx moved an exact tier counter"
+                );
+            }
         }
     }
+}
+
+/// A difference has no DNF lineage, so a WSD's approx answers on the native
+/// exact path: bit-identical to `ExactOnly` confidence, counted only as an
+/// approx call.
+#[test]
+fn difference_plans_estimate_on_the_native_exact_path() {
+    let mut rng = StdRng::seed_from_u64(0xD1FF_0002);
+    let wsd = dyadic_wsd(&mut rng);
+    let query = RaExpr::rel("R")
+        .select(Predicate::cmp_const("A", CmpOp::Le, 5i64))
+        .difference(RaExpr::rel("R").select(Predicate::cmp_const("B", CmpOp::Ge, 4i64)));
+    let mut session = Session::new(wsd);
+    session.set_confidence_strategy(ConfidenceStrategy::ExactOnly);
+    let prepared = session.prepare(query).unwrap();
+    let exact = session.confidence(&prepared).unwrap();
+    assert!(!exact.is_empty(), "the difference keeps some tuples");
+    let before = session.stats();
+    let approx = session
+        .confidence_approx(&prepared, &ApproxConfig::new(0.05, 0.01))
+        .unwrap();
+    assert_bit_identical(&exact, &approx, &"approx of a difference on a WSD");
+    let after = session.stats();
+    assert_eq!(after.conf_approx, 1);
+    assert_eq!(
+        (after.conf_compiled, after.conf_exact),
+        (before.conf_compiled, before.conf_exact)
+    );
 }
 
 /// `R[A, B]` with two uncertain `B` fields (1/2 each) and one certain tuple,

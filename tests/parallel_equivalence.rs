@@ -8,10 +8,12 @@
 //!    order* for the single-world `Database` backend (whose operators
 //!    actually fan out), and identical possible-tuple sets plus world counts
 //!    for the world-set backends driven through the same executor.
-//! 2. **Approximation accuracy** — the Monte-Carlo confidence estimators
-//!    land within ε of the exact §6 algorithm, on tuple-independent WSDs
-//!    (every field its own component) and on small-component WSDs
-//!    (components spanning tuples, as in the paper's running example).
+//! 2. **Approximation accuracy** — `Session::confidence_approx`, the one
+//!    Monte-Carlo estimator, lands within ε of the exact §6 algorithm on WSDs
+//!    and their U-relations, tuple-independent (every field its own
+//!    component) and small-component (components spanning tuples, as in the
+//!    paper's running example), and its estimates are bit-identical at every
+//!    thread count.
 
 use std::collections::BTreeSet;
 
@@ -20,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 mod common;
-use common::{random_wsd, Generator};
+use common::{all_backends, random_wsd, Generator};
 
 fn thread_counts() -> [usize; 3] {
     [2, 4, 8]
@@ -151,11 +153,23 @@ fn tuple_independent_wsd(rng: &mut StdRng) -> Wsd {
     wsd
 }
 
+/// `query`'s approximate confidences through a session over `backend` at
+/// `threads` worker threads.
+fn approx_rows(
+    backend: AnyBackend,
+    query: &RaExpr,
+    config: &ApproxConfig,
+    threads: usize,
+) -> Vec<(Tuple, f64)> {
+    let mut session = Session::with_config(backend, EngineConfig::with_threads(threads));
+    let prepared = session.prepare(query.clone()).unwrap();
+    session.confidence_approx(&prepared, config).unwrap()
+}
+
 #[test]
 fn approximate_confidence_is_within_epsilon_of_exact() {
     let mut rng = StdRng::seed_from_u64(0xAB5);
     let config = ApproxConfig::new(0.03, 0.01);
-    let pool = WorkerPool::new(4);
 
     // Tuple-independent WSDs (every field independent) …
     let mut cases: Vec<(&str, Wsd)> = (0..3)
@@ -167,56 +181,63 @@ fn approximate_confidence_is_within_epsilon_of_exact() {
 
     for (label, wsd) in &cases {
         let relation = wsd.relation_names()[0].to_string();
-        let exact = possible_with_confidence(wsd, &relation).unwrap();
-        assert!(!exact.is_empty(), "{label}: no possible tuples");
-        for (tuple, exact_conf) in &exact {
-            for estimate in [
-                maybms::core::confidence::approx::conf(wsd, &relation, tuple, &config).unwrap(),
-                maybms::core::confidence::approx::conf_with(wsd, &relation, tuple, &config, &pool)
-                    .unwrap(),
-            ] {
-                assert!(
-                    (estimate - exact_conf).abs() <= config.epsilon,
-                    "{label}: approx conf({tuple}) = {estimate}, exact = {exact_conf}"
+        let query = RaExpr::rel(relation.as_str());
+        // The one estimator answers both the WSD and its U-relational
+        // translation, serial and fanned out, against each one's exact
+        // enumerator.
+        let backends = [
+            ("wsd", AnyBackend::from(wsd.clone())),
+            (
+                "urel",
+                AnyBackend::from(maybms::urel::from_wsd(wsd).unwrap()),
+            ),
+        ];
+        for (name, backend) in backends {
+            let mut exact_session = Session::over(backend.clone());
+            exact_session.set_confidence_strategy(ConfidenceStrategy::ExactOnly);
+            let prepared = exact_session.prepare(query.clone()).unwrap();
+            let exact = exact_session.confidence(&prepared).unwrap();
+            assert!(!exact.is_empty(), "{label}: no possible tuples");
+            for threads in [1usize, 4] {
+                let approx = approx_rows(backend.clone(), &query, &config, threads);
+                assert_eq!(
+                    exact.len(),
+                    approx.len(),
+                    "{label} {name}: tuple sets differ"
                 );
+                for ((tuple, exact_conf), (t2, estimate)) in exact.iter().zip(&approx) {
+                    assert_eq!(tuple, t2, "{label} {name}: tuple order differs");
+                    assert!(
+                        (estimate - exact_conf).abs() <= config.epsilon,
+                        "{label} {name} ({threads} threads): approx conf({tuple}) = \
+                         {estimate}, exact = {exact_conf}"
+                    );
+                }
             }
-        }
-
-        // The U-relational estimator agrees with the U-relational exact
-        // evaluator on the same world-set.
-        let udb = maybms::urel::from_wsd(wsd).unwrap();
-        let exact_u = maybms::urel::possible_with_confidence(&udb, &relation).unwrap();
-        let approx_u = maybms::urel::confidence::approx::possible_with_confidence_with(
-            &udb, &relation, &config, &pool,
-        )
-        .unwrap();
-        assert_eq!(exact_u.len(), approx_u.len());
-        for ((t1, exact_conf), (t2, estimate)) in exact_u.iter().zip(approx_u.iter()) {
-            assert_eq!(t1, t2);
-            assert!(
-                (estimate - exact_conf).abs() <= config.epsilon,
-                "{label}: U-rel approx conf({t1}) = {estimate}, exact = {exact_conf}"
-            );
         }
     }
 }
 
 #[test]
 fn approximate_confidence_is_thread_count_invariant_end_to_end() {
-    // One correlated query answer, estimated at every thread count: the
-    // (ε, δ) sampler must return the identical estimate.
-    let mut wsd = maybms::core::wsd::example_census_wsd();
-    maybms::relational::evaluate_query(&mut wsd, &RaExpr::rel("R").project(vec!["S"]), "Q")
-        .unwrap();
+    // One correlated query answer, estimated at every thread count on every
+    // backend: the (ε, δ) estimator must return the identical estimates.
+    let wsd = maybms::core::wsd::example_census_wsd();
+    let query = RaExpr::rel("R").project(vec!["S"]);
     let config = ApproxConfig::default();
-    let serial =
-        maybms::core::confidence::approx::possible_with_confidence(&wsd, "Q", &config).unwrap();
-    for threads in thread_counts() {
-        let pool = WorkerPool::new(threads);
-        let parallel = maybms::core::confidence::approx::possible_with_confidence_with(
-            &wsd, "Q", &config, &pool,
-        )
-        .unwrap();
-        assert_eq!(parallel, serial, "estimate drifted at {threads} threads");
+    for (name, backend) in all_backends(&wsd) {
+        let serial = approx_rows(backend.clone(), &query, &config, 1);
+        assert!(!serial.is_empty());
+        for threads in thread_counts() {
+            let parallel = approx_rows(backend.clone(), &query, &config, threads);
+            let bits = |rows: &[(Tuple, f64)]| -> Vec<(Tuple, u64)> {
+                rows.iter().map(|(t, c)| (t.clone(), c.to_bits())).collect()
+            };
+            assert_eq!(
+                bits(&parallel),
+                bits(&serial),
+                "{name}: estimate drifted at {threads} threads"
+            );
+        }
     }
 }

@@ -114,10 +114,18 @@ proptest! {
     fn monte_carlo_confidence_is_close_to_exact(rows in orset_rows()) {
         let wsd = wsd_from(&rows);
         let udb = urel::from_wsd(&wsd).unwrap();
-        for (tuple, exact) in urel::possible_with_confidence(&udb, "R").unwrap() {
-            let estimate = urel::approx_conf(&udb, "R", &tuple, 4000, 11).unwrap();
+        let exact = urel::possible_with_confidence(&udb, "R").unwrap();
+        // δ = 1e-8 per tuple (≈ 3800 trials): a miss across every case is
+        // vanishingly unlikely.
+        let config = ApproxConfig::new(0.05, 1e-8).with_seed(11);
+        let mut session = Session::new(udb);
+        let prepared = session.prepare(RaExpr::rel("R")).unwrap();
+        let approx = session.confidence_approx(&prepared, &config).unwrap();
+        prop_assert_eq!(approx.len(), exact.len());
+        for ((tuple, exact), (t2, estimate)) in exact.iter().zip(&approx) {
+            prop_assert_eq!(tuple, t2);
             prop_assert!(
-                (estimate - exact).abs() < 0.05,
+                (estimate - exact).abs() <= config.epsilon,
                 "MC estimate {} too far from {}",
                 estimate,
                 exact
