@@ -13,8 +13,8 @@
 //! * **exact vs. (ε, δ)-approximate** — the §6 / DNF algorithms on the
 //!   evaluated answer against one `Session::confidence_approx` call at
 //!   ε = 0.02, δ = 0.01 on a fresh session over the WSD and over the
-//!   U-database.  The approximate time is end to end: plan execution,
-//!   lineage extraction and evaluation, and sampling.
+//!   U-database.  The approximate time is end to end: lineage extraction
+//!   and evaluation, and sampling (the plan does not run on the backend).
 //!
 //! The UWSDT evaluator (serial only) is kept as the cross-representation
 //! reference point.  A second section answers one hierarchical query through

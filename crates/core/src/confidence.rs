@@ -147,19 +147,16 @@ impl TupleLevelView {
     }
 
     /// The `possible` operator (Fig. 18): every tuple appearing in at least
-    /// one world.
+    /// one world, in `Tuple` order.  A local world of probability 0 is still
+    /// a world: its tuples are possible, with confidence 0.
     pub fn possible(&self) -> Result<Relation> {
         let schema = Schema::from_parts(
             std::sync::Arc::from(self.relation.as_str()),
             self.attrs.clone(),
         );
-        let mut out = Relation::new(schema);
-        let mut seen: BTreeSet<Tuple> = BTreeSet::new();
+        let mut possible: BTreeSet<Tuple> = BTreeSet::new();
         for (comp, tuples) in &self.groups {
             for row in &comp.rows {
-                if row.prob <= 0.0 {
-                    continue;
-                }
                 for &t in tuples {
                     let mut values = Vec::with_capacity(self.attrs.len());
                     let mut dropped = false;
@@ -175,13 +172,14 @@ impl TupleLevelView {
                         values.push(v);
                     }
                     if !dropped {
-                        let tuple = Tuple::new(values);
-                        if seen.insert(tuple.clone()) {
-                            out.push(tuple)?;
-                        }
+                        possible.insert(Tuple::new(values));
                     }
                 }
             }
+        }
+        let mut out = Relation::new(schema);
+        for tuple in possible {
+            out.push(tuple)?;
         }
         Ok(out)
     }

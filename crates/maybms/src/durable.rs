@@ -96,14 +96,8 @@ impl<B: SessionBackend> SessionBackend for Durable<B> {
         Some(self.stats())
     }
 
-    /// Deliberately not forwarded: durable sessions answer confidence — and
-    /// approximate confidence — by the backend's native exact path.  A compiled-tier confidence still
-    /// executes the plan on the backend before it evaluates the lineage, so
-    /// on the chased census UWSDT it would cost about as much as native
-    /// exact; forward this once the compiled tier answers from the lineage
-    /// alone.
-    fn lineage(&self, _relations: &BTreeSet<String>) -> Option<LineageDb> {
-        None
+    fn lineage(&self, relations: &BTreeSet<String>) -> Option<LineageDb> {
+        self.inner().lineage(relations)
     }
 }
 

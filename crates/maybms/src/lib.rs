@@ -71,7 +71,8 @@
 //! ## Under the hood
 //!
 //! Sessions drive the `optimize → execute` pipeline (§5 of the paper) of
-//! [`relational::engine`].  The single-world executor fans selections,
+//! [`relational::engine`]; a confidence on a world-set backend is read from
+//! the plan's lineage instead (see [`mod@lineage`]).  The single-world executor fans selections,
 //! projections and equi-join probes out over a fixed-size
 //! [`prelude::WorkerPool`] controlled by
 //! [`prelude::EngineConfig::threads`]; `threads = 1` reproduces the serial

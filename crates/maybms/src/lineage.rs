@@ -1,15 +1,18 @@
 //! Lineage extraction: map each possible-worlds representation onto the
 //! finite-domain variables of [`ws_relational::lineage`], so
-//! [`crate::Session::confidence`]'s compiled tier can shadow-evaluate a
-//! prepared plan and compile each answer's lineage to a d-tree — the one
-//! lineage tier, in front of the backend's native exact path.
+//! [`crate::Session::confidence`]'s compiled tier can evaluate a prepared
+//! plan over it and compile each answer's lineage to a d-tree — the one
+//! lineage tier, in front of the backend's native exact path.  That
+//! evaluation is the whole answer: its distinct tuples are the possible
+//! tuples, and the plan does not run on the backend.
 //!
 //! Every extractor answers `Option<LineageDb>`:
 //!
 //! * `Some(db)` — a **faithful** translation: for every base relation the
 //!   plan reads, the annotated rows and their clauses describe exactly the
-//!   same distribution over worlds as the backend itself.  Compiled
-//!   confidences computed from it are exact.
+//!   same distribution over worlds as the backend itself, worlds of
+//!   probability 0 included.  Answers computed from it list the backend's
+//!   possible tuples with exact confidences.
 //! * `None` — the representation opted out (per-tuple joint spaces above
 //!   [`MAX_TUPLE_COMBOS`], un-normalized world weights, anything the mapping
 //!   cannot express).  The session falls back to the backend's native exact
@@ -19,11 +22,13 @@
 //!
 //! | backend    | variable                  | domain                          |
 //! |------------|---------------------------|---------------------------------|
-//! | `Database` | —                         | every row is certain            |
 //! | `Wsd`      | one per multi-world slot  | the slot's local worlds         |
 //! | `Uwsdt`    | one per multi-world `Cid` | the component's `WorldEntry`s   |
 //! | `UDatabase`| its own world table       | the database *is* lineage       |
 //! | `WorldSet` | a single selector         | the enumerated worlds           |
+//!
+//! A `Database` has no lineage: one certain world has nothing to compile,
+//! so its native path answers every confidence.
 //!
 //! Extraction is a per-snapshot cost, not a per-call one: the session keeps
 //! each extracted [`LineageDb`] (and each decline) keyed by the relation set
@@ -37,7 +42,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use ws_core::{FieldId, WorldSet, Wsd};
 use ws_relational::lineage::{Clause, LineageDb, LineageRelation, Var, VarTable};
-use ws_relational::{Database, Relation, Tuple, Value};
+use ws_relational::{Relation, Tuple, Value};
 use ws_urel::convert::{combo_count, decode_choice};
 use ws_urel::UDatabase;
 use ws_uwsdt::{PresenceCondition, Uwsdt};
@@ -46,21 +51,6 @@ use ws_uwsdt::{PresenceCondition, Uwsdt};
 /// (product of the covering components' local-world counts).  Beyond this the
 /// extractor opts out and the session uses the backend's native exact path.
 pub use ws_urel::convert::MAX_TUPLE_COMBOS;
-
-/// A single certain world: every row of every read relation carries the empty
-/// clause (present in the one world with probability 1).
-pub fn database_lineage(db: &Database, relations: &BTreeSet<String>) -> Option<LineageDb> {
-    let mut out = LineageDb::new(VarTable::new());
-    for name in relations {
-        let rel = db.relation(name).ok()?;
-        let mut annotated = LineageRelation::new(rel.schema().clone());
-        for row in rel.rows() {
-            annotated.push(row.clone(), Clause::empty()).ok()?;
-        }
-        out.insert_relation(annotated);
-    }
-    Some(out)
-}
 
 /// One variable per component slot with at least two local worlds; a tuple's
 /// concrete variants are the joint local-world choices of the slots covering
@@ -287,19 +277,6 @@ mod tests {
             .map(|(_, c)| c.clone())
             .collect();
         enumerate_probability(&dnf, db.vars(), 1 << 20).unwrap()
-    }
-
-    #[test]
-    fn database_rows_are_certain() {
-        let mut db = Database::new();
-        let mut rel =
-            ws_relational::Relation::new(ws_relational::Schema::new("R", &["A"]).unwrap());
-        rel.push_values([1i64]).unwrap();
-        rel.push_values([2i64]).unwrap();
-        db.insert_relation(rel);
-        let lin = database_lineage(&db, &relset(&["R"])).unwrap();
-        assert_eq!(lin.vars().len(), 0);
-        assert_eq!(lineage_conf(&lin, "R", &Tuple::from_iter([1i64])), 1.0);
     }
 
     #[test]

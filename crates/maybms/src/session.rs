@@ -36,10 +36,14 @@
 //!   (ε, δ)-approximate by the one Monte-Carlo estimator over the plan's
 //!   lineage ([`ws_relational::approx`]).
 //!
-//! Every read verb takes the same path on every backend: the plan's result
-//! is built as a `__session_q*` relation inside the backend, the answer is
-//! copied out, and the result is dropped before the call returns.  Only
-//! [`Session::materialize`] leaves a result behind.
+//! A confidence is read from the plan's lineage wherever the backend maps
+//! onto one and the plan is positive: [`lineage::evaluate_lineage`] over
+//! the session's memoized [`LineageDb`] *is* the answer, and nothing runs
+//! on the backend.  Every other read — [`Session::execute`], and a
+//! confidence the lineage path declines — builds the plan's result as a
+//! `__session_q*` relation inside the backend, copies the answer out, and
+//! drops the result before the call returns.  Only [`Session::materialize`]
+//! leaves a result behind.
 //!
 //! [`Session::over`] wraps the five concrete representations in one dynamic
 //! [`AnyBackend`], so code that picks a backend at run time still goes
@@ -75,9 +79,14 @@ use ws_uwsdt::Uwsdt;
 /// [`Session::confidence_approx`] samples the lineage, and answers with
 /// [`SessionBackend::confidence_rows`] where there is none.
 ///
-/// Every method reads a result relation `out` the executor just built and
-/// returns an owned answer; the session drops `out` afterwards.  No method
-/// has a default body, so a wrapper backend cannot silently skip one.
+/// `possible_rows` and `confidence_rows` read a result relation `out` the
+/// executor just built and return an owned answer; the session drops `out`
+/// afterwards.  Both list the *distinct* possible tuples in `Tuple` order —
+/// the order of [`lineage::LineageOutput::dnfs`], so an answer reads the
+/// same whichever path computed it.  A tuple is possible when some
+/// represented world contains it, a world of probability 0 included: such
+/// a tuple is listed, with confidence 0.  No method has a default body, so
+/// a wrapper backend cannot silently skip one.
 ///
 /// Implemented for the five representations ([`Database`], [`Wsd`],
 /// [`Uwsdt`], [`UDatabase`], [`WorldSet`]), for the dynamic [`AnyBackend`]
@@ -86,11 +95,11 @@ pub trait SessionBackend: QueryBackend {
     /// Short name used in stats and diagnostics.
     fn backend_name(&self) -> &'static str;
 
-    /// The distinct possible tuples of result `out`, in the backend's
-    /// canonical order.
+    /// The distinct possible tuples of result `out`, in `Tuple` order.
     fn possible_rows(&self, out: &str) -> Result<Vec<Tuple>>;
 
-    /// The possible tuples of result `out` with their exact confidences.
+    /// The possible tuples of result `out` with their exact confidences, in
+    /// `Tuple` order.
     fn confidence_rows(&self, out: &str, pool: &WorkerPool) -> Result<Vec<(Tuple, f64)>>;
 
     /// The durability counters of a persistent backend; `None` for the
@@ -132,8 +141,9 @@ impl SessionBackend for Database {
         None
     }
 
-    fn lineage(&self, relations: &BTreeSet<String>) -> Option<LineageDb> {
-        crate::lineage::database_lineage(self, relations)
+    /// One certain world has nothing to compile: the native path answers.
+    fn lineage(&self, _relations: &BTreeSet<String>) -> Option<LineageDb> {
+        None
     }
 }
 
@@ -428,13 +438,16 @@ impl fmt::Display for Prepared {
 ///    independent-component splits and memoized cofactor sharing
 ///    ([`DtreeCompiler`]), within a node budget.  Hierarchical (safe) plans
 ///    have read-once lineage, which the component split compiles in one
-///    pass.
+///    pass.  The evaluated lineage is the whole answer: the plan does not
+///    run on the backend.
 /// 2. **Native exact** — when the backend has no lineage mapping, the plan
-///    has a difference, or the d-tree exceeds its budget, the backend's own
-///    exact enumeration answers.
+///    has a difference, or the d-tree exceeds its budget, the plan runs on
+///    the backend and its own exact enumeration answers.
 ///
-/// Both tiers are exact; the strategy only chooses *how* the same numbers
-/// are computed, and [`SessionStats`] records which tier fired.
+/// Both tiers are exact and list the same tuples in the same (`Tuple`)
+/// order.  Their sums may round differently: each confidence agrees within
+/// 1e-12 absolute, and bit for bit where every probability is dyadic.
+/// [`SessionStats`] records which tier fired.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ConfidenceStrategy {
     /// Compiled lineage, then the native exact path.
@@ -452,8 +465,9 @@ pub struct SessionStats {
     pub plans_prepared: u64,
     /// [`Session::prepare`] calls answered from the prepared-plan cache.
     pub cache_hits: u64,
-    /// Plan executions ([`Session::execute`], [`Session::confidence`],
-    /// [`Session::confidence_approx`]).
+    /// Queries answered ([`Session::execute`], [`Session::confidence`],
+    /// [`Session::confidence_approx`], [`Session::materialize`]), whether
+    /// the backend ran the plan or the lineage answered it.
     pub executions: u64,
     /// Rows pulled through [`Rows`] cursors and confidence calls.
     pub rows_streamed: u64,
@@ -764,8 +778,10 @@ where
         self.strategy
     }
 
-    /// Change the confidence evaluation strategy.  Every strategy computes
-    /// the same exact numbers; this only selects which machinery does.
+    /// Change the confidence evaluation strategy.  Every strategy lists the
+    /// same tuples with the same exact confidences, up to the rounding
+    /// contract of [`ConfidenceStrategy`]; this only selects which machinery
+    /// computes them.
     pub fn set_confidence_strategy(&mut self, strategy: ConfidenceStrategy) {
         self.strategy = strategy;
     }
@@ -835,7 +851,9 @@ where
     /// is dropped before this returns.  The [`Rows`] iterator owns the
     /// answer and counts the rows consumed from it.
     pub fn execute(&mut self, prepared: &Prepared) -> Result<Rows<'_>> {
-        let rows = self.read_result(prepared, |session, out| session.backend.possible_rows(out))?;
+        let rows = self.traced(prepared, |session| {
+            session.read_result(prepared, |session, out| session.backend.possible_rows(out))
+        })?;
         Ok(Rows {
             rows: rows.into_iter(),
             stats: &mut self.stats,
@@ -858,20 +876,21 @@ where
     /// registered until the caller drops it through [`Session::backend_mut`]
     /// or the next [`Session::apply`] drops it (the staleness rule).
     pub fn materialize(&mut self, prepared: &Prepared) -> Result<String> {
-        let out = self.run(prepared)?;
+        let out = self.traced(prepared, |session| session.run(prepared))?;
         self.materialized.push(out.clone());
         Ok(out)
     }
 
     /// The possible answer tuples of a prepared plan with their **exact**
-    /// confidences (§6).
+    /// confidences (§6), in `Tuple` order.
     ///
     /// Under the default [`ConfidenceStrategy::Tiered`] the session
-    /// shadow-evaluates the plan over the backend's extracted lineage and
-    /// compiles each answer's lineage to a d-tree, falling back to the
-    /// backend's native exact enumeration (on the session's worker pool)
-    /// whenever the compiled tier declines.  Both tiers compute the same
-    /// numbers; [`SessionStats`] records which one fired.
+    /// evaluates the plan over the backend's extracted lineage and compiles
+    /// each answer's lineage to a d-tree; that answer is the result, and the
+    /// plan does not run on the backend.  Where the compiled tier declines
+    /// (no lineage, a difference, the d-tree budget), the plan runs on the
+    /// backend and its native exact enumeration answers, on the session's
+    /// worker pool.  [`SessionStats`] records which tier fired.
     ///
     /// The lineage is extracted once per set of base relations the plan
     /// reads and kept until the backend changes ([`Session::apply`],
@@ -880,89 +899,132 @@ where
     /// worlds, so every later call on the same relations reads the memo
     /// ([`SessionStats::lineage_extractions`] counts the extractions).
     pub fn confidence(&mut self, prepared: &Prepared) -> Result<Vec<(Tuple, f64)>> {
-        let rows = self.read_result(prepared, |session, out| {
-            session.confidence_rows_tiered(out, prepared)
+        let rows = self.traced(prepared, |session| {
+            session.confidence_ladder(prepared, None)
         })?;
         self.stats.rows_streamed += rows.len() as u64;
         Ok(rows)
     }
 
-    /// The tier ladder behind [`Session::confidence`]: the compiled tier
-    /// first (unless [`ConfidenceStrategy::ExactOnly`]), the backend's
-    /// native exact path as the unconditional fallback.
-    fn confidence_rows_tiered(
+    /// The possible answer tuples of a prepared plan with (ε, δ)-approximate
+    /// confidences: [`Session::confidence`]'s ladder with the Monte-Carlo
+    /// estimator of [`ws_relational::approx`] in place of the d-tree.
+    ///
+    /// Each answer's lineage DNF is estimated (fanned out per tuple on the
+    /// session's worker pool, bit-identical for every thread count), and
+    /// the tuples are those of [`Session::confidence`], in its order.  Where
+    /// there is no lineage — a plan with a difference, a backend that
+    /// declines (a WSD tuple with more than
+    /// [`crate::lineage::MAX_TUPLE_COMBOS`] joint choices, a single-world
+    /// database) — the backend's native exact path answers, and the
+    /// guarantee holds trivially.  Errors on an (ε, δ) outside `(0, 1)`.
+    pub fn confidence_approx(
         &mut self,
-        out: &str,
         prepared: &Prepared,
+        config: &ApproxConfig,
     ) -> Result<Vec<(Tuple, f64)>> {
-        let observer = self.observer.clone();
-        if self.strategy != ConfidenceStrategy::ExactOnly {
+        config.samples()?;
+        let rows = self.traced(prepared, |session| {
+            session.confidence_ladder(prepared, Some(config))
+        })?;
+        self.stats.conf_approx += 1;
+        self.stats.rows_streamed += rows.len() as u64;
+        Ok(rows)
+    }
+
+    /// The one confidence ladder, behind [`Session::confidence`] (`approx`
+    /// is `None`) and [`Session::confidence_approx`]: the lineage path
+    /// first (unless an exact call runs [`ConfidenceStrategy::ExactOnly`]),
+    /// the backend's native exact path as the unconditional fallback.  Only
+    /// an exact call counts its tier; an estimate counts as `conf_approx`.
+    fn confidence_ladder(
+        &mut self,
+        prepared: &Prepared,
+        approx: Option<&ApproxConfig>,
+    ) -> Result<Vec<(Tuple, f64)>> {
+        let pool = WorkerPool::new(self.config.threads);
+        let mut declined = None;
+        if approx.is_some() || self.strategy != ConfidenceStrategy::ExactOnly {
             let started = Instant::now();
-            if let Some(probs) = self.lineage_probabilities(prepared) {
-                if let Some(rows) = self.lineage_rows(out, &probs)? {
+            match self.lineage_confidences(prepared, approx, &pool)? {
+                Ok(rows) if approx.is_some() => return Ok(rows),
+                Ok(rows) => {
                     self.stats.conf_compiled += 1;
-                    if let Some(observer) = &observer {
-                        let metrics = observer.metrics();
-                        metrics.counter("conf.tier.compiled.hits").inc();
-                        metrics
-                            .histogram("conf.tier.compiled.ns")
-                            .record_duration(started.elapsed());
-                    }
+                    self.observe_tier("compiled", None, started);
                     return Ok(rows);
                 }
-            }
-            if let Some(observer) = &observer {
-                // The compiled tier was tried and declined; the native
-                // exact path below answers.
-                observer
-                    .metrics()
-                    .counter("conf.tier.lineage.declined")
-                    .inc();
+                Err(reason) => declined = Some(reason),
             }
         }
-        self.stats.conf_exact += 1;
         let started = Instant::now();
-        let pool = WorkerPool::new(self.config.threads);
-        let rows = self.backend.confidence_rows(out, &pool);
-        if let Some(observer) = &observer {
-            let metrics = observer.metrics();
-            metrics.counter("conf.tier.exact.hits").inc();
-            metrics
-                .histogram("conf.tier.exact.ns")
-                .record_duration(started.elapsed());
+        let rows = self.read_result(prepared, |session, out| {
+            session.backend.confidence_rows(out, &pool)
+        })?;
+        if approx.is_none() {
+            self.stats.conf_exact += 1;
+            self.observe_tier("exact", declined, started);
         }
-        rows
+        Ok(rows)
     }
 
-    /// Each possible output tuple's exact probability by the d-tree
-    /// compiler.  `None` when the compiled tier does not apply (no lineage,
-    /// compiler budget exhausted).
-    fn lineage_probabilities(&mut self, prepared: &Prepared) -> Option<BTreeMap<Tuple, f64>> {
-        let (db, dnfs) = self.lineage_dnfs(prepared)?;
-        let mut compiler = DtreeCompiler::new(db.vars());
-        let mut probs = BTreeMap::new();
-        for (tuple, dnf) in dnfs {
-            probs.insert(tuple, compiler.probability(&dnf).ok()?);
+    /// Report the tier that answered a [`Session::confidence`] call to the
+    /// observer, if one is attached: `conf.tier.<tier>.hits` and `.ns`, and
+    /// the counter naming why the lineage path declined.
+    fn observe_tier(&self, tier: &str, declined: Option<&str>, started: Instant) {
+        let Some(observer) = &self.observer else {
+            return;
+        };
+        let metrics = observer.metrics();
+        if let Some(declined) = declined {
+            metrics.counter(declined).inc();
         }
-        Some(probs)
+        metrics.counter(&format!("conf.tier.{tier}.hits")).inc();
+        metrics
+            .histogram(&format!("conf.tier.{tier}.ns"))
+            .record_duration(started.elapsed());
     }
 
-    /// Shadow-evaluate `prepared` over the backend's lineage: the lineage
-    /// and each possible output tuple's DNF.  `None` when no lineage applies
-    /// (no mapping, negation in the plan).
-    fn lineage_dnfs(
+    /// The lineage path: `prepared` evaluated over the memoized lineage,
+    /// each distinct output tuple's DNF compiled to a d-tree — or, under
+    /// `approx`, sampled — in the `Tuple` order of
+    /// [`lineage::LineageOutput::dnfs`].  Nothing runs on the backend.
+    /// `Err` is the counter that names why the path declined: the backend
+    /// has no lineage, the plan has a difference, or the d-tree ran out of
+    /// budget.
+    fn lineage_confidences(
         &mut self,
         prepared: &Prepared,
-    ) -> Option<(Arc<LineageDb>, BTreeMap<Tuple, Dnf>)> {
+        approx: Option<&ApproxConfig>,
+        pool: &WorkerPool,
+    ) -> Result<std::result::Result<Vec<(Tuple, f64)>, &'static str>> {
         let relations: BTreeSet<String> = prepared
             .plan
             .base_relations()
             .into_iter()
             .map(str::to_string)
             .collect();
-        let db = self.lineage_of(relations)?;
-        let dnfs = lineage::evaluate_lineage(&db, &prepared.plan).ok()?.dnfs();
-        Some((db, dnfs))
+        let Some(db) = self.lineage_of(relations) else {
+            return Ok(Err("conf.tier.lineage.declined.no_lineage"));
+        };
+        // A typechecked plan fails to evaluate over lineage only for a
+        // difference: negation has no DNF lineage.
+        let Ok(output) = lineage::evaluate_lineage(&db, &prepared.plan) else {
+            return Ok(Err("conf.tier.lineage.declined.negation"));
+        };
+        let (tuples, dnfs): (Vec<Tuple>, Vec<Dnf>) = output.dnfs().into_iter().unzip();
+        let probs = match approx {
+            Some(config) => approx::estimate_probabilities(&dnfs, db.vars(), config, pool)?,
+            None => {
+                let mut compiler = DtreeCompiler::new(db.vars());
+                let compiled: ws_relational::Result<Vec<f64>> =
+                    dnfs.iter().map(|dnf| compiler.probability(dnf)).collect();
+                match compiled {
+                    Ok(probs) => probs,
+                    Err(_) => return Ok(Err("conf.tier.lineage.declined.budget")),
+                }
+            }
+        };
+        Ok(Ok(tuples.into_iter().zip(probs).collect()))
     }
 
     /// The lineage of `relations`, from the memo or — on a miss — extracted
@@ -987,75 +1049,13 @@ where
         db
     }
 
-    /// Pair the result's distinct possible tuples (in their canonical
-    /// order) with the lineage-computed probabilities.  `None` when any
-    /// tuple is missing from the map — the native exact path then answers,
-    /// so a divergence can never produce wrong numbers.
-    fn lineage_rows(
-        &self,
-        out: &str,
-        probs: &BTreeMap<Tuple, f64>,
-    ) -> Result<Option<Vec<(Tuple, f64)>>> {
-        Ok(self
-            .backend
-            .possible_rows(out)?
-            .into_iter()
-            .map(|tuple| probs.get(&tuple).map(|&p| (tuple, p)))
-            .collect())
-    }
-
-    /// The possible answer tuples of a prepared plan with (ε, δ)-approximate
-    /// confidences: [`Session::confidence`]'s ladder with the Monte-Carlo
-    /// estimator of [`ws_relational::approx`] in place of the d-tree.
-    ///
-    /// The backend executes the plan and fixes the tuples and their order,
-    /// exactly as for [`Session::confidence`]; each answer's lineage DNF is
-    /// then estimated (fanned out per tuple on the session's worker pool,
-    /// bit-identical for every thread count).  Where there is no lineage —
-    /// a plan with a difference, a backend that declines (a WSD tuple with
-    /// more than [`crate::lineage::MAX_TUPLE_COMBOS`] joint choices), a
-    /// durable backend — the backend's native exact path answers, and the
-    /// guarantee holds trivially.  Errors on an (ε, δ) outside `(0, 1)`.
-    pub fn confidence_approx(
-        &mut self,
-        prepared: &Prepared,
-        config: &ApproxConfig,
-    ) -> Result<Vec<(Tuple, f64)>> {
-        config.samples()?;
-        let rows = self.read_result(prepared, |session, out| {
-            session.approx_rows(out, prepared, config)
-        })?;
-        self.stats.conf_approx += 1;
-        self.stats.rows_streamed += rows.len() as u64;
-        Ok(rows)
-    }
-
-    /// The estimator behind [`Session::confidence_approx`], with the
-    /// backend's native exact path as the fallback.
-    fn approx_rows(
-        &mut self,
-        out: &str,
-        prepared: &Prepared,
-        config: &ApproxConfig,
-    ) -> Result<Vec<(Tuple, f64)>> {
-        let pool = WorkerPool::new(self.config.threads);
-        if let Some((db, dnfs)) = self.lineage_dnfs(prepared) {
-            let (tuples, dnfs): (Vec<Tuple>, Vec<Dnf>) = dnfs.into_iter().unzip();
-            let estimates = approx::estimate_probabilities(&dnfs, db.vars(), config, &pool)?;
-            let probs: BTreeMap<Tuple, f64> = tuples.into_iter().zip(estimates).collect();
-            if let Some(rows) = self.lineage_rows(out, &probs)? {
-                return Ok(rows);
-            }
-        }
-        self.backend.confidence_rows(out, &pool)
-    }
-
     /// Execute `prepared` with profiling on and return a [`QueryProfile`]:
     /// rows in/out, batches, wall-clock and the columnar-vs-row path of
     /// every operator, plus which confidence tier answered and whether the
-    /// plan cache held the plan.  The query runs twice — once streamed for
-    /// the per-operator tree and the row count, once for the confidence
-    /// step — so every number is a real measurement, not an estimate.
+    /// plan cache held the plan.  The query is answered twice — once
+    /// streamed for the per-operator tree and the row count, once by
+    /// [`Session::confidence`] for the confidence step — so every number is
+    /// a real measurement, not an estimate.
     ///
     /// Works with or without an attached observer; profiling is scoped to
     /// this call and [`EngineConfig::observe`] is restored afterwards.
@@ -1078,15 +1078,11 @@ where
         let counted = self.execute(prepared).map(|rows| rows.count() as u64);
         let children = ws_obs::profile::take();
         let rows = counted?;
-        // Second pass: the confidence tiers (no collector — the tree above
+        // Second pass: the confidence ladder (no collector — the tree above
         // already covers the plan; the stats delta identifies the tier).
         let before = self.stats;
         let started = Instant::now();
-        let confidences = self
-            .read_result(prepared, |session, out| {
-                session.confidence_rows_tiered(out, prepared)
-            })?
-            .len() as u64;
+        let confidences = self.confidence(prepared)?.len() as u64;
         let conf_elapsed = started.elapsed();
         let tier = if self.stats.conf_compiled > before.conf_compiled {
             "compiled"
@@ -1120,9 +1116,33 @@ where
         })
     }
 
-    /// The one result path of every read verb: execute `prepared` into a
-    /// fresh scratch result, let `read` copy the answer out, and drop the
-    /// result before returning — whether `read` succeeded or not.
+    /// Answer one query the way observers see it: with an observer
+    /// attached, scope the work (the engine's hooks read the scope back
+    /// thread-locally) and trace it as one `query` span, which emits on
+    /// drop, errors included.  A query answered counts one execution,
+    /// whether the backend ran the plan or the lineage answered it.
+    fn traced<T>(
+        &mut self,
+        prepared: &Prepared,
+        answer: impl FnOnce(&mut Self) -> Result<T>,
+    ) -> Result<T> {
+        let _trace = self.observer.as_ref().map(|observer| {
+            let guard = ws_obs::attach(ws_obs::Scope {
+                observer: Arc::clone(observer),
+                session: self.session_id,
+                request: observer.next_request_id(),
+            });
+            let span = observer.span("query").field("plan", &prepared.display);
+            (span, guard)
+        });
+        let answer = answer(self)?;
+        self.stats.executions += 1;
+        Ok(answer)
+    }
+
+    /// The backend's result path: execute `prepared` into a fresh scratch
+    /// result, let `read` copy the answer out, and drop the result before
+    /// returning — whether `read` succeeded or not.
     fn read_result<T>(
         &mut self,
         prepared: &Prepared,
@@ -1149,23 +1169,8 @@ where
             optimize: false,
             ..self.config
         };
-        // With an observer attached, scope this execution (the engine's
-        // hooks read the scope back thread-locally) and trace it as a
-        // `query` span; the span emits on drop, errors included.
-        let _guard = self.observer.as_ref().map(|observer| {
-            ws_obs::attach(ws_obs::Scope {
-                observer: Arc::clone(observer),
-                session: self.session_id,
-                request: observer.next_request_id(),
-            })
-        });
-        let _span = self
-            .observer
-            .as_ref()
-            .map(|observer| observer.span("query").field("plan", &prepared.display));
         engine::evaluate_query_with(&mut self.backend, &prepared.plan, &out, exec)
             .map_err(|e| Into::<Error>::into(e).with_plan(&prepared.display))?;
-        self.stats.executions += 1;
         Ok(out)
     }
 

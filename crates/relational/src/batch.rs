@@ -13,7 +13,7 @@
 //!   fast path;
 //! * any other column is **dictionary-encoded** ([`Column::Dict`]): distinct
 //!   values (including the `⊥`/`?` markers and interned strings, which are
-//!   `Arc<str>` and cheap to hold) are assigned dense `u32` codes in order of
+//!   `Arc<String>` and cheap to hold) are assigned dense `u32` codes in order of
 //!   first appearance, and the column stores one code per row.  Predicates
 //!   over dictionary columns evaluate once per *distinct value* instead of
 //!   once per row.
@@ -116,7 +116,7 @@ impl Column {
     }
 
     /// The decoded value of one row (clones are cheap: ints are `Copy`,
-    /// text is `Arc<str>`).
+    /// text is `Arc<String>`).
     pub fn value_at(&self, row: usize) -> Value {
         match self {
             Column::Int(v) => Value::Int(v[row]),

@@ -23,8 +23,8 @@
 //! callers fall back to the backend's native exact path.
 //!
 //! This is the whole query executor of U-relations (`ws_urel`), and the
-//! shadow evaluator of the session's compiled confidence tier for every
-//! other backend.
+//! evaluator whose output *is* the answer of the session's compiled
+//! confidence tier on every other backend.
 
 use super::model::{Clause, Dnf, LineageDb, LineageRelation};
 use crate::algebra::RaExpr;
@@ -55,7 +55,8 @@ impl LineageOutput {
         self.rows.with_schema(schema)
     }
 
-    /// The possible output tuples (set semantics, first-occurrence order).
+    /// The possible output tuples (set semantics, in `Tuple` order — the
+    /// order of [`LineageOutput::dnfs`]).
     pub fn possible(&self) -> Result<Relation> {
         self.rows.possible()
     }
@@ -297,9 +298,9 @@ mod tests {
         // Identical clauses from both branches collapse to one.
         assert_eq!(dnfs[&Tuple::from_iter([10i64])].len(), 1);
         assert_eq!(dnfs[&Tuple::from_iter([20i64])].len(), 1);
-        // Possible output preserves first-occurrence order.
+        // The possible output lists each tuple once, in `dnfs`' order.
         let possible = out.possible().unwrap();
-        assert_eq!(possible.rows().len(), 2);
+        assert_eq!(possible.rows(), dnfs.keys().cloned().collect::<Vec<_>>());
     }
 
     #[test]

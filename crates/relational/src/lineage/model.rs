@@ -324,15 +324,13 @@ impl LineageRelation {
         self.rows.is_empty()
     }
 
-    /// A plain relation of the possible tuples (deduplicated, first
-    /// occurrence order), dropping the annotations.
+    /// A plain relation of the possible tuples (deduplicated, in `Tuple`
+    /// order), dropping the annotations.
     pub fn possible(&self) -> Result<Relation> {
-        let mut seen = BTreeSet::new();
+        let possible: BTreeSet<&Tuple> = self.rows.iter().map(|(tuple, _)| tuple).collect();
         let mut out = Relation::new(self.schema.clone());
-        for (tuple, _) in &self.rows {
-            if seen.insert(tuple.clone()) {
-                out.push(tuple.clone())?;
-            }
+        for tuple in possible {
+            out.push(tuple.clone())?;
         }
         Ok(out)
     }

@@ -10,7 +10,7 @@
 //! on the same DNFs through `maybms::Session::confidence_approx` and the one
 //! Monte-Carlo estimator, `ws_relational::approx`.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use ws_relational::lineage::enumerate::DEFAULT_ENUM_LIMIT;
 use ws_relational::lineage::{enumerate_probability, Dnf, LineageRelation};
@@ -31,19 +31,13 @@ fn dnf_of(udb: &UDatabase, relation: &str, tuple: &Tuple) -> Result<Dnf> {
         .collect())
 }
 
-/// Every possible tuple of `relation` with its DNF, in first-occurrence
-/// order.
-fn dnfs_of(relation: &LineageRelation) -> Vec<(Tuple, Dnf)> {
-    let mut groups: Vec<(Tuple, Dnf)> = Vec::new();
-    let mut index: HashMap<&Tuple, usize> = HashMap::new();
+/// Every possible tuple of `relation` with its DNF, in `Tuple` order.
+fn dnfs_of(relation: &LineageRelation) -> Vec<(&Tuple, Dnf)> {
+    let mut groups: BTreeMap<&Tuple, Dnf> = BTreeMap::new();
     for (tuple, clause) in relation.rows() {
-        let i = *index.entry(tuple).or_insert_with(|| {
-            groups.push((tuple.clone(), Dnf::new()));
-            groups.len() - 1
-        });
-        groups[i].1.push(clause.clone());
+        groups.entry(tuple).or_default().push(clause.clone());
     }
-    groups
+    groups.into_iter().collect()
 }
 
 /// Exact confidence of `tuple` in `relation`.
@@ -72,7 +66,7 @@ pub fn possible_with_confidence_with(
     groups
         .into_iter()
         .zip(confidences)
-        .map(|((tuple, _), c)| Ok((tuple, c?)))
+        .map(|((tuple, _), c)| Ok((tuple.clone(), c?)))
         .collect()
 }
 

@@ -48,8 +48,8 @@ impl QueryBackend for UDatabase {
     }
 }
 
-/// The distinct tuples of `relation` present in *some* world, in
-/// first-occurrence order.
+/// The distinct tuples of `relation` present in *some* world, in `Tuple`
+/// order.
 pub fn possible_tuples(udb: &UDatabase, relation: &str) -> Result<Vec<Tuple>> {
     Ok(udb.relation(relation)?.possible()?.into_rows())
 }

@@ -13,8 +13,10 @@
 mod common;
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use common::{all_backends, Generator};
+use maybms::obs::Observer;
 use maybms::prelude::*;
 use maybms::{AnyBackend, ConfidenceStrategy, Session, SessionBackend};
 use rand::rngs::StdRng;
@@ -95,6 +97,14 @@ fn assert_bit_identical(
             "[{context}] conf({te}) = {cg}, exact {ce}"
         );
     }
+}
+
+/// Each answer lists distinct tuples in strictly increasing `Tuple` order.
+fn assert_strictly_increasing<T>(rows: &[(Tuple, T)], context: &dyn std::fmt::Display) {
+    assert!(
+        rows.windows(2).all(|pair| pair[0].0 < pair[1].0),
+        "[{context}] tuples out of order"
+    );
 }
 
 /// The tentpole proof: random positive plans on dyadic world-sets — for
@@ -271,9 +281,10 @@ where
 
 /// The Monte-Carlo estimator runs the confidence ladder: on every backend,
 /// bare and durable, `confidence_approx` returns exactly `confidence`'s
-/// tuples in `confidence`'s order, each estimate within ε, and the call
-/// moves only the approx counter.  Bare backends sample their lineage;
-/// durable ones (no lineage) answer exactly.
+/// tuples in `confidence`'s (strictly increasing) order, each estimate
+/// within ε, and the call moves only the approx counter.  Every backend but
+/// the single-world database samples its lineage, through a durable
+/// wrapper too.
 #[test]
 fn approx_stays_within_epsilon_of_every_exact_tier() {
     let mut rng = StdRng::seed_from_u64(0xA11C_0007);
@@ -300,6 +311,7 @@ fn approx_stays_within_epsilon_of_every_exact_tier() {
                 ),
             ] {
                 let context = format!("{label} {name} {query}");
+                assert_strictly_increasing(&exact, &context);
                 assert_eq!(
                     exact.iter().map(|(t, _)| t).collect::<Vec<_>>(),
                     approx.iter().map(|(t, _)| t).collect::<Vec<_>>(),
@@ -311,11 +323,7 @@ fn approx_stays_within_epsilon_of_every_exact_tier() {
                         "[{context}] approx conf({tuple}) = {ca}, exact {ce}"
                     );
                 }
-                if label == "durable" {
-                    // No lineage behind a durable backend: the native exact
-                    // path answers.
-                    assert_bit_identical(&exact, &approx, &context);
-                } else if exact.iter().any(|(_, c)| *c > 0.0 && *c < 1.0) {
+                if exact.iter().any(|(_, c)| *c > 0.0 && *c < 1.0) {
                     assert!(
                         exact.iter().zip(&approx).any(|((_, ce), (_, ca))| ce != ca),
                         "[{context}] uncertain answers must be sampled, not computed exactly"
@@ -472,10 +480,16 @@ fn every_mutation_empties_the_lineage_memo() {
                 );
             }
             let stats = session.stats();
-            assert_eq!(
-                stats.conf_exact, 0,
-                "[{context}] a lineage tier must answer"
-            );
+            if name == "database" {
+                // A single certain world has no lineage: its native path
+                // answers.
+                assert_eq!(stats.conf_compiled, 0, "[{context}] no lineage");
+            } else {
+                assert_eq!(
+                    stats.conf_exact, 0,
+                    "[{context}] a lineage tier must answer"
+                );
+            }
             assert_eq!(
                 stats.lineage_extractions, extractions,
                 "[{context}] lineage extractions"
@@ -498,5 +512,220 @@ fn every_mutation_empties_the_lineage_memo() {
         apply_update(session.backend_mut(), &edit).unwrap();
         common::oracle_apply_update(&mut worlds, &edit).unwrap();
         check(&mut session, &worlds, "a backend_mut edit", extractions + 1);
+    }
+}
+
+/// `execute`'s tuples and `confidence`'s rows of `query` in one session under
+/// `strategy`, with the session's stats.
+fn answers<B>(
+    mut session: Session<B>,
+    query: &RaExpr,
+    strategy: ConfidenceStrategy,
+) -> (Vec<Tuple>, Vec<(Tuple, f64)>, SessionStats)
+where
+    B: SessionBackend,
+    B::Error: Into<maybms::Error>,
+{
+    session.set_confidence_strategy(strategy);
+    let prepared = session.prepare(query.clone()).unwrap();
+    let tuples = session.execute(&prepared).unwrap().collect();
+    let rows = session.confidence(&prepared).unwrap();
+    (tuples, rows, session.stats())
+}
+
+/// A local world of probability 0 is still a world: its tuples are
+/// possible, with confidence 0.  On every backend, bare and durable, under
+/// both strategies, `execute` and `confidence` list the world enumeration's
+/// tuples in `Tuple` order — the confidence-0 tuple included on every
+/// world-set — with its confidences bit for bit.
+#[test]
+fn zero_probability_worlds_keep_their_tuples() {
+    let mut wsd = Wsd::new();
+    wsd.register_relation("R", &["A", "B"], 2).unwrap();
+    wsd.set_certain(FieldId::new("R", 0, "A"), Value::int(1))
+        .unwrap();
+    wsd.set_alternatives(
+        FieldId::new("R", 0, "B"),
+        vec![(Value::int(1), 1.0), (Value::int(2), 0.0)],
+    )
+    .unwrap();
+    wsd.set_certain(FieldId::new("R", 1, "A"), Value::int(2))
+        .unwrap();
+    wsd.set_uniform(
+        FieldId::new("R", 1, "B"),
+        vec![Value::int(3), Value::int(4)],
+    )
+    .unwrap();
+    wsd.validate().unwrap();
+    let worlds = wsd.enumerate_worlds(1 << 20).unwrap();
+    let queries = [
+        RaExpr::rel("R"),
+        RaExpr::rel("R").project(vec!["B"]),
+        RaExpr::rel("R").select(Predicate::eq_const("B", 2i64)),
+    ];
+    for query in &queries {
+        for (name, backend) in all_backends(&wsd) {
+            let expected = match name {
+                "database" => oracle_confidences(&[(worlds[0].0.clone(), 1.0)], query),
+                _ => oracle_confidences(&worlds, query),
+            };
+            let expected: Vec<(Tuple, f64)> = expected.into_iter().collect();
+            if name != "database" {
+                assert!(
+                    expected.iter().any(|(_, c)| *c == 0.0),
+                    "[{name} {query}] the oracle lists the confidence-0 tuple"
+                );
+            }
+            for strategy in [ConfidenceStrategy::Tiered, ConfidenceStrategy::ExactOnly] {
+                let durable = Durable::create(Box::new(MemVfs::new()), backend.clone()).unwrap();
+                for (label, (tuples, rows, stats)) in [
+                    (
+                        "bare",
+                        answers(Session::over(backend.clone()), query, strategy),
+                    ),
+                    ("durable", answers(Session::new(durable), query, strategy)),
+                ] {
+                    let context = format!("{label} {name} {strategy:?} {query}");
+                    assert_bit_identical(&expected, &rows, &context);
+                    assert_eq!(
+                        tuples,
+                        rows.iter().map(|(t, _)| t.clone()).collect::<Vec<_>>(),
+                        "[{context}] execute lists confidence's tuples"
+                    );
+                    let compiled = strategy == ConfidenceStrategy::Tiered && name != "database";
+                    assert_eq!(
+                        (stats.conf_compiled, stats.conf_exact),
+                        (u64::from(compiled), u64::from(!compiled)),
+                        "[{context}] tier counts"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// `confidence(query)` in `session`, with the (compiled, exact) tier counts
+/// the call added.
+fn confidence_in<B>(session: &mut Session<B>, query: &RaExpr) -> (Vec<(Tuple, f64)>, (u64, u64))
+where
+    B: SessionBackend,
+    B::Error: Into<maybms::Error>,
+{
+    let prepared = session.prepare(query.clone()).unwrap();
+    let before = session.stats();
+    let rows = session.confidence(&prepared).unwrap();
+    let after = session.stats();
+    let tiers = (
+        after.conf_compiled - before.conf_compiled,
+        after.conf_exact - before.conf_exact,
+    );
+    (rows, tiers)
+}
+
+/// The census shape the benchmark serves — a chased UWSDT with
+/// presence-conditioned templates and non-dyadic probabilities — under
+/// [`ConfidenceStrategy`]'s stated contract: `Tiered` lists `ExactOnly`'s
+/// tuples in its (strictly increasing) order, each confidence within 1e-12
+/// absolute, and a durable session answers bit for bit as a bare one, from
+/// the compiled tier.
+#[test]
+fn census_tiers_agree_within_the_stated_tolerance() {
+    for seed in 1..=3u64 {
+        let uwsdt = maybms::census::CensusScenario::new(500, 0.001, seed)
+            .chased_uwsdt()
+            .unwrap();
+        let backend = AnyBackend::from(uwsdt);
+        let durable = Durable::create(Box::new(MemVfs::new()), backend.clone()).unwrap();
+        let mut durable = Session::new(durable);
+        let mut tiered = Session::over(backend.clone());
+        let mut exact = Session::over(backend);
+        exact.set_confidence_strategy(ConfidenceStrategy::ExactOnly);
+        for (label, query) in maybms::census::all_queries() {
+            let context = format!("census seed {seed} {label}");
+            let (want, _) = confidence_in(&mut exact, &query);
+            let (got, tiers) = confidence_in(&mut tiered, &query);
+            assert_eq!(tiers, (1, 0), "[{context}] bare tier counts");
+            assert_strictly_increasing(&got, &context);
+            assert_eq!(
+                got.iter().map(|(t, _)| t).collect::<Vec<_>>(),
+                want.iter().map(|(t, _)| t).collect::<Vec<_>>(),
+                "[{context}] Tiered must list ExactOnly's tuples in its order"
+            );
+            for ((tuple, cg), (_, cw)) in got.iter().zip(&want) {
+                assert!(
+                    (cg - cw).abs() <= 1e-12,
+                    "[{context}] conf({tuple}) = {cg}, exact {cw}"
+                );
+            }
+            let (stored, tiers) = confidence_in(&mut durable, &query);
+            assert_eq!(tiers, (1, 0), "[{context}] durable tier counts");
+            assert_bit_identical(&got, &stored, &format!("durable {context}"));
+        }
+    }
+}
+
+/// The names of a WSD's or a UWSDT's relations.
+fn relation_names(backend: &AnyBackend) -> Vec<String> {
+    let names = match backend {
+        AnyBackend::Wsd(wsd) => wsd.relation_names(),
+        AnyBackend::Uwsdt(uwsdt) => uwsdt.relation_names(),
+        _ => unreachable!("only WSDs and UWSDTs are probed"),
+    };
+    names.into_iter().map(str::to_string).collect()
+}
+
+/// A compiled-tier confidence reads only the lineage.  On a WSD and a
+/// UWSDT with an observer attached, `confidence` records no executor
+/// operator sample and leaves the backend's relations as they were, yet it
+/// still counts one execution and traces one `query` span; an `execute` of
+/// the same plan afterwards does record operator samples, so the probe sees
+/// a backend execution when there is one.
+#[test]
+fn compiled_confidences_execute_nothing_on_the_backend() {
+    let mut rng = StdRng::seed_from_u64(0xE0E0_0003);
+    let wsd = dyadic_wsd(&mut rng);
+    let query = RaExpr::rel("R")
+        .product(RaExpr::rel("S"))
+        .select(Predicate::cmp_attr("A", CmpOp::Le, "C"))
+        .project(vec!["B", "C"]);
+    let operator_samples = |observer: &Observer| -> u64 {
+        let snapshot = observer.metrics().snapshot();
+        snapshot
+            .histograms
+            .iter()
+            .filter(|(name, _)| name.starts_with("exec.op."))
+            .map(|(_, summary)| summary.count)
+            .sum()
+    };
+    for (name, backend) in all_backends(&wsd) {
+        if !matches!(backend, AnyBackend::Wsd(_) | AnyBackend::Uwsdt(_)) {
+            continue;
+        }
+        let relations = relation_names(&backend);
+        let observer = Arc::new(Observer::new());
+        let mut session = Session::over(backend);
+        session.set_observer(Arc::clone(&observer));
+        let prepared = session.prepare(query.clone()).unwrap();
+        session.confidence(&prepared).unwrap();
+        let stats = session.stats();
+        assert_eq!(stats.conf_compiled, 1, "[{name}] the compiled tier answers");
+        assert_eq!(stats.executions, 1, "[{name}] one query answered");
+        assert_eq!(
+            operator_samples(&observer),
+            0,
+            "[{name}] a compiled-tier confidence ran executor operators"
+        );
+        assert_eq!(
+            relation_names(session.backend()),
+            relations,
+            "[{name}] a compiled-tier confidence changed the backend's relations"
+        );
+        let spans = observer.metrics().snapshot().histograms["span.query.ns"].count;
+        assert_eq!(spans, 1, "[{name}] one query span");
+        assert!(session.execute(&prepared).unwrap().count() > 0);
+        assert!(
+            operator_samples(&observer) > 0,
+            "[{name}] execute records operator samples"
+        );
     }
 }

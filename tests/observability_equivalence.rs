@@ -1,7 +1,7 @@
 //! Observability must be a *pure* observer: turning it on changes nothing
 //! about what the engine computes.
 //!
-//! Three suites pin that down:
+//! Four suites pin that down:
 //!
 //! * **Bit-identity** — for random world-sets and random plans, a session
 //!   with an [`Observer`] attached (slow-query threshold 0, so every code
@@ -13,6 +13,9 @@
 //!   operator's `rows_out`, the profile's `rows`, and the confidence step's
 //!   inputs/outputs all agree with independently executed queries, on bare
 //!   and on `Durable`-wrapped backends alike.
+//! * **Decline reasons** — each way the compiled confidence tier declines
+//!   (no lineage, a difference, the d-tree budget) bumps its own
+//!   `conf.tier.lineage.declined.<reason>` counter, and only that one.
 //! * **Histogram algebra** (proptest) — merging folded histograms is
 //!   associative and agrees with recording the concatenated samples into
 //!   one histogram, so per-thread shards can be folded in any order.
@@ -166,6 +169,65 @@ fn profile_row_counts_match_materialized_results() {
             check_profile(&format!("{name} seed={seed}"), backend, &plan, single_world);
             let label = format!("durable {name} seed={seed}");
             check_profile(&label, durable, &plan, single_world);
+        }
+    }
+}
+
+/// A U-database of `2¹⁶ + 1` independent uncertain tuples: one query over
+/// it compiles one d-tree node per answer, one more than the compiler's
+/// default node budget allows.
+fn over_budget_udb() -> UDatabase {
+    let mut udb = UDatabase::new();
+    let mut rel = LineageRelation::new(Schema::new("T", &["A"]).unwrap());
+    for i in 0..=(1i64 << 16) {
+        let var = udb
+            .vars_mut()
+            .add_var(format!("x{i}"), vec![0.5, 0.5])
+            .unwrap();
+        rel.push(Tuple::from_iter([i]), Clause::of(var, 1)).unwrap();
+    }
+    udb.insert_relation(rel);
+    udb
+}
+
+// Every way the compiled tier declines has its own counter: a backend
+// without lineage, a plan with a difference and a d-tree over its node
+// budget each bump `conf.tier.lineage.declined.<reason>` once, and the
+// native exact path answers.
+#[test]
+fn lineage_declines_are_counted_by_reason() {
+    let mut rng = StdRng::seed_from_u64(0xDEC1);
+    let wsd = random_wsd(&mut rng);
+    let mut backends = all_backends(&wsd);
+    let database = backends.remove(0).1;
+    let wsd = backends.remove(0).1;
+    let difference =
+        RaExpr::rel("R").difference(RaExpr::rel("R").select(Predicate::eq_const("A", 0i64)));
+    let cases = [
+        ("no_lineage", database, RaExpr::rel("R")),
+        ("negation", wsd, difference),
+        (
+            "budget",
+            AnyBackend::from(over_budget_udb()),
+            RaExpr::rel("T"),
+        ),
+    ];
+    for (reason, backend, plan) in cases {
+        let observer = Arc::new(Observer::new());
+        let mut session = Session::over(backend);
+        session.set_observer(Arc::clone(&observer));
+        let prepared = session.prepare(plan).expect("plan prepares");
+        session.confidence(&prepared).expect("confidence runs");
+        assert_eq!(
+            session.stats().conf_exact,
+            1,
+            "[{reason}] the native exact path answers"
+        );
+        let counters = observer.metrics().snapshot().counters;
+        for counted in ["no_lineage", "negation", "budget"] {
+            let name = format!("conf.tier.lineage.declined.{counted}");
+            let expected = (counted == reason).then_some(1);
+            assert_eq!(counters.get(&name).copied(), expected, "[{reason}] {name}");
         }
     }
 }
