@@ -251,6 +251,39 @@ mod tests {
         }
     }
 
+    /// Pins the sample stream: DNF `i` draws from `(seed, u64::MAX − i)`
+    /// alone, so these estimates keep their exact bits across refactors.
+    #[test]
+    fn estimates_keep_their_bits_at_a_fixed_seed() {
+        let (mut vars, mut dnfs) = two_dnfs();
+        let z = vars.add_var("z", vec![0.1, 0.2, 0.3, 0.4]).unwrap();
+        let x = vars.lookup("x").unwrap();
+        dnfs.push(vec![
+            Clause::from_bindings([(x, 2), (z, 3)]).unwrap(),
+            Clause::of(z, 0),
+        ]);
+        dnfs.push(Dnf::new());
+        dnfs.push(vec![Clause::of(z, 1), Clause::empty()]);
+        dnfs.push(dnfs[0].clone());
+        let config = ApproxConfig::new(0.05, 0.05).with_seed(0x0B17_5EED);
+        let bits: Vec<u64> = estimate_probabilities(&dnfs, &vars, &config, &WorkerPool::serial())
+            .unwrap()
+            .into_iter()
+            .map(f64::to_bits)
+            .collect();
+        assert_eq!(
+            bits,
+            vec![
+                4603667414212801411,
+                4596344487989434751,
+                4596539766022057862,
+                0,
+                4607182418800017408,
+                4603777258106151911,
+            ]
+        );
+    }
+
     #[test]
     fn impossible_and_certain_dnfs_need_no_sampling() {
         let (vars, dnfs) = two_dnfs();
