@@ -1,23 +1,18 @@
-//! Ablation: confidence computation — threads × {exact, approximate}.
+//! Ablation: confidence computation — exact vs. approximate, and the tiers.
 //!
 //! Section 6 defines (NP-hard) exact confidence computation on tuple-level
 //! WSDs; the U-relation extension evaluates the same operator over DNF
 //! descriptors, and `Session::confidence_approx` estimates it by Monte-Carlo
-//! over any backend's lineage, fanned out per tuple on a worker pool.  This
-//! bench measures the time to compute the confidences of all possible tuples
-//! of a projection query along two axes:
+//! over any backend's lineage.  This bench measures the time to compute the
+//! confidences of all possible tuples of a projection query, exact vs.
+//! (ε, δ)-approximate: the §6 / DNF algorithms on the evaluated answer
+//! against one `Session::confidence_approx` call at ε = 0.02, δ = 0.01 on a
+//! fresh session over the WSD and over the U-database.  The approximate time
+//! is end to end: lineage extraction and evaluation, and sampling (the plan
+//! does not run on the backend).  Every estimate is asserted within ε of the
+//! exact confidence.
 //!
-//! * **threads ∈ {1, N}** — the serial baseline against the machine-sized
-//!   pool (at least 2 workers); exact results and estimates are asserted
-//!   bit-identical across thread counts,
-//! * **exact vs. (ε, δ)-approximate** — the §6 / DNF algorithms on the
-//!   evaluated answer against one `Session::confidence_approx` call at
-//!   ε = 0.02, δ = 0.01 on a fresh session over the WSD and over the
-//!   U-database.  The approximate time is end to end: lineage extraction
-//!   and evaluation, and sampling (the plan does not run on the backend).
-//!
-//! The UWSDT evaluator (serial only) is kept as the cross-representation
-//! reference point.  A second section answers one hierarchical query through
+//! The UWSDT evaluator is kept as the cross-representation reference point.  A second section answers one hierarchical query through
 //! each `Session::confidence` tier and asserts the compiled-lineage tier is
 //! at least `COMPILED_SPEEDUP_REQUIRED` (3×) faster than native exact
 //! enumeration at every variable count, so a violated bound exits the bench
@@ -31,7 +26,7 @@ use maybms::{AnyBackend, ConfidenceStrategy, Session};
 use ws_bench::{is_quick, print_header, print_row, secs, time_once};
 use ws_census::CensusScenario;
 use ws_relational::lineage::{Clause, LineageRelation};
-use ws_relational::{ApproxConfig, EngineConfig, RaExpr, Schema, Tuple, WorkerPool};
+use ws_relational::{ApproxConfig, EngineConfig, RaExpr, Schema, Tuple};
 use ws_urel::UDatabase;
 
 /// The compiled-lineage tier must beat native exact enumeration by this
@@ -39,29 +34,20 @@ use ws_urel::UDatabase;
 const COMPILED_SPEEDUP_REQUIRED: f64 = 3.0;
 
 fn main() {
-    let par_threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(2)
-        .max(2);
     let approx = ApproxConfig::new(0.02, 0.01);
-    println!("# Confidence computation: threads x {{exact, approximate}}");
+    println!("# Confidence computation: exact vs. approximate");
     println!(
         "(census scenarios; query π_CITIZEN,IMMIGR(R); times cover all possible tuples; \
          approximate = Monte-Carlo with ε = {}, δ = {})",
         approx.epsilon, approx.delta
     );
-    println!(
-        "serial config: {} | parallel config: {}",
-        EngineConfig::default().summary(),
-        EngineConfig::with_threads(par_threads).summary()
-    );
+    println!("config: {}", EngineConfig::default().summary());
     print_header(&[
         "tuples",
         "density",
         "possible tuples",
-        "threads",
         "WSD exact (s)",
-        "UWSDT exact, serial (s)",
+        "UWSDT exact (s)",
         "U-rel exact (s)",
         "WSD approx (s)",
         "U-rel approx (s)",
@@ -93,65 +79,46 @@ fn main() {
         let mut udb = u_base.clone();
         let out_u = ws_relational::evaluate_query(&mut udb, &query, "Q").unwrap();
 
-        // The serial UWSDT reference point (no parallel API), once per grid
-        // cell.
         let (uw_conf, uw_time) =
             time_once(|| ws_uwsdt::possible_with_confidence(&uwsdt, &out_uw).unwrap());
+        let (wsd_conf, wsd_time) =
+            time_once(|| ws_core::confidence::possible_with_confidence(&wsd_q, &out_wsd).unwrap());
+        let (u_conf, u_time) =
+            time_once(|| ws_urel::possible_with_confidence(&udb, &out_u).unwrap());
 
-        // One `confidence_approx` call on a fresh session at `threads`.
-        let timed_approx = |backend: AnyBackend, threads: usize| {
-            let mut session = Session::with_config(backend, EngineConfig::with_threads(threads));
+        // One `confidence_approx` call on a fresh session.
+        let timed_approx = |backend: AnyBackend| {
+            let mut session = Session::new(backend);
             let prepared = session.prepare(query.clone()).unwrap();
             time_once(|| session.confidence_approx(&prepared, &approx).unwrap())
         };
+        let (wsd_mc, wsd_mc_time) = timed_approx(AnyBackend::from(wsd.clone()));
+        let (u_mc, u_mc_time) = timed_approx(AnyBackend::from(u_base.clone()));
 
-        let mut serial = None;
-        for threads in [1usize, par_threads] {
-            let pool = WorkerPool::new(threads);
-            let (wsd_conf, wsd_time) = time_once(|| {
-                ws_core::confidence::possible_with_confidence_with(&wsd_q, &out_wsd, &pool).unwrap()
-            });
-            let (u_conf, u_time) =
-                time_once(|| ws_urel::possible_with_confidence_with(&udb, &out_u, &pool).unwrap());
-            let (wsd_mc, wsd_mc_time) = timed_approx(AnyBackend::from(wsd.clone()), threads);
-            let (u_mc, u_mc_time) = timed_approx(AnyBackend::from(u_base.clone()), threads);
-
-            assert_eq!(wsd_conf.len(), uw_conf.len());
-            assert_eq!(wsd_conf.len(), u_conf.len());
-            // Every estimate lands within ε of the exact confidence.
-            let exact: BTreeMap<&Tuple, f64> = wsd_conf.iter().map(|(t, c)| (t, *c)).collect();
-            for (tuple, estimate) in wsd_mc.iter().chain(&u_mc) {
-                let truth = exact[tuple];
-                assert!(
-                    (estimate - truth).abs() <= approx.epsilon,
-                    "approx conf({tuple}) = {estimate}, exact {truth}"
-                );
-            }
-            assert_eq!(wsd_mc.len(), wsd_conf.len());
-            assert_eq!(u_mc.len(), u_conf.len());
-            // Acceptance gate: exact results and estimates are bit-identical
-            // across thread counts.
-            let results = (wsd_conf.clone(), u_conf.clone(), wsd_mc, u_mc);
-            match &serial {
-                None => serial = Some(results),
-                Some(serial) => assert!(
-                    serial == &results,
-                    "confidences drifted at {threads} threads"
-                ),
-            }
-
-            print_row(&[
-                tuples.to_string(),
-                label.to_string(),
-                wsd_conf.len().to_string(),
-                threads.to_string(),
-                secs(wsd_time),
-                secs(uw_time),
-                secs(u_time),
-                secs(wsd_mc_time),
-                secs(u_mc_time),
-            ]);
+        assert_eq!(wsd_conf.len(), uw_conf.len());
+        assert_eq!(wsd_conf.len(), u_conf.len());
+        // Every estimate lands within ε of the exact confidence.
+        let exact: BTreeMap<&Tuple, f64> = wsd_conf.iter().map(|(t, c)| (t, *c)).collect();
+        for (tuple, estimate) in wsd_mc.iter().chain(&u_mc) {
+            let truth = exact[tuple];
+            assert!(
+                (estimate - truth).abs() <= approx.epsilon,
+                "approx conf({tuple}) = {estimate}, exact {truth}"
+            );
         }
+        assert_eq!(wsd_mc.len(), wsd_conf.len());
+        assert_eq!(u_mc.len(), u_conf.len());
+
+        print_row(&[
+            tuples.to_string(),
+            label.to_string(),
+            wsd_conf.len().to_string(),
+            secs(wsd_time),
+            secs(uw_time),
+            secs(u_time),
+            secs(wsd_mc_time),
+            secs(u_mc_time),
+        ]);
     }
 
     // ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 //! The same mixed query workload (prepare, execute, tuple confidence over a
 //! synthetic census-shaped WSD) runs twice per size: once on a plain
 //! session, once with an [`Observer`] attached — per-operator timing
-//! histograms, survival-rate and morsel counters, query spans, and a
+//! histograms, selection survival rates, query spans, and a
 //! slow-query threshold armed high enough never to fire (the common
 //! production setting).  Both runs use fresh sessions so the plan cache
 //! starts cold on each side.

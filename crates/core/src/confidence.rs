@@ -15,9 +15,8 @@
 //! in the worst case — unavoidable, since deciding tuple certainty is already
 //! NP-hard on WSDs \[9\] — but stays small when components span few tuples.
 //!
-//! Per-tuple confidences fan out on a [`WorkerPool`]
-//! ([`TupleLevelView::possible_with_confidence_with`]).  This is the WSD's
-//! native exact path; the (ε, δ) estimate of a WSD query answer runs on its
+//! [`TupleLevelView::possible_with_confidence`] is the WSD's native exact
+//! path; the (ε, δ) estimate of a WSD query answer runs on its
 //! lineage instead (`maybms::Session::confidence_approx` over
 //! `ws_relational::approx`), which never composes components either.
 
@@ -26,7 +25,7 @@ use crate::error::Result;
 use crate::field::FieldId;
 use crate::wsd::Wsd;
 use std::collections::{BTreeMap, BTreeSet};
-use ws_relational::{Relation, Schema, Tuple, Value, WorkerPool};
+use ws_relational::{Relation, Schema, Tuple, Value};
 
 /// A tuple-level view of one relation of a WSD: every tuple slot's fields are
 /// gathered into a single (composed) component.
@@ -186,21 +185,10 @@ impl TupleLevelView {
 
     /// The `possibleᵖ` operator (Fig. 19): possible tuples with confidences.
     pub fn possible_with_confidence(&self) -> Result<Vec<(Tuple, f64)>> {
-        self.possible_with_confidence_with(&WorkerPool::serial())
-    }
-
-    /// [`TupleLevelView::possible_with_confidence`] with the per-tuple
-    /// confidence computations fanned out on `pool`.  Tuples are independent
-    /// given the composed view, and results are collected in the serial
-    /// order, so the output is identical for every thread count.
-    pub fn possible_with_confidence_with(&self, pool: &WorkerPool) -> Result<Vec<(Tuple, f64)>> {
-        let possible = self.possible()?;
-        let confidences = pool.map_coarse(possible.rows(), |tuple| self.conf(tuple));
-        possible
+        self.possible()?
             .rows()
             .iter()
-            .zip(confidences)
-            .map(|(tuple, conf)| Ok((tuple.clone(), conf?)))
+            .map(|tuple| Ok((tuple.clone(), self.conf(tuple)?)))
             .collect()
     }
 }
@@ -218,15 +206,6 @@ pub fn possible(wsd: &Wsd, relation: &str) -> Result<Relation> {
 /// Convenience wrapper: the possible tuples of a relation with confidences.
 pub fn possible_with_confidence(wsd: &Wsd, relation: &str) -> Result<Vec<(Tuple, f64)>> {
     TupleLevelView::new(wsd, relation)?.possible_with_confidence()
-}
-
-/// [`possible_with_confidence`] with per-tuple work fanned out on `pool`.
-pub fn possible_with_confidence_with(
-    wsd: &Wsd,
-    relation: &str,
-    pool: &WorkerPool,
-) -> Result<Vec<(Tuple, f64)>> {
-    TupleLevelView::new(wsd, relation)?.possible_with_confidence_with(pool)
 }
 
 /// A tuple is *certain* iff it appears in every world, i.e. its confidence is

@@ -38,7 +38,7 @@ use std::collections::BTreeSet;
 use std::path::Path;
 use ws_core::{WorldSet, Wsd};
 use ws_relational::lineage::LineageDb;
-use ws_relational::{Database, Tuple, WorkerPool, WriteBackend};
+use ws_relational::{Database, Tuple, WriteBackend};
 use ws_storage::codec::{Reader, Writer};
 use ws_storage::persist::{TAG_DATABASE, TAG_UREL, TAG_UWSDT, TAG_WORLDS, TAG_WSD};
 use ws_storage::vfs::Vfs;
@@ -88,8 +88,8 @@ impl<B: SessionBackend> SessionBackend for Durable<B> {
         self.inner().possible_rows(out)
     }
 
-    fn confidence_rows(&self, out: &str, pool: &WorkerPool) -> Result<Vec<(Tuple, f64)>> {
-        self.inner().confidence_rows(out, pool)
+    fn confidence_rows(&self, out: &str) -> Result<Vec<(Tuple, f64)>> {
+        self.inner().confidence_rows(out)
     }
 
     fn durability(&self) -> Option<DurabilityStats> {

@@ -72,14 +72,11 @@
 //!
 //! Sessions drive the `optimize → execute` pipeline (§5 of the paper) of
 //! [`relational::engine`]; a confidence on a world-set backend is read from
-//! the plan's lineage instead (see [`mod@lineage`]).  The single-world executor fans selections,
-//! projections and equi-join probes out over a fixed-size
-//! [`prelude::WorkerPool`] controlled by
-//! [`prelude::EngineConfig::threads`]; `threads = 1` reproduces the serial
-//! engine exactly, and parallel output is canonicalized to the serial order
-//! for any thread count, so prepared re-execution is bit-identical at any
-//! parallelism.  The NP-hard §6 confidence computation additionally has one
-//! (ε, δ)-approximate Monte-Carlo estimator over lineage
+//! the plan's lineage instead (see [`mod@lineage`]).  The single-world
+//! executor evaluates whole plans column-at-a-time with selection vectors,
+//! serially and in a deterministic row order, so prepared re-execution is
+//! bit-identical.  The NP-hard §6 confidence computation additionally has
+//! one (ε, δ)-approximate Monte-Carlo estimator over lineage
 //! ([`relational::approx`]), driven by [`prelude::ApproxConfig`].
 //!
 //! The repository-level `examples/` and `tests/` directories are compiled as
@@ -132,9 +129,7 @@ pub mod prelude {
             chase, AttrComparison, Dependency, EqualityGeneratingDependency, FunctionalDependency,
         },
         conditional::{conditional_conf, joint_probability, satisfaction_probability},
-        confidence::{
-            conf, possible, possible_with_confidence, possible_with_confidence_with, TupleLevelView,
-        },
+        confidence::{conf, possible, possible_with_confidence, TupleLevelView},
         interval::{IntervalView, ProbInterval},
         normalize::normalize,
         ops::update::{apply_update, UpdateExpr},
@@ -148,7 +143,7 @@ pub mod prelude {
         engine, evaluate_query, evaluate_query_with, hoeffding_samples, world_satisfies,
         ApproxConfig, Clause, CmpOp, Database, DtreeCompiler, EngineConfig, ExecContext, LineageDb,
         LineageRelation, Predicate, QueryBackend, RaExpr, Relation, Schema, SchemaCatalog, Tuple,
-        Value, VarTable, WorkerPool, WriteBackend,
+        Value, VarTable, WriteBackend,
     };
     pub use ws_storage::{
         DirVfs, DurabilityStats, Durable, DurableError, MemVfs, Persist, StorageError, Vfs,

@@ -63,7 +63,7 @@ use ws_relational::engine::{self, EngineConfig, QueryBackend, SchemaCatalog};
 use ws_relational::lineage::{self, Dnf, DtreeCompiler, LineageDb};
 use ws_relational::{
     fingerprint, optimizer, Database, Dependency, Predicate, RaExpr, Schema, Tuple, Value,
-    WorkerPool, WriteBackend,
+    WriteBackend,
 };
 use ws_storage::DurabilityStats;
 use ws_urel::UDatabase;
@@ -100,7 +100,7 @@ pub trait SessionBackend: QueryBackend {
 
     /// The possible tuples of result `out` with their exact confidences, in
     /// `Tuple` order.
-    fn confidence_rows(&self, out: &str, pool: &WorkerPool) -> Result<Vec<(Tuple, f64)>>;
+    fn confidence_rows(&self, out: &str) -> Result<Vec<(Tuple, f64)>>;
 
     /// The durability counters of a persistent backend; `None` for the
     /// in-memory representations.  [`Session::stats`] folds these into
@@ -131,7 +131,7 @@ impl SessionBackend for Database {
         Ok(distinct.into_iter().cloned().collect())
     }
 
-    fn confidence_rows(&self, out: &str, _pool: &WorkerPool) -> Result<Vec<(Tuple, f64)>> {
+    fn confidence_rows(&self, out: &str) -> Result<Vec<(Tuple, f64)>> {
         // One world: every distinct answer tuple is certain.
         let rows = self.possible_rows(out)?;
         Ok(rows.into_iter().map(|t| (t, 1.0)).collect())
@@ -156,10 +156,8 @@ impl SessionBackend for Wsd {
         Ok(ws_core::confidence::possible(self, out)?.into_rows())
     }
 
-    fn confidence_rows(&self, out: &str, pool: &WorkerPool) -> Result<Vec<(Tuple, f64)>> {
-        Ok(ws_core::confidence::possible_with_confidence_with(
-            self, out, pool,
-        )?)
+    fn confidence_rows(&self, out: &str) -> Result<Vec<(Tuple, f64)>> {
+        Ok(ws_core::confidence::possible_with_confidence(self, out)?)
     }
 
     fn durability(&self) -> Option<DurabilityStats> {
@@ -180,7 +178,7 @@ impl SessionBackend for Uwsdt {
         Ok(ws_uwsdt::ops::possible_tuples(self, out)?)
     }
 
-    fn confidence_rows(&self, out: &str, _pool: &WorkerPool) -> Result<Vec<(Tuple, f64)>> {
+    fn confidence_rows(&self, out: &str) -> Result<Vec<(Tuple, f64)>> {
         Ok(ws_uwsdt::confidence::possible_with_confidence(self, out)?)
     }
 
@@ -202,10 +200,8 @@ impl SessionBackend for UDatabase {
         Ok(ws_urel::ops::possible_tuples(self, out)?)
     }
 
-    fn confidence_rows(&self, out: &str, pool: &WorkerPool) -> Result<Vec<(Tuple, f64)>> {
-        Ok(ws_urel::confidence::possible_with_confidence_with(
-            self, out, pool,
-        )?)
+    fn confidence_rows(&self, out: &str) -> Result<Vec<(Tuple, f64)>> {
+        Ok(ws_urel::confidence::possible_with_confidence(self, out)?)
     }
 
     fn durability(&self) -> Option<DurabilityStats> {
@@ -226,7 +222,7 @@ impl SessionBackend for WorldSet {
         Ok(ws_baselines::possible_tuples(self, out)?)
     }
 
-    fn confidence_rows(&self, out: &str, _pool: &WorkerPool) -> Result<Vec<(Tuple, f64)>> {
+    fn confidence_rows(&self, out: &str) -> Result<Vec<(Tuple, f64)>> {
         let possible = ws_baselines::possible_tuples(self, out)?;
         possible
             .into_iter()
@@ -371,8 +367,8 @@ impl SessionBackend for AnyBackend {
         dispatch!(self, b => b.possible_rows(out))
     }
 
-    fn confidence_rows(&self, out: &str, pool: &WorkerPool) -> Result<Vec<(Tuple, f64)>> {
-        dispatch!(self, b => b.confidence_rows(out, pool))
+    fn confidence_rows(&self, out: &str) -> Result<Vec<(Tuple, f64)>> {
+        dispatch!(self, b => b.confidence_rows(out))
     }
 
     fn durability(&self) -> Option<DurabilityStats> {
@@ -683,7 +679,8 @@ where
         Session::with_config(backend, EngineConfig::default())
     }
 
-    /// Open a session with explicit engine knobs (threads, optimizer, …).
+    /// Open a session with explicit engine knobs (optimizer, join
+    /// recognition, observation).
     pub fn with_config(backend: B, config: EngineConfig) -> Session<B> {
         Session {
             backend,
@@ -889,8 +886,8 @@ where
     /// each answer's lineage to a d-tree; that answer is the result, and the
     /// plan does not run on the backend.  Where the compiled tier declines
     /// (no lineage, a difference, the d-tree budget), the plan runs on the
-    /// backend and its native exact enumeration answers, on the session's
-    /// worker pool.  [`SessionStats`] records which tier fired.
+    /// backend and its native exact enumeration answers.  [`SessionStats`]
+    /// records which tier fired.
     ///
     /// The lineage is extracted once per set of base relations the plan
     /// reads and kept until the backend changes ([`Session::apply`],
@@ -910,11 +907,10 @@ where
     /// confidences: [`Session::confidence`]'s ladder with the Monte-Carlo
     /// estimator of [`ws_relational::approx`] in place of the d-tree.
     ///
-    /// Each answer's lineage DNF is estimated (fanned out per tuple on the
-    /// session's worker pool, bit-identical for every thread count), and
-    /// the tuples are those of [`Session::confidence`], in its order.  Where
-    /// there is no lineage — a plan with a difference, a backend that
-    /// declines (a WSD tuple with more than
+    /// Each answer's lineage DNF is estimated from its own seeded trial
+    /// stream, and the tuples are those of [`Session::confidence`], in its
+    /// order.  Where there is no lineage — a plan with a difference, a
+    /// backend that declines (a WSD tuple with more than
     /// [`crate::lineage::MAX_TUPLE_COMBOS`] joint choices, a single-world
     /// database) — the backend's native exact path answers, and the
     /// guarantee holds trivially.  Errors on an (ε, δ) outside `(0, 1)`.
@@ -942,11 +938,10 @@ where
         prepared: &Prepared,
         approx: Option<&ApproxConfig>,
     ) -> Result<Vec<(Tuple, f64)>> {
-        let pool = WorkerPool::new(self.config.threads);
         let mut declined = None;
         if approx.is_some() || self.strategy != ConfidenceStrategy::ExactOnly {
             let started = Instant::now();
-            match self.lineage_confidences(prepared, approx, &pool)? {
+            match self.lineage_confidences(prepared, approx)? {
                 Ok(rows) if approx.is_some() => return Ok(rows),
                 Ok(rows) => {
                     self.stats.conf_compiled += 1;
@@ -958,7 +953,7 @@ where
         }
         let started = Instant::now();
         let rows = self.read_result(prepared, |session, out| {
-            session.backend.confidence_rows(out, &pool)
+            session.backend.confidence_rows(out)
         })?;
         if approx.is_none() {
             self.stats.conf_exact += 1;
@@ -995,7 +990,6 @@ where
         &mut self,
         prepared: &Prepared,
         approx: Option<&ApproxConfig>,
-        pool: &WorkerPool,
     ) -> Result<std::result::Result<Vec<(Tuple, f64)>, &'static str>> {
         let relations: BTreeSet<String> = prepared
             .plan
@@ -1013,7 +1007,7 @@ where
         };
         let (tuples, dnfs): (Vec<Tuple>, Vec<Dnf>) = output.dnfs().into_iter().unzip();
         let probs = match approx {
-            Some(config) => approx::estimate_probabilities(&dnfs, db.vars(), config, pool)?,
+            Some(config) => approx::estimate_probabilities(&dnfs, db.vars(), config)?,
             None => {
                 let mut compiler = DtreeCompiler::new(db.vars());
                 let compiled: ws_relational::Result<Vec<f64>> =
@@ -1455,7 +1449,7 @@ mod tests {
         let session = Session::new(db());
         let summary = session.summary();
         assert!(summary.contains("backend=database"));
-        assert!(summary.contains("threads=1"));
+        assert!(summary.contains("optimize=on"));
         assert!(!summary.contains("plan-cache="));
         assert!(summary.contains("plans-prepared=0"));
         assert!(summary.contains("cached-plans=0"));

@@ -1,8 +1,7 @@
 //! Per-operator query profiles: the tree `explain_analyze` renders.
 //!
-//! The executor is recursive and single-threaded at the operator level (the
-//! worker pool fans out *inside* an operator), so profiling is a thread-local
-//! stack: [`begin`] installs a collector, [`enter`] pushes a node and returns
+//! The executor is recursive and single-threaded, so profiling is a
+//! thread-local stack: [`begin`] installs a collector, [`enter`] pushes a node and returns
 //! a token, [`OpToken::finish`] pops it — filling in rows, batches and the
 //! measured latency — and attaches it to its parent, and [`take`] uninstalls
 //! the collector and returns the finished roots.  When no collector is
@@ -25,7 +24,7 @@ pub struct ProfileNode {
     /// Rows the operator produced (0 when the backend cannot count its
     /// representation cheaply).
     pub rows_out: u64,
-    /// Column batches (or morsels) the operator processed.
+    /// Column batches the operator processed.
     pub batches: u64,
     /// Wall-clock nanoseconds spent in the operator, children included.
     pub elapsed_ns: u64,

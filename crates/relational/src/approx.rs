@@ -15,16 +15,15 @@
 //!   probability at least `1 − δ`).  The guarantee is additive and per
 //!   estimated tuple; clients needing it simultaneously for `m` tuples
 //!   should pass `δ/m`.
-//! * determinism — [`estimate_probabilities`] fans out per DNF on a
-//!   [`WorkerPool`] and draws DNF `i`'s trials from one RNG seeded from
-//!   `(seed, u64::MAX − i)` alone, so estimates stay uncorrelated and are
-//!   bit-identical for any thread count, including serial.
+//! * determinism — [`estimate_probabilities`] draws DNF `i`'s trials from
+//!   one RNG seeded from `(seed, u64::MAX − i)` alone, so estimates stay
+//!   uncorrelated and each one depends only on its DNF, its position and
+//!   the seed.
 
 use std::collections::BTreeSet;
 
 use crate::error::{RelationalError, Result};
 use crate::lineage::{Clause, Dnf, Var, VarTable};
-use crate::par::WorkerPool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -176,28 +175,25 @@ impl DnfSampler {
 /// (ε, δ)-approximate probabilities of `dnfs` over the independent
 /// variables of `vars`, one per DNF in input order.
 ///
-/// Each DNF is estimated from its own `config.samples()` trials, the DNFs
-/// fanned out on `pool` with DNF `i` seeded from
-/// `stream_seed(config.seed, u64::MAX − i)`, so the result is bit-identical
-/// for every thread count.  A DNF without clauses is 0 and one with an empty
-/// (certain) clause is 1, without sampling.  Errors when `config` is outside
-/// `(0, 1)` or needs more than [`MAX_SAMPLES`] trials.
+/// Each DNF is estimated from its own `config.samples()` trials, DNF `i`
+/// seeded from `stream_seed(config.seed, u64::MAX − i)`.  A DNF without
+/// clauses is 0 and one with an empty (certain) clause is 1, without
+/// sampling.  Errors when `config` is outside `(0, 1)` or needs more than
+/// [`MAX_SAMPLES`] trials.
 pub fn estimate_probabilities(
     dnfs: &[Dnf],
     vars: &VarTable,
     config: &ApproxConfig,
-    pool: &WorkerPool,
 ) -> Result<Vec<f64>> {
     let samples = config.samples()?;
-    let indexed: Vec<(u64, &Dnf)> = (0u64..).zip(dnfs).collect();
-    let estimate = |&(i, dnf): &(u64, &Dnf)| match DnfSampler::new(dnf, vars) {
+    let estimate = |(i, dnf): (u64, &Dnf)| match DnfSampler::new(dnf, vars) {
         Ok(sampler) => {
             let mut rng = StdRng::seed_from_u64(stream_seed(config.seed, u64::MAX - i));
             sampler.hits(&mut rng, samples) as f64 / samples as f64
         }
         Err(constant) => constant,
     };
-    Ok(pool.map_coarse(&indexed, estimate))
+    Ok((0u64..).zip(dnfs).map(estimate).collect())
 }
 
 #[cfg(test)]
@@ -232,21 +228,14 @@ mod tests {
     }
 
     #[test]
-    fn estimates_land_within_epsilon_and_ignore_the_thread_count() {
+    fn estimates_land_within_epsilon() {
         let (vars, dnfs) = two_dnfs();
         let config = ApproxConfig::new(0.02, 0.01);
-        let serial = estimate_probabilities(&dnfs, &vars, &config, &WorkerPool::serial()).unwrap();
-        for (estimate, exact) in serial.iter().zip([0.625, 0.1875]) {
+        let estimates = estimate_probabilities(&dnfs, &vars, &config).unwrap();
+        for (estimate, exact) in estimates.iter().zip([0.625, 0.1875]) {
             assert!(
                 (estimate - exact).abs() <= config.epsilon,
                 "{estimate} vs {exact}"
-            );
-        }
-        for threads in [2usize, 4, 8] {
-            let pool = WorkerPool::new(threads);
-            assert_eq!(
-                estimate_probabilities(&dnfs, &vars, &config, &pool).unwrap(),
-                serial
             );
         }
     }
@@ -266,7 +255,7 @@ mod tests {
         dnfs.push(vec![Clause::of(z, 1), Clause::empty()]);
         dnfs.push(dnfs[0].clone());
         let config = ApproxConfig::new(0.05, 0.05).with_seed(0x0B17_5EED);
-        let bits: Vec<u64> = estimate_probabilities(&dnfs, &vars, &config, &WorkerPool::serial())
+        let bits: Vec<u64> = estimate_probabilities(&dnfs, &vars, &config)
             .unwrap()
             .into_iter()
             .map(f64::to_bits)
@@ -288,13 +277,7 @@ mod tests {
     fn impossible_and_certain_dnfs_need_no_sampling() {
         let (vars, dnfs) = two_dnfs();
         let trivial = vec![Dnf::new(), vec![dnfs[0][0].clone(), Clause::empty()]];
-        let estimates = estimate_probabilities(
-            &trivial,
-            &vars,
-            &ApproxConfig::default(),
-            &WorkerPool::serial(),
-        )
-        .unwrap();
+        let estimates = estimate_probabilities(&trivial, &vars, &ApproxConfig::default()).unwrap();
         assert_eq!(estimates, vec![0.0, 1.0]);
     }
 
@@ -302,7 +285,7 @@ mod tests {
     fn bad_epsilon_delta_is_rejected() {
         let (vars, dnfs) = two_dnfs();
         for config in [ApproxConfig::new(0.5, 2.0), ApproxConfig::new(0.0, 0.1)] {
-            assert!(estimate_probabilities(&dnfs, &vars, &config, &WorkerPool::serial()).is_err());
+            assert!(estimate_probabilities(&dnfs, &vars, &config).is_err());
         }
     }
 

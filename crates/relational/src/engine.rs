@@ -79,8 +79,7 @@ pub trait QueryBackend: SchemaCatalog {
 
     /// Evaluate the already-planned `plan`, materializing its result as
     /// relation `out`.  Implementations must honor
-    /// `config.recognize_joins`, `config.threads` and `config.observe`
-    /// where they apply, and must leave only `out` behind — on failure,
+    /// `config.recognize_joins` and `config.observe` where they apply, and must leave only `out` behind — on failure,
     /// not even that.
     ///
     /// Wrapper backends (`AnyBackend`, `Durable<B>`) forward this to the
@@ -411,16 +410,6 @@ pub struct EngineConfig {
     /// operator — used by the cross-backend equivalence tests and by the
     /// optimizer-ablation bench as the true unoptimized baseline.
     pub recognize_joins: bool,
-    /// Worker threads for the parallel physical operators (default 1).
-    ///
-    /// `1` runs every operator serially on the calling thread, reproducing
-    /// the exact behavior and tuple order of the pre-parallel engine; larger
-    /// values hand contiguous row **morsels** out via
-    /// [`crate::par::WorkerPool`] (dynamically scheduled, so stragglers
-    /// don't serialize the batch) and re-concatenate the per-morsel results
-    /// in morsel order, so results are identical (including order) for every
-    /// thread count.  `0` is treated as 1.
-    pub threads: usize,
     /// Record per-operator timings, row counts and profile nodes into the
     /// thread-local [`ws_obs::Scope`] / [`ws_obs::profile`] collector while
     /// executing (default **off**).
@@ -438,7 +427,6 @@ impl Default for EngineConfig {
         EngineConfig {
             optimize: true,
             recognize_joins: true,
-            threads: 1,
             observe: false,
         }
     }
@@ -455,14 +443,6 @@ impl EngineConfig {
         }
     }
 
-    /// The default pipeline with `threads` parallel workers.
-    pub fn with_threads(threads: usize) -> Self {
-        EngineConfig {
-            threads: threads.max(1),
-            ..EngineConfig::default()
-        }
-    }
-
     /// A one-line, self-describing summary of the effective settings, used
     /// by the benches so ablation output records its own configuration.
     pub fn summary(&self) -> String {
@@ -474,10 +454,9 @@ impl EngineConfig {
             }
         }
         format!(
-            "optimize={} join-recognition={} threads={} observe={}",
+            "optimize={} join-recognition={} observe={}",
             on_off(self.optimize),
             on_off(self.recognize_joins),
-            self.threads.max(1),
             on_off(self.observe),
         )
     }
@@ -1103,8 +1082,7 @@ mod tests {
         );
     }
 
-    /// A database large enough that the fine-grained chunking floor is
-    /// actually crossed and real worker threads are spawned.
+    /// Two relations whose equi-join on `B = C` has many matches per key.
     fn big_db() -> Database {
         let mut d = Database::new();
         let mut r = Relation::new(Schema::new("R", &["A", "B"]).unwrap());
@@ -1118,37 +1096,6 @@ mod tests {
         }
         d.insert_relation(s);
         d
-    }
-
-    #[test]
-    fn parallel_execution_is_bit_identical_to_serial() {
-        let queries = {
-            let mut qs = query_suite();
-            // A join large enough to exercise the parallel build/probe.
-            qs.push(
-                RaExpr::rel("R")
-                    .join(RaExpr::rel("S"), Predicate::cmp_attr("B", CmpOp::Eq, "C"))
-                    .select(Predicate::cmp_const("A", CmpOp::Lt, 400i64))
-                    .project(vec!["A", "D"]),
-            );
-            qs
-        };
-        for (i, query) in queries.into_iter().enumerate() {
-            let mut serial = big_db();
-            let out =
-                evaluate_query_with(&mut serial, &query, "OUT", EngineConfig::default()).unwrap();
-            let serial_rows = serial.relation(&out).unwrap().rows().to_vec();
-            for threads in [2usize, 4, 8] {
-                let mut parallel = big_db();
-                let config = EngineConfig::with_threads(threads);
-                let out = evaluate_query_with(&mut parallel, &query, "OUT", config).unwrap();
-                assert_eq!(
-                    parallel.relation(&out).unwrap().rows(),
-                    &serial_rows[..],
-                    "query #{i} {query}: rows (or their order) differ at {threads} threads"
-                );
-            }
-        }
     }
 
     #[test]
@@ -1201,15 +1148,12 @@ mod tests {
     fn engine_config_summary_is_self_describing() {
         assert_eq!(
             EngineConfig::default().summary(),
-            "optimize=on join-recognition=on threads=1 observe=off"
+            "optimize=on join-recognition=on observe=off"
         );
         assert_eq!(
             EngineConfig::naive().summary(),
-            "optimize=off join-recognition=off threads=1 observe=off"
+            "optimize=off join-recognition=off observe=off"
         );
-        let parallel = EngineConfig::with_threads(8);
-        assert!(parallel.summary().contains("threads=8"));
-        assert_eq!(EngineConfig::with_threads(0).threads, 1);
         let observed = EngineConfig {
             observe: true,
             ..EngineConfig::default()

@@ -21,11 +21,10 @@
 //!
 //! * **Answers** equal the reference evaluator [`crate::algebra::evaluate_set`]
 //!   as sets, for every plan.
-//! * **Row order** is deterministic and the same for every thread count:
-//!   selections preserve input order, products are left-major, the hash join
-//!   probes in left order with per-key right rows ascending (exactly the
-//!   product-then-select order), and union/difference deduplicate into
-//!   `BTreeSet` order.
+//! * **Row order** is deterministic: selections preserve input order,
+//!   products are left-major, the hash join probes in left order with
+//!   per-key right rows ascending (exactly the product-then-select order),
+//!   and union/difference deduplicate into `BTreeSet` order.
 //! * **Comparison semantics** mirror [`CmpOp::eval`](crate::predicate::CmpOp::eval): comparisons involving
 //!   `⊥`/`?` or mixed types are undefined (`false`), and undefined join keys
 //!   never match.
@@ -35,10 +34,6 @@
 //!   and empty inputs never touch the predicate.  (The one
 //!   divergence: a predicate with *several* unknown attributes may surface a
 //!   different one of those errors than strict row order would.)
-//!
-//! Parallelism reuses [`WorkerPool::map_chunks`], which hands out contiguous
-//! row morsels and concatenates per-morsel results in morsel order, so the
-//! executor is deterministic at any thread count.
 
 use crate::algebra::RaExpr;
 use crate::batch::{Column, ColumnBatch};
@@ -46,7 +41,6 @@ use crate::database::Database;
 use crate::engine::{op_detail, op_name, recognize_equi_join, EngineConfig, EquiJoin};
 use crate::error::Result;
 use crate::optimizer;
-use crate::par::{WorkerPool, MORSEL_ROWS};
 use crate::predicate::{CompiledPredicate, Predicate};
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -73,8 +67,7 @@ enum Eval {
     View(View),
 }
 
-/// Evaluate `plan` on `db` column-at-a-time on a pool of `config.threads`
-/// workers and store the result as `out`.
+/// Evaluate `plan` on `db` column-at-a-time and store the result as `out`.
 ///
 /// This is [`Database`]'s only executor: its
 /// [`crate::engine::QueryBackend::execute_plan`] hands it every plan whole.
@@ -85,8 +78,7 @@ pub(crate) fn execute(
     out: &str,
     config: &EngineConfig,
 ) -> Result<()> {
-    let pool = WorkerPool::new(config.threads);
-    let relation = match eval_expr(db, plan, None, config, &pool)? {
+    let relation = match eval_expr(db, plan, None, config)? {
         Eval::Batch(batch) => batch.into_relation()?,
         // A σ-chain over a base relation: clone exactly the surviving rows.
         Eval::View(view) => {
@@ -112,9 +104,8 @@ fn eval_to_batch(
     expr: &RaExpr,
     needed: Option<&BTreeSet<String>>,
     config: &EngineConfig,
-    pool: &WorkerPool,
 ) -> Result<ColumnBatch> {
-    match eval_expr(db, expr, needed, config, pool)? {
+    match eval_expr(db, expr, needed, config)? {
         Eval::Batch(batch) => Ok(batch),
         Eval::View(view) => {
             let rel = db.relation(&view.name)?;
@@ -138,20 +129,8 @@ fn eval_len(db: &Database, eval: &Eval) -> u64 {
     }
 }
 
-/// Bump `exec.morsels` by the fan-out `map_chunks` cuts for `rows` rows.
-/// Call sites are already gated on [`EngineConfig::observe`].
-fn record_morsels(rows: usize) {
-    if let Some(scope) = ws_obs::scope() {
-        scope
-            .observer
-            .metrics()
-            .counter("exec.morsels")
-            .add(rows.div_ceil(MORSEL_ROWS).max(1) as u64);
-    }
-}
-
-/// Record a selection's survival rate (`exec.select.survival_pct`) and its
-/// morsel fan-out.  Call sites are already gated on [`EngineConfig::observe`].
+/// Record a selection's survival rate (`exec.select.survival_pct`).  Call
+/// sites are already gated on [`EngineConfig::observe`].
 fn record_selection(rows_in: usize, rows_out: usize) {
     if let Some(scope) = ws_obs::scope() {
         scope
@@ -160,7 +139,6 @@ fn record_selection(rows_in: usize, rows_out: usize) {
             .histogram("exec.select.survival_pct")
             .record((rows_out * 100 / rows_in.max(1)) as u64);
     }
-    record_morsels(rows_in);
 }
 
 /// One operator of the executor, wrapped in instrumentation when
@@ -173,14 +151,13 @@ fn eval_expr(
     expr: &RaExpr,
     needed: Option<&BTreeSet<String>>,
     config: &EngineConfig,
-    pool: &WorkerPool,
 ) -> Result<Eval> {
     if !config.observe {
-        return eval_expr_inner(db, expr, needed, config, pool);
+        return eval_expr_inner(db, expr, needed, config);
     }
     let token = ws_obs::profile::enter(op_name(expr), || op_detail(expr));
     let started = std::time::Instant::now();
-    let result = eval_expr_inner(db, expr, needed, config, pool);
+    let result = eval_expr_inner(db, expr, needed, config);
     if let Some(token) = token {
         let (rows, path) = match &result {
             Ok(eval) => (
@@ -209,7 +186,6 @@ fn eval_expr_inner(
     expr: &RaExpr,
     needed: Option<&BTreeSet<String>>,
     config: &EngineConfig,
-    pool: &WorkerPool,
 ) -> Result<Eval> {
     match expr {
         RaExpr::Rel(name) => {
@@ -234,15 +210,15 @@ fn eval_expr_inner(
                             }
                         }
                         return Ok(Eval::Batch(eval_join(
-                            db, left, right, &join, needed, config, pool,
+                            db, left, right, &join, needed, config,
                         )?));
                     }
                 }
             }
             let child_needed = add_attrs(needed, pred.referenced_attrs());
-            match eval_expr(db, input, child_needed.as_ref(), config, pool)? {
+            match eval_expr(db, input, child_needed.as_ref(), config)? {
                 Eval::Batch(batch) => {
-                    let sel = select_vector(&batch, pred, pool)?;
+                    let sel = select_vector(&batch, pred)?;
                     if config.observe {
                         record_selection(batch.len(), sel.len());
                     }
@@ -264,23 +240,14 @@ fn eval_expr_inner(
                             // inputs also fall through (and never touch the
                             // predicate, exactly like zero row evaluations).
                             let rows = rel.rows();
-                            let owned: Vec<u32>;
-                            let candidates: &[u32] = match &view.sel {
+                            let candidates = match view.sel {
                                 Some(sel) => sel,
-                                None => {
-                                    owned = (0..rows.len() as u32).collect();
-                                    &owned
-                                }
+                                None => (0..rows.len() as u32).collect(),
                             };
-                            let sel: Vec<u32> = pool
-                                .map_chunks(candidates, |_, chunk| {
-                                    filter_rows(rows, &compiled, chunk.to_vec())
-                                })
-                                .into_iter()
-                                .flatten()
-                                .collect();
+                            let rows_in = candidates.len();
+                            let sel = filter_rows(rows, &compiled, candidates);
                             if config.observe {
-                                record_selection(candidates.len(), sel.len());
+                                record_selection(rows_in, sel.len());
                             }
                             return Ok(Eval::View(View {
                                 name: view.name,
@@ -301,7 +268,7 @@ fn eval_expr_inner(
                         None => ColumnBatch::from_relation(rel, Some(&pred_attrs)),
                         Some(sel) => ColumnBatch::from_relation_sel(rel, sel, Some(&pred_attrs)),
                     };
-                    let local = select_vector(&pred_batch, pred, pool)?;
+                    let local = select_vector(&pred_batch, pred)?;
                     if config.observe {
                         record_selection(pred_batch.len(), local.len());
                     }
@@ -321,7 +288,7 @@ fn eval_expr_inner(
                 None => attrs.iter().cloned().collect(),
                 Some(s) => attrs.iter().filter(|a| s.contains(*a)).cloned().collect(),
             });
-            let batch = eval_to_batch(db, input, child_needed.as_ref(), config, pool)?;
+            let batch = eval_to_batch(db, input, child_needed.as_ref(), config)?;
             let positions: Vec<usize> = attrs
                 .iter()
                 .map(|a| batch.schema().position_of(a))
@@ -335,21 +302,21 @@ fn eval_expr_inner(
         }
         RaExpr::Product { left, right } => {
             let (ln, rn) = split_needed(db, needed, left, right)?;
-            let l = eval_to_batch(db, left, ln.as_ref(), config, pool)?;
-            let r = eval_to_batch(db, right, rn.as_ref(), config, pool)?;
+            let l = eval_to_batch(db, left, ln.as_ref(), config)?;
+            let r = eval_to_batch(db, right, rn.as_ref(), config)?;
             Ok(Eval::Batch(product_batches(&l, &r)?))
         }
         RaExpr::Union { left, right } => {
-            let (ls, lrows) = eval_rows(db, left, config, pool)?;
-            let (rs, rrows) = eval_rows(db, right, config, pool)?;
+            let (ls, lrows) = eval_rows(db, left, config)?;
+            let (rs, rrows) = eval_rows(db, right, config)?;
             ls.check_union_compatible(&rs)?;
             let set: BTreeSet<_> = lrows.into_iter().chain(rrows).collect();
             let relation = crate::relation::Relation::with_rows(ls, set.into_iter().collect())?;
             Ok(Eval::Batch(ColumnBatch::from_relation(&relation, needed)))
         }
         RaExpr::Difference { left, right } => {
-            let (ls, lrows) = eval_rows(db, left, config, pool)?;
-            let (rs, rrows) = eval_rows(db, right, config, pool)?;
+            let (ls, lrows) = eval_rows(db, left, config)?;
+            let (rs, rrows) = eval_rows(db, right, config)?;
             ls.check_union_compatible(&rs)?;
             let right_set: HashSet<_> = rrows.into_iter().collect();
             let set: BTreeSet<_> = lrows
@@ -365,7 +332,7 @@ fn eval_expr_inner(
                     .map(|a| if a == to { from.clone() } else { a.clone() })
                     .collect()
             });
-            let batch = eval_to_batch(db, input, child_needed.as_ref(), config, pool)?;
+            let batch = eval_to_batch(db, input, child_needed.as_ref(), config)?;
             let schema = batch.schema().renamed_attr(from, to)?;
             let len = batch.len();
             Ok(Eval::Batch(ColumnBatch::from_parts(
@@ -384,9 +351,8 @@ fn eval_rows(
     db: &Database,
     expr: &RaExpr,
     config: &EngineConfig,
-    pool: &WorkerPool,
 ) -> Result<(crate::schema::Schema, Vec<crate::tuple::Tuple>)> {
-    match eval_expr(db, expr, None, config, pool)? {
+    match eval_expr(db, expr, None, config)? {
         Eval::Batch(batch) => Ok((batch.schema().clone(), batch.decode_rows())),
         Eval::View(view) => {
             let rel = db.relation(&view.name)?;
@@ -454,7 +420,6 @@ fn eval_join(
     join: &EquiJoin,
     needed: Option<&BTreeSet<String>>,
     config: &EngineConfig,
-    pool: &WorkerPool,
 ) -> Result<ColumnBatch> {
     // The children additionally need the join keys and whatever the residual
     // condition touches.
@@ -464,31 +429,26 @@ fn eval_join(
     }
     let combined = add_attrs(needed, extra);
     let (ln, rn) = split_needed(db, combined.as_ref(), left, right)?;
-    let l = eval_to_batch(db, left, ln.as_ref(), config, pool)?;
-    let r = eval_to_batch(db, right, rn.as_ref(), config, pool)?;
-    if config.observe {
-        // The probe side is what map_chunks fans out over.
-        record_morsels(l.len());
-    }
-    let joined = join_batches(&l, &r, &join.left_attr, &join.right_attr, pool)?;
+    let l = eval_to_batch(db, left, ln.as_ref(), config)?;
+    let r = eval_to_batch(db, right, rn.as_ref(), config)?;
+    let joined = join_batches(&l, &r, &join.left_attr, &join.right_attr)?;
     match &join.residual {
         None => Ok(joined),
         Some(residual) => {
-            let sel = select_vector(&joined, residual, pool)?;
+            let sel = select_vector(&joined, residual)?;
             Ok(joined.gather(&sel))
         }
     }
 }
 
-/// Hash equi-join over encoded key columns: serial ordered build (per-key
-/// right-row lists ascending), morsel-parallel probe in left order — exactly
-/// the product-then-select row order.  `⊥`/`?` keys never match.
+/// Hash equi-join over encoded key columns: ordered build (per-key right-row
+/// lists ascending), probe in left order — exactly the product-then-select
+/// row order.  `⊥`/`?` keys never match.
 fn join_batches(
     l: &ColumnBatch,
     r: &ColumnBatch,
     left_attr: &str,
     right_attr: &str,
-    pool: &WorkerPool,
 ) -> Result<ColumnBatch> {
     let schema = l.schema().product(r.schema(), "x")?;
     let lpos = l.schema().position_of(left_attr)?;
@@ -501,17 +461,13 @@ fn join_batches(
             for (i, &k) in rk.iter().enumerate() {
                 table.entry(k).or_default().push(i as u32);
             }
-            let parts = pool.map_chunks(lk, |offset, chunk| {
-                let mut out = Vec::new();
-                for (i, &k) in chunk.iter().enumerate() {
-                    if let Some(matches) = table.get(&k) {
-                        let li = (offset + i) as u32;
-                        out.extend(matches.iter().map(|&ri| (li, ri)));
-                    }
+            let mut out = Vec::new();
+            for (i, &k) in lk.iter().enumerate() {
+                if let Some(matches) = table.get(&k) {
+                    out.extend(matches.iter().map(|&ri| (i as u32, ri)));
                 }
-                out
-            });
-            parts.into_iter().flatten().collect()
+            }
+            out
         }
         (lcol, rcol) => {
             let mut table: HashMap<Value, Vec<u32>> = HashMap::new();
@@ -551,24 +507,10 @@ fn join_batches(
 }
 
 /// Compute the selection vector of `pred` over `batch`: the ascending row
-/// indices satisfying the predicate, fanned out over contiguous row morsels.
-pub(crate) fn select_vector(
-    batch: &ColumnBatch,
-    pred: &Predicate,
-    pool: &WorkerPool,
-) -> Result<Vec<u32>> {
-    if batch.is_empty() {
-        // Mirrors per-row evaluation: with no rows the predicate is never touched,
-        // so unknown attributes go unnoticed.
-        return Ok(Vec::new());
-    }
-    let indices: Vec<u32> = (0..batch.len() as u32).collect();
-    let parts = pool.map_chunks(&indices, |_, chunk| eval_pred(batch, pred, chunk.to_vec()));
-    let mut out = Vec::new();
-    for part in parts {
-        out.extend(part?);
-    }
-    Ok(out)
+/// indices satisfying the predicate.  With no rows the predicate is never
+/// touched, so unknown attributes go unnoticed, as in per-row evaluation.
+pub(crate) fn select_vector(batch: &ColumnBatch, pred: &Predicate) -> Result<Vec<u32>> {
+    eval_pred(batch, pred, (0..batch.len() as u32).collect())
 }
 
 /// Evaluate `pred` over the active (ascending) row set, returning the
@@ -744,47 +686,45 @@ mod tests {
     #[test]
     fn selection_vectors_match_row_evaluation() {
         let b = batch();
-        let pool = WorkerPool::serial();
         let pred = Predicate::and(vec![
             Predicate::eq_const("B", 10i64),
             Predicate::cmp_const("A", CmpOp::Gt, 1i64),
         ]);
-        assert_eq!(select_vector(&b, &pred, &pool).unwrap(), vec![2]);
+        assert_eq!(select_vector(&b, &pred).unwrap(), vec![2]);
 
         let text = Predicate::eq_const("T", Value::text("x"));
-        assert_eq!(select_vector(&b, &text, &pool).unwrap(), vec![0, 2]);
+        assert_eq!(select_vector(&b, &text).unwrap(), vec![0, 2]);
 
         let either = Predicate::or(vec![
             Predicate::eq_const("A", 4i64),
             Predicate::eq_const("B", 10i64),
         ]);
-        assert_eq!(select_vector(&b, &either, &pool).unwrap(), vec![0, 2, 3]);
+        assert_eq!(select_vector(&b, &either).unwrap(), vec![0, 2, 3]);
 
         let none = Predicate::not(Predicate::And(vec![]));
-        assert!(select_vector(&b, &none, &pool).unwrap().is_empty());
+        assert!(select_vector(&b, &none).unwrap().is_empty());
 
         // Mixed-type comparisons are undefined → false.
         let mixed = Predicate::eq_const("A", Value::text("1"));
-        assert!(select_vector(&b, &mixed, &pool).unwrap().is_empty());
+        assert!(select_vector(&b, &mixed).unwrap().is_empty());
     }
 
     #[test]
     fn short_circuit_masks_unknown_attrs_like_the_row_path() {
         let b = batch();
-        let pool = WorkerPool::serial();
         // The first conjunct filters everything out, so the bogus second
         // conjunct is never resolved — exactly like per-row short-circuiting.
         let masked = Predicate::and(vec![
             Predicate::eq_const("A", 99i64),
             Predicate::eq_const("NOPE", 1i64),
         ]);
-        assert!(select_vector(&b, &masked, &pool).unwrap().is_empty());
+        assert!(select_vector(&b, &masked).unwrap().is_empty());
         // With surviving rows, the unknown attribute errors.
         let surfaced = Predicate::and(vec![
             Predicate::eq_const("A", 1i64),
             Predicate::eq_const("NOPE", 1i64),
         ]);
-        assert!(select_vector(&b, &surfaced, &pool).is_err());
+        assert!(select_vector(&b, &surfaced).is_err());
     }
 
     #[test]

@@ -11,8 +11,6 @@
 //! * a relational-algebra AST ([`RaExpr`]) with the named-perspective
 //!   operators used in the paper (selection, projection, product, union,
 //!   difference, renaming) and a straightforward single-world evaluator,
-//! * hash [`Index`]es used by the higher layers for join and chase
-//!   acceleration,
 //! * a [`Database`] catalog mapping relation names to relations, and
 //! * the **unified query engine** ([`engine`]): the catalog-generic
 //!   rule-based [`optimizer`] and the [`QueryBackend`] trait whose one
@@ -30,12 +28,8 @@
 //!   finite-domain world variables with an annotated executor and a
 //!   Shannon-expansion d-tree compiler — the engine-side half of
 //!   `Session::confidence`'s compiled tier — plus
-//!   the shared Hoeffding (ε, δ) sample planner ([`approx`]) every
-//!   Monte-Carlo confidence estimator draws its trial blocks from, and
-//! * the deterministic fan-out/fan-in [`par::WorkerPool`] behind
-//!   [`engine::EngineConfig::threads`]: the columnar kernels hand out row
-//!   morsels across cores with output canonicalized to the serial order for
-//!   any thread count.
+//!   [`approx`], the one Monte-Carlo estimator: a DNF sampler with its
+//!   Hoeffding (ε, δ) sample planner.
 //!
 //! Everything in the world-set stack (`ws-core`, `ws-uwsdt`, `ws-census`,
 //! `ws-baselines`) is built on top of these types; the single-world evaluator
@@ -50,11 +44,9 @@ pub mod database;
 pub mod engine;
 pub mod error;
 pub mod fingerprint;
-pub mod index;
 pub mod kernels;
 pub mod lineage;
 pub mod optimizer;
-pub mod par;
 pub mod predicate;
 pub mod relation;
 pub mod schema;
@@ -74,10 +66,8 @@ pub use engine::{
 };
 pub use error::{RelationalError, Result};
 pub use fingerprint::{fingerprint, normalize_plan, normalize_predicate, plan_key};
-pub use index::Index;
 pub use lineage::{Clause, DtreeCompiler, LineageDb, LineageRelation, VarTable};
 pub use optimizer::{estimated_cost, estimated_rows, evaluate_optimized, optimize, output_attrs};
-pub use par::WorkerPool;
 pub use predicate::{CmpOp, CompiledPredicate, Predicate};
 pub use relation::Relation;
 pub use schema::{AttrName, RelName, Schema};

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 use ws_relational::lineage::enumerate::DEFAULT_ENUM_LIMIT;
 use ws_relational::lineage::{enumerate_probability, Dnf, LineageRelation};
-use ws_relational::{Tuple, WorkerPool};
+use ws_relational::Tuple;
 
 use crate::database::UDatabase;
 use crate::error::Result;
@@ -48,25 +48,12 @@ pub fn conf(udb: &UDatabase, relation: &str, tuple: &Tuple) -> Result<f64> {
 
 /// The possible tuples of a relation together with their exact confidences.
 pub fn possible_with_confidence(udb: &UDatabase, relation: &str) -> Result<Vec<(Tuple, f64)>> {
-    possible_with_confidence_with(udb, relation, &WorkerPool::serial())
-}
-
-/// [`possible_with_confidence`] with the per-tuple exact DNF evaluations
-/// fanned out on `pool`; output order is the serial order for any thread
-/// count.
-pub fn possible_with_confidence_with(
-    udb: &UDatabase,
-    relation: &str,
-    pool: &WorkerPool,
-) -> Result<Vec<(Tuple, f64)>> {
-    let groups = dnfs_of(udb.relation(relation)?);
-    let confidences = pool.map_coarse(&groups, |(_, dnf)| {
-        enumerate_probability(dnf, udb.vars(), DEFAULT_ENUM_LIMIT)
-    });
-    groups
+    dnfs_of(udb.relation(relation)?)
         .into_iter()
-        .zip(confidences)
-        .map(|((tuple, _), c)| Ok((tuple.clone(), c?)))
+        .map(|(tuple, dnf)| {
+            let conf = enumerate_probability(&dnf, udb.vars(), DEFAULT_ENUM_LIMIT)?;
+            Ok((tuple.clone(), conf))
+        })
         .collect()
 }
 

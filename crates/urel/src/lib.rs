@@ -35,7 +35,7 @@ pub mod error;
 pub mod ops;
 pub mod update;
 
-pub use confidence::{conf, possible_with_confidence, possible_with_confidence_with};
+pub use confidence::{conf, possible_with_confidence};
 pub use convert::from_wsd;
 pub use database::UDatabase;
 pub use error::{Result, UrelError};

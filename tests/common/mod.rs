@@ -10,7 +10,7 @@
 use std::collections::BTreeSet;
 
 use maybms::prelude::*;
-use maybms::{AnyBackend, Query, Session};
+use maybms::{AnyBackend, Query};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -249,19 +249,6 @@ pub fn rebuild_with_builder(expr: &RaExpr) -> Query {
             rebuild_with_builder(input).rename(from.clone(), to.clone())
         }
     }
-}
-
-/// Open a session with `threads` workers over a backend and stream one
-/// query's possible answer tuples, in the session's canonical order.
-pub fn session_possible(
-    backend: AnyBackend,
-    query: impl maybms::IntoQuery,
-    threads: usize,
-) -> Result<Vec<Tuple>, maybms::Error> {
-    let mut session = Session::with_config(backend, EngineConfig::with_threads(threads));
-    let prepared = session.prepare(query)?;
-    let rows: Vec<Tuple> = session.execute(&prepared)?.collect();
-    Ok(rows)
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@
 //! representable `f64`s with no rounding anywhere.  Equality is therefore
 //! checked with `f64::to_bits`, not a tolerance: the tiers are proven to be
 //! the *same function*, across all five representations, with the optimizer
-//! on and off, at one and four threads.
+//! on and off.
 
 mod common;
 
@@ -65,12 +65,11 @@ fn conf_rows(
     backend: AnyBackend,
     query: &RaExpr,
     strategy: ConfidenceStrategy,
-    threads: usize,
     optimize: bool,
 ) -> (Vec<(Tuple, f64)>, SessionStats) {
     let config = EngineConfig {
         optimize,
-        ..EngineConfig::with_threads(threads)
+        ..EngineConfig::default()
     };
     let mut session = Session::with_config(backend, config);
     session.set_confidence_strategy(strategy);
@@ -108,7 +107,7 @@ fn assert_strictly_increasing<T>(rows: &[(Tuple, T)], context: &dyn std::fmt::Di
 }
 
 /// The tentpole proof: random positive plans on dyadic world-sets — for
-/// every backend × thread count × optimizer setting, the tiered confidences
+/// every backend × optimizer setting, the tiered confidences
 /// are bit-identical to the native exact enumeration.
 #[test]
 fn tiers_are_bit_identical_to_exact_enumeration_on_dyadic_inputs() {
@@ -118,36 +117,31 @@ fn tiers_are_bit_identical_to_exact_enumeration_on_dyadic_inputs() {
         let mut generator = Generator::new(0xBEEF_0000 + seed);
         let gen = generator.expr(2, false);
         for (name, backend) in all_backends(&wsd) {
-            for threads in [1usize, 4] {
-                for optimize in [true, false] {
-                    let context = format!(
-                        "seed {seed} backend {name} threads {threads} optimize {optimize} \
-                         plan {}",
-                        gen.expr
-                    );
-                    let (exact, exact_stats) = conf_rows(
-                        backend.clone(),
-                        &gen.expr,
-                        ConfidenceStrategy::ExactOnly,
-                        threads,
-                        optimize,
-                    );
-                    assert_eq!(exact_stats.conf_exact, 1, "[{context}] ExactOnly tier");
-                    let (rows, stats) = conf_rows(
-                        backend.clone(),
-                        &gen.expr,
-                        ConfidenceStrategy::Tiered,
-                        threads,
-                        optimize,
-                    );
-                    assert_bit_identical(&exact, &rows, &context);
-                    assert_eq!(
-                        stats.conf_compiled + stats.conf_exact,
-                        1,
-                        "[{context}] exactly one tier must fire"
-                    );
-                    assert_eq!(stats.conf_safe, 0, "[{context}] the safe tier is gone");
-                }
+            for optimize in [true, false] {
+                let context = format!(
+                    "seed {seed} backend {name} optimize {optimize} plan {}",
+                    gen.expr
+                );
+                let (exact, exact_stats) = conf_rows(
+                    backend.clone(),
+                    &gen.expr,
+                    ConfidenceStrategy::ExactOnly,
+                    optimize,
+                );
+                assert_eq!(exact_stats.conf_exact, 1, "[{context}] ExactOnly tier");
+                let (rows, stats) = conf_rows(
+                    backend.clone(),
+                    &gen.expr,
+                    ConfidenceStrategy::Tiered,
+                    optimize,
+                );
+                assert_bit_identical(&exact, &rows, &context);
+                assert_eq!(
+                    stats.conf_compiled + stats.conf_exact,
+                    1,
+                    "[{context}] exactly one tier must fire"
+                );
+                assert_eq!(stats.conf_safe, 0, "[{context}] the safe tier is gone");
             }
         }
     }
@@ -168,14 +162,8 @@ fn difference_plans_fall_back_to_the_native_exact_path() {
             // operator there); the tier question does not arise.
             continue;
         }
-        let (exact, _) = conf_rows(
-            backend.clone(),
-            &query,
-            ConfidenceStrategy::ExactOnly,
-            1,
-            true,
-        );
-        let (rows, stats) = conf_rows(backend, &query, ConfidenceStrategy::Tiered, 1, true);
+        let (exact, _) = conf_rows(backend.clone(), &query, ConfidenceStrategy::ExactOnly, true);
+        let (rows, stats) = conf_rows(backend, &query, ConfidenceStrategy::Tiered, true);
         assert_bit_identical(&exact, &rows, &format!("difference on {name}"));
         assert_eq!(
             stats.conf_exact, 1,
@@ -205,14 +193,8 @@ fn hierarchical_plans_answer_from_the_compiled_tier() {
         .select(Predicate::cmp_const("A", CmpOp::Lt, 9i64))
         .project(vec!["B"]);
     let backend = AnyBackend::from(udb);
-    let (exact, _) = conf_rows(
-        backend.clone(),
-        &query,
-        ConfidenceStrategy::ExactOnly,
-        1,
-        true,
-    );
-    let (tiered, stats) = conf_rows(backend, &query, ConfidenceStrategy::Tiered, 1, true);
+    let (exact, _) = conf_rows(backend.clone(), &query, ConfidenceStrategy::ExactOnly, true);
+    let (tiered, stats) = conf_rows(backend, &query, ConfidenceStrategy::Tiered, true);
     assert_eq!(
         stats.conf_compiled, 1,
         "hierarchical plan must hit the compiled tier"
@@ -246,14 +228,8 @@ fn unsafe_plans_compile_lineage_instead() {
         .product(RaExpr::rel("T").project(vec!["B"]).rename("B", "B2"))
         .select(Predicate::cmp_attr("A", CmpOp::Eq, "B2"));
     let backend = AnyBackend::from(udb);
-    let (exact, _) = conf_rows(
-        backend.clone(),
-        &query,
-        ConfidenceStrategy::ExactOnly,
-        1,
-        true,
-    );
-    let (tiered, stats) = conf_rows(backend, &query, ConfidenceStrategy::Tiered, 1, true);
+    let (exact, _) = conf_rows(backend.clone(), &query, ConfidenceStrategy::ExactOnly, true);
+    let (tiered, stats) = conf_rows(backend, &query, ConfidenceStrategy::Tiered, true);
     assert_eq!(
         stats.conf_compiled, 1,
         "self-join must answer from the compiled tier"
@@ -366,6 +342,87 @@ fn difference_plans_estimate_on_the_native_exact_path() {
         (after.conf_compiled, after.conf_exact),
         (before.conf_compiled, before.conf_exact)
     );
+}
+
+/// A tuple-independent WSD: every field is its own component, so tuples are
+/// pairwise independent (the or-set / tuple-independent baseline shape).
+fn tuple_independent_wsd(rng: &mut StdRng) -> Wsd {
+    let mut wsd = Wsd::new();
+    let tuples = 4usize;
+    wsd.register_relation("T", &["A", "B"], tuples).unwrap();
+    for t in 0..tuples {
+        for attr in ["A", "B"] {
+            let field = FieldId::new("T", t, attr);
+            if rng.gen_bool(0.5) {
+                let n = rng.gen_range(2..=3usize);
+                let mut alternatives: BTreeSet<i64> = BTreeSet::new();
+                while alternatives.len() < n {
+                    alternatives.insert(rng.gen_range(0..5i64));
+                }
+                wsd.set_uniform(field, alternatives.into_iter().map(Value::int).collect())
+                    .unwrap();
+            } else {
+                wsd.set_certain(field, Value::int(rng.gen_range(0..5i64)))
+                    .unwrap();
+            }
+        }
+    }
+    wsd.validate().unwrap();
+    wsd
+}
+
+/// `Session::confidence_approx`, the one Monte-Carlo estimator, lands within
+/// ε of the exact §6 algorithm on WSDs and their U-relations:
+/// tuple-independent (every field its own component) and small-component
+/// (components spanning tuples, as in the paper's running example).
+#[test]
+fn approximate_confidence_is_within_epsilon_of_exact() {
+    let mut rng = StdRng::seed_from_u64(0xAB5);
+    let config = ApproxConfig::new(0.03, 0.01);
+
+    // Tuple-independent WSDs (every field independent) …
+    let mut cases: Vec<(&str, Wsd)> = (0..3)
+        .map(|_| ("tuple-independent", tuple_independent_wsd(&mut rng)))
+        .collect();
+    // … and the paper's running example, whose SSN component spans both
+    // tuples.
+    cases.push(("census example", maybms::core::wsd::example_census_wsd()));
+
+    for (label, wsd) in &cases {
+        let relation = wsd.relation_names()[0].to_string();
+        let query = RaExpr::rel(relation.as_str());
+        // The one estimator answers both the WSD and its U-relational
+        // translation, against each one's exact enumerator.
+        let backends = [
+            ("wsd", AnyBackend::from(wsd.clone())),
+            (
+                "urel",
+                AnyBackend::from(maybms::urel::from_wsd(wsd).unwrap()),
+            ),
+        ];
+        for (name, backend) in backends {
+            let mut exact_session = Session::over(backend.clone());
+            exact_session.set_confidence_strategy(ConfidenceStrategy::ExactOnly);
+            let prepared = exact_session.prepare(query.clone()).unwrap();
+            let exact = exact_session.confidence(&prepared).unwrap();
+            assert!(!exact.is_empty(), "{label}: no possible tuples");
+            let mut session = Session::over(backend);
+            let prepared = session.prepare(query.clone()).unwrap();
+            let approx = session.confidence_approx(&prepared, &config).unwrap();
+            assert_eq!(
+                exact.len(),
+                approx.len(),
+                "{label} {name}: tuple sets differ"
+            );
+            for ((tuple, exact_conf), (t2, estimate)) in exact.iter().zip(&approx) {
+                assert_eq!(tuple, t2, "{label} {name}: tuple order differs");
+                assert!(
+                    (estimate - exact_conf).abs() <= config.epsilon,
+                    "{label} {name}: approx conf({tuple}) = {estimate}, exact = {exact_conf}"
+                );
+            }
+        }
+    }
 }
 
 /// `R[A, B]` with two uncertain `B` fields (1/2 each) and one certain tuple,

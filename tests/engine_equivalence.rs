@@ -124,7 +124,7 @@ fn all_backends_agree_with_the_world_enumeration_oracle() {
 }
 
 /// A single-world database with `n` rows in `R` (plus a small join partner
-/// `S`), for exercising the columnar executor's morsel boundaries.
+/// `S`), for exercising the columnar executor's batch boundaries.
 fn batch_boundary_db(n: usize) -> Database {
     let mut r = Relation::new(Schema::new("R", &["A", "B", "C"]).unwrap());
     for i in 0..n {
@@ -148,7 +148,7 @@ fn batch_boundary_plans() -> Vec<RaExpr> {
     vec![
         RaExpr::rel("R"),
         RaExpr::rel("R").select(Predicate::eq_const("B", 3i64)),
-        // Filters every row out — empty selection vectors in every morsel.
+        // Filters every row out — an empty selection vector.
         RaExpr::rel("R").select(Predicate::eq_const("A", -1i64)),
         RaExpr::rel("R")
             .select(Predicate::cmp_const("B", CmpOp::Ge, 2i64))
@@ -178,47 +178,29 @@ fn batch_boundary_plans() -> Vec<RaExpr> {
 }
 
 // The `Database` executor's answers equal the reference evaluator at the
-// morsel boundaries, and its row order does not depend on the thread count.
+// batch boundaries, with the optimizer on and off.
 #[test]
 fn columnar_and_row_paths_are_bit_identical_at_batch_boundaries() {
-    // The executor hands out 1024-row morsels (`par::MORSEL_ROWS`):
-    // exercise the empty relation, a single row, the sizes straddling one
-    // morsel, and a multi-morsel relation.
-    assert_eq!(maybms::relational::par::MORSEL_ROWS, 1024);
+    // The empty relation, a single row, the sizes straddling 1024 rows, and
+    // a relation of several thousand rows.
     for n in [0usize, 1, 1023, 1024, 1025, 2500] {
         let db = batch_boundary_db(n);
         for query in &batch_boundary_plans() {
             let reference = maybms::relational::evaluate_set(&db, query).unwrap();
             for optimize in [false, true] {
-                let serial_cfg = if optimize {
+                let config = if optimize {
                     EngineConfig::default()
                 } else {
                     EngineConfig::naive()
                 };
-                let mut serial_db = db.clone();
-                let out = evaluate_query_with(&mut serial_db, query, "OUT", serial_cfg).unwrap();
-                let serial = serial_db.relation(&out).unwrap().clone();
-                let mut answer = serial.clone();
+                let mut exec_db = db.clone();
+                let out = evaluate_query_with(&mut exec_db, query, "OUT", config).unwrap();
+                let mut answer = exec_db.relation(&out).unwrap().clone();
                 answer.dedup();
                 assert!(
                     reference.set_eq(&answer),
                     "n={n} optimize={optimize}: answer differs from the reference for {query}"
                 );
-
-                for threads in [2usize, 4] {
-                    let config = EngineConfig {
-                        threads,
-                        ..serial_cfg
-                    };
-                    let mut exec_db = db.clone();
-                    let out = evaluate_query_with(&mut exec_db, query, "OUT", config).unwrap();
-                    assert_eq!(
-                        exec_db.relation(&out).unwrap().rows(),
-                        serial.rows(),
-                        "n={n} optimize={optimize} threads={threads}: \
-                         rows (or order) differ from threads=1 for {query}"
-                    );
-                }
             }
         }
     }

@@ -7,7 +7,7 @@
 //!   with an [`Observer`] attached (slow-query threshold 0, so every code
 //!   path that can fire does fire) streams the identical answer tuples and
 //!   the identical confidence *bit patterns* as an unobserved session, on
-//!   all five backends, single-threaded and with a worker pool.
+//!   all five backends.
 //! * **Profile consistency** — [`Session::explain_analyze`] reports row
 //!   counts that match the materialized results it profiles: the root
 //!   operator's `rows_out`, the profile's `rows`, and the confidence step's
@@ -35,11 +35,10 @@ use rand::SeedableRng;
 /// Answers and confidence bit patterns of one plan, on one session.
 fn probe(
     backend: AnyBackend,
-    threads: usize,
     observer: Option<Arc<Observer>>,
     plan: &RaExpr,
 ) -> (Vec<Tuple>, Vec<(Tuple, u64)>) {
-    let mut session = Session::with_config(backend, EngineConfig::with_threads(threads));
+    let mut session = Session::new(backend);
     if let Some(observer) = observer {
         observer.set_slow_query_threshold(Some(std::time::Duration::ZERO));
         session.set_observer(observer);
@@ -56,7 +55,7 @@ fn probe(
 }
 
 // Observed and unobserved sessions agree bit-for-bit: same tuples in the
-// same order, same confidence doubles, on every backend at 1 and 4 threads.
+// same order, same confidence doubles, on every backend.
 #[test]
 fn observation_is_bit_identical_across_backends() {
     for seed in 0..6u64 {
@@ -66,16 +65,13 @@ fn observation_is_bit_identical_across_backends() {
         // No difference operator: the U-relational backend rejects it.
         let plans: Vec<RaExpr> = (0..3).map(|_| generator.expr(2, false).expr).collect();
         for plan in &plans {
-            for threads in [1usize, 4] {
-                for (name, backend) in all_backends(&wsd) {
-                    let baseline = probe(backend.clone(), threads, None, plan);
-                    let observed = probe(backend, threads, Some(Arc::new(Observer::new())), plan);
-                    assert_eq!(
-                        baseline, observed,
-                        "[{name} threads={threads} seed={seed}] observation changed \
-                         the answer of {plan}"
-                    );
-                }
+            for (name, backend) in all_backends(&wsd) {
+                let baseline = probe(backend.clone(), None, plan);
+                let observed = probe(backend, Some(Arc::new(Observer::new())), plan);
+                assert_eq!(
+                    baseline, observed,
+                    "[{name} seed={seed}] observation changed the answer of {plan}"
+                );
             }
         }
     }
@@ -90,7 +86,7 @@ fn observed_sessions_populate_the_registry() {
     let wsd = random_wsd(&mut rng);
     let observer = Arc::new(Observer::new());
     let (_, backend) = all_backends(&wsd).remove(1); // the WSD itself
-    let (rows, _) = probe(backend, 1, Some(Arc::clone(&observer)), &RaExpr::rel("R"));
+    let (rows, _) = probe(backend, Some(Arc::clone(&observer)), &RaExpr::rel("R"));
     assert!(!rows.is_empty());
     let snapshot = observer.metrics().snapshot();
     let rendered = snapshot.render_prometheus();

@@ -2,7 +2,7 @@
 //! pinning MVCC snapshots while writer threads race through the
 //! group-commit committer must never observe anything other than a **serial
 //! prefix** of the committed update sequence — bit-identically, on all five
-//! backends, at 1 and 4 worker threads.
+//! backends.
 //!
 //! Three properties are proven here:
 //!
@@ -50,8 +50,8 @@ fn probe_queries(generator: &mut Generator, rng: &mut StdRng) -> Vec<RaExpr> {
 }
 
 /// Sorted possible answers + exact confidence bit patterns per probe query.
-fn probe(backend: AnyBackend, config: EngineConfig, queries: &[RaExpr]) -> Vec<Vec<(Tuple, u64)>> {
-    let mut session = Session::with_config(backend, config);
+fn probe(backend: AnyBackend, queries: &[RaExpr]) -> Vec<Vec<(Tuple, u64)>> {
+    let mut session = Session::new(backend);
     queries
         .iter()
         .map(|query| {
@@ -164,31 +164,15 @@ fn every_pinned_snapshot_is_a_serial_prefix_on_all_backends() {
             }
 
             // Property 1: each distinct observed snapshot answers exactly
-            // like the serial replay of its prefix — at 1 and 4 worker
-            // threads, bit-identically.
+            // like the serial replay of its prefix, bit-identically.
             observed.sort_by_key(|s| s.seq);
             observed.dedup_by_key(|s| s.seq);
             for snap in observed {
                 let reference = reference_state(&backend, &history[..snap.seq as usize]);
-                let t1 = EngineConfig {
-                    threads: 1,
-                    ..EngineConfig::default()
-                };
-                let t4 = EngineConfig {
-                    threads: 4,
-                    ..EngineConfig::default()
-                };
-                let want = probe(reference, t1, &queries);
                 assert_eq!(
-                    probe(snap.backend.clone(), t1, &queries),
-                    want,
+                    probe(snap.backend.clone(), &queries),
+                    probe(reference, &queries),
                     "[{label}] snapshot at seq {} is not the serial prefix",
-                    snap.seq
-                );
-                assert_eq!(
-                    probe(snap.backend.clone(), t4, &queries),
-                    want,
-                    "[{label}] snapshot at seq {} diverges at 4 threads",
                     snap.seq
                 );
             }
@@ -243,8 +227,7 @@ fn a_torn_group_commit_batch_recovers_to_the_batch_boundary() {
             .flat_map(|r| r.updates.iter().cloned())
             .collect();
         let boundary = reference_state(&backend, &committed_before_last);
-        let config = EngineConfig::default();
-        let want = probe(boundary, config, &queries);
+        let want = probe(boundary, &queries);
 
         // Cut strictly inside the final record's frame — the first and last
         // interior byte plus a sampled stride in between: the torn batch
@@ -266,7 +249,7 @@ fn a_torn_group_commit_batch_recovers_to_the_batch_boundary() {
                 last.updates.len(),
             );
             assert_eq!(
-                probe(recovered.into_inner(), config, &queries),
+                probe(recovered.into_inner(), &queries),
                 want,
                 "[{name}] cut at {cut}: recovery is not the batch boundary"
             );

@@ -4,7 +4,7 @@
 //!   rebuilding it combinator by combinator and lowering gives the same plan
 //!   modulo normalization.
 //! * Prepared re-execution is **bit-identical** to fresh evaluation: on all
-//!   five backends, at 1 and 4 worker threads, `prepare` + `execute` twice
+//!   five backends, `prepare` + `execute` twice
 //!   (the second prepare a guaranteed plan-cache hit) streams exactly the
 //!   rows two independent engine evaluations produce — same tuples, same
 //!   order.
@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 mod common;
-use common::{all_backends, random_wsd, rebuild_with_builder, session_possible, Generator};
+use common::{all_backends, random_wsd, rebuild_with_builder, Generator};
 
 #[test]
 fn every_generated_plan_round_trips_through_the_builder() {
@@ -42,14 +42,8 @@ fn every_generated_plan_round_trips_through_the_builder() {
 
 /// Fresh evaluation through the engine, with the backend-appropriate
 /// possible-tuple extraction — the pre-session calling convention.
-fn fresh_possible(backend: &mut AnyBackend, query: &RaExpr, threads: usize) -> Vec<Tuple> {
-    let out = evaluate_query_with(
-        backend,
-        query,
-        "FRESH_OUT",
-        EngineConfig::with_threads(threads),
-    )
-    .unwrap();
+fn fresh_possible(backend: &mut AnyBackend, query: &RaExpr) -> Vec<Tuple> {
+    let out = evaluate_query_with(backend, query, "FRESH_OUT", EngineConfig::default()).unwrap();
     match backend {
         AnyBackend::Db(db) => {
             let mut rel = db.relation(&out).unwrap().clone();
@@ -72,59 +66,36 @@ fn prepared_reexecution_is_bit_identical_to_fresh_evaluation() {
         // U-relations reject difference; keep the plans positive so all five
         // backends run them.
         let plan = generator.expr(rng.gen_range(1..=3usize), false).expr;
-        for threads in [1usize, 4] {
-            for (name, backend) in all_backends(&wsd) {
-                // Two *fresh* evaluations on two copies of the backend.
-                let fresh_a = fresh_possible(&mut backend.clone(), &plan, threads);
-                let fresh_b = fresh_possible(&mut backend.clone(), &plan, threads);
-                assert_eq!(
-                    fresh_a, fresh_b,
-                    "[{name} t={threads}] round {round}: fresh evaluation is not deterministic \
-                     for {plan}"
-                );
-
-                // One session: prepare, execute, re-prepare (cache hit),
-                // re-execute.
-                let mut session =
-                    Session::with_config(backend, EngineConfig::with_threads(threads));
-                let p1 = session.prepare(rebuild_with_builder(&plan)).unwrap();
-                let first: Vec<Tuple> = session.execute(&p1).unwrap().collect();
-                let p2 = session.prepare(plan.clone()).unwrap();
-                let second: Vec<Tuple> = session.execute(&p2).unwrap().collect();
-
-                let stats = session.stats();
-                assert_eq!(
-                    stats.cache_hits, 1,
-                    "[{name} t={threads}] round {round}: re-preparing {plan} missed the cache"
-                );
-                assert_eq!(p1.plan(), p2.plan());
-                assert_eq!(
-                    first, second,
-                    "[{name} t={threads}] round {round}: cached re-execution differs for {plan}"
-                );
-                assert_eq!(
-                    first, fresh_a,
-                    "[{name} t={threads}] round {round}: session differs from fresh evaluation \
-                     for {plan}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn session_rows_agree_across_thread_counts() {
-    let mut rng = StdRng::seed_from_u64(0x7EAD);
-    let mut generator = Generator::new(0x7EAD5);
-    for _ in 0..6 {
-        let wsd = random_wsd(&mut rng);
-        let plan = generator.expr(rng.gen_range(1..=2usize), false).expr;
         for (name, backend) in all_backends(&wsd) {
-            let serial = session_possible(backend.clone(), &plan, 1).unwrap();
-            let parallel = session_possible(backend, &plan, 4).unwrap();
+            // Two *fresh* evaluations on two copies of the backend.
+            let fresh_a = fresh_possible(&mut backend.clone(), &plan);
+            let fresh_b = fresh_possible(&mut backend.clone(), &plan);
             assert_eq!(
-                serial, parallel,
-                "[{name}] threads change the stream of {plan}"
+                fresh_a, fresh_b,
+                "[{name}] round {round}: fresh evaluation is not deterministic for {plan}"
+            );
+
+            // One session: prepare, execute, re-prepare (cache hit),
+            // re-execute.
+            let mut session = Session::new(backend);
+            let p1 = session.prepare(rebuild_with_builder(&plan)).unwrap();
+            let first: Vec<Tuple> = session.execute(&p1).unwrap().collect();
+            let p2 = session.prepare(plan.clone()).unwrap();
+            let second: Vec<Tuple> = session.execute(&p2).unwrap().collect();
+
+            let stats = session.stats();
+            assert_eq!(
+                stats.cache_hits, 1,
+                "[{name}] round {round}: re-preparing {plan} missed the cache"
+            );
+            assert_eq!(p1.plan(), p2.plan());
+            assert_eq!(
+                first, second,
+                "[{name}] round {round}: cached re-execution differs for {plan}"
+            );
+            assert_eq!(
+                first, fresh_a,
+                "[{name}] round {round}: session differs from fresh evaluation for {plan}"
             );
         }
     }

@@ -8,7 +8,7 @@
 //! answer tuples of every interleaved query agree, conditioning reports the
 //! same surviving mass, and an update sequence that empties the world-set is
 //! reported as inconsistent by every backend at the same step — with the
-//! optimizer on and off, at 1 and 4 worker threads.
+//! optimizer on and off.
 
 use std::collections::BTreeSet;
 
@@ -155,8 +155,8 @@ fn all_backends_agree_with_the_update_oracle() {
     let mut generator = Generator::new(0x5EED6);
     let mut conditioned_rounds = 0usize;
     let mut inconsistent_rounds = 0usize;
-    // 50 rounds × (optimizer on/off × threads {1, 4}) = 200 replayed
-    // interleaved sequences per backend.
+    // 50 rounds × optimizer on/off = 100 replayed interleaved sequences per
+    // backend.
     for _ in 0..50 {
         let wsd = random_wsd(&mut rng);
         let (steps, expected) = generate_round(&mut rng, &mut generator, &wsd);
@@ -166,25 +166,19 @@ fn all_backends_agree_with_the_update_oracle() {
             as usize;
         inconsistent_rounds +=
             expected.iter().any(|e| matches!(e, Expected::Inconsistent)) as usize;
-        for (config_label, base_config) in [
+        for (config_label, config) in [
             ("optimized", EngineConfig::default()),
             ("naive", EngineConfig::naive()),
         ] {
-            for threads in [1usize, 4] {
-                let config = EngineConfig {
-                    threads,
-                    ..base_config
-                };
-                for (name, backend) in all_backends(&wsd) {
-                    if name == "database" {
-                        // The single world cannot represent fractional
-                        // inserts or survive multi-world conditioning; it has
-                        // its own differential test below.
-                        continue;
-                    }
-                    let label = format!("{name}/{config_label}/t{threads}");
-                    replay(&label, backend, config, &steps, &expected);
+            for (name, backend) in all_backends(&wsd) {
+                if name == "database" {
+                    // The single world cannot represent fractional inserts
+                    // or survive multi-world conditioning; it has its own
+                    // differential test below.
+                    continue;
                 }
+                let label = format!("{name}/{config_label}");
+                replay(&label, backend, config, &steps, &expected);
             }
         }
     }
