@@ -12,8 +12,8 @@
 
 use std::collections::BTreeMap;
 
-use ws_core::{confidence, ops, Component, FieldId, Result, WsError, Wsd};
-use ws_relational::{Predicate, RaExpr, Value};
+use ws_core::{confidence, Component, FieldId, Result, WsError, Wsd};
+use ws_relational::{engine, Predicate, RaExpr, Value};
 
 /// The relation name used for patient records.
 pub const PATIENT_RELATION: &str = "Patient";
@@ -192,7 +192,8 @@ pub fn medications_for(wsd: &Wsd, diagnosis: &str) -> Result<Vec<(String, f64)>>
 
 fn answer_column(wsd: &Wsd, query: &RaExpr) -> Result<Vec<(String, f64)>> {
     let mut scratch = wsd.clone();
-    let out = ops::evaluate_query_fresh(&mut scratch, query, "medical_q")?;
+    let out = engine::fresh_scratch_name(|n| scratch.contains_relation(n), &mut 0, "medical_q");
+    engine::evaluate_query(&mut scratch, query, &out)?;
     let mut answers = Vec::new();
     for (tuple, conf) in confidence::possible_with_confidence(&scratch, &out)? {
         let label = tuple

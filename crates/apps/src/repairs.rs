@@ -18,8 +18,8 @@
 
 use std::collections::BTreeMap;
 
-use ws_core::{confidence, ops, Component, FieldId, Result, WsError, Wsd};
-use ws_relational::{RaExpr, Relation, Tuple, Value};
+use ws_core::{confidence, Component, FieldId, Result, WsError, Wsd};
+use ws_relational::{engine, RaExpr, Relation, Tuple, Value};
 
 /// Summary of a repair construction.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -156,7 +156,8 @@ pub fn repair_key_violations(relation: &Relation, key: &[&str]) -> Result<(Wsd, 
 /// contained in the answer of every repair (certain tuples).
 pub fn consistent_answers(repairs: &Wsd, query: &RaExpr) -> Result<Relation> {
     let mut scratch = repairs.clone();
-    let out = ops::evaluate_query_fresh(&mut scratch, query, "repair_q")?;
+    let out = engine::fresh_scratch_name(|n| scratch.contains_relation(n), &mut 0, "repair_q");
+    engine::evaluate_query(&mut scratch, query, &out)?;
     let mut result = confidence::possible(&scratch, &out)?;
     let certain: Vec<Tuple> = confidence::possible_with_confidence(&scratch, &out)?
         .into_iter()
@@ -171,7 +172,8 @@ pub fn consistent_answers(repairs: &Wsd, query: &RaExpr) -> Result<Relation> {
 /// contained in the answer of at least one repair.
 pub fn possible_answers(repairs: &Wsd, query: &RaExpr) -> Result<Relation> {
     let mut scratch = repairs.clone();
-    let out = ops::evaluate_query_fresh(&mut scratch, query, "repair_q")?;
+    let out = engine::fresh_scratch_name(|n| scratch.contains_relation(n), &mut 0, "repair_q");
+    engine::evaluate_query(&mut scratch, query, &out)?;
     confidence::possible(&scratch, &out)
 }
 
@@ -179,7 +181,8 @@ pub fn possible_answers(repairs: &Wsd, query: &RaExpr) -> Result<Relation> {
 /// them (a useful ranking signal the certain-answer systems cannot provide).
 pub fn answers_with_support(repairs: &Wsd, query: &RaExpr) -> Result<Vec<(Tuple, f64)>> {
     let mut scratch = repairs.clone();
-    let out = ops::evaluate_query_fresh(&mut scratch, query, "repair_q")?;
+    let out = engine::fresh_scratch_name(|n| scratch.contains_relation(n), &mut 0, "repair_q");
+    engine::evaluate_query(&mut scratch, query, &out)?;
     confidence::possible_with_confidence(&scratch, &out)
 }
 

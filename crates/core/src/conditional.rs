@@ -24,8 +24,8 @@
 use crate::chase::{chase, Dependency};
 use crate::confidence;
 use crate::error::{Result, WsError};
-use crate::ops;
 use crate::wsd::Wsd;
+use ws_relational::engine;
 use ws_relational::{RaExpr, Tuple};
 
 /// The probability that a world drawn from the WSD satisfies every
@@ -71,7 +71,8 @@ pub fn conditional_query_conf(
 ) -> Result<f64> {
     let mut scratch = wsd.clone();
     chase(&mut scratch, constraints)?;
-    let out = ops::evaluate_query_fresh(&mut scratch, query, "conditional_q")?;
+    let out = engine::fresh_scratch_name(|n| scratch.contains_relation(n), &mut 0, "conditional_q");
+    engine::evaluate_query(&mut scratch, query, &out)?;
     confidence::conf(&scratch, &out, tuple)
 }
 

@@ -22,7 +22,6 @@ pub use copy::copy;
 pub use difference::difference;
 pub use product::product;
 pub use project::project;
-pub use query::{evaluate_query_fresh, fresh_name};
 pub use rename::rename;
 pub use select::{select_attr, select_const};
 pub use union::union;

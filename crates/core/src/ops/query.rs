@@ -100,24 +100,6 @@ impl Operators for Wsd {
     }
 }
 
-/// Generate a fresh intermediate relation name that does not clash with any
-/// relation already registered in the WSD.
-///
-/// Thin wrapper over the engine-wide generator, kept for callers that
-/// allocate scratch names outside a plan execution.
-pub fn fresh_name(wsd: &Wsd, counter: &mut usize, hint: &str) -> String {
-    engine::fresh_scratch_name(|n| wsd.contains_relation(n), counter, hint)
-}
-
-/// Evaluate a query into a freshly named `__{hint}{n}` result relation and
-/// return that name.  The helper behind every "query a scratch copy, then
-/// read the answer off" caller (conditional confidence, repairs, medical).
-pub fn evaluate_query_fresh(wsd: &mut Wsd, query: &RaExpr, hint: &str) -> Result<String> {
-    let mut counter = 0usize;
-    let out = fresh_name(wsd, &mut counter, hint);
-    engine::evaluate_query(wsd, query, &out)
-}
-
 /// Apply a possibly composite selection predicate to relation `src`,
 /// materializing the result as `out`.
 fn apply_selection(

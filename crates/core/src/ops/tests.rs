@@ -397,13 +397,3 @@ fn evaluate_query_reports_unknown_relations() {
     let q = RaExpr::rel("NOPE");
     assert!(ws_relational::engine::evaluate_query(&mut wsd, &q, "OUT").is_err());
 }
-
-#[test]
-fn fresh_names_do_not_collide() {
-    let mut wsd = figure10_wsd();
-    let mut counter = 0;
-    let a = fresh_name(&wsd, &mut counter, "tmp");
-    wsd.register_relation(&a, &["X"], 0).unwrap();
-    let b = fresh_name(&wsd, &mut counter, "tmp");
-    assert_ne!(a, b);
-}

@@ -1,13 +1,10 @@
-//! The fluent, typed query builder behind [`crate::session::Session`].
-//!
-//! Queries used to be hand-assembled [`RaExpr`] trees; the builder keeps the
-//! same named-perspective algebra but reads like a query and is checked as
-//! one: [`q`] starts from a base relation, combinators wrap operators around
-//! it, and [`typecheck`] resolves the whole tree against a
-//! [`SchemaCatalog`] *before* anything is evaluated — unknown relations,
-//! unknown attributes inside predicates, clashing product attributes and
-//! union-incompatible operands all surface as one
-//! [`crate::Error`] carrying the offending plan.
+//! The fluent query surface behind [`crate::session::Session`]: [`q`]
+//! starts a [`Query`] — which *is* the engine's [`RaExpr`] — from a base
+//! relation, its combinators wrap operators around it, and [`typecheck`]
+//! resolves the whole tree against a [`SchemaCatalog`] *before* anything is
+//! evaluated — unknown relations, unknown attributes inside predicates,
+//! clashing product attributes and union-incompatible operands all surface
+//! as one [`crate::Error`] carrying the offending plan.
 //!
 //! ```
 //! use maybms::q;
@@ -19,7 +16,7 @@
 //!     .product(q("R").project(["S"]).rename("S", "S2"))
 //!     .select(Predicate::cmp_attr("S1", CmpOp::Ne, "S2"));
 //! assert_eq!(
-//!     pairs.lower().to_string(),
+//!     pairs.to_string(),
 //!     "σ[S1!=S2]((δ[S→S1](π[S](R)) × δ[S→S2](π[S](R))))"
 //! );
 //! ```
@@ -27,135 +24,35 @@
 use crate::error::{Error, Result};
 use std::collections::BTreeSet;
 use ws_core::ops::update::UpdateExpr;
-use ws_relational::{Dependency, Predicate, RaExpr, SchemaCatalog};
+use ws_relational::{Dependency, RaExpr, SchemaCatalog};
+
+/// A relational-algebra query: the engine's plan tree itself, built with
+/// the [`RaExpr`] combinators (`select`, `project`, `join`, `product`,
+/// `union`, `difference`, `rename`).
+pub type Query = RaExpr;
 
 /// Start a query from base relation `name` — the front door of the fluent
-/// builder.
+/// surface.
 pub fn q(name: impl Into<String>) -> Query {
-    Query {
-        expr: RaExpr::rel(name),
-    }
+    RaExpr::rel(name)
 }
 
-/// A relational-algebra query under construction.
-///
-/// A thin, typed wrapper around [`RaExpr`]: combinators consume `self` and
-/// return the extended query, and [`Query::lower`] hands the finished tree to
-/// the engine.  Anything accepted where a query is expected ([`IntoQuery`])
-/// can be mixed in as an operand, so existing `RaExpr` trees compose with
-/// built queries.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Query {
-    expr: RaExpr,
-}
-
-impl Query {
-    /// Wrap an already-built expression tree.
-    pub fn from_expr(expr: RaExpr) -> Query {
-        Query { expr }
-    }
-
-    /// Selection `σ_pred`.
-    pub fn select(self, pred: Predicate) -> Query {
-        Query {
-            expr: self.expr.select(pred),
-        }
-    }
-
-    /// Projection `π_attrs` (attributes keep the given order).
-    pub fn project<S: Into<String>>(self, attrs: impl IntoIterator<Item = S>) -> Query {
-        Query {
-            expr: self.expr.project(attrs.into_iter().collect::<Vec<S>>()),
-        }
-    }
-
-    /// θ-join `⋈_on` with another query, lowered to `σ_on(self × other)`;
-    /// the executor recognizes equality conjuncts and runs a physical
-    /// equi-join.
-    pub fn join(self, other: impl IntoQuery, on: Predicate) -> Query {
-        Query {
-            expr: self.expr.join(other.into_query().expr, on),
-        }
-    }
-
-    /// Product `×` with another query (attribute sets must be disjoint).
-    pub fn product(self, other: impl IntoQuery) -> Query {
-        Query {
-            expr: self.expr.product(other.into_query().expr),
-        }
-    }
-
-    /// Union `∪` (set semantics; operands must be union-compatible).
-    pub fn union(self, other: impl IntoQuery) -> Query {
-        Query {
-            expr: self.expr.union(other.into_query().expr),
-        }
-    }
-
-    /// Difference `−` (set semantics; operands must be union-compatible).
-    pub fn difference(self, other: impl IntoQuery) -> Query {
-        Query {
-            expr: self.expr.difference(other.into_query().expr),
-        }
-    }
-
-    /// Attribute renaming `δ_{from→to}`.
-    pub fn rename(self, from: impl Into<String>, to: impl Into<String>) -> Query {
-        Query {
-            expr: self.expr.rename(from, to),
-        }
-    }
-
-    /// Lower the builder to the engine's plan representation.
-    pub fn lower(self) -> RaExpr {
-        self.expr
-    }
-
-    /// The plan without consuming the builder.
-    pub fn as_expr(&self) -> &RaExpr {
-        &self.expr
-    }
-}
-
-impl std::fmt::Display for Query {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.expr.fmt(f)
-    }
-}
-
-/// Anything a query combinator accepts as an operand.
+/// Anything [`crate::Session::prepare`] accepts as a query: a plan, owned
+/// or borrowed.
 pub trait IntoQuery {
-    /// Convert into a [`Query`].
-    fn into_query(self) -> Query;
+    /// The plan to prepare.
+    fn into_query(self) -> RaExpr;
 }
 
-impl IntoQuery for Query {
-    fn into_query(self) -> Query {
+impl IntoQuery for RaExpr {
+    fn into_query(self) -> RaExpr {
         self
     }
 }
 
-impl IntoQuery for RaExpr {
-    fn into_query(self) -> Query {
-        Query::from_expr(self)
-    }
-}
-
 impl IntoQuery for &RaExpr {
-    fn into_query(self) -> Query {
-        Query::from_expr(self.clone())
-    }
-}
-
-impl From<Query> for RaExpr {
-    fn from(query: Query) -> RaExpr {
-        query.lower()
-    }
-}
-
-impl From<RaExpr> for Query {
-    fn from(expr: RaExpr) -> Query {
-        Query::from_expr(expr)
+    fn into_query(self) -> RaExpr {
+        self.clone()
     }
 }
 
@@ -346,7 +243,7 @@ fn check<C: SchemaCatalog + ?Sized>(catalog: &C, expr: &RaExpr) -> Result<Vec<St
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ws_relational::{CmpOp, Database, Relation, Schema};
+    use ws_relational::{CmpOp, Database, Predicate, Relation, Schema};
 
     fn catalog() -> Database {
         let mut db = Database::new();
@@ -360,8 +257,7 @@ mod tests {
         let built = q("R")
             .select(Predicate::eq_const("A", 1i64))
             .project(["B"])
-            .union(q("S").rename("C", "B"))
-            .lower();
+            .union(q("S").rename("C", "B"));
         let manual = RaExpr::rel("R")
             .select(Predicate::eq_const("A", 1i64))
             .project(vec!["B"])
@@ -372,14 +268,14 @@ mod tests {
     #[test]
     fn raw_exprs_compose_with_built_queries() {
         let raw = RaExpr::rel("S");
-        let built = q("R").join(&raw, Predicate::cmp_attr("B", CmpOp::Eq, "C"));
+        let built = q("R").join(raw.clone(), Predicate::cmp_attr("B", CmpOp::Eq, "C"));
         assert_eq!(
-            built.as_expr().base_relations(),
+            built.base_relations(),
             vec!["R", "S"],
             "operand conversion lost a relation"
         );
-        let _query: Query = RaExpr::rel("R").into();
-        let _expr: RaExpr = q("R").into();
+        assert_eq!((&built).into_query(), built.clone().into_query());
+        assert_eq!(raw.into_query(), q("S"));
     }
 
     #[test]
@@ -388,10 +284,9 @@ mod tests {
         let plan = q("R")
             .product(q("S"))
             .select(Predicate::cmp_attr("B", CmpOp::Eq, "C"))
-            .project(["A", "C"])
-            .lower();
+            .project(["A", "C"]);
         assert_eq!(typecheck(&db, &plan).unwrap(), vec!["A", "C"]);
-        let renamed = q("R").rename("A", "A2").lower();
+        let renamed = q("R").rename("A", "A2");
         assert_eq!(typecheck(&db, &renamed).unwrap(), vec!["A2", "B"]);
     }
 
@@ -399,19 +294,19 @@ mod tests {
     fn typecheck_rejects_bad_plans_with_plan_context() {
         let db = catalog();
         let cases: Vec<(RaExpr, &str)> = vec![
-            (q("NOPE").lower(), "unknown base relation"),
+            (q("NOPE"), "unknown base relation"),
             (
-                q("R").select(Predicate::eq_const("Z", 1i64)).lower(),
+                q("R").select(Predicate::eq_const("Z", 1i64)),
                 "selection references",
             ),
-            (q("R").project(["Z"]).lower(), "projection keeps"),
-            (q("R").project(["A", "A"]).lower(), "twice"),
-            (q("R").project(Vec::<String>::new()).lower(), "empty"),
-            (q("R").product(q("R")).lower(), "share attribute"),
-            (q("R").union(q("S")).lower(), "not union-compatible"),
-            (q("R").difference(q("S")).lower(), "not union-compatible"),
-            (q("R").rename("Z", "Y").lower(), "rename source"),
-            (q("R").rename("A", "B").lower(), "rename target"),
+            (q("R").project(["Z"]), "projection keeps"),
+            (q("R").project(["A", "A"]), "twice"),
+            (q("R").project(Vec::<String>::new()), "empty"),
+            (q("R").product(q("R")), "share attribute"),
+            (q("R").union(q("S")), "not union-compatible"),
+            (q("R").difference(q("S")), "not union-compatible"),
+            (q("R").rename("Z", "Y"), "rename source"),
+            (q("R").rename("A", "B"), "rename target"),
         ];
         for (plan, needle) in cases {
             let err = typecheck(&db, &plan).unwrap_err();

@@ -61,6 +61,16 @@ impl Persist for AnyBackend {
         }
     }
 
+    fn validate_state(&self) -> ws_storage::error::Result<()> {
+        match self {
+            AnyBackend::Db(b) => b.validate_state(),
+            AnyBackend::Wsd(b) => b.validate_state(),
+            AnyBackend::Uwsdt(b) => b.validate_state(),
+            AnyBackend::Urel(b) => b.validate_state(),
+            AnyBackend::Worlds(b) => b.validate_state(),
+        }
+    }
+
     fn decode_state(r: &mut Reader) -> ws_storage::error::Result<Self> {
         match r.peek_u8("representation tag")? {
             TAG_DATABASE => Database::decode_state(r).map(AnyBackend::Db),

@@ -92,8 +92,7 @@ pub mod session;
 pub use builder::{q, typecheck, typecheck_update, IntoQuery, Query};
 pub use error::{Error, ErrorKind, Result};
 pub use session::{
-    AnyBackend, ConfidenceStrategy, Prepared, QueryProfile, Rows, Session, SessionBackend,
-    SessionStats,
+    AnyBackend, Prepared, QueryProfile, Rows, Session, SessionBackend, SessionStats,
 };
 pub use ws_core::ops::update::{apply_update, UpdateExpr};
 pub use ws_storage::{DurabilityStats, Durable, Persist, StorageError};
@@ -113,8 +112,7 @@ pub mod prelude {
     pub use crate::builder::{q, typecheck, typecheck_update, IntoQuery, Query};
     pub use crate::error::{Error, ErrorKind};
     pub use crate::session::{
-        AnyBackend, ConfidenceStrategy, Prepared, QueryProfile, Rows, Session, SessionBackend,
-        SessionStats,
+        AnyBackend, Prepared, QueryProfile, Rows, Session, SessionBackend, SessionStats,
     };
     pub use ws_apps::{
         consistent_answers, possible_answers, repair_key_violations, MedicalScenario,
@@ -140,10 +138,10 @@ pub mod prelude {
         ProfileNode, RingSink, TraceEvent, TraceSink,
     };
     pub use ws_relational::{
-        engine, evaluate_query, evaluate_query_with, hoeffding_samples, world_satisfies,
-        ApproxConfig, Clause, CmpOp, Database, DtreeCompiler, EngineConfig, ExecContext, LineageDb,
-        LineageRelation, Predicate, QueryBackend, RaExpr, Relation, Schema, SchemaCatalog, Tuple,
-        Value, VarTable, WriteBackend,
+        engine, evaluate_query, hoeffding_samples, world_satisfies, ApproxConfig, Clause, CmpOp,
+        Database, DtreeCompiler, EngineConfig, ExecContext, LineageDb, LineageRelation, Predicate,
+        QueryBackend, RaExpr, Relation, Schema, SchemaCatalog, Tuple, Value, VarTable,
+        WriteBackend,
     };
     pub use ws_storage::{
         DirVfs, DurabilityStats, Durable, DurableError, MemVfs, Persist, StorageError, Vfs,

@@ -375,10 +375,12 @@ mod tests {
             let got = tiered.confidence(&prepared).unwrap();
             let stats = tiered.stats();
             assert_eq!(stats.conf_exact, 0, "{label} left the compiled tier");
+            // The native exact path: the UWSDT's own enumeration over the
+            // materialized result.
             let mut exact = crate::Session::new(uwsdt.clone());
-            exact.set_confidence_strategy(crate::ConfidenceStrategy::ExactOnly);
             let prepared = exact.prepare(query).unwrap();
-            let want = exact.confidence(&prepared).unwrap();
+            let out = exact.materialize(&prepared).unwrap();
+            let want = crate::SessionBackend::confidence_rows(exact.backend(), &out).unwrap();
             assert_eq!(got.len(), want.len(), "{label}: possible tuples differ");
             for ((tg, cg), (tw, cw)) in got.iter().zip(&want) {
                 assert_eq!(tg, tw, "{label}: tuple order differs");

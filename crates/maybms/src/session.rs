@@ -422,38 +422,6 @@ impl fmt::Display for Prepared {
     }
 }
 
-/// How [`Session::confidence`] picks its evaluation tier.
-///
-/// Exact confidence computation is `#P`-hard in general, but large classes of
-/// plans and inputs admit cheaper *exact* evaluation.  The session tries, in
-/// order:
-///
-/// 1. **Compiled lineage** — the plan is evaluated over the backend's
-///    extracted lineage ([`lineage::evaluate_lineage`]) and each output
-///    tuple's DNF is compiled to a Shannon-expansion d-tree with
-///    independent-component splits and memoized cofactor sharing
-///    ([`DtreeCompiler`]), within a node budget.  Hierarchical (safe) plans
-///    have read-once lineage, which the component split compiles in one
-///    pass.  The evaluated lineage is the whole answer: the plan does not
-///    run on the backend.
-/// 2. **Native exact** — when the backend has no lineage mapping, the plan
-///    has a difference, or the d-tree exceeds its budget, the plan runs on
-///    the backend and its own exact enumeration answers.
-///
-/// Both tiers are exact and list the same tuples in the same (`Tuple`)
-/// order.  Their sums may round differently: each confidence agrees within
-/// 1e-12 absolute, and bit for bit where every probability is dyadic.
-/// [`SessionStats`] records which tier fired.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ConfidenceStrategy {
-    /// Compiled lineage, then the native exact path.
-    #[default]
-    Tiered,
-    /// Always use the backend's native exact enumeration (the oracle the
-    /// equivalence suites pin the compiled tier to).
-    ExactOnly,
-}
-
 /// Counters of one session's lifetime, for benches and capacity planning.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SessionStats {
@@ -490,7 +458,7 @@ pub struct SessionStats {
     /// (d-tree) tier.
     pub conf_compiled: u64,
     /// [`Session::confidence`] calls answered by the backend's native exact
-    /// path (the compiled tier declined or was disabled).
+    /// path (the compiled tier declined).
     pub conf_exact: u64,
     /// [`Session::confidence_approx`] calls (Monte-Carlo or the backend's
     /// exact fallback).
@@ -645,7 +613,6 @@ pub struct Session<B: SessionBackend> {
     config: EngineConfig,
     plans: HashMap<String, CachedPlan>,
     stats: SessionStats,
-    strategy: ConfidenceStrategy,
     scratch: usize,
     /// Results handed out by [`Session::materialize`] — the only scratch
     /// relations a session leaves in its backend (see [`Session::apply`]
@@ -679,15 +646,14 @@ where
         Session::with_config(backend, EngineConfig::default())
     }
 
-    /// Open a session with explicit engine knobs (optimizer, join
-    /// recognition, observation).
+    /// Open a session with an explicit [`EngineConfig`]
+    /// ([`EngineConfig::naive`] runs every plan exactly as written).
     pub fn with_config(backend: B, config: EngineConfig) -> Session<B> {
         Session {
             backend,
             config,
             plans: HashMap::new(),
             stats: SessionStats::default(),
-            strategy: ConfidenceStrategy::default(),
             scratch: 0,
             materialized: Vec::new(),
             lineage: BTreeMap::new(),
@@ -697,12 +663,12 @@ where
     }
 
     /// Attach an observability domain: queries and updates emit trace spans
-    /// and metrics to `observer` from here on, and the engine's hot-path
-    /// instrumentation turns on ([`EngineConfig::observe`] is set — results
+    /// and metrics to `observer` from here on.  Each query runs inside the
+    /// observer's scope, which turns the engine's hot-path instrumentation
+    /// on for that query ([`ws_relational::ExecContext::observe`] — results
     /// stay bit-identical).
     pub fn set_observer(&mut self, observer: Arc<Observer>) {
         self.session_id = observer.next_session_id();
-        self.config.observe = true;
         self.observer = Some(observer);
     }
 
@@ -769,20 +735,6 @@ where
         )
     }
 
-    /// How [`Session::confidence`] picks its evaluation tier (default
-    /// [`ConfidenceStrategy::Tiered`]).
-    pub fn confidence_strategy(&self) -> ConfidenceStrategy {
-        self.strategy
-    }
-
-    /// Change the confidence evaluation strategy.  Every strategy lists the
-    /// same tuples with the same exact confidences, up to the rounding
-    /// contract of [`ConfidenceStrategy`]; this only selects which machinery
-    /// computes them.
-    pub fn set_confidence_strategy(&mut self, strategy: ConfidenceStrategy) {
-        self.strategy = strategy;
-    }
-
     /// Number of distinct plans currently cached.
     pub fn cached_plans(&self) -> usize {
         self.plans.len()
@@ -797,10 +749,10 @@ where
     /// Typecheck, normalize, fingerprint and (on a cache miss) optimize a
     /// query into a [`Prepared`] plan.
     ///
-    /// Accepts anything [`IntoQuery`]: a fluent [`crate::builder::Query`] or
-    /// a raw [`RaExpr`].
+    /// Accepts anything [`IntoQuery`]: a query built with [`crate::q`], or
+    /// any [`RaExpr`], owned or borrowed.
     pub fn prepare(&mut self, query: impl IntoQuery) -> Result<Prepared> {
-        let expr = query.into_query().lower();
+        let expr = query.into_query();
         let attrs = typecheck(&self.backend, &expr)?;
         let key = fingerprint::plan_key(&expr);
         let digest = fingerprint::fingerprint(&expr);
@@ -881,13 +833,30 @@ where
     /// The possible answer tuples of a prepared plan with their **exact**
     /// confidences (§6), in `Tuple` order.
     ///
-    /// Under the default [`ConfidenceStrategy::Tiered`] the session
-    /// evaluates the plan over the backend's extracted lineage and compiles
-    /// each answer's lineage to a d-tree; that answer is the result, and the
-    /// plan does not run on the backend.  Where the compiled tier declines
-    /// (no lineage, a difference, the d-tree budget), the plan runs on the
-    /// backend and its native exact enumeration answers.  [`SessionStats`]
-    /// records which tier fired.
+    /// Exact confidence computation is `#P`-hard in general, but large
+    /// classes of plans and inputs admit cheaper *exact* evaluation.  The
+    /// session tries, in order:
+    ///
+    /// 1. **Compiled lineage** — the plan is evaluated over the backend's
+    ///    extracted lineage ([`lineage::evaluate_lineage`]) and each output
+    ///    tuple's DNF is compiled to a Shannon-expansion d-tree with
+    ///    independent-component splits and memoized cofactor sharing
+    ///    ([`DtreeCompiler`]), within a node budget.  Hierarchical (safe)
+    ///    plans have read-once lineage, which the component split compiles
+    ///    in one pass.  The evaluated lineage is the whole answer: the plan
+    ///    does not run on the backend.
+    /// 2. **Native exact** — when the backend has no lineage mapping, the
+    ///    plan has a difference, or the d-tree exceeds its budget, the plan
+    ///    runs on the backend and its own exact enumeration
+    ///    ([`SessionBackend::confidence_rows`]) answers.
+    ///
+    /// Both tiers are exact and list the same tuples in the same (`Tuple`)
+    /// order.  Their sums may round differently: each confidence agrees
+    /// within 1e-12 absolute, and bit for bit where every probability is
+    /// dyadic.  [`SessionStats`] records which tier fired.  To read the
+    /// native path directly (the oracle the equivalence suites pin the
+    /// compiled tier to), [`Session::materialize`] the plan and call
+    /// [`SessionBackend::confidence_rows`] on the result.
     ///
     /// The lineage is extracted once per set of base relations the plan
     /// reads and kept until the backend changes ([`Session::apply`],
@@ -930,34 +899,31 @@ where
 
     /// The one confidence ladder, behind [`Session::confidence`] (`approx`
     /// is `None`) and [`Session::confidence_approx`]: the lineage path
-    /// first (unless an exact call runs [`ConfidenceStrategy::ExactOnly`]),
-    /// the backend's native exact path as the unconditional fallback.  Only
-    /// an exact call counts its tier; an estimate counts as `conf_approx`.
+    /// first, the backend's native exact path as the unconditional
+    /// fallback.  Only an exact call counts its tier; an estimate counts as
+    /// `conf_approx`.
     fn confidence_ladder(
         &mut self,
         prepared: &Prepared,
         approx: Option<&ApproxConfig>,
     ) -> Result<Vec<(Tuple, f64)>> {
-        let mut declined = None;
-        if approx.is_some() || self.strategy != ConfidenceStrategy::ExactOnly {
-            let started = Instant::now();
-            match self.lineage_confidences(prepared, approx)? {
-                Ok(rows) if approx.is_some() => return Ok(rows),
-                Ok(rows) => {
-                    self.stats.conf_compiled += 1;
-                    self.observe_tier("compiled", None, started);
-                    return Ok(rows);
-                }
-                Err(reason) => declined = Some(reason),
+        let started = Instant::now();
+        let declined = match self.lineage_confidences(prepared, approx)? {
+            Ok(rows) if approx.is_some() => return Ok(rows),
+            Ok(rows) => {
+                self.stats.conf_compiled += 1;
+                self.observe_tier("compiled", None, started);
+                return Ok(rows);
             }
-        }
+            Err(reason) => reason,
+        };
         let started = Instant::now();
         let rows = self.read_result(prepared, |session, out| {
             session.backend.confidence_rows(out)
         })?;
         if approx.is_none() {
             self.stats.conf_exact += 1;
-            self.observe_tier("exact", declined, started);
+            self.observe_tier("exact", Some(declined), started);
         }
         Ok(rows)
     }
@@ -1051,17 +1017,10 @@ where
     /// [`Session::confidence`] for the confidence step — so every number is
     /// a real measurement, not an estimate.
     ///
-    /// Works with or without an attached observer; profiling is scoped to
-    /// this call and [`EngineConfig::observe`] is restored afterwards.
+    /// Works with or without an attached observer: the profile collector
+    /// installed for the first pass is what turns the engine's
+    /// instrumentation on, for this call only.
     pub fn explain_analyze(&mut self, prepared: &Prepared) -> Result<QueryProfile> {
-        let saved = self.config.observe;
-        self.config.observe = true;
-        let result = self.explain_analyze_profiled(prepared);
-        self.config.observe = saved;
-        result
-    }
-
-    fn explain_analyze_profiled(&mut self, prepared: &Prepared) -> Result<QueryProfile> {
         let cache = if self.plans.contains_key(prepared.key()) {
             "hit"
         } else {
@@ -1148,22 +1107,16 @@ where
         answer.map_err(|e| e.with_plan(&prepared.display))
     }
 
-    /// Execute the physical plan into a fresh scratch result, returning its
-    /// name.
+    /// Execute the prepared (already optimized) plan into a fresh scratch
+    /// result, returning its name.
     fn run(&mut self, prepared: &Prepared) -> Result<String> {
-        let out = loop {
-            let candidate = format!("__session_q{}", self.scratch);
-            self.scratch += 1;
-            if !self.backend.contains_relation(&candidate) {
-                break candidate;
-            }
-        };
-        // The plan is already optimized; replay it as-is.
-        let exec = EngineConfig {
-            optimize: false,
-            ..self.config
-        };
-        engine::evaluate_query_with(&mut self.backend, &prepared.plan, &out, exec)
+        let out = engine::fresh_scratch_name(
+            |name| self.backend.contains_relation(name),
+            &mut self.scratch,
+            "session_q",
+        );
+        self.backend
+            .execute_plan(&prepared.plan, &out, &self.config)
             .map_err(|e| Into::<Error>::into(e).with_plan(&prepared.display))?;
         Ok(out)
     }

@@ -17,9 +17,9 @@
 //! The [`Observer`] bundles one registry, one sink and the slow-query log;
 //! layers hold it as `Arc<Observer>`.  The executor cannot (its
 //! `EngineConfig` is `Copy`), so a session [`attach`]es a thread-local
-//! [`Scope`] around each query and instrumented hot paths read it back with
-//! [`scope`] — but only after checking `EngineConfig::observe`, so a
-//! non-observed run never touches the thread-local at all.
+//! [`Scope`] around each query, and the executor reads it back with
+//! [`scope`] once where a plan starts: an attached scope, or an installed
+//! [`profile`] collector, turns that plan's instrumentation on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

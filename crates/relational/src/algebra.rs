@@ -14,7 +14,6 @@ use crate::database::Database;
 use crate::error::{RelationalError, Result};
 use crate::predicate::Predicate;
 use crate::relation::Relation;
-use crate::schema::Schema;
 use crate::tuple::Tuple;
 use std::collections::HashSet;
 use std::fmt;
@@ -84,8 +83,8 @@ impl RaExpr {
         }
     }
 
-    /// Wrap `self` in a projection.
-    pub fn project<S: Into<String>>(self, attrs: Vec<S>) -> RaExpr {
+    /// Wrap `self` in a projection (attributes keep the given order).
+    pub fn project<S: Into<String>>(self, attrs: impl IntoIterator<Item = S>) -> RaExpr {
         RaExpr::Project {
             attrs: attrs.into_iter().map(Into::into).collect(),
             input: Box::new(self),
@@ -287,19 +286,6 @@ pub fn evaluate_checked(db: &Database, expr: &RaExpr) -> Result<Relation> {
     evaluate(db, expr)
 }
 
-/// Helper to build the schema a query would produce without evaluating it
-/// (used by the world-set layers to pre-register result relations).
-pub fn output_schema(db: &Database, expr: &RaExpr) -> Result<Schema> {
-    // Evaluating on an emptied copy of the catalog is the simplest way to get
-    // the schema; relations can be large, so build a database of empty clones.
-    let mut empty = Database::new();
-    for (name, rel) in db.iter() {
-        let _ = name;
-        empty.insert_relation(Relation::new(rel.schema().clone()));
-    }
-    Ok(evaluate(&empty, expr)?.schema().clone())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,8 +382,6 @@ mod tests {
         assert_eq!(missing_relations(&d, &bad), vec!["T".to_string()]);
         assert!(evaluate_checked(&d, &bad).is_err());
         assert!(evaluate_checked(&d, &q).is_ok());
-        let schema = output_schema(&d, &q).unwrap();
-        assert_eq!(schema.attrs().len(), 1);
         let shown = q.to_string();
         assert!(shown.contains("π[A]"));
         assert!(shown.contains("σ["));

@@ -31,13 +31,14 @@
 //!   inside the backend's own catalog, which is what keeps correlated
 //!   sub-queries correlated.
 //! * [`walk`] is the shared operator-by-operator executor those two call:
-//!   it walks the (optimized) plan, allocates scratch names through
-//!   [`TempNames`], recognises equi-joins on top of products, and drops
+//!   it walks the (optimized) plan, allocates scratch names through its
+//!   [`ExecContext`], recognises equi-joins on top of products, and drops
 //!   every scratch relation it created once the result is built — or once
 //!   evaluation fails part-way — so only the result relation is left in the
 //!   backend.
-//! * [`evaluate_query`] / [`evaluate_query_with`] are the one-shot
-//!   `optimize → execute_plan` entry points.
+//! * [`evaluate_query`] is the one-shot `optimize → execute_plan` entry
+//!   point for code below the `maybms` session; a session prepares its plan
+//!   once and calls [`QueryBackend::execute_plan`] itself.
 //!
 //! The optimizer runs against the backend's catalog only — it never looks at
 //! rows — so a plan optimized once is valid for every backend holding the
@@ -78,8 +79,9 @@ pub trait QueryBackend: SchemaCatalog {
     type Error: From<RelationalError>;
 
     /// Evaluate the already-planned `plan`, materializing its result as
-    /// relation `out`.  Implementations must honor
-    /// `config.recognize_joins` and `config.observe` where they apply, and must leave only `out` behind — on failure,
+    /// relation `out`.  Implementations recognise equi-joins only under
+    /// `config.optimize` (through an [`ExecContext`], where they have
+    /// operators to join), and must leave only `out` behind — on failure,
     /// not even that.
     ///
     /// Wrapper backends (`AnyBackend`, `Durable<B>`) forward this to the
@@ -315,25 +317,61 @@ pub fn fresh_scratch_name(
     }
 }
 
-/// The scratch-name allocator threaded through one plan execution.
+/// The per-execution state of one plan run, set up where the walker or the
+/// columnar kernels start the plan: the scratch-name allocator, whether
+/// equi-joins are recognised, and whether the run is observed.
 ///
-/// Every name handed out is recorded so the executor can drop the scratch
-/// relations afterwards — in particular on error paths, where the previous
-/// per-crate translators leaked every intermediate created before the
-/// failure.
-#[derive(Debug, Default)]
-pub struct TempNames {
+/// Every scratch name handed out is recorded so the executor can drop the
+/// scratch relations afterwards — on error paths too.
+#[derive(Debug)]
+pub struct ExecContext {
     counter: usize,
     created: Vec<String>,
+    recognize_joins: bool,
+    /// The observation scope of this execution — the observer plus the
+    /// session/request ids every instrumented operator stamps on its
+    /// measurements, captured from the thread-local [`ws_obs::scope`] the
+    /// session layer installs.
+    obs: Option<ws_obs::Scope>,
+    /// Whether operators are instrumented: a scope is attached or a
+    /// [`ws_obs::profile`] collector is installed on this thread.
+    /// Instrumentation never changes which code runs, so results are
+    /// bit-identical either way (checked by
+    /// `tests/observability_equivalence.rs`).
+    observe: bool,
 }
 
-impl TempNames {
-    /// An allocator starting at `__{hint}0`.
-    pub fn new() -> Self {
-        TempNames::default()
+impl ExecContext {
+    /// A context for one plan execution under `config`.
+    pub fn new(config: &EngineConfig) -> Self {
+        let obs = ws_obs::scope();
+        ExecContext {
+            counter: 0,
+            created: Vec::new(),
+            recognize_joins: config.optimize,
+            observe: obs.is_some() || ws_obs::profile::active(),
+            obs,
+        }
     }
 
-    /// A fresh name that `exists` rejects; the name is recorded for cleanup.
+    /// Whether `σ_{A=B}(L × R)` runs as a physical equi-join.
+    pub fn recognize_joins(&self) -> bool {
+        self.recognize_joins
+    }
+
+    /// Whether this execution records profile nodes and metrics.
+    pub fn observe(&self) -> bool {
+        self.observe
+    }
+
+    /// The observation scope propagated through this execution, when a
+    /// session attached one.
+    pub fn obs(&self) -> Option<&ws_obs::Scope> {
+        self.obs.as_ref()
+    }
+
+    /// A fresh scratch name `__{hint}{n}` that `exists` rejects; recorded
+    /// for cleanup.
     pub fn fresh(&mut self, exists: impl Fn(&str) -> bool, hint: &str) -> String {
         let name = fresh_scratch_name(exists, &mut self.counter, hint);
         self.created.push(name.clone());
@@ -350,85 +388,23 @@ impl TempNames {
     }
 }
 
-/// The per-execution state the walker threads through every physical
-/// operator: the scratch-name allocator plus the observation scope.
-#[derive(Debug, Default)]
-pub struct ExecContext {
-    temps: TempNames,
-    /// The observation scope of this execution — the observer plus the
-    /// session/request ids every instrumented operator stamps on its
-    /// measurements.  Captured from the thread-local [`ws_obs::scope`]
-    /// (installed by the session layer) only when [`EngineConfig::observe`]
-    /// is set, so a non-observed run never touches the thread-local.
-    obs: Option<ws_obs::Scope>,
-}
-
-impl ExecContext {
-    /// A context for one plan execution under `config`.
-    pub fn new(config: &EngineConfig) -> Self {
-        ExecContext {
-            temps: TempNames::new(),
-            obs: if config.observe {
-                ws_obs::scope()
-            } else {
-                None
-            },
-        }
-    }
-
-    /// The observation scope propagated through this execution, when
-    /// [`EngineConfig::observe`] is on and a session attached one.
-    pub fn obs(&self) -> Option<&ws_obs::Scope> {
-        self.obs.as_ref()
-    }
-
-    /// A fresh scratch name that `exists` rejects; recorded for cleanup.
-    pub fn fresh(&mut self, exists: impl Fn(&str) -> bool, hint: &str) -> String {
-        self.temps.fresh(exists, hint)
-    }
-
-    /// The scratch names handed out so far (in allocation order).
-    pub fn created(&self) -> &[String] {
-        self.temps.created()
-    }
-
-    fn drain(&mut self) -> Vec<String> {
-        self.temps.drain()
-    }
-}
-
-/// Knobs of the unified pipeline: how a plan is rewritten and run, never
-/// what it leaves behind — the executor always drops its intermediates and
-/// keeps only the result relation.
+/// The one knob of the unified pipeline: how a plan is rewritten and run,
+/// never what it leaves behind — the executor always drops its
+/// intermediates and keeps only the result relation.  Whether a run is
+/// observed is not a knob: [`ExecContext::new`] reads it off the thread.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Run the rule-based optimizer before execution (default).
+    /// Run the rule-based optimizer before execution and recognise
+    /// `σ_{A=B}(L × R)` as a physical equi-join during it (default).
+    /// [`EngineConfig::naive`] turns both off so the plan is evaluated
+    /// exactly as written, operator by operator — used by the cross-backend
+    /// equivalence tests as the true unoptimized baseline.
     pub optimize: bool,
-    /// Recognise `σ_{A=B}(L × R)` as a physical equi-join during execution
-    /// (default).  [`EngineConfig::naive`] turns this off together with the
-    /// optimizer so the plan is evaluated exactly as written, operator by
-    /// operator — used by the cross-backend equivalence tests and by the
-    /// optimizer-ablation bench as the true unoptimized baseline.
-    pub recognize_joins: bool,
-    /// Record per-operator timings, row counts and profile nodes into the
-    /// thread-local [`ws_obs::Scope`] / [`ws_obs::profile`] collector while
-    /// executing (default **off**).
-    ///
-    /// Instrumentation is observation only — it never changes which code
-    /// runs, so results are bit-identical with the flag on or off (checked
-    /// by `tests/observability_equivalence.rs`).  When off, the entire cost
-    /// is this one branch per operator; the bench gate holds the observed
-    /// path to ≤ 1.10× of the unobserved one.
-    pub observe: bool,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig {
-            optimize: true,
-            recognize_joins: true,
-            observe: false,
-        }
+        EngineConfig { optimize: true }
     }
 }
 
@@ -436,72 +412,34 @@ impl EngineConfig {
     /// The fully naive pipeline: no plan rewriting, no join recognition —
     /// every operator is executed exactly as written.
     pub fn naive() -> Self {
-        EngineConfig {
-            optimize: false,
-            recognize_joins: false,
-            ..EngineConfig::default()
-        }
+        EngineConfig { optimize: false }
     }
 
     /// A one-line, self-describing summary of the effective settings, used
     /// by the benches so ablation output records its own configuration.
     pub fn summary(&self) -> String {
-        fn on_off(b: bool) -> &'static str {
-            if b {
-                "on"
-            } else {
-                "off"
-            }
-        }
-        format!(
-            "optimize={} join-recognition={} observe={}",
-            on_off(self.optimize),
-            on_off(self.recognize_joins),
-            on_off(self.observe),
-        )
+        format!("optimize={}", if self.optimize { "on" } else { "off" })
     }
 }
 
-/// Evaluate `query` on `backend` through the full `optimize → execute`
-/// pipeline, materializing the result as relation `out`.  Returns `out`.
+/// Evaluate `query` on `backend` through the full `optimize → execute_plan`
+/// pipeline under the default [`EngineConfig`], materializing the result as
+/// relation `out`.  Returns `out`.
 pub fn evaluate_query<B: QueryBackend>(
     backend: &mut B,
     query: &RaExpr,
     out: &str,
 ) -> std::result::Result<String, B::Error> {
-    evaluate_query_with(backend, query, out, EngineConfig::default())
-}
-
-/// [`evaluate_query`] with explicit [`EngineConfig`] knobs.
-pub fn evaluate_query_with<B: QueryBackend>(
-    backend: &mut B,
-    query: &RaExpr,
-    out: &str,
-    config: EngineConfig,
-) -> std::result::Result<String, B::Error> {
-    let plan = if config.optimize {
-        optimizer::optimize(backend, query).map_err(B::Error::from)?
-    } else {
-        query.clone()
-    };
-    backend.execute_plan(&plan, out, &config)?;
+    let plan = optimizer::optimize(backend, query).map_err(B::Error::from)?;
+    backend.execute_plan(&plan, out, &EngineConfig::default())?;
     Ok(out.to_string())
-}
-
-/// Execute an already-planned expression on a backend (no optimization).
-pub fn execute<B: QueryBackend>(
-    backend: &mut B,
-    plan: &RaExpr,
-    out: &str,
-) -> std::result::Result<(), B::Error> {
-    backend.execute_plan(plan, out, &EngineConfig::default())
 }
 
 /// The shared operator-by-operator executor behind the decompositions'
 /// [`QueryBackend::execute_plan`]: walks `plan`, allocates scratch names
 /// through the [`ExecContext`], recognises equi-joins on top of products
-/// (when `config.recognize_joins` is on), and drops every intermediate it
-/// created once `out` is built — or once the plan failed part-way.
+/// (when `config.optimize` is on), and drops every intermediate it created
+/// once `out` is built — or once the plan failed part-way.
 pub fn walk<B: Operators>(
     backend: &mut B,
     plan: &RaExpr,
@@ -509,7 +447,7 @@ pub fn walk<B: Operators>(
     config: &EngineConfig,
 ) -> std::result::Result<(), B::Error> {
     let mut ctx = ExecContext::new(config);
-    let result = eval_node(backend, plan, out, &mut ctx, *config);
+    let result = eval_node(backend, plan, out, &mut ctx);
     for name in ctx.drain() {
         backend.drop_scratch(&name);
     }
@@ -542,7 +480,7 @@ pub(crate) fn op_detail(plan: &RaExpr) -> String {
 }
 
 /// One operator of the operator-by-operator path, wrapped in
-/// instrumentation when [`EngineConfig::observe`] is on: a profile node
+/// instrumentation when the execution is observed ([`ExecContext::observe`]): a profile node
 /// (path `"row"`; a decomposed relation has no cheap tuple count, so its
 /// `rows_out` is 0) plus an `exec.op.<name>.ns` histogram sample on the
 /// scope's observer.  With the flag off this is a single branch in front of
@@ -552,14 +490,13 @@ fn eval_node<B: Operators>(
     plan: &RaExpr,
     out: &str,
     ctx: &mut ExecContext,
-    config: EngineConfig,
 ) -> std::result::Result<(), B::Error> {
-    if !config.observe {
-        return eval_node_inner(backend, plan, out, ctx, config);
+    if !ctx.observe() {
+        return eval_node_inner(backend, plan, out, ctx);
     }
     let token = ws_obs::profile::enter(op_name(plan), || op_detail(plan));
     let started = std::time::Instant::now();
-    let result = eval_node_inner(backend, plan, out, ctx, config);
+    let result = eval_node_inner(backend, plan, out, ctx);
     if let Some(token) = token {
         token.finish(0, 1, "row");
     }
@@ -578,7 +515,6 @@ fn eval_node_inner<B: Operators>(
     plan: &RaExpr,
     out: &str,
     ctx: &mut ExecContext,
-    config: EngineConfig,
 ) -> std::result::Result<(), B::Error> {
     match plan {
         RaExpr::Rel(name) => {
@@ -592,23 +528,20 @@ fn eval_node_inner<B: Operators>(
         RaExpr::Select { pred, input } => {
             // θ-join recognition: σ_{… A=B …}(L × R) with A, B spanning the
             // two operands becomes a physical equi-join.
-            if let (true, RaExpr::Product { left, right }) =
-                (config.recognize_joins, input.as_ref())
+            if let (true, RaExpr::Product { left, right }) = (ctx.recognize_joins(), input.as_ref())
             {
                 if let Some(join) =
                     recognize_equi_join(backend, pred, left, right).map_err(B::Error::from)?
                 {
-                    if config.observe {
-                        if let Some(scope) = ctx.obs() {
-                            scope
-                                .observer
-                                .metrics()
-                                .counter("exec.join.recognized")
-                                .inc();
-                        }
+                    if let Some(scope) = ctx.obs() {
+                        scope
+                            .observer
+                            .metrics()
+                            .counter("exec.join.recognized")
+                            .inc();
                     }
-                    let l = eval_operand(backend, left, ctx, config)?;
-                    let r = eval_operand(backend, right, ctx, config)?;
+                    let l = eval_operand(backend, left, ctx)?;
+                    let r = eval_operand(backend, right, ctx)?;
                     return match join.residual {
                         None => backend.apply_equi_join(
                             &l,
@@ -633,30 +566,30 @@ fn eval_node_inner<B: Operators>(
                     };
                 }
             }
-            let input_name = eval_operand(backend, input, ctx, config)?;
+            let input_name = eval_operand(backend, input, ctx)?;
             backend.apply_select(&input_name, pred, out, ctx)
         }
         RaExpr::Project { attrs, input } => {
-            let input_name = eval_operand(backend, input, ctx, config)?;
+            let input_name = eval_operand(backend, input, ctx)?;
             backend.apply_project(&input_name, attrs, out, ctx)
         }
         RaExpr::Product { left, right } => {
-            let l = eval_operand(backend, left, ctx, config)?;
-            let r = eval_operand(backend, right, ctx, config)?;
+            let l = eval_operand(backend, left, ctx)?;
+            let r = eval_operand(backend, right, ctx)?;
             backend.apply_product(&l, &r, out, ctx)
         }
         RaExpr::Union { left, right } => {
-            let l = eval_operand(backend, left, ctx, config)?;
-            let r = eval_operand(backend, right, ctx, config)?;
+            let l = eval_operand(backend, left, ctx)?;
+            let r = eval_operand(backend, right, ctx)?;
             backend.apply_union(&l, &r, out)
         }
         RaExpr::Difference { left, right } => {
-            let l = eval_operand(backend, left, ctx, config)?;
-            let r = eval_operand(backend, right, ctx, config)?;
+            let l = eval_operand(backend, left, ctx)?;
+            let r = eval_operand(backend, right, ctx)?;
             backend.apply_difference(&l, &r, out)
         }
         RaExpr::Rename { from, to, input } => {
-            let input_name = eval_operand(backend, input, ctx, config)?;
+            let input_name = eval_operand(backend, input, ctx)?;
             backend.apply_rename(&input_name, from, to, out)
         }
     }
@@ -668,7 +601,6 @@ fn eval_operand<B: Operators>(
     backend: &mut B,
     expr: &RaExpr,
     ctx: &mut ExecContext,
-    config: EngineConfig,
 ) -> std::result::Result<String, B::Error> {
     if let RaExpr::Rel(name) = expr {
         if !backend.contains_relation(name) {
@@ -679,7 +611,7 @@ fn eval_operand<B: Operators>(
         return Ok(name.clone());
     }
     let name = ctx.fresh(|n| backend.contains_relation(n), hint_for(expr));
-    eval_node(backend, expr, &name, ctx, config)?;
+    eval_node(backend, expr, &name, ctx)?;
     Ok(name)
 }
 
@@ -890,6 +822,20 @@ mod tests {
         d
     }
 
+    /// `query` into `OUT` the way a session runs it under `config`: the
+    /// optimizer only under `optimize`, the plan as written otherwise.
+    fn run<B: QueryBackend>(
+        backend: &mut B,
+        query: &RaExpr,
+        config: EngineConfig,
+    ) -> std::result::Result<(), B::Error> {
+        if config.optimize {
+            evaluate_query(backend, query, "OUT").map(drop)
+        } else {
+            backend.execute_plan(query, "OUT", &config)
+        }
+    }
+
     fn query_suite() -> Vec<RaExpr> {
         vec![
             RaExpr::rel("R"),
@@ -921,15 +867,15 @@ mod tests {
             let reference = evaluate_set(&db(), &query).unwrap();
             for config in [EngineConfig::default(), EngineConfig::naive()] {
                 let mut backend = db();
-                let out = evaluate_query_with(&mut backend, &query, "OUT", config).unwrap();
-                let mut result = backend.relation(&out).unwrap().clone();
+                run(&mut backend, &query, config).unwrap();
+                let mut result = backend.relation("OUT").unwrap().clone();
                 result.dedup();
                 assert!(
                     reference.set_eq(&result),
                     "query #{i} {query}: {reference} vs {result} (config {config:?})"
                 );
                 let mut walked = Walked(db());
-                evaluate_query_with(&mut walked, &query, "OUT", config).unwrap();
+                run(&mut walked, &query, config).unwrap();
                 let result = walked.0.relation("OUT").unwrap();
                 assert!(
                     reference.set_eq(result),
@@ -1027,7 +973,7 @@ mod tests {
     fn temp_cleanup_leaves_only_base_relations_and_the_result() {
         let mut backend = Walked(db());
         let query = query_suite().remove(3);
-        evaluate_query_with(&mut backend, &query, "OUT", EngineConfig::naive()).unwrap();
+        run(&mut backend, &query, EngineConfig::naive()).unwrap();
         let mut names = backend.0.relation_names();
         names.sort_unstable();
         assert_eq!(names, vec!["OUT", "R", "S"]);
@@ -1042,7 +988,7 @@ mod tests {
             .project(vec!["A"])
             .union(RaExpr::rel("S").select(Predicate::eq_const("C", 10i64)));
         let before = backend.0.relation_names().len();
-        assert!(evaluate_query_with(&mut backend, &query, "OUT", EngineConfig::naive()).is_err());
+        assert!(run(&mut backend, &query, EngineConfig::naive()).is_err());
         assert_eq!(
             backend.0.relation_names().len(),
             before,
@@ -1106,13 +1052,13 @@ mod tests {
             .product(RaExpr::rel("S"))
             .select(Predicate::cmp_attr("B", CmpOp::Eq, "C"));
         let mut naive = big_db();
-        let out = evaluate_query_with(&mut naive, &query, "OUT", EngineConfig::naive()).unwrap();
-        let naive_rows = naive.relation(&out).unwrap().rows().to_vec();
+        run(&mut naive, &query, EngineConfig::naive()).unwrap();
+        let naive_rows = naive.relation("OUT").unwrap().rows().to_vec();
         assert!(!naive_rows.is_empty());
 
         let mut joined = big_db();
-        let out = evaluate_query_with(&mut joined, &query, "OUT", EngineConfig::default()).unwrap();
-        assert_eq!(joined.relation(&out).unwrap().rows(), &naive_rows[..]);
+        run(&mut joined, &query, EngineConfig::default()).unwrap();
+        assert_eq!(joined.relation("OUT").unwrap().rows(), &naive_rows[..]);
     }
 
     #[test]
@@ -1134,8 +1080,8 @@ mod tests {
             RaExpr::rel("R").join(RaExpr::rel("S"), Predicate::cmp_attr("A", CmpOp::Eq, "B"));
         for config in [EngineConfig::default(), EngineConfig::naive()] {
             let mut backend = d.clone();
-            let out = evaluate_query_with(&mut backend, &query, "OUT", config).unwrap();
-            let rows = backend.relation(&out).unwrap().rows().to_vec();
+            run(&mut backend, &query, config).unwrap();
+            let rows = backend.relation("OUT").unwrap().rows().to_vec();
             assert_eq!(
                 rows,
                 vec![Tuple::new(vec![Value::int(1), Value::int(1)])],
@@ -1146,19 +1092,8 @@ mod tests {
 
     #[test]
     fn engine_config_summary_is_self_describing() {
-        assert_eq!(
-            EngineConfig::default().summary(),
-            "optimize=on join-recognition=on observe=off"
-        );
-        assert_eq!(
-            EngineConfig::naive().summary(),
-            "optimize=off join-recognition=off observe=off"
-        );
-        let observed = EngineConfig {
-            observe: true,
-            ..EngineConfig::default()
-        };
-        assert!(observed.summary().ends_with("observe=on"));
+        assert_eq!(EngineConfig::default().summary(), "optimize=on");
+        assert_eq!(EngineConfig::naive().summary(), "optimize=off");
     }
 
     #[test]
@@ -1248,10 +1183,10 @@ mod tests {
         let taken = ["__t0".to_string(), "__t1".to_string()];
         let name = fresh_scratch_name(|n| taken.contains(&n.to_string()), &mut counter, "t");
         assert_eq!(name, "__t2");
-        let mut temps = TempNames::new();
-        let a = temps.fresh(|_| false, "q");
-        let b = temps.fresh(|_| false, "q");
+        let mut ctx = ExecContext::new(&EngineConfig::default());
+        let a = ctx.fresh(|_| false, "q");
+        let b = ctx.fresh(|_| false, "q");
         assert_ne!(a, b);
-        assert_eq!(temps.created(), &[a, b]);
+        assert_eq!(ctx.created(), &[a, b]);
     }
 }

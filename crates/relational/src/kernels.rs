@@ -38,7 +38,7 @@
 use crate::algebra::RaExpr;
 use crate::batch::{Column, ColumnBatch};
 use crate::database::Database;
-use crate::engine::{op_detail, op_name, recognize_equi_join, EngineConfig, EquiJoin};
+use crate::engine::{op_detail, op_name, recognize_equi_join, EngineConfig, EquiJoin, ExecContext};
 use crate::error::Result;
 use crate::optimizer;
 use crate::predicate::{CompiledPredicate, Predicate};
@@ -78,7 +78,8 @@ pub(crate) fn execute(
     out: &str,
     config: &EngineConfig,
 ) -> Result<()> {
-    let relation = match eval_expr(db, plan, None, config)? {
+    let ctx = ExecContext::new(config);
+    let relation = match eval_expr(db, plan, None, &ctx)? {
         Eval::Batch(batch) => batch.into_relation()?,
         // A σ-chain over a base relation: clone exactly the surviving rows.
         Eval::View(view) => {
@@ -103,9 +104,9 @@ fn eval_to_batch(
     db: &Database,
     expr: &RaExpr,
     needed: Option<&BTreeSet<String>>,
-    config: &EngineConfig,
+    ctx: &ExecContext,
 ) -> Result<ColumnBatch> {
-    match eval_expr(db, expr, needed, config)? {
+    match eval_expr(db, expr, needed, ctx)? {
         Eval::Batch(batch) => Ok(batch),
         Eval::View(view) => {
             let rel = db.relation(&view.name)?;
@@ -129,10 +130,10 @@ fn eval_len(db: &Database, eval: &Eval) -> u64 {
     }
 }
 
-/// Record a selection's survival rate (`exec.select.survival_pct`).  Call
-/// sites are already gated on [`EngineConfig::observe`].
-fn record_selection(rows_in: usize, rows_out: usize) {
-    if let Some(scope) = ws_obs::scope() {
+/// Record a selection's survival rate (`exec.select.survival_pct`) on the
+/// execution's scope, if one is attached.
+fn record_selection(ctx: &ExecContext, rows_in: usize, rows_out: usize) {
+    if let Some(scope) = ctx.obs() {
         scope
             .observer
             .metrics()
@@ -141,8 +142,8 @@ fn record_selection(rows_in: usize, rows_out: usize) {
     }
 }
 
-/// One operator of the executor, wrapped in instrumentation when
-/// [`EngineConfig::observe`] is on: a profile node (rows via [`eval_len`],
+/// One operator of the executor, wrapped in instrumentation when the
+/// execution is observed ([`ExecContext::observe`]): a profile node (rows via [`eval_len`],
 /// path `"columnar"` or `"view"`) plus an `exec.op.<name>.ns` histogram
 /// sample.  With the flag off this is a single branch in front of
 /// [`eval_expr_inner`].
@@ -150,14 +151,14 @@ fn eval_expr(
     db: &Database,
     expr: &RaExpr,
     needed: Option<&BTreeSet<String>>,
-    config: &EngineConfig,
+    ctx: &ExecContext,
 ) -> Result<Eval> {
-    if !config.observe {
-        return eval_expr_inner(db, expr, needed, config);
+    if !ctx.observe() {
+        return eval_expr_inner(db, expr, needed, ctx);
     }
     let token = ws_obs::profile::enter(op_name(expr), || op_detail(expr));
     let started = std::time::Instant::now();
-    let result = eval_expr_inner(db, expr, needed, config);
+    let result = eval_expr_inner(db, expr, needed, ctx);
     if let Some(token) = token {
         let (rows, path) = match &result {
             Ok(eval) => (
@@ -171,7 +172,7 @@ fn eval_expr(
         };
         token.finish(rows, 1, path);
     }
-    if let Some(scope) = ws_obs::scope() {
+    if let Some(scope) = ctx.obs() {
         scope
             .observer
             .metrics()
@@ -185,7 +186,7 @@ fn eval_expr_inner(
     db: &Database,
     expr: &RaExpr,
     needed: Option<&BTreeSet<String>>,
-    config: &EngineConfig,
+    ctx: &ExecContext,
 ) -> Result<Eval> {
     match expr {
         RaExpr::Rel(name) => {
@@ -197,31 +198,25 @@ fn eval_expr_inner(
             }))
         }
         RaExpr::Select { pred, input } => {
-            if config.recognize_joins {
+            if ctx.recognize_joins() {
                 if let RaExpr::Product { left, right } = input.as_ref() {
                     if let Some(join) = recognize_equi_join(db, pred, left, right)? {
-                        if config.observe {
-                            if let Some(scope) = ws_obs::scope() {
-                                scope
-                                    .observer
-                                    .metrics()
-                                    .counter("exec.join.recognized")
-                                    .inc();
-                            }
+                        if let Some(scope) = ctx.obs() {
+                            scope
+                                .observer
+                                .metrics()
+                                .counter("exec.join.recognized")
+                                .inc();
                         }
-                        return Ok(Eval::Batch(eval_join(
-                            db, left, right, &join, needed, config,
-                        )?));
+                        return Ok(Eval::Batch(eval_join(db, left, right, &join, needed, ctx)?));
                     }
                 }
             }
             let child_needed = add_attrs(needed, pred.referenced_attrs());
-            match eval_expr(db, input, child_needed.as_ref(), config)? {
+            match eval_expr(db, input, child_needed.as_ref(), ctx)? {
                 Eval::Batch(batch) => {
                     let sel = select_vector(&batch, pred)?;
-                    if config.observe {
-                        record_selection(batch.len(), sel.len());
-                    }
+                    record_selection(ctx, batch.len(), sel.len());
                     Ok(Eval::Batch(batch.gather(&sel)))
                 }
                 Eval::View(view) => {
@@ -246,9 +241,7 @@ fn eval_expr_inner(
                             };
                             let rows_in = candidates.len();
                             let sel = filter_rows(rows, &compiled, candidates);
-                            if config.observe {
-                                record_selection(rows_in, sel.len());
-                            }
+                            record_selection(ctx, rows_in, sel.len());
                             return Ok(Eval::View(View {
                                 name: view.name,
                                 sel: Some(sel),
@@ -269,9 +262,7 @@ fn eval_expr_inner(
                         Some(sel) => ColumnBatch::from_relation_sel(rel, sel, Some(&pred_attrs)),
                     };
                     let local = select_vector(&pred_batch, pred)?;
-                    if config.observe {
-                        record_selection(pred_batch.len(), local.len());
-                    }
+                    record_selection(ctx, pred_batch.len(), local.len());
                     let sel = match view.sel {
                         None => local,
                         Some(sel) => local.into_iter().map(|i| sel[i as usize]).collect(),
@@ -288,7 +279,7 @@ fn eval_expr_inner(
                 None => attrs.iter().cloned().collect(),
                 Some(s) => attrs.iter().filter(|a| s.contains(*a)).cloned().collect(),
             });
-            let batch = eval_to_batch(db, input, child_needed.as_ref(), config)?;
+            let batch = eval_to_batch(db, input, child_needed.as_ref(), ctx)?;
             let positions: Vec<usize> = attrs
                 .iter()
                 .map(|a| batch.schema().position_of(a))
@@ -302,21 +293,21 @@ fn eval_expr_inner(
         }
         RaExpr::Product { left, right } => {
             let (ln, rn) = split_needed(db, needed, left, right)?;
-            let l = eval_to_batch(db, left, ln.as_ref(), config)?;
-            let r = eval_to_batch(db, right, rn.as_ref(), config)?;
+            let l = eval_to_batch(db, left, ln.as_ref(), ctx)?;
+            let r = eval_to_batch(db, right, rn.as_ref(), ctx)?;
             Ok(Eval::Batch(product_batches(&l, &r)?))
         }
         RaExpr::Union { left, right } => {
-            let (ls, lrows) = eval_rows(db, left, config)?;
-            let (rs, rrows) = eval_rows(db, right, config)?;
+            let (ls, lrows) = eval_rows(db, left, ctx)?;
+            let (rs, rrows) = eval_rows(db, right, ctx)?;
             ls.check_union_compatible(&rs)?;
             let set: BTreeSet<_> = lrows.into_iter().chain(rrows).collect();
             let relation = crate::relation::Relation::with_rows(ls, set.into_iter().collect())?;
             Ok(Eval::Batch(ColumnBatch::from_relation(&relation, needed)))
         }
         RaExpr::Difference { left, right } => {
-            let (ls, lrows) = eval_rows(db, left, config)?;
-            let (rs, rrows) = eval_rows(db, right, config)?;
+            let (ls, lrows) = eval_rows(db, left, ctx)?;
+            let (rs, rrows) = eval_rows(db, right, ctx)?;
             ls.check_union_compatible(&rs)?;
             let right_set: HashSet<_> = rrows.into_iter().collect();
             let set: BTreeSet<_> = lrows
@@ -332,7 +323,7 @@ fn eval_expr_inner(
                     .map(|a| if a == to { from.clone() } else { a.clone() })
                     .collect()
             });
-            let batch = eval_to_batch(db, input, child_needed.as_ref(), config)?;
+            let batch = eval_to_batch(db, input, child_needed.as_ref(), ctx)?;
             let schema = batch.schema().renamed_attr(from, to)?;
             let len = batch.len();
             Ok(Eval::Batch(ColumnBatch::from_parts(
@@ -350,9 +341,9 @@ fn eval_expr_inner(
 fn eval_rows(
     db: &Database,
     expr: &RaExpr,
-    config: &EngineConfig,
+    ctx: &ExecContext,
 ) -> Result<(crate::schema::Schema, Vec<crate::tuple::Tuple>)> {
-    match eval_expr(db, expr, None, config)? {
+    match eval_expr(db, expr, None, ctx)? {
         Eval::Batch(batch) => Ok((batch.schema().clone(), batch.decode_rows())),
         Eval::View(view) => {
             let rel = db.relation(&view.name)?;
@@ -419,7 +410,7 @@ fn eval_join(
     right: &RaExpr,
     join: &EquiJoin,
     needed: Option<&BTreeSet<String>>,
-    config: &EngineConfig,
+    ctx: &ExecContext,
 ) -> Result<ColumnBatch> {
     // The children additionally need the join keys and whatever the residual
     // condition touches.
@@ -429,8 +420,8 @@ fn eval_join(
     }
     let combined = add_attrs(needed, extra);
     let (ln, rn) = split_needed(db, combined.as_ref(), left, right)?;
-    let l = eval_to_batch(db, left, ln.as_ref(), config)?;
-    let r = eval_to_batch(db, right, rn.as_ref(), config)?;
+    let l = eval_to_batch(db, left, ln.as_ref(), ctx)?;
+    let r = eval_to_batch(db, right, rn.as_ref(), ctx)?;
     let joined = join_batches(&l, &r, &join.left_attr, &join.right_attr)?;
     match &join.residual {
         None => Ok(joined),

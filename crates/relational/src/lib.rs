@@ -61,8 +61,7 @@ pub use constraint::{
 };
 pub use database::Database;
 pub use engine::{
-    evaluate_query, evaluate_query_with, execute, EngineConfig, ExecContext, QueryBackend,
-    SchemaCatalog, TempNames, WriteBackend,
+    evaluate_query, EngineConfig, ExecContext, QueryBackend, SchemaCatalog, WriteBackend,
 };
 pub use error::{RelationalError, Result};
 pub use fingerprint::{fingerprint, normalize_plan, normalize_predicate, plan_key};

@@ -175,9 +175,9 @@ impl Client {
         self.receive(trace)
     }
 
-    /// Register a query; the plan is lowered locally and optimized remotely.
+    /// Register a query; the plan is sent as built and optimized remotely.
     pub fn prepare(&mut self, query: impl IntoQuery) -> Result<RemotePlan, ServiceError> {
-        let plan = query.into_query().lower();
+        let plan = query.into_query();
         match self.call(&Request::Prepare { plan })? {
             Response::Prepared {
                 plan,

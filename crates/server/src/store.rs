@@ -30,7 +30,7 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -45,6 +45,16 @@ use ws_storage::{DurabilityStats, Durable, DurableError, Persist, StorageError, 
 /// exists so a committer *panic* (a bug, not an I/O condition) surfaces as an
 /// error instead of a deadlock.
 const STALL_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// Lock `mutex`, recovering the guard if a thread panicked while holding
+/// it.  Every mutex this is used on guards a value that is only ever
+/// replaced whole — the published snapshot, a slot's answer, the
+/// committer's sender and join handle — so a panic cannot leave it
+/// half-written, and one panicking thread must not take every later reader
+/// and writer down with it.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// One immutable image of the backend, pinned by any number of readers.
 #[derive(Debug)]
@@ -131,14 +141,14 @@ impl<T> Slot<T> {
     }
 
     fn fill(&self, v: T) {
-        let mut slot = self.value.lock().unwrap();
+        let mut slot = lock(&self.value);
         *slot = Some(v);
         self.ready.notify_all();
     }
 
     fn wait(&self) -> Option<T> {
         let deadline = Instant::now() + STALL_TIMEOUT;
-        let mut slot = self.value.lock().unwrap();
+        let mut slot = lock(&self.value);
         loop {
             if let Some(v) = slot.take() {
                 return Some(v);
@@ -147,7 +157,10 @@ impl<T> Slot<T> {
             if left.is_zero() {
                 return None;
             }
-            let (next, _) = self.ready.wait_timeout(slot, left).unwrap();
+            let (next, _) = self
+                .ready
+                .wait_timeout(slot, left)
+                .unwrap_or_else(PoisonError::into_inner);
             slot = next;
         }
     }
@@ -169,7 +182,9 @@ struct Shared<B> {
     commit_batches: AtomicU64,
     batched_updates: AtomicU64,
     /// The committed update sequence, in WAL order, kept only when history
-    /// recording is on (the concurrent differential oracle replays it).
+    /// recording is on (the concurrent differential oracle replays it).  A
+    /// panic while extending it may leave a partial batch, so a poisoned
+    /// history is reported, never read.
     history: Mutex<Vec<UpdateExpr>>,
     record_history: bool,
     /// The observability domain the committer and snapshot pins report into.
@@ -200,7 +215,7 @@ impl<B: WriteBackend> Clone for ConcurrentStore<B> {
 impl<B: WriteBackend> std::fmt::Debug for ConcurrentStore<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ConcurrentStore")
-            .field("seq", &self.shared.published.lock().unwrap().seq)
+            .field("seq", &lock(&self.shared.published).seq)
             .field(
                 "commit_batches",
                 &self.shared.commit_batches.load(Ordering::Relaxed),
@@ -224,7 +239,7 @@ where
     pub fn create(vfs: Box<dyn Vfs>, backend: B, policy: SyncPolicy) -> Result<Self, StorageError> {
         let mut durable = Durable::create(vfs, backend)?;
         durable.set_sync_policy(policy);
-        Ok(Self::start(durable, false))
+        Self::start(durable, false)
     }
 
     /// [`ConcurrentStore::create`] with an observability domain attached:
@@ -238,14 +253,14 @@ where
         let mut durable = Durable::create(vfs, backend)?;
         durable.set_sync_policy(policy);
         durable.set_observer(Arc::clone(&observer));
-        Ok(Self::start_observed(durable, false, Some(observer)))
+        Self::start_observed(durable, false, Some(observer))
     }
 
     /// Recover an existing store from `vfs` and start the committer.
     pub fn open(vfs: Box<dyn Vfs>, policy: SyncPolicy) -> Result<Self, StorageError> {
         let mut durable = Durable::open(vfs)?;
         durable.set_sync_policy(policy);
-        Ok(Self::start(durable, false))
+        Self::start(durable, false)
     }
 
     /// [`ConcurrentStore::open`] with an observability domain attached from
@@ -257,7 +272,7 @@ where
     ) -> Result<Self, StorageError> {
         let mut durable = Durable::open_observed(vfs, Arc::clone(&observer))?;
         durable.set_sync_policy(policy);
-        Ok(Self::start_observed(durable, false, Some(observer)))
+        Self::start_observed(durable, false, Some(observer))
     }
 
     /// Like [`ConcurrentStore::create`], additionally recording every
@@ -270,11 +285,12 @@ where
     ) -> Result<Self, StorageError> {
         let mut durable = Durable::create(vfs, backend)?;
         durable.set_sync_policy(policy);
-        Ok(Self::start(durable, true))
+        Self::start(durable, true)
     }
 
-    /// Wrap an already-built durable store (any policy, any medium).
-    pub fn start(durable: Durable<B>, record_history: bool) -> Self {
+    /// Wrap an already-built durable store (any policy, any medium).  Fails
+    /// only when the committer thread cannot be spawned.
+    pub fn start(durable: Durable<B>, record_history: bool) -> Result<Self, StorageError> {
         Self::start_observed(durable, record_history, None)
     }
 
@@ -283,7 +299,7 @@ where
         durable: Durable<B>,
         record_history: bool,
         observer: Option<Arc<Observer>>,
-    ) -> Self {
+    ) -> Result<Self, StorageError> {
         let snapshot = Arc::new(StoreSnapshot {
             backend: durable.inner().clone(),
             seq: 0,
@@ -304,12 +320,12 @@ where
         let committer = std::thread::Builder::new()
             .name("ws-committer".into())
             .spawn(move || commit_loop(durable, rx, worker_shared))
-            .expect("spawning the committer thread");
-        ConcurrentStore {
+            .map_err(|e| StorageError::io(format!("spawning the committer thread: {e}")))?;
+        Ok(ConcurrentStore {
             shared,
             tx: Arc::new(Mutex::new(Some(tx))),
             committer: Arc::new(Mutex::new(Some(committer))),
-        }
+        })
     }
 
     /// Pin the newest committed image.  Lock-free against other readers and
@@ -319,7 +335,7 @@ where
         if let Some(observer) = &self.shared.observer {
             observer.metrics().counter("store.snapshot.pinned").inc();
         }
-        Arc::clone(&self.shared.published.lock().unwrap())
+        Arc::clone(&lock(&self.shared.published))
     }
 
     /// The observability domain this store reports into, if any.
@@ -329,12 +345,12 @@ where
 
     /// The committed update sequence number of the newest image.
     pub fn seq(&self) -> u64 {
-        self.shared.published.lock().unwrap().seq
+        lock(&self.shared.published).seq
     }
 
     /// The checkpoint generation of the newest image.
     pub fn generation(&self) -> u64 {
-        self.shared.published.lock().unwrap().generation
+        lock(&self.shared.published).generation
     }
 
     /// Store-level counters.
@@ -347,13 +363,20 @@ where
     }
 
     /// The committed updates in serial (WAL) order.  Empty unless the store
-    /// was built with history recording.
-    pub fn history(&self) -> Vec<UpdateExpr> {
-        self.shared.history.lock().unwrap().clone()
+    /// was built with history recording; an error if a thread panicked
+    /// while recording them.
+    pub fn history(&self) -> Result<Vec<UpdateExpr>, StorageError> {
+        self.shared
+            .history
+            .lock()
+            .map(|history| history.clone())
+            .map_err(|_| {
+                StorageError::io("the recorded history is incomplete: its recorder panicked")
+            })
     }
 
     fn submit(&self, cmd: Command<B>) -> Result<(), StorageError> {
-        let guard = self.tx.lock().unwrap();
+        let guard = lock(&self.tx);
         match guard.as_ref() {
             Some(tx) => tx.send(cmd).map_err(|_| {
                 StorageError::io(
@@ -398,7 +421,7 @@ where
     pub fn close(&self) -> Result<DurabilityStats, StorageError> {
         let slot = Slot::new();
         {
-            let mut guard = self.tx.lock().unwrap();
+            let mut guard = lock(&self.tx);
             match guard.take() {
                 Some(tx) => tx
                     .send(Command::Shutdown(Arc::clone(&slot)))
@@ -412,7 +435,7 @@ where
                 "the committer did not answer the shutdown within the stall timeout",
             )),
         };
-        if let Some(handle) = self.committer.lock().unwrap().take() {
+        if let Some(handle) = lock(&self.committer).take() {
             let _ = handle.join();
         }
         result
@@ -537,14 +560,13 @@ fn publish<B>(durable: &Durable<B>, shared: &Shared<B>, committed: &[UpdateExpr]
 where
     B: Persist + WriteBackend + Clone,
 {
-    let mut published = shared.published.lock().unwrap();
+    let mut published = lock(&shared.published);
     let seq = published.seq + committed.len() as u64;
     if shared.record_history && !committed.is_empty() {
-        shared
-            .history
-            .lock()
-            .unwrap()
-            .extend(committed.iter().cloned());
+        // A poisoned history stays poisoned: `history()` reports it.
+        if let Ok(mut history) = shared.history.lock() {
+            history.extend(committed.iter().cloned());
+        }
     }
     *published = Arc::new(StoreSnapshot {
         backend: durable.inner().clone(),
@@ -596,6 +618,29 @@ mod tests {
     }
 
     #[test]
+    fn a_panic_holding_the_published_snapshot_stops_no_reader_or_writer() {
+        let vfs = MemVfs::new();
+        let store: ConcurrentStore<Wsd> =
+            ConcurrentStore::create(boxed(&vfs), example_census_wsd(), SyncPolicy::EveryRecord)
+                .unwrap();
+        let poisoner = store.clone();
+        let panicked = std::thread::spawn(move || {
+            let _held = poisoner.shared.published.lock().unwrap();
+            panic!("a bug while the published snapshot is locked");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(store.shared.published.is_poisoned());
+        let pinned = store.snapshot();
+        assert_eq!((pinned.seq, store.seq()), (0, 0));
+        store.update(delete(4)).unwrap();
+        assert_eq!(store.seq(), 1);
+        assert_eq!(store.snapshot().seq, 1);
+        assert_eq!(pinned.seq, 0, "the pinned image stays as it was");
+        store.close().unwrap();
+    }
+
+    #[test]
     fn group_commit_coalesces_concurrent_writers() {
         let vfs = MemVfs::new();
         let store: ConcurrentStore<Wsd> = ConcurrentStore::create_recording(
@@ -630,13 +675,13 @@ mod tests {
             "one fsync per commit batch"
         );
         assert_eq!(store.seq(), 5);
-        assert_eq!(store.history().len(), 5);
+        assert_eq!(store.history().unwrap().len(), 5);
         store.close().unwrap();
 
         // Recovery agrees with the published tail snapshot.
         let reopened: Durable<Wsd> = Durable::open(boxed(&vfs)).unwrap();
         let mut serial = example_census_wsd();
-        for u in store.history() {
+        for u in store.history().unwrap() {
             let _ = ws_core::ops::update::apply_update(&mut serial, &u);
         }
         assert_eq!(

@@ -137,7 +137,9 @@ impl<B: Persist + WriteBackend> Durable<B> {
     /// writing generation 0 next to existing higher generations would make
     /// the *old* state win the next recovery and silently discard
     /// everything logged through this handle.  Recover an existing store
-    /// with [`Durable::open`], or remove its files explicitly first.
+    /// with [`Durable::open`], or remove its files explicitly first.  A
+    /// `backend` that fails its own validation
+    /// ([`Persist::validate_state`]) is refused before anything is written.
     pub fn create(mut vfs: Box<dyn Vfs>, backend: B) -> Result<Self> {
         let existing: Vec<String> = vfs
             .list()?
@@ -151,6 +153,7 @@ impl<B: Persist + WriteBackend> Durable<B> {
                 existing.join(", ")
             )));
         }
+        backend.validate_state()?;
         snapshot::write_snapshot(vfs.as_mut(), 0, &backend)?;
         let wal = Wal::reset(vfs.as_mut(), 0)?;
         Ok(Durable {
@@ -172,6 +175,10 @@ impl<B: Persist + WriteBackend> Durable<B> {
     /// Snapshot the current state — every relation the store holds — as the
     /// next generation and reset the log.  Returns the new generation.
     ///
+    /// The state is validated first ([`Persist::validate_state`]): a state
+    /// recovery would refuse is never encoded, and the refusal leaves the log
+    /// and the previous snapshot untouched.
+    ///
     /// If the snapshot lands but the log reset fails, the handle is
     /// **poisoned**: recovery would load the new snapshot and discard the
     /// stale-generation log, so accepting further appends would silently
@@ -179,6 +186,7 @@ impl<B: Persist + WriteBackend> Durable<B> {
     /// everything logged so far is safely inside the new snapshot).
     pub fn checkpoint(&mut self) -> Result<u64> {
         let started = Instant::now();
+        self.inner.validate_state()?;
         let generation = self.wal.generation() + 1;
         snapshot::write_snapshot(self.vfs.as_mut(), generation, &self.inner)?;
         match Wal::reset(self.vfs.as_mut(), generation) {
@@ -518,7 +526,8 @@ mod tests {
     use super::*;
     use crate::vfs::MemVfs;
     use ws_core::Wsd;
-    use ws_relational::{CmpOp, EqualityGeneratingDependency};
+    use ws_relational::{CmpOp, EqualityGeneratingDependency, Relation};
+    use ws_uwsdt::Uwsdt;
 
     fn boxed(vfs: &MemVfs) -> Box<dyn Vfs> {
         Box::new(vfs.clone())
@@ -631,6 +640,56 @@ mod tests {
         assert!(matches!(err, StorageError::Corrupt(_)), "got {err}");
         let reopened = Durable::<Wsd>::open(boxed(&vfs)).unwrap();
         assert_eq!(reopened.generation(), 1);
+    }
+
+    /// A template with a `?` cell and no `F` entry: a UWSDT that fails its
+    /// own validation (and that decoding would refuse).
+    fn unregistered_placeholder() -> Uwsdt {
+        let mut template = Relation::new(Schema::new("R", &["A"]).unwrap());
+        template.push(Tuple::new(vec![Value::Unknown])).unwrap();
+        let mut uwsdt = Uwsdt::new();
+        uwsdt.add_template(template).unwrap();
+        assert!(uwsdt.validate().is_err());
+        uwsdt
+    }
+
+    #[test]
+    fn invalid_states_are_never_encoded() {
+        let vfs = MemVfs::new();
+        let err = Durable::create(boxed(&vfs), unregistered_placeholder()).unwrap_err();
+        assert!(matches!(err, StorageError::Invalid(_)), "got {err}");
+        assert!(
+            vfs.clone().list().unwrap().is_empty(),
+            "create wrote a file"
+        );
+
+        let mut valid = Relation::new(Schema::new("R", &["A"]).unwrap());
+        valid.push_values([1i64]).unwrap();
+        let valid = ws_uwsdt::from_or_relation(&valid, &[]).unwrap();
+        let mut durable = Durable::create(boxed(&vfs), valid).unwrap();
+        durable
+            .insert_certain("R", &Tuple::from_iter([2i64]))
+            .unwrap();
+        let logged = durable.inner().encode_to_vec();
+        let files = |vfs: &MemVfs| {
+            let mut names = vfs.clone().list().unwrap();
+            names.sort();
+            names
+                .into_iter()
+                .map(|name| (vfs.bytes(&name), name))
+                .collect::<Vec<_>>()
+        };
+        let before = files(&vfs);
+        durable.inner = unregistered_placeholder();
+        let err = durable.checkpoint().unwrap_err();
+        assert!(matches!(err, StorageError::Invalid(_)), "got {err}");
+        assert_eq!(files(&vfs), before, "the refused checkpoint wrote");
+        assert_eq!(durable.generation(), 0);
+
+        let reopened = Durable::<Uwsdt>::open(boxed(&vfs)).unwrap();
+        assert_eq!(reopened.generation(), 0);
+        assert_eq!(reopened.stats().recovered_records, 1);
+        assert_eq!(reopened.inner().encode_to_vec(), logged);
     }
 
     #[test]

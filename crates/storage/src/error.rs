@@ -22,6 +22,10 @@ pub enum StorageError {
     /// No snapshot exists where one was expected (opening a directory that
     /// was never initialized with [`crate::Durable::create`]).
     NotFound(String),
+    /// A state failed its representation's own validation
+    /// ([`crate::Persist::validate_state`]) before it was encoded; nothing
+    /// was written.
+    Invalid(String),
 }
 
 impl StorageError {
@@ -44,6 +48,11 @@ impl StorageError {
     pub fn not_found(msg: impl fmt::Display) -> Self {
         StorageError::NotFound(msg.to_string())
     }
+
+    /// A refused-before-encoding diagnosis.
+    pub fn invalid(msg: impl fmt::Display) -> Self {
+        StorageError::Invalid(msg.to_string())
+    }
 }
 
 impl fmt::Display for StorageError {
@@ -53,6 +62,7 @@ impl fmt::Display for StorageError {
             StorageError::Corrupt(msg) => write!(f, "corrupt storage state: {msg}"),
             StorageError::Unsupported(msg) => write!(f, "unsupported storage format: {msg}"),
             StorageError::NotFound(msg) => write!(f, "storage state not found: {msg}"),
+            StorageError::Invalid(msg) => write!(f, "refusing to encode an invalid state: {msg}"),
         }
     }
 }

@@ -34,6 +34,12 @@ pub trait Persist: Sized {
     /// (`maybms::AnyBackend`) dispatch on it.
     fn decode_state(r: &mut Reader) -> Result<Self>;
 
+    /// Check the representation's own invariants on a state about to be
+    /// encoded — the checks [`Persist::decode_state`] runs — so that
+    /// [`crate::Durable`] never writes a snapshot recovery would refuse.
+    /// Fails with [`StorageError::Invalid`].
+    fn validate_state(&self) -> Result<()>;
+
     /// Encode to a standalone byte vector.
     fn encode_to_vec(&self) -> Vec<u8> {
         let mut w = Writer::new();
@@ -70,6 +76,11 @@ impl Persist for Database {
         expect_tag(r, TAG_DATABASE, "database")?;
         codec::dec_database(r)
     }
+
+    /// Every relation is valid by construction; decoding checks only bytes.
+    fn validate_state(&self) -> Result<()> {
+        Ok(())
+    }
 }
 
 impl Persist for Wsd {
@@ -81,6 +92,11 @@ impl Persist for Wsd {
     fn decode_state(r: &mut Reader) -> Result<Self> {
         expect_tag(r, TAG_WSD, "wsd")?;
         codec::dec_wsd(r)
+    }
+
+    fn validate_state(&self) -> Result<()> {
+        self.validate()
+            .map_err(|e| StorageError::invalid(format!("WSD: {e}")))
     }
 }
 
@@ -94,6 +110,11 @@ impl Persist for Uwsdt {
         expect_tag(r, TAG_UWSDT, "uwsdt")?;
         codec::dec_uwsdt(r)
     }
+
+    fn validate_state(&self) -> Result<()> {
+        self.validate()
+            .map_err(|e| StorageError::invalid(format!("UWSDT: {e}")))
+    }
 }
 
 impl Persist for UDatabase {
@@ -106,6 +127,11 @@ impl Persist for UDatabase {
         expect_tag(r, TAG_UREL, "urel")?;
         codec::dec_udatabase(r)
     }
+
+    fn validate_state(&self) -> Result<()> {
+        self.validate()
+            .map_err(|e| StorageError::invalid(format!("U-database: {e}")))
+    }
 }
 
 impl Persist for WorldSet {
@@ -117,6 +143,12 @@ impl Persist for WorldSet {
     fn decode_state(r: &mut Reader) -> Result<Self> {
         expect_tag(r, TAG_WORLDS, "worlds")?;
         codec::dec_worldset(r)
+    }
+
+    /// An explicit world list is valid by construction; decoding checks
+    /// only bytes.
+    fn validate_state(&self) -> Result<()> {
+        Ok(())
     }
 }
 

@@ -22,7 +22,7 @@
 //! tuple, the set of local worlds of a component in which the tuple exists.
 
 use crate::error::{Result, UwsdtError};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use ws_core::FieldId;
 use ws_relational::{Database, Relation, Tuple, Value};
@@ -718,7 +718,9 @@ impl Uwsdt {
 
     /// Validate structural invariants: placeholders agree with templates,
     /// `C` entries refer to existing local worlds, probabilities sum to one,
-    /// and every presence condition names a live component.
+    /// every presence condition names a live component, and every component
+    /// is named by an `F` entry or a presence condition (an orphan is one
+    /// [`crate::normalize::prune_unreferenced_components`] should have pruned).
     ///
     /// `?` template cells and `F` entries must correspond one to one.  This
     /// runs on every snapshot decode, so it is checked without a [`FieldId`]
@@ -790,6 +792,13 @@ impl Uwsdt {
             .find(|c| !self.w.contains_key(&c.cid))
         {
             return Err(UwsdtError::UnknownComponent(condition.cid));
+        }
+        let mut named: HashSet<Cid> = self.f.values().copied().collect();
+        named.extend(self.presence.values().flatten().map(|c| c.cid));
+        if let Some(orphan) = self.w.keys().find(|cid| !named.contains(cid)) {
+            return Err(UwsdtError::invalid(format!(
+                "component {orphan} is orphaned: no F entry and no presence condition names it"
+            )));
         }
         Ok(())
     }
@@ -955,6 +964,31 @@ mod snapshot_tests {
         assert_eq!(rebuilt.to_snapshot(), snapshot);
         rebuilt.validate().unwrap();
         assert_eq!(rebuilt.world_count(), uwsdt.world_count());
+    }
+
+    #[test]
+    fn orphaned_components_are_rejected() {
+        let mut uwsdt = sample();
+        uwsdt.validate().unwrap();
+        let orphan = uwsdt
+            .create_component(vec![WorldEntry { lwid: 0, prob: 1.0 }])
+            .unwrap();
+        let err = uwsdt.validate().unwrap_err().to_string();
+        assert!(
+            err.contains(&format!("component {orphan} is orphaned")),
+            "{err}"
+        );
+        assert!(Uwsdt::from_snapshot(uwsdt.to_snapshot()).is_err());
+        // A presence condition is a reference: the component is no orphan.
+        uwsdt.set_presence(
+            "R",
+            0,
+            vec![PresenceCondition {
+                cid: orphan,
+                lwids: BTreeSet::from([0]),
+            }],
+        );
+        uwsdt.validate().unwrap();
     }
 
     #[test]

@@ -189,15 +189,10 @@ mod tests {
         ];
         for query in queries {
             let mut optimized = small_uwsdt();
-            engine::evaluate_query_with(
-                &mut optimized,
-                &query,
-                "OUT",
-                engine::EngineConfig::default(),
-            )
-            .unwrap();
+            engine::evaluate_query(&mut optimized, &query, "OUT").unwrap();
             let mut naive = small_uwsdt();
-            engine::evaluate_query_with(&mut naive, &query, "OUT", engine::EngineConfig::naive())
+            naive
+                .execute_plan(&query, "OUT", &EngineConfig::naive())
                 .unwrap();
             let a = crate::ops::possible_tuples(&optimized, "OUT").unwrap();
             let b = crate::ops::possible_tuples(&naive, "OUT").unwrap();

@@ -47,8 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ------------------------------------------------------------------
     let eng = q("Emp")
         .select(Predicate::eq_const("DEPT", "eng"))
-        .project(["EMP"])
-        .lower();
+        .project(["EMP"]);
     let certain = consistent_answers(&repairs, &eng)?;
     let possible = possible_answers(&repairs, &eng)?;
     println!("\nengineers in every repair (consistent answers):");

@@ -9,10 +9,45 @@
 
 use std::collections::BTreeSet;
 
+use maybms::census::{CensusScenario, ATTRIBUTES, RELATION_NAME};
 use maybms::prelude::*;
 use maybms::{AnyBackend, Query};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// `query` into relation `out` the way a session runs it under `config`:
+/// through [`evaluate_query`]'s `optimize → execute_plan` pipeline, or, under
+/// [`EngineConfig::naive`], executed exactly as written.
+pub fn evaluate_under<B: QueryBackend>(
+    backend: &mut B,
+    query: &RaExpr,
+    out: &str,
+    config: EngineConfig,
+) -> Result<String, B::Error> {
+    if config.optimize {
+        evaluate_query(backend, query, out)
+    } else {
+        backend.execute_plan(query, out, &config)?;
+        Ok(out.to_string())
+    }
+}
+
+/// The backend's native exact confidences of `prepared` — what
+/// `Session::confidence` falls back to when the compiled tier declines, and
+/// the reference the equivalence suites pin that tier to: the plan
+/// materialized on the backend, the backend's own enumeration over the
+/// result ([`SessionBackend::confidence_rows`]), and the result dropped
+/// again.
+pub fn native_confidences<B>(session: &mut Session<B>, prepared: &Prepared) -> Vec<(Tuple, f64)>
+where
+    B: SessionBackend,
+    B::Error: Into<maybms::Error>,
+{
+    let out = session.materialize(prepared).unwrap();
+    let rows = session.backend().confidence_rows(&out).unwrap();
+    session.backend_mut().drop_scratch(&out);
+    rows
+}
 
 /// A generated expression together with its (ordered) output attributes.
 #[derive(Clone, Debug)]
@@ -464,4 +499,105 @@ pub fn plan_has_difference(expr: &RaExpr) -> bool {
         }
         RaExpr::Difference { .. } => true,
     }
+}
+
+// ---------------------------------------------------------------------------
+// The census-shaped generator.
+// ---------------------------------------------------------------------------
+
+/// Worlds a census-shaped store may represent: enough for multi-component
+/// presence conditions, few enough for world enumeration.
+const CENSUS_WORLDS: u128 = 2048;
+
+/// A chased census UWSDT (`ws_census`, 8 tuples at 2 % or-set density) small
+/// enough for world enumeration, with presence-conditioned templates — the
+/// shape the benchmark serves.  The chase alone leaves no presence condition
+/// at this size; deleting one alternative of a placeholder keeps its tuple
+/// only in the component's other local worlds, which is how a served store
+/// acquires them.
+pub fn census_uwsdt(rng: &mut StdRng) -> Uwsdt {
+    loop {
+        let scenario = CensusScenario::new(8, 0.02, rng.gen_range(0..1_000_000u64));
+        let Ok(mut uwsdt) = scenario.chased_uwsdt() else {
+            continue;
+        };
+        if uwsdt.world_count() > CENSUS_WORLDS {
+            continue;
+        }
+        for _ in 0..2 {
+            let delete = UpdateExpr::delete(RELATION_NAME, census_alternative(rng, &uwsdt));
+            maybms::apply_update(&mut uwsdt, &delete).unwrap();
+        }
+        if uwsdt.all_presence().next().is_some() {
+            uwsdt.validate().unwrap();
+            return uwsdt;
+        }
+    }
+}
+
+/// `A = v` for one alternative `v` of one placeholder `A` of `uwsdt`'s
+/// census relation: a predicate that holds in some local worlds only.
+fn census_alternative(rng: &mut StdRng, uwsdt: &Uwsdt) -> Predicate {
+    let placeholders = uwsdt.placeholders_of(RELATION_NAME);
+    let field = &placeholders[rng.gen_range(0..placeholders.len())];
+    let values = uwsdt
+        .possible_field_values(RELATION_NAME, field.tuple.0, &field.attr)
+        .unwrap();
+    Predicate::eq_const(
+        field.attr.as_ref(),
+        values[rng.gen_range(0..values.len())].clone(),
+    )
+}
+
+/// A random in-domain value of a random census attribute.
+fn census_assignment(rng: &mut StdRng) -> (String, Value) {
+    let attr = &ATTRIBUTES[rng.gen_range(0..ATTRIBUTES.len())];
+    (
+        attr.name.to_string(),
+        Value::int(rng.gen_range(attr.domain())),
+    )
+}
+
+/// A random update of `base`'s census relation: deletes and modifications
+/// that hold on one placeholder alternative (so they split presence),
+/// certain and — under `allow_fractional` — possible inserts of a certain
+/// row with one attribute changed, and conditioning on the census
+/// dependencies.
+pub fn random_census_update(rng: &mut StdRng, base: &Uwsdt, allow_fractional: bool) -> UpdateExpr {
+    match rng.gen_range(0..8) {
+        0..=2 => UpdateExpr::delete(RELATION_NAME, census_alternative(rng, base)),
+        3 | 4 => UpdateExpr::modify(
+            RELATION_NAME,
+            census_alternative(rng, base),
+            vec![census_assignment(rng)],
+        ),
+        5 | 6 => {
+            let template = base.template(RELATION_NAME).unwrap();
+            let certain: Vec<&Tuple> = template
+                .rows()
+                .iter()
+                .filter(|row| !row.has_unknown())
+                .collect();
+            let mut tuple = certain[rng.gen_range(0..certain.len())].clone();
+            let (attr, value) = census_assignment(rng);
+            tuple.set(template.schema().position_of(&attr).unwrap(), value);
+            if allow_fractional && rng.gen_bool(0.5) {
+                UpdateExpr::insert_possible(RELATION_NAME, tuple, 0.5)
+            } else {
+                UpdateExpr::insert(RELATION_NAME, tuple)
+            }
+        }
+        _ => UpdateExpr::condition(maybms::census::census_dependencies()),
+    }
+}
+
+/// The census queries Q1–Q6 plus a selection on one placeholder
+/// alternative of `base`.
+pub fn census_queries(rng: &mut StdRng, base: &Uwsdt) -> Vec<RaExpr> {
+    let mut queries: Vec<RaExpr> = maybms::census::all_queries()
+        .into_iter()
+        .map(|(_, query)| query)
+        .collect();
+    queries.push(RaExpr::rel(RELATION_NAME).select(census_alternative(rng, base)));
+    queries
 }

@@ -15,10 +15,10 @@ mod common;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use common::{all_backends, Generator};
+use common::{all_backends, native_confidences, Generator};
 use maybms::obs::Observer;
 use maybms::prelude::*;
-use maybms::{AnyBackend, ConfidenceStrategy, Session, SessionBackend};
+use maybms::{AnyBackend, Session, SessionBackend};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -59,22 +59,29 @@ fn dyadic_wsd(rng: &mut StdRng) -> Wsd {
     wsd
 }
 
-/// Confidence rows of `query` under one configuration, with the strategy's
-/// tier counters.
+/// `Session::confidence`'s rows of `query` under one optimizer setting,
+/// with the session's tier counters.
 fn conf_rows(
     backend: AnyBackend,
     query: &RaExpr,
-    strategy: ConfidenceStrategy,
     optimize: bool,
 ) -> (Vec<(Tuple, f64)>, SessionStats) {
-    let config = EngineConfig {
-        optimize,
-        ..EngineConfig::default()
-    };
-    let mut session = Session::with_config(backend, config);
-    session.set_confidence_strategy(strategy);
+    let mut session = Session::with_config(backend, EngineConfig { optimize });
     let prepared = session.prepare(query.clone()).unwrap();
     let rows = session.confidence(&prepared).unwrap();
+    (rows, session.stats())
+}
+
+/// The backend's native exact rows of `query` under one optimizer setting
+/// ([`native_confidences`]), with the session's counters.
+fn native_rows(
+    backend: AnyBackend,
+    query: &RaExpr,
+    optimize: bool,
+) -> (Vec<(Tuple, f64)>, SessionStats) {
+    let mut session = Session::with_config(backend, EngineConfig { optimize });
+    let prepared = session.prepare(query.clone()).unwrap();
+    let rows = native_confidences(&mut session, &prepared);
     (rows, session.stats())
 }
 
@@ -122,19 +129,13 @@ fn tiers_are_bit_identical_to_exact_enumeration_on_dyadic_inputs() {
                     "seed {seed} backend {name} optimize {optimize} plan {}",
                     gen.expr
                 );
-                let (exact, exact_stats) = conf_rows(
-                    backend.clone(),
-                    &gen.expr,
-                    ConfidenceStrategy::ExactOnly,
-                    optimize,
+                let (exact, exact_stats) = native_rows(backend.clone(), &gen.expr, optimize);
+                assert_eq!(
+                    (exact_stats.executions, exact_stats.conf_compiled),
+                    (1, 0),
+                    "[{context}] the reference ran on the backend"
                 );
-                assert_eq!(exact_stats.conf_exact, 1, "[{context}] ExactOnly tier");
-                let (rows, stats) = conf_rows(
-                    backend.clone(),
-                    &gen.expr,
-                    ConfidenceStrategy::Tiered,
-                    optimize,
-                );
+                let (rows, stats) = conf_rows(backend.clone(), &gen.expr, optimize);
                 assert_bit_identical(&exact, &rows, &context);
                 assert_eq!(
                     stats.conf_compiled + stats.conf_exact,
@@ -162,8 +163,8 @@ fn difference_plans_fall_back_to_the_native_exact_path() {
             // operator there); the tier question does not arise.
             continue;
         }
-        let (exact, _) = conf_rows(backend.clone(), &query, ConfidenceStrategy::ExactOnly, true);
-        let (rows, stats) = conf_rows(backend, &query, ConfidenceStrategy::Tiered, true);
+        let (exact, _) = native_rows(backend.clone(), &query, true);
+        let (rows, stats) = conf_rows(backend, &query, true);
         assert_bit_identical(&exact, &rows, &format!("difference on {name}"));
         assert_eq!(
             stats.conf_exact, 1,
@@ -193,8 +194,8 @@ fn hierarchical_plans_answer_from_the_compiled_tier() {
         .select(Predicate::cmp_const("A", CmpOp::Lt, 9i64))
         .project(vec!["B"]);
     let backend = AnyBackend::from(udb);
-    let (exact, _) = conf_rows(backend.clone(), &query, ConfidenceStrategy::ExactOnly, true);
-    let (tiered, stats) = conf_rows(backend, &query, ConfidenceStrategy::Tiered, true);
+    let (exact, _) = native_rows(backend.clone(), &query, true);
+    let (tiered, stats) = conf_rows(backend, &query, true);
     assert_eq!(
         stats.conf_compiled, 1,
         "hierarchical plan must hit the compiled tier"
@@ -228,8 +229,8 @@ fn unsafe_plans_compile_lineage_instead() {
         .product(RaExpr::rel("T").project(vec!["B"]).rename("B", "B2"))
         .select(Predicate::cmp_attr("A", CmpOp::Eq, "B2"));
     let backend = AnyBackend::from(udb);
-    let (exact, _) = conf_rows(backend.clone(), &query, ConfidenceStrategy::ExactOnly, true);
-    let (tiered, stats) = conf_rows(backend, &query, ConfidenceStrategy::Tiered, true);
+    let (exact, _) = native_rows(backend.clone(), &query, true);
+    let (tiered, stats) = conf_rows(backend, &query, true);
     assert_eq!(
         stats.conf_compiled, 1,
         "self-join must answer from the compiled tier"
@@ -317,8 +318,8 @@ fn approx_stays_within_epsilon_of_every_exact_tier() {
 }
 
 /// A difference has no DNF lineage, so a WSD's approx answers on the native
-/// exact path: bit-identical to `ExactOnly` confidence, counted only as an
-/// approx call.
+/// exact path: bit-identical to the backend's native confidences, counted
+/// only as an approx call.
 #[test]
 fn difference_plans_estimate_on_the_native_exact_path() {
     let mut rng = StdRng::seed_from_u64(0xD1FF_0002);
@@ -327,9 +328,8 @@ fn difference_plans_estimate_on_the_native_exact_path() {
         .select(Predicate::cmp_const("A", CmpOp::Le, 5i64))
         .difference(RaExpr::rel("R").select(Predicate::cmp_const("B", CmpOp::Ge, 4i64)));
     let mut session = Session::new(wsd);
-    session.set_confidence_strategy(ConfidenceStrategy::ExactOnly);
     let prepared = session.prepare(query).unwrap();
-    let exact = session.confidence(&prepared).unwrap();
+    let exact = native_confidences(&mut session, &prepared);
     assert!(!exact.is_empty(), "the difference keeps some tuples");
     let before = session.stats();
     let approx = session
@@ -402,9 +402,8 @@ fn approximate_confidence_is_within_epsilon_of_exact() {
         ];
         for (name, backend) in backends {
             let mut exact_session = Session::over(backend.clone());
-            exact_session.set_confidence_strategy(ConfidenceStrategy::ExactOnly);
             let prepared = exact_session.prepare(query.clone()).unwrap();
-            let exact = exact_session.confidence(&prepared).unwrap();
+            let exact = native_confidences(&mut exact_session, &prepared);
             assert!(!exact.is_empty(), "{label}: no possible tuples");
             let mut session = Session::over(backend);
             let prepared = session.prepare(query.clone()).unwrap();
@@ -572,27 +571,32 @@ fn every_mutation_empties_the_lineage_memo() {
     }
 }
 
-/// `execute`'s tuples and `confidence`'s rows of `query` in one session under
-/// `strategy`, with the session's stats.
+/// `execute`'s tuples and the confidence rows of `query` in one session —
+/// `confidence`'s, or under `native` the backend's own
+/// ([`native_confidences`]) — with the session's stats.
 fn answers<B>(
     mut session: Session<B>,
     query: &RaExpr,
-    strategy: ConfidenceStrategy,
+    native: bool,
 ) -> (Vec<Tuple>, Vec<(Tuple, f64)>, SessionStats)
 where
     B: SessionBackend,
     B::Error: Into<maybms::Error>,
 {
-    session.set_confidence_strategy(strategy);
     let prepared = session.prepare(query.clone()).unwrap();
     let tuples = session.execute(&prepared).unwrap().collect();
-    let rows = session.confidence(&prepared).unwrap();
+    let rows = if native {
+        native_confidences(&mut session, &prepared)
+    } else {
+        session.confidence(&prepared).unwrap()
+    };
     (tuples, rows, session.stats())
 }
 
 /// A local world of probability 0 is still a world: its tuples are
-/// possible, with confidence 0.  On every backend, bare and durable, under
-/// both strategies, `execute` and `confidence` list the world enumeration's
+/// possible, with confidence 0.  On every backend, bare and durable, through
+/// `confidence` and the native path, `execute` and the confidences list the
+/// world enumeration's
 /// tuples in `Tuple` order — the confidence-0 tuple included on every
 /// world-set — with its confidences bit for bit.
 #[test]
@@ -633,26 +637,31 @@ fn zero_probability_worlds_keep_their_tuples() {
                     "[{name} {query}] the oracle lists the confidence-0 tuple"
                 );
             }
-            for strategy in [ConfidenceStrategy::Tiered, ConfidenceStrategy::ExactOnly] {
+            for native in [false, true] {
                 let durable = Durable::create(Box::new(MemVfs::new()), backend.clone()).unwrap();
                 for (label, (tuples, rows, stats)) in [
                     (
                         "bare",
-                        answers(Session::over(backend.clone()), query, strategy),
+                        answers(Session::over(backend.clone()), query, native),
                     ),
-                    ("durable", answers(Session::new(durable), query, strategy)),
+                    ("durable", answers(Session::new(durable), query, native)),
                 ] {
-                    let context = format!("{label} {name} {strategy:?} {query}");
+                    let context = format!("{label} {name} native={native} {query}");
                     assert_bit_identical(&expected, &rows, &context);
                     assert_eq!(
                         tuples,
                         rows.iter().map(|(t, _)| t.clone()).collect::<Vec<_>>(),
                         "[{context}] execute lists confidence's tuples"
                     );
-                    let compiled = strategy == ConfidenceStrategy::Tiered && name != "database";
+                    let compiled = name != "database";
+                    let tiers = if native {
+                        (0, 0)
+                    } else {
+                        (u64::from(compiled), u64::from(!compiled))
+                    };
                     assert_eq!(
                         (stats.conf_compiled, stats.conf_exact),
-                        (u64::from(compiled), u64::from(!compiled)),
+                        tiers,
                         "[{context}] tier counts"
                     );
                 }
@@ -681,10 +690,10 @@ where
 
 /// The census shape the benchmark serves — a chased UWSDT with
 /// presence-conditioned templates and non-dyadic probabilities — under
-/// [`ConfidenceStrategy`]'s stated contract: `Tiered` lists `ExactOnly`'s
-/// tuples in its (strictly increasing) order, each confidence within 1e-12
-/// absolute, and a durable session answers bit for bit as a bare one, from
-/// the compiled tier.
+/// `Session::confidence`'s stated contract: the compiled tier lists the
+/// native exact path's tuples in its (strictly increasing) order, each
+/// confidence within 1e-12 absolute, and a durable session answers bit for
+/// bit as a bare one, from the compiled tier.
 #[test]
 fn census_tiers_agree_within_the_stated_tolerance() {
     for seed in 1..=3u64 {
@@ -696,17 +705,17 @@ fn census_tiers_agree_within_the_stated_tolerance() {
         let mut durable = Session::new(durable);
         let mut tiered = Session::over(backend.clone());
         let mut exact = Session::over(backend);
-        exact.set_confidence_strategy(ConfidenceStrategy::ExactOnly);
         for (label, query) in maybms::census::all_queries() {
             let context = format!("census seed {seed} {label}");
-            let (want, _) = confidence_in(&mut exact, &query);
+            let prepared = exact.prepare(query.clone()).unwrap();
+            let want = native_confidences(&mut exact, &prepared);
             let (got, tiers) = confidence_in(&mut tiered, &query);
             assert_eq!(tiers, (1, 0), "[{context}] bare tier counts");
             assert_strictly_increasing(&got, &context);
             assert_eq!(
                 got.iter().map(|(t, _)| t).collect::<Vec<_>>(),
                 want.iter().map(|(t, _)| t).collect::<Vec<_>>(),
-                "[{context}] Tiered must list ExactOnly's tuples in its order"
+                "[{context}] the compiled tier must list the native tuples in their order"
             );
             for ((tuple, cg), (_, cw)) in got.iter().zip(&want) {
                 assert!(

@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 mod common;
-use common::{plan_has_difference, random_wsd, Generator};
+use common::{evaluate_under, plan_has_difference, random_wsd, Generator};
 
 /// Oracle: the possible answer tuples by explicit world enumeration, outside
 /// the engine entirely.
@@ -54,7 +54,7 @@ fn all_backends_agree_with_the_world_enumeration_oracle() {
         for (label, config) in configs() {
             // WSD backend.
             let mut wsd_backend = wsd.clone();
-            let out = evaluate_query_with(&mut wsd_backend, query, "OUT", config).unwrap();
+            let out = evaluate_under(&mut wsd_backend, query, "OUT", config).unwrap();
             let wsd_rows = maybms::core::prelude::possible(&wsd_backend, &out)
                 .unwrap_or_else(|e| panic!("[{label}] WSD possible() failed for {query}: {e:?}"));
             assert_eq!(
@@ -65,7 +65,7 @@ fn all_backends_agree_with_the_world_enumeration_oracle() {
 
             // UWSDT backend.
             let mut uwsdt = maybms::uwsdt::from_wsd(&wsd).unwrap();
-            let out = evaluate_query_with(&mut uwsdt, query, "OUT", config)
+            let out = evaluate_under(&mut uwsdt, query, "OUT", config)
                 .unwrap_or_else(|e| panic!("[{label}] UWSDT evaluation failed for {query}: {e:?}"));
             let uwsdt_rows = maybms::uwsdt::ops::possible_tuples(&uwsdt, &out).unwrap();
             assert_eq!(
@@ -76,7 +76,7 @@ fn all_backends_agree_with_the_world_enumeration_oracle() {
 
             // U-relation backend (positive algebra only).
             let mut udb = maybms::urel::from_wsd(&wsd).unwrap();
-            let urel_result = evaluate_query_with(&mut udb, query, "OUT", config);
+            let urel_result = evaluate_under(&mut udb, query, "OUT", config);
             if has_difference {
                 assert!(
                     urel_result.is_err(),
@@ -95,7 +95,7 @@ fn all_backends_agree_with_the_world_enumeration_oracle() {
             // Explicit world-set backend — driven directly so this config's
             // optimizer setting applies (query_worlds always optimizes).
             let mut ws_backend = wsd.rep().unwrap();
-            evaluate_query_with(&mut ws_backend, query, "OUT", config).unwrap();
+            evaluate_under(&mut ws_backend, query, "OUT", config).unwrap();
             let ws_rows = maybms::baselines::possible_tuples(&ws_backend, "OUT").unwrap();
             assert_eq!(
                 tuple_set(&ws_rows),
@@ -107,7 +107,7 @@ fn all_backends_agree_with_the_world_enumeration_oracle() {
             // evaluator in each individual world.
             let (first_world, _) = &wsd.enumerate_worlds(1 << 20).unwrap()[0];
             let mut db = first_world.clone();
-            let out = evaluate_query_with(&mut db, query, "OUT", config).unwrap();
+            let out = evaluate_under(&mut db, query, "OUT", config).unwrap();
             let mut engine_result = db.relation(&out).unwrap().clone();
             engine_result.dedup();
             let reference = maybms::relational::evaluate_set(first_world, query).unwrap();
@@ -194,7 +194,7 @@ fn columnar_and_row_paths_are_bit_identical_at_batch_boundaries() {
                     EngineConfig::naive()
                 };
                 let mut exec_db = db.clone();
-                let out = evaluate_query_with(&mut exec_db, query, "OUT", config).unwrap();
+                let out = evaluate_under(&mut exec_db, query, "OUT", config).unwrap();
                 let mut answer = exec_db.relation(&out).unwrap().clone();
                 answer.dedup();
                 assert!(

@@ -134,13 +134,10 @@ fn assert_same_possible_answers<B>(
 {
     // The plain arm must bypass the engine's default optimizing pipeline,
     // or both arms would execute the same rewritten plan.
-    let out_plain = ws_relational::evaluate_query_with(
-        backend,
-        query,
-        &format!("{name}_plain"),
-        ws_relational::EngineConfig::naive(),
-    )
-    .unwrap();
+    let out_plain = format!("{name}_plain");
+    backend
+        .execute_plan(query, &out_plain, &ws_relational::EngineConfig::naive())
+        .unwrap();
     let out_opt = ws_relational::evaluate_query(backend, plan, &format!("{name}_opt")).unwrap();
     let plain: BTreeSet<Tuple> = possible(backend, &out_plain).into_iter().collect();
     let optimized: BTreeSet<Tuple> = possible(backend, &out_opt).into_iter().collect();
@@ -196,9 +193,14 @@ fn one_world_census_queries_are_unchanged_by_optimization() {
         // The engine's physical operators, with and without the rewrites.
         for config in [EngineConfig::naive(), EngineConfig::default()] {
             let mut db = world.clone();
-            let out = ws_relational::evaluate_query_with(&mut db, &query, "OUT", config).unwrap();
+            let planned = if config.optimize {
+                ws_relational::optimize(&db, &query).unwrap()
+            } else {
+                query.clone()
+            };
+            db.execute_plan(&planned, "OUT", &config).unwrap();
             assert!(
-                plain.set_eq(db.relation(&out).unwrap()),
+                plain.set_eq(db.relation("OUT").unwrap()),
                 "engine answers differ for {name} under {}",
                 config.summary()
             );

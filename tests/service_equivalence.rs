@@ -151,7 +151,7 @@ fn every_pinned_snapshot_is_a_serial_prefix_on_all_backends() {
                 .flat_map(|r| r.join().unwrap())
                 .collect();
             observed.push(store.snapshot());
-            let history = store.history();
+            let history = store.history().unwrap();
             store.close().unwrap();
 
             // Property 2: the history interleaves the writers.
@@ -311,7 +311,7 @@ fn the_wire_protocol_round_trips_the_session_verbs_concurrently() {
         .collect();
     remote_conf.sort();
 
-    let reference = reference_state(&backend, &store.history());
+    let reference = reference_state(&backend, &store.history().unwrap());
     let mut session = Session::over(reference);
     let prepared = session.prepare(maybms::q("R")).unwrap();
     let mut local_rows: Vec<Tuple> = session.execute(&prepared).unwrap().collect();

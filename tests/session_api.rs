@@ -1,8 +1,8 @@
 //! Properties of the `maybms::Session` front door.
 //!
 //! * Every random well-typed plan round-trips through the fluent builder:
-//!   rebuilding it combinator by combinator and lowering gives the same plan
-//!   modulo normalization.
+//!   rebuilding it combinator by combinator from `q` gives the same plan,
+//!   and the same plan modulo normalization.
 //! * Prepared re-execution is **bit-identical** to fresh evaluation: on all
 //!   five backends, `prepare` + `execute` twice
 //!   (the second prepare a guaranteed plan-cache hit) streams exactly the
@@ -28,7 +28,7 @@ fn every_generated_plan_round_trips_through_the_builder() {
     let mut generator = Generator::new(0x0B01);
     for round in 0..200 {
         let plan = generator.expr(rng.gen_range(0..=3usize), true).expr;
-        let rebuilt = rebuild_with_builder(&plan).lower();
+        let rebuilt = rebuild_with_builder(&plan);
         // The builder adds no structure of its own…
         assert_eq!(rebuilt, plan, "round {round}: builder changed the tree");
         // …and the normalized (cache-key) forms agree as well.
@@ -43,7 +43,7 @@ fn every_generated_plan_round_trips_through_the_builder() {
 /// Fresh evaluation through the engine, with the backend-appropriate
 /// possible-tuple extraction — the pre-session calling convention.
 fn fresh_possible(backend: &mut AnyBackend, query: &RaExpr) -> Vec<Tuple> {
-    let out = evaluate_query_with(backend, query, "FRESH_OUT", EngineConfig::default()).unwrap();
+    let out = evaluate_query(backend, query, "FRESH_OUT").unwrap();
     match backend {
         AnyBackend::Db(db) => {
             let mut rel = db.relation(&out).unwrap().clone();

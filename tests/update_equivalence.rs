@@ -20,8 +20,8 @@ use rand::{Rng, SeedableRng};
 
 mod common;
 use common::{
-    all_backends, assert_valid, oracle_apply_update, oracle_possible_query, random_update,
-    random_wsd, Generator,
+    all_backends, assert_valid, census_queries, census_uwsdt, oracle_apply_update,
+    oracle_possible_query, random_census_update, random_update, random_wsd, Generator,
 };
 
 /// One step of an interleaved sequence.
@@ -189,6 +189,67 @@ fn all_backends_agree_with_the_update_oracle() {
     assert!(
         inconsistent_rounds > 0,
         "no round exercised the inconsistent outcome"
+    );
+}
+
+/// A random interleaved sequence on a census-shaped store and its oracle
+/// verdicts: census updates, with Q1–Q6 and a placeholder selection as the
+/// queries.  At most one possible insert doubles the enumerated worlds.
+fn generate_census_round(rng: &mut StdRng, uwsdt: &Uwsdt) -> (Vec<Step>, Vec<Expected>) {
+    let mut worlds = uwsdt.enumerate_worlds(1 << 20).unwrap();
+    let queries = census_queries(rng, uwsdt);
+    let mut steps = Vec::new();
+    let mut expected = Vec::new();
+    let mut fractional = false;
+    let n_steps = rng.gen_range(3..=6usize);
+    for i in 0..n_steps {
+        if i + 1 == n_steps || rng.gen_bool(0.35) {
+            let query = queries[rng.gen_range(0..queries.len())].clone();
+            expected.push(Expected::Possible(oracle_possible_query(&worlds, &query)));
+            steps.push(Step::Query(query));
+            continue;
+        }
+        let update = random_census_update(rng, uwsdt, !fractional);
+        fractional |= matches!(update, UpdateExpr::InsertPossible { .. });
+        let verdict = match oracle_apply_update(&mut worlds, &update) {
+            Some(mass) => Expected::Mass(mass),
+            None => Expected::Inconsistent,
+        };
+        let inconsistent = matches!(verdict, Expected::Inconsistent);
+        steps.push(Step::Update(update));
+        expected.push(verdict);
+        if inconsistent {
+            break;
+        }
+    }
+    (steps, expected)
+}
+
+/// The census shape the benchmark serves — a chased UWSDT with
+/// presence-conditioned templates — against world enumeration, with the
+/// optimizer on and off; every update must leave a UWSDT that validates.
+#[test]
+fn census_shaped_stores_agree_with_the_update_oracle() {
+    let mut rng = StdRng::seed_from_u64(0xCE05_0DDC);
+    let mut conditioned_rounds = 0usize;
+    for round in 0..8 {
+        let uwsdt = census_uwsdt(&mut rng);
+        let (steps, expected) = generate_census_round(&mut rng, &uwsdt);
+        conditioned_rounds += steps
+            .iter()
+            .any(|s| matches!(s, Step::Update(UpdateExpr::Condition { .. })))
+            as usize;
+        for (config_label, config) in [
+            ("optimized", EngineConfig::default()),
+            ("naive", EngineConfig::naive()),
+        ] {
+            let label = format!("census round {round}/{config_label}");
+            replay(&label, uwsdt.clone().into(), config, &steps, &expected);
+        }
+    }
+    assert!(
+        conditioned_rounds > 0,
+        "no census round conditioned on the dependencies"
     );
 }
 
