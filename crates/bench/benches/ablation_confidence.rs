@@ -28,7 +28,7 @@ use maybms::{AnyBackend, Session, SessionBackend};
 use ws_bench::{is_quick, print_header, print_row, secs, time_once};
 use ws_census::CensusScenario;
 use ws_relational::lineage::{Clause, LineageRelation};
-use ws_relational::{ApproxConfig, EngineConfig, QueryBackend, RaExpr, Schema, Tuple};
+use ws_relational::{ApproxConfig, QueryBackend, RaExpr, Schema, Tuple};
 use ws_urel::UDatabase;
 
 /// The compiled-lineage tier must beat native exact enumeration by this
@@ -43,7 +43,6 @@ fn main() {
          approximate = Monte-Carlo with ε = {}, δ = {})",
         approx.epsilon, approx.delta
     );
-    println!("config: {}", EngineConfig::default().summary());
     print_header(&[
         "tuples",
         "density",

@@ -21,9 +21,7 @@
 use super::{copy, difference, product, project, rename, select_attr, select_const, union};
 use crate::error::{Result, WsError};
 use crate::wsd::Wsd;
-use ws_relational::engine::{
-    self, EngineConfig, ExecContext, Operators, QueryBackend, SchemaCatalog,
-};
+use ws_relational::engine::{self, ExecContext, Operators, QueryBackend, SchemaCatalog};
 use ws_relational::{Predicate, RaExpr, RelationalError, Schema};
 
 impl SchemaCatalog for Wsd {
@@ -42,8 +40,8 @@ impl QueryBackend for Wsd {
     type Error = WsError;
 
     /// Every plan runs through the shared operator-by-operator walker.
-    fn execute_plan(&mut self, plan: &RaExpr, out: &str, config: &EngineConfig) -> Result<()> {
-        engine::walk(self, plan, out, config)
+    fn execute_plan(&mut self, plan: &RaExpr, out: &str) -> Result<()> {
+        engine::walk(self, plan, out)
     }
 
     fn drop_scratch(&mut self, name: &str) {

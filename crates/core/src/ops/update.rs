@@ -115,25 +115,6 @@ impl UpdateExpr {
     pub fn condition(constraints: Vec<Dependency>) -> UpdateExpr {
         UpdateExpr::Condition { constraints }
     }
-
-    /// The base relations this update touches.  Conditioning names the
-    /// constrained relations, but because removing worlds changes the
-    /// distribution of *everything correlated with them*, callers
-    /// invalidating caches should treat it as touching every relation.
-    pub fn relations(&self) -> Vec<&str> {
-        match self {
-            UpdateExpr::InsertPossible { relation, .. }
-            | UpdateExpr::InsertCertain { relation, .. }
-            | UpdateExpr::Delete { relation, .. }
-            | UpdateExpr::Modify { relation, .. } => vec![relation],
-            UpdateExpr::Condition { constraints } => {
-                let mut out: Vec<&str> = constraints.iter().map(|d| d.relation()).collect();
-                out.sort_unstable();
-                out.dedup();
-                out
-            }
-        }
-    }
 }
 
 impl fmt::Display for UpdateExpr {
@@ -629,7 +610,6 @@ mod tests {
     fn update_displays_read_like_sql() {
         let u = UpdateExpr::insert("R", Tuple::from_iter([1i64, 2]));
         assert_eq!(u.to_string(), "INSERT INTO R VALUES (1, 2)");
-        assert_eq!(u.relations(), vec!["R"]);
         let u = UpdateExpr::insert_possible("R", Tuple::from_iter([1i64]), 0.5);
         assert!(u.to_string().contains("PROB 0.5"));
         let u = UpdateExpr::delete("R", Predicate::eq_const("A", 1i64));
@@ -648,6 +628,5 @@ mod tests {
         ));
         let u = UpdateExpr::condition(vec![dep]);
         assert!(u.to_string().contains("A → B"));
-        assert_eq!(u.relations(), vec!["R"]);
     }
 }

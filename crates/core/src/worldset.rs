@@ -200,12 +200,7 @@ impl ws_relational::QueryBackend for WorldSet {
     /// `out` in that world.  Worlds are extended in place rather than
     /// rebuilt, and only once every world has evaluated, so a failing plan
     /// leaves no partial result behind.
-    fn execute_plan(
-        &mut self,
-        plan: &ws_relational::RaExpr,
-        out: &str,
-        _config: &ws_relational::EngineConfig,
-    ) -> Result<()> {
+    fn execute_plan(&mut self, plan: &ws_relational::RaExpr, out: &str) -> Result<()> {
         use ws_relational::SchemaCatalog;
         if let Some(missing) = plan
             .base_relations()

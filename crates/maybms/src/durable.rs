@@ -27,10 +27,10 @@
 //! `apply`/`apply_all`/`condition` routes through the [`Durable`] wrapper's
 //! log-then-apply verbs, queries pass straight through to the wrapped
 //! representation, and [`SessionStats`](crate::SessionStats) picks up the WAL/checkpoint
-//! counters.  For explicit control over the engine configuration or the
-//! storage medium, build the wrapper yourself and hand it to
-//! [`Session::with_config`] — `Durable<AnyBackend>` (or `Durable<Wsd>`,
-//! `Durable<UDatabase>`, …) is a first-class [`SessionBackend`].
+//! counters.  For explicit control over the storage medium, build the
+//! wrapper yourself and hand it to [`Session::new`] — `Durable<AnyBackend>`
+//! (or `Durable<Wsd>`, `Durable<UDatabase>`, …) is a first-class
+//! [`SessionBackend`].
 
 use crate::error::{Error, Result};
 use crate::session::{AnyBackend, Session, SessionBackend};

@@ -139,9 +139,8 @@ pub mod prelude {
     };
     pub use ws_relational::{
         engine, evaluate_query, hoeffding_samples, world_satisfies, ApproxConfig, Clause, CmpOp,
-        Database, DtreeCompiler, EngineConfig, ExecContext, LineageDb, LineageRelation, Predicate,
-        QueryBackend, RaExpr, Relation, Schema, SchemaCatalog, Tuple, Value, VarTable,
-        WriteBackend,
+        Database, DtreeCompiler, ExecContext, LineageDb, LineageRelation, Predicate, QueryBackend,
+        RaExpr, Relation, Schema, SchemaCatalog, Tuple, Value, VarTable, WriteBackend,
     };
     pub use ws_storage::{
         DirVfs, DurabilityStats, Durable, DurableError, MemVfs, Persist, StorageError, Vfs,

@@ -59,7 +59,7 @@ use ws_core::ops::update::{apply_update, UpdateExpr};
 use ws_core::{WorldSet, Wsd};
 use ws_obs::{Observer, ProfileNode};
 use ws_relational::approx::{self, ApproxConfig};
-use ws_relational::engine::{self, EngineConfig, QueryBackend, SchemaCatalog};
+use ws_relational::engine::{self, QueryBackend, SchemaCatalog};
 use ws_relational::lineage::{self, Dnf, DtreeCompiler, LineageDb};
 use ws_relational::{
     fingerprint, optimizer, Database, Dependency, Predicate, RaExpr, Schema, Tuple, Value,
@@ -322,8 +322,8 @@ impl SchemaCatalog for AnyBackend {
 impl QueryBackend for AnyBackend {
     type Error = Error;
 
-    fn execute_plan(&mut self, plan: &RaExpr, out: &str, config: &EngineConfig) -> Result<()> {
-        dispatch!(self, b => b.execute_plan(plan, out, config).map_err(Error::from))
+    fn execute_plan(&mut self, plan: &RaExpr, out: &str) -> Result<()> {
+        dispatch!(self, b => b.execute_plan(plan, out).map_err(Error::from))
     }
 
     fn drop_scratch(&mut self, name: &str) {
@@ -438,9 +438,6 @@ pub struct SessionStats {
     /// Updates applied through [`Session::apply`] / [`Session::apply_all`] /
     /// [`Session::condition`].
     pub updates_applied: u64,
-    /// Prepared-plan cache entries evicted because an update touched one of
-    /// their base relations.
-    pub plans_invalidated: u64,
     /// Write-ahead-log records appended since the last checkpoint (durable
     /// sessions only; 0 on in-memory backends).
     pub wal_records: u64,
@@ -492,7 +489,6 @@ impl SessionStats {
         self.executions += other.executions;
         self.rows_streamed += other.rows_streamed;
         self.updates_applied += other.updates_applied;
-        self.plans_invalidated += other.plans_invalidated;
         self.wal_records += other.wal_records;
         self.wal_bytes += other.wal_bytes;
         self.checkpoints += other.checkpoints;
@@ -524,7 +520,7 @@ impl fmt::Display for SessionStats {
         write!(
             f,
             "plans-prepared={} cache-hits={} executions={} rows-streamed={} \
-             updates-applied={} plans-invalidated={} wal-records={} wal-bytes={} \
+             updates-applied={} wal-records={} wal-bytes={} \
              checkpoints={} conf-safe={} conf-compiled={} conf-exact={} conf-approx={} \
              lineage-extractions={}",
             self.plans_prepared,
@@ -532,7 +528,6 @@ impl fmt::Display for SessionStats {
             self.executions,
             self.rows_streamed,
             self.updates_applied,
-            self.plans_invalidated,
             self.wal_records,
             self.wal_bytes,
             self.checkpoints,
@@ -591,27 +586,19 @@ impl fmt::Display for QueryProfile {
     }
 }
 
-/// One prepared-plan cache entry: the optimized plan plus the metadata the
-/// update verbs need to invalidate it (its fingerprint and the base
-/// relations it reads).
-#[derive(Clone, Debug)]
-struct CachedPlan {
-    plan: RaExpr,
-    fingerprint: u64,
-    relations: BTreeSet<String>,
-}
-
 // ---------------------------------------------------------------------------
 // The session.
 // ---------------------------------------------------------------------------
 
-/// A stateful connection to one possible-worlds backend: catalog, engine
-/// configuration, prepared-plan cache and usage stats in one place.
+/// A stateful connection to one possible-worlds backend: catalog,
+/// prepared-plan cache and usage stats in one place.
 #[derive(Debug)]
 pub struct Session<B: SessionBackend> {
     backend: B,
-    config: EngineConfig,
-    plans: HashMap<String, CachedPlan>,
+    /// Optimized plans by normalized plan key.  A plan depends on the
+    /// catalog's schemas only, which no update verb changes, so entries
+    /// live until [`Session::backend_mut`] or [`Session::clear_plan_cache`].
+    plans: HashMap<String, RaExpr>,
     stats: SessionStats,
     scratch: usize,
     /// Results handed out by [`Session::materialize`] — the only scratch
@@ -641,17 +628,10 @@ impl<B: SessionBackend> Session<B>
 where
     B::Error: Into<Error>,
 {
-    /// Open a session with the default [`EngineConfig`].
+    /// Open a session over `backend`.
     pub fn new(backend: B) -> Session<B> {
-        Session::with_config(backend, EngineConfig::default())
-    }
-
-    /// Open a session with an explicit [`EngineConfig`]
-    /// ([`EngineConfig::naive`] runs every plan exactly as written).
-    pub fn with_config(backend: B, config: EngineConfig) -> Session<B> {
         Session {
             backend,
-            config,
             plans: HashMap::new(),
             stats: SessionStats::default(),
             scratch: 0,
@@ -682,11 +662,6 @@ where
         self.session_id
     }
 
-    /// The engine configuration the session plans and executes under.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
     /// Shared access to the underlying backend (for representation-specific
     /// inspection: stats, world counts, …).
     pub fn backend(&self) -> &B {
@@ -694,11 +669,14 @@ where
     }
 
     /// Mutable access to the underlying backend (loading data, chasing
-    /// dependencies).  Structural changes to *schemas* invalidate prepared
-    /// plans; call [`Session::clear_plan_cache`] afterwards.  The lineage
-    /// memo of [`Session::confidence`] is emptied here, since the caller may
-    /// change any relation.
+    /// dependencies, adding or dropping relations).  This is the one place a
+    /// schema can change under the session, so the prepared-plan cache and
+    /// the lineage memo of [`Session::confidence`] are both emptied here:
+    /// the next [`Session::prepare`] re-optimizes against the new catalog.
+    /// [`Prepared`] plans handed out earlier are not tracked; re-prepare
+    /// them after a schema change.
     pub fn backend_mut(&mut self) -> &mut B {
+        self.plans.clear();
         self.lineage.clear();
         &mut self.backend
     }
@@ -723,13 +701,12 @@ where
         stats
     }
 
-    /// A one-line description of the session for bench output: backend,
-    /// engine configuration and usage counters.
+    /// A one-line description of the session for bench output: backend and
+    /// usage counters.
     pub fn summary(&self) -> String {
         format!(
-            "backend={} {} | {} cached-plans={}",
+            "backend={} | {} cached-plans={}",
             self.backend.backend_name(),
-            self.config.summary(),
             self.stats(),
             self.plans.len(),
         )
@@ -740,8 +717,9 @@ where
         self.plans.len()
     }
 
-    /// Drop every cached plan (required after schema-changing backend
-    /// mutations).
+    /// Drop every cached plan, so the next [`Session::prepare`] of each
+    /// plan misses (benches time cold prepares this way).  Never needed for
+    /// correctness: [`Session::backend_mut`] already empties the cache.
     pub fn clear_plan_cache(&mut self) {
         self.plans.clear();
     }
@@ -758,21 +736,11 @@ where
         let digest = fingerprint::fingerprint(&expr);
         let plan = if let Some(cached) = self.plans.get(&key) {
             self.stats.cache_hits += 1;
-            cached.plan.clone()
+            cached.clone()
         } else {
-            let planned = self.optimize(&expr)?;
-            self.plans.insert(
-                key.clone(),
-                CachedPlan {
-                    plan: planned.clone(),
-                    fingerprint: digest,
-                    relations: expr
-                        .base_relations()
-                        .into_iter()
-                        .map(str::to_string)
-                        .collect(),
-                },
-            );
+            let planned = optimizer::optimize(&self.backend, &expr)
+                .map_err(|e| Error::from(e).with_plan(&expr))?;
+            self.plans.insert(key.clone(), planned.clone());
             self.stats.plans_prepared += 1;
             planned
         };
@@ -783,14 +751,6 @@ where
             fingerprint: digest,
             attrs,
         })
-    }
-
-    fn optimize(&self, expr: &RaExpr) -> Result<RaExpr> {
-        if self.config.optimize {
-            optimizer::optimize(&self.backend, expr).map_err(|e| Error::from(e).with_plan(expr))
-        } else {
-            Ok(expr.clone())
-        }
     }
 
     /// Replay a prepared plan and return its possible answer tuples.
@@ -1116,7 +1076,7 @@ where
             "session_q",
         );
         self.backend
-            .execute_plan(&prepared.plan, &out, &self.config)
+            .execute_plan(&prepared.plan, &out)
             .map_err(|e| Into::<Error>::into(e).with_plan(&prepared.display))?;
         Ok(out)
     }
@@ -1149,13 +1109,11 @@ where
     /// every other verb.
     ///
     /// **Staleness rule.** Applying an update invalidates everything derived
-    /// from the pre-update state:
+    /// from the pre-update *data*; nothing derived from the catalog goes
+    /// stale, because no verb changes a schema:
     ///
-    /// * prepared-plan cache entries whose base relations the update touches
-    ///   are evicted by fingerprint (conditioning evicts *all* entries —
-    ///   removing worlds reweights every correlated relation), so the next
-    ///   [`Session::prepare`] of such a plan re-optimizes (a cache miss in
-    ///   [`SessionStats`]);
+    /// * prepared plans stay cached and valid — re-preparing one is a cache
+    ///   hit, and executing it reads the updated backend;
     /// * results of [`Session::materialize`] — the only scratch relations a
     ///   session leaves in its backend — are dropped before the update runs.
     ///   Names returned by `materialize` must therefore not be read after an
@@ -1179,7 +1137,6 @@ where
         let mass = apply_update(&mut self.backend, update)
             .map_err(|e| Into::<Error>::into(e).with_plan(update))?;
         self.stats.updates_applied += 1;
-        self.invalidate_plans(update);
         Ok(mass)
     }
 
@@ -1204,34 +1161,6 @@ where
     /// constraint list is the tautology `⊤` (mass 1, no change).
     pub fn condition(&mut self, constraints: &[Dependency]) -> Result<f64> {
         self.apply(&UpdateExpr::condition(constraints.to_vec()))
-    }
-
-    /// Evict the cache entries the update invalidates, counting them.
-    fn invalidate_plans(&mut self, update: &UpdateExpr) {
-        let before = self.plans.len();
-        match update {
-            // Conditioning reweights (and can empty) every correlated
-            // relation, so no cached plan survives it.
-            UpdateExpr::Condition { .. } => self.plans.clear(),
-            _ => {
-                let touched: BTreeSet<&str> = update.relations().into_iter().collect();
-                self.plans.retain(|_, cached| {
-                    cached
-                        .relations
-                        .iter()
-                        .all(|r| !touched.contains(r.as_str()))
-                });
-            }
-        }
-        self.stats.plans_invalidated += (before - self.plans.len()) as u64;
-    }
-
-    /// The fingerprints of the currently cached plans (diagnostics; the
-    /// invalidation unit tests assert eviction through this).
-    pub fn cached_fingerprints(&self) -> Vec<u64> {
-        let mut out: Vec<u64> = self.plans.values().map(|c| c.fingerprint).collect();
-        out.sort_unstable();
-        out
     }
 }
 
@@ -1402,7 +1331,6 @@ mod tests {
         let session = Session::new(db());
         let summary = session.summary();
         assert!(summary.contains("backend=database"));
-        assert!(summary.contains("optimize=on"));
         assert!(!summary.contains("plan-cache="));
         assert!(summary.contains("plans-prepared=0"));
         assert!(summary.contains("cached-plans=0"));

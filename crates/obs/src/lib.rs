@@ -15,8 +15,8 @@
 //!   `Session::explain_analyze`.
 //!
 //! The [`Observer`] bundles one registry, one sink and the slow-query log;
-//! layers hold it as `Arc<Observer>`.  The executor cannot (its
-//! `EngineConfig` is `Copy`), so a session [`attach`]es a thread-local
+//! layers hold it as `Arc<Observer>`.  The executor takes nothing but the
+//! plan and its result name, so a session [`attach`]es a thread-local
 //! [`Scope`] around each query, and the executor reads it back with
 //! [`scope`] once where a plan starts: an attached scope, or an installed
 //! [`profile`] collector, turns that plan's instrumentation on.

@@ -78,20 +78,15 @@ pub trait QueryBackend: SchemaCatalog {
     /// The backend's error type.
     type Error: From<RelationalError>;
 
-    /// Evaluate the already-planned `plan`, materializing its result as
-    /// relation `out`.  Implementations recognise equi-joins only under
-    /// `config.optimize` (through an [`ExecContext`], where they have
-    /// operators to join), and must leave only `out` behind — on failure,
-    /// not even that.
+    /// Evaluate `plan` exactly as given — callers optimize first, if at
+    /// all — materializing its result as relation `out`.  Implementations
+    /// with operators to join recognise `σ_{A=B}(L × R)` as a physical
+    /// equi-join, and must leave only `out` behind — on failure, not even
+    /// that.
     ///
     /// Wrapper backends (`AnyBackend`, `Durable<B>`) forward this to the
     /// backend they wrap.
-    fn execute_plan(
-        &mut self,
-        plan: &RaExpr,
-        out: &str,
-        config: &EngineConfig,
-    ) -> std::result::Result<(), Self::Error>;
+    fn execute_plan(&mut self, plan: &RaExpr, out: &str) -> std::result::Result<(), Self::Error>;
 
     /// Best-effort removal of a scratch relation: the walker's
     /// intermediates once the plan's result is built or has failed, and a
@@ -200,7 +195,8 @@ pub trait Operators: QueryBackend {
 /// rewriting on U-relations — but all of them must agree with applying the
 /// verb to every enumerated world separately.  The `UpdateExpr` AST in
 /// `ws_core::ops::update` dispatches onto these verbs; `maybms::Session`
-/// adds typechecking, plan-cache invalidation and stats on top.
+/// adds typechecking, lineage-memo invalidation and stats on top.  No verb
+/// changes a schema, so a plan optimized before an update stays valid.
 pub trait WriteBackend: QueryBackend {
     /// Insert `tuple` into `relation` in **every** world (set semantics: a
     /// world already containing the tuple is unchanged).
@@ -318,8 +314,8 @@ pub fn fresh_scratch_name(
 }
 
 /// The per-execution state of one plan run, set up where the walker or the
-/// columnar kernels start the plan: the scratch-name allocator, whether
-/// equi-joins are recognised, and whether the run is observed.
+/// columnar kernels start the plan: the scratch-name allocator and whether
+/// the run is observed.
 ///
 /// Every scratch name handed out is recorded so the executor can drop the
 /// scratch relations afterwards — on error paths too.
@@ -327,7 +323,6 @@ pub fn fresh_scratch_name(
 pub struct ExecContext {
     counter: usize,
     created: Vec<String>,
-    recognize_joins: bool,
     /// The observation scope of this execution — the observer plus the
     /// session/request ids every instrumented operator stamps on its
     /// measurements, captured from the thread-local [`ws_obs::scope`] the
@@ -342,21 +337,16 @@ pub struct ExecContext {
 }
 
 impl ExecContext {
-    /// A context for one plan execution under `config`.
-    pub fn new(config: &EngineConfig) -> Self {
+    /// A context for one plan execution, observed when the thread carries
+    /// a [`ws_obs::scope`] or a profile collector.
+    pub(crate) fn new() -> Self {
         let obs = ws_obs::scope();
         ExecContext {
             counter: 0,
             created: Vec::new(),
-            recognize_joins: config.optimize,
             observe: obs.is_some() || ws_obs::profile::active(),
             obs,
         }
-    }
-
-    /// Whether `σ_{A=B}(L × R)` runs as a physical equi-join.
-    pub fn recognize_joins(&self) -> bool {
-        self.recognize_joins
     }
 
     /// Whether this execution records profile nodes and metrics.
@@ -388,65 +378,29 @@ impl ExecContext {
     }
 }
 
-/// The one knob of the unified pipeline: how a plan is rewritten and run,
-/// never what it leaves behind — the executor always drops its
-/// intermediates and keeps only the result relation.  Whether a run is
-/// observed is not a knob: [`ExecContext::new`] reads it off the thread.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EngineConfig {
-    /// Run the rule-based optimizer before execution and recognise
-    /// `σ_{A=B}(L × R)` as a physical equi-join during it (default).
-    /// [`EngineConfig::naive`] turns both off so the plan is evaluated
-    /// exactly as written, operator by operator — used by the cross-backend
-    /// equivalence tests as the true unoptimized baseline.
-    pub optimize: bool,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig { optimize: true }
-    }
-}
-
-impl EngineConfig {
-    /// The fully naive pipeline: no plan rewriting, no join recognition —
-    /// every operator is executed exactly as written.
-    pub fn naive() -> Self {
-        EngineConfig { optimize: false }
-    }
-
-    /// A one-line, self-describing summary of the effective settings, used
-    /// by the benches so ablation output records its own configuration.
-    pub fn summary(&self) -> String {
-        format!("optimize={}", if self.optimize { "on" } else { "off" })
-    }
-}
-
 /// Evaluate `query` on `backend` through the full `optimize → execute_plan`
-/// pipeline under the default [`EngineConfig`], materializing the result as
-/// relation `out`.  Returns `out`.
+/// pipeline, materializing the result as relation `out`.  Returns `out`.
 pub fn evaluate_query<B: QueryBackend>(
     backend: &mut B,
     query: &RaExpr,
     out: &str,
 ) -> std::result::Result<String, B::Error> {
     let plan = optimizer::optimize(backend, query).map_err(B::Error::from)?;
-    backend.execute_plan(&plan, out, &EngineConfig::default())?;
+    backend.execute_plan(&plan, out)?;
     Ok(out.to_string())
 }
 
 /// The shared operator-by-operator executor behind the decompositions'
 /// [`QueryBackend::execute_plan`]: walks `plan`, allocates scratch names
-/// through the [`ExecContext`], recognises equi-joins on top of products
-/// (when `config.optimize` is on), and drops every intermediate it created
-/// once `out` is built — or once the plan failed part-way.
+/// through the [`ExecContext`], recognises equi-joins on top of products,
+/// and drops every intermediate it created once `out` is built — or once
+/// the plan failed part-way.
 pub fn walk<B: Operators>(
     backend: &mut B,
     plan: &RaExpr,
     out: &str,
-    config: &EngineConfig,
 ) -> std::result::Result<(), B::Error> {
-    let mut ctx = ExecContext::new(config);
+    let mut ctx = ExecContext::new();
     let result = eval_node(backend, plan, out, &mut ctx);
     for name in ctx.drain() {
         backend.drop_scratch(&name);
@@ -528,8 +482,7 @@ fn eval_node_inner<B: Operators>(
         RaExpr::Select { pred, input } => {
             // θ-join recognition: σ_{… A=B …}(L × R) with A, B spanning the
             // two operands becomes a physical equi-join.
-            if let (true, RaExpr::Product { left, right }) = (ctx.recognize_joins(), input.as_ref())
-            {
+            if let RaExpr::Product { left, right } = input.as_ref() {
                 if let Some(join) =
                     recognize_equi_join(backend, pred, left, right).map_err(B::Error::from)?
                 {
@@ -713,8 +666,8 @@ impl QueryBackend for Database {
 
     /// The vectorized columnar executor ([`crate::kernels`]): the whole plan
     /// evaluated over [`crate::batch::ColumnBatch`]es with selection vectors.
-    fn execute_plan(&mut self, plan: &RaExpr, out: &str, config: &EngineConfig) -> Result<()> {
-        crate::kernels::execute(self, plan, out, config)
+    fn execute_plan(&mut self, plan: &RaExpr, out: &str) -> Result<()> {
+        crate::kernels::execute(self, plan, out)
     }
 
     fn drop_scratch(&mut self, name: &str) {
@@ -822,17 +775,17 @@ mod tests {
         d
     }
 
-    /// `query` into `OUT` the way a session runs it under `config`: the
-    /// optimizer only under `optimize`, the plan as written otherwise.
+    /// `query` into `OUT`: optimized the way a session prepares it, or
+    /// executed as written.
     fn run<B: QueryBackend>(
         backend: &mut B,
         query: &RaExpr,
-        config: EngineConfig,
+        optimize: bool,
     ) -> std::result::Result<(), B::Error> {
-        if config.optimize {
+        if optimize {
             evaluate_query(backend, query, "OUT").map(drop)
         } else {
-            backend.execute_plan(query, "OUT", &config)
+            backend.execute_plan(query, "OUT")
         }
     }
 
@@ -865,21 +818,21 @@ mod tests {
     fn engine_matches_the_reference_evaluator_on_databases() {
         for (i, query) in query_suite().into_iter().enumerate() {
             let reference = evaluate_set(&db(), &query).unwrap();
-            for config in [EngineConfig::default(), EngineConfig::naive()] {
+            for optimize in [true, false] {
                 let mut backend = db();
-                run(&mut backend, &query, config).unwrap();
+                run(&mut backend, &query, optimize).unwrap();
                 let mut result = backend.relation("OUT").unwrap().clone();
                 result.dedup();
                 assert!(
                     reference.set_eq(&result),
-                    "query #{i} {query}: {reference} vs {result} (config {config:?})"
+                    "query #{i} {query}: {reference} vs {result} (optimize={optimize})"
                 );
                 let mut walked = Walked(db());
-                run(&mut walked, &query, config).unwrap();
+                run(&mut walked, &query, optimize).unwrap();
                 let result = walked.0.relation("OUT").unwrap();
                 assert!(
                     reference.set_eq(result),
-                    "walked query #{i} {query}: {reference} vs {result} (config {config:?})"
+                    "walked query #{i} {query}: {reference} vs {result} (optimize={optimize})"
                 );
             }
         }
@@ -912,8 +865,8 @@ mod tests {
     impl QueryBackend for Walked {
         type Error = RelationalError;
 
-        fn execute_plan(&mut self, plan: &RaExpr, out: &str, config: &EngineConfig) -> Result<()> {
-            walk(self, plan, out, config)
+        fn execute_plan(&mut self, plan: &RaExpr, out: &str) -> Result<()> {
+            walk(self, plan, out)
         }
 
         fn drop_scratch(&mut self, name: &str) {
@@ -973,7 +926,7 @@ mod tests {
     fn temp_cleanup_leaves_only_base_relations_and_the_result() {
         let mut backend = Walked(db());
         let query = query_suite().remove(3);
-        run(&mut backend, &query, EngineConfig::naive()).unwrap();
+        run(&mut backend, &query, false).unwrap();
         let mut names = backend.0.relation_names();
         names.sort_unstable();
         assert_eq!(names, vec!["OUT", "R", "S"]);
@@ -988,7 +941,7 @@ mod tests {
             .project(vec!["A"])
             .union(RaExpr::rel("S").select(Predicate::eq_const("C", 10i64)));
         let before = backend.0.relation_names().len();
-        assert!(run(&mut backend, &query, EngineConfig::naive()).is_err());
+        assert!(run(&mut backend, &query, false).is_err());
         assert_eq!(
             backend.0.relation_names().len(),
             before,
@@ -1047,18 +1000,16 @@ mod tests {
     #[test]
     fn hash_join_matches_product_plus_selection_order() {
         // The recognized-join path (hash join) must produce exactly the rows
-        // and row order of the naive product-then-select path.
+        // and row order of the row-at-a-time product-then-select evaluator.
         let query = RaExpr::rel("R")
             .product(RaExpr::rel("S"))
             .select(Predicate::cmp_attr("B", CmpOp::Eq, "C"));
-        let mut naive = big_db();
-        run(&mut naive, &query, EngineConfig::naive()).unwrap();
-        let naive_rows = naive.relation("OUT").unwrap().rows().to_vec();
-        assert!(!naive_rows.is_empty());
+        let reference = crate::algebra::evaluate(&big_db(), &query).unwrap();
+        assert!(!reference.is_empty());
 
         let mut joined = big_db();
-        run(&mut joined, &query, EngineConfig::default()).unwrap();
-        assert_eq!(joined.relation("OUT").unwrap().rows(), &naive_rows[..]);
+        run(&mut joined, &query, false).unwrap();
+        assert_eq!(joined.relation("OUT").unwrap().rows(), reference.rows());
     }
 
     #[test]
@@ -1078,22 +1029,16 @@ mod tests {
         d.insert_relation(s);
         let query =
             RaExpr::rel("R").join(RaExpr::rel("S"), Predicate::cmp_attr("A", CmpOp::Eq, "B"));
-        for config in [EngineConfig::default(), EngineConfig::naive()] {
+        for optimize in [true, false] {
             let mut backend = d.clone();
-            run(&mut backend, &query, config).unwrap();
+            run(&mut backend, &query, optimize).unwrap();
             let rows = backend.relation("OUT").unwrap().rows().to_vec();
             assert_eq!(
                 rows,
                 vec![Tuple::new(vec![Value::int(1), Value::int(1)])],
-                "config {config:?}"
+                "optimize={optimize}"
             );
         }
-    }
-
-    #[test]
-    fn engine_config_summary_is_self_describing() {
-        assert_eq!(EngineConfig::default().summary(), "optimize=on");
-        assert_eq!(EngineConfig::naive().summary(), "optimize=off");
     }
 
     #[test]
@@ -1183,7 +1128,7 @@ mod tests {
         let taken = ["__t0".to_string(), "__t1".to_string()];
         let name = fresh_scratch_name(|n| taken.contains(&n.to_string()), &mut counter, "t");
         assert_eq!(name, "__t2");
-        let mut ctx = ExecContext::new(&EngineConfig::default());
+        let mut ctx = ExecContext::new();
         let a = ctx.fresh(|_| false, "q");
         let b = ctx.fresh(|_| false, "q");
         assert_ne!(a, b);

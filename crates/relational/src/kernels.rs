@@ -38,7 +38,7 @@
 use crate::algebra::RaExpr;
 use crate::batch::{Column, ColumnBatch};
 use crate::database::Database;
-use crate::engine::{op_detail, op_name, recognize_equi_join, EngineConfig, EquiJoin, ExecContext};
+use crate::engine::{op_detail, op_name, recognize_equi_join, EquiJoin, ExecContext};
 use crate::error::Result;
 use crate::optimizer;
 use crate::predicate::{CompiledPredicate, Predicate};
@@ -72,13 +72,8 @@ enum Eval {
 /// This is [`Database`]'s only executor: its
 /// [`crate::engine::QueryBackend::execute_plan`] hands it every plan whole.
 /// It creates no intermediate catalog relations.
-pub(crate) fn execute(
-    db: &mut Database,
-    plan: &RaExpr,
-    out: &str,
-    config: &EngineConfig,
-) -> Result<()> {
-    let ctx = ExecContext::new(config);
+pub(crate) fn execute(db: &mut Database, plan: &RaExpr, out: &str) -> Result<()> {
+    let ctx = ExecContext::new();
     let relation = match eval_expr(db, plan, None, &ctx)? {
         Eval::Batch(batch) => batch.into_relation()?,
         // A σ-chain over a base relation: clone exactly the surviving rows.
@@ -198,18 +193,16 @@ fn eval_expr_inner(
             }))
         }
         RaExpr::Select { pred, input } => {
-            if ctx.recognize_joins() {
-                if let RaExpr::Product { left, right } = input.as_ref() {
-                    if let Some(join) = recognize_equi_join(db, pred, left, right)? {
-                        if let Some(scope) = ctx.obs() {
-                            scope
-                                .observer
-                                .metrics()
-                                .counter("exec.join.recognized")
-                                .inc();
-                        }
-                        return Ok(Eval::Batch(eval_join(db, left, right, &join, needed, ctx)?));
+            if let RaExpr::Product { left, right } = input.as_ref() {
+                if let Some(join) = recognize_equi_join(db, pred, left, right)? {
+                    if let Some(scope) = ctx.obs() {
+                        scope
+                            .observer
+                            .metrics()
+                            .counter("exec.join.recognized")
+                            .inc();
                     }
+                    return Ok(Eval::Batch(eval_join(db, left, right, &join, needed, ctx)?));
                 }
             }
             let child_needed = add_attrs(needed, pred.referenced_attrs());

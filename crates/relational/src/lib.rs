@@ -60,13 +60,11 @@ pub use constraint::{
     world_satisfies, AttrComparison, Dependency, EqualityGeneratingDependency, FunctionalDependency,
 };
 pub use database::Database;
-pub use engine::{
-    evaluate_query, EngineConfig, ExecContext, QueryBackend, SchemaCatalog, WriteBackend,
-};
+pub use engine::{evaluate_query, ExecContext, QueryBackend, SchemaCatalog, WriteBackend};
 pub use error::{RelationalError, Result};
 pub use fingerprint::{fingerprint, normalize_plan, normalize_predicate, plan_key};
 pub use lineage::{Clause, DtreeCompiler, LineageDb, LineageRelation, VarTable};
-pub use optimizer::{estimated_cost, estimated_rows, evaluate_optimized, optimize, output_attrs};
+pub use optimizer::{optimize, output_attrs};
 pub use predicate::{CmpOp, CompiledPredicate, Predicate};
 pub use relation::Relation;
 pub use schema::{AttrName, RelName, Schema};

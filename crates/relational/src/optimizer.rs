@@ -13,27 +13,29 @@
 //!   and into the matching side of a product) and re-merged,
 //! * adjacent selections are combined into one conjunction,
 //! * adjacent projections are collapsed,
-//! * a selection sitting directly on a product is recognised as a θ-join by
-//!   the cost model.
+//! * a join conjunct stays directly on its product, where the executors
+//!   recognise `σ_{A=B}(L × R)` as a physical equi-join.
 //!
-//! All rewrites preserve the evaluation semantics of [`evaluate`]
-//! (bag semantics for select/project/product, set semantics for union and
-//! difference); `tests::optimized_plans_are_equivalent` and the
+//! Every rule reads the catalog's schemas only, never rows, so an optimized
+//! plan stays valid for as long as the schemas do.
+//!
+//! All rewrites preserve the evaluation semantics of
+//! [`crate::algebra::evaluate`] (bag semantics for select/project/product,
+//! set semantics for union and difference);
+//! `tests::optimized_plans_are_equivalent` and the
 //! `optimizer_equivalence` integration test check this against randomly
 //! generated databases.
 
 use std::collections::BTreeSet;
 
-use crate::algebra::{evaluate, RaExpr};
-use crate::database::Database;
+use crate::algebra::RaExpr;
 use crate::engine::SchemaCatalog;
 use crate::error::Result;
 use crate::predicate::Predicate;
-use crate::relation::Relation;
 
 /// The attribute names an expression produces, computed structurally (without
 /// evaluating the plan).  Base relations are resolved against the catalog of
-/// any backend — a one-world [`Database`], a WSD, a UWSDT, a U-relation
+/// any backend — a one-world [`crate::Database`], a WSD, a UWSDT, a U-relation
 /// store or an explicit world-set.
 pub fn output_attrs<C: SchemaCatalog + ?Sized>(
     catalog: &C,
@@ -342,70 +344,13 @@ pub fn optimize<C: SchemaCatalog + ?Sized>(catalog: &C, expr: &RaExpr) -> Result
     Ok(current)
 }
 
-/// A crude cardinality estimate for a plan, used to compare plan shapes in
-/// the optimizer ablation bench (not to pick plans — the rule set is
-/// heuristic-free).
-///
-/// * base relation: its actual row count,
-/// * selection: 10% of the input per conjunct (equality), 33% otherwise,
-/// * projection/renaming: input cardinality,
-/// * product: product of the inputs,
-/// * union: sum, difference: left input.
-pub fn estimated_rows(db: &Database, expr: &RaExpr) -> Result<f64> {
-    Ok(match expr {
-        RaExpr::Rel(name) => db.relation(name)?.len() as f64,
-        RaExpr::Select { pred, input } => {
-            let base = estimated_rows(db, input)?;
-            let mut selectivity = 1.0;
-            for c in conjuncts(pred) {
-                selectivity *= match c {
-                    Predicate::AttrConst { op, .. } | Predicate::AttrAttr { op, .. }
-                        if op == crate::predicate::CmpOp::Eq =>
-                    {
-                        0.1
-                    }
-                    _ => 0.33,
-                };
-            }
-            base * selectivity
-        }
-        RaExpr::Project { input, .. } | RaExpr::Rename { input, .. } => estimated_rows(db, input)?,
-        RaExpr::Product { left, right } => estimated_rows(db, left)? * estimated_rows(db, right)?,
-        RaExpr::Union { left, right } => estimated_rows(db, left)? + estimated_rows(db, right)?,
-        RaExpr::Difference { left, .. } => estimated_rows(db, left)?,
-    })
-}
-
-/// The total estimated number of intermediate rows materialized by a plan —
-/// the sum of [`estimated_rows`] over every operator.  Lower is better; the
-/// ablation bench reports this next to the measured evaluation times.
-pub fn estimated_cost(db: &Database, expr: &RaExpr) -> Result<f64> {
-    let own = estimated_rows(db, expr)?;
-    Ok(own
-        + match expr {
-            RaExpr::Rel(_) => 0.0,
-            RaExpr::Select { input, .. }
-            | RaExpr::Project { input, .. }
-            | RaExpr::Rename { input, .. } => estimated_cost(db, input)?,
-            RaExpr::Product { left, right }
-            | RaExpr::Union { left, right }
-            | RaExpr::Difference { left, right } => {
-                estimated_cost(db, left)? + estimated_cost(db, right)?
-            }
-        })
-}
-
-/// Evaluate a plan after optimizing it.  Convenience used by the one-world
-/// baseline of the evaluation benches.
-pub fn evaluate_optimized(db: &Database, expr: &RaExpr) -> Result<Relation> {
-    let plan = optimize(db, expr)?;
-    evaluate(db, &plan)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algebra::evaluate;
+    use crate::database::Database;
     use crate::predicate::CmpOp;
+    use crate::relation::Relation;
     use crate::schema::Schema;
     use crate::tuple::Tuple;
     use crate::value::Value;
@@ -530,27 +475,6 @@ mod tests {
                 other => panic!("expected selection below the rename, got {other}"),
             },
             other => panic!("expected the rename at the root, got {other}"),
-        }
-    }
-
-    #[test]
-    fn cost_model_prefers_pushed_down_plans() {
-        let db = sample_db();
-        let query = sample_queries().remove(0);
-        let optimized = optimize(&db, &query).unwrap();
-        let before = estimated_cost(&db, &query).unwrap();
-        let after = estimated_cost(&db, &optimized).unwrap();
-        assert!(after <= before, "pushdown must not increase estimated cost");
-        assert!(estimated_rows(&db, &RaExpr::rel("R")).unwrap() > 0.0);
-    }
-
-    #[test]
-    fn evaluate_optimized_matches_plain_evaluation() {
-        let db = sample_db();
-        for query in sample_queries() {
-            let a = evaluate(&db, &query).unwrap();
-            let b = evaluate_optimized(&db, &query).unwrap();
-            assert!(a.set_eq(&b));
         }
     }
 

@@ -18,10 +18,13 @@
 //! ws-serverd smoke
 //!     Self-test: bind an ephemeral port over an in-memory observed store,
 //!     run one client round-trip (hello, prepare, execute, apply,
-//!     confidence, checkpoint, metrics, stats, shutdown), scrape the HTTP
+//!     confidence, checkpoint, metrics, stats, shutdown), send one `Prepare`
+//!     frame nested 10 000 levels deep on a raw connection (it must be
+//!     refused, and the connection must keep answering), scrape the HTTP
 //!     metrics endpoint, and exit 0 iff every step answered correctly.
 //! ```
 
+use std::net::{SocketAddr, TcpStream};
 use std::process::ExitCode;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -30,7 +33,8 @@ use std::time::Duration;
 use maybms::{q, AnyBackend, UpdateExpr};
 use ws_obs::{LineSink, Observer};
 use ws_relational::Predicate;
-use ws_server::{serve, serve_metrics, spawn, Client, ConcurrentStore};
+use ws_server::wire::{read_frame, write_frame};
+use ws_server::{serve, serve_metrics, spawn, Client, ConcurrentStore, Request, Response};
 use ws_storage::{DirVfs, MemVfs, SyncPolicy, Vfs};
 
 const USAGE: &str = "usage: ws-serverd serve <store-dir> [addr] [--group-commit N,WAIT_MS] \
@@ -206,6 +210,8 @@ fn cmd_smoke() -> Result<(), Box<dyn std::error::Error>> {
     let summary = client.stats()?;
     println!("smoke: rows {rows_before} -> {rows_after}, {} confidences, mass {mass}, generation {generation}", confidences.len());
     println!("smoke: {summary}");
+    let over_deep_refused = over_deep_frame_is_refused(addr)?;
+    println!("smoke: over-deep Prepare frame refused: {over_deep_refused}");
 
     // The registry over the wire verb and over HTTP must agree on content.
     let wire_metrics = client.metrics()?;
@@ -236,6 +242,33 @@ fn cmd_smoke() -> Result<(), Box<dyn std::error::Error>> {
     if slow.is_empty() {
         return Err("smoke: a zero threshold logged no slow queries".into());
     }
+    if !over_deep_refused {
+        return Err("smoke: an over-deep Prepare frame was not refused cleanly".into());
+    }
     println!("smoke: OK");
     Ok(())
+}
+
+/// Send one `Prepare` frame whose plan nests 10 000 levels deep on a raw
+/// connection: the server must answer `Error`, then still answer `Stats` on
+/// the same connection.
+fn over_deep_frame_is_refused(addr: SocketAddr) -> Result<bool, Box<dyn std::error::Error>> {
+    let mut raw = TcpStream::connect(addr)?;
+    let reply = |raw: &mut TcpStream, trace: u64, payload: &[u8]| {
+        write_frame(raw, trace, payload)?;
+        match read_frame(raw)? {
+            Some((_, bytes)) => Ok::<_, Box<dyn std::error::Error>>(Response::decode(&bytes)?),
+            None => Err("the server hung up".into()),
+        }
+    };
+    // Tags: request Prepare (1), plan Select (1), then predicate Not (4)
+    // 10 000 times, the frame ending before any comparison.
+    let mut frame = vec![1u8, 1];
+    frame.extend(std::iter::repeat(4u8).take(10_000));
+    let refused = matches!(reply(&mut raw, 1, &frame)?, Response::Error { .. });
+    let answered = matches!(
+        reply(&mut raw, 2, &Request::Stats.encode())?,
+        Response::Stats { .. }
+    );
+    Ok(refused && answered)
 }

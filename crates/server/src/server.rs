@@ -360,7 +360,8 @@ mod tests {
     use super::*;
     use crate::Client;
     use std::time::{Duration, Instant};
-    use ws_relational::{Database, Relation, Schema};
+    use ws_relational::{Database, Predicate, Relation, Schema};
+    use ws_storage::codec::MAX_NESTING;
     use ws_storage::{MemVfs, SyncPolicy};
 
     fn median_of_20(mut round_trip: impl FnMut()) -> Duration {
@@ -407,6 +408,68 @@ mod tests {
             execute < Duration::from_millis(20),
             "Execute p50 {execute:?}"
         );
+
+        client.close().unwrap();
+        server.shutdown().unwrap();
+        store.close().unwrap();
+    }
+
+    /// `levels` nested negations of `M = 1`: `levels + 1` predicate levels.
+    fn nots(levels: usize) -> Predicate {
+        (0..levels).fold(Predicate::eq_const("M", 1i64), |p, _| Predicate::not(p))
+    }
+
+    /// The plan decoder recurses once per nesting level on the connection
+    /// thread's stack.  A frame nested past the codec's bound is answered
+    /// with an error and the connection keeps serving; a plan at exactly the
+    /// bound goes through every read verb.
+    #[test]
+    fn over_deep_frames_are_refused_and_the_connection_survives() {
+        let store = ConcurrentStore::create(
+            Box::new(MemVfs::new()),
+            AnyBackend::from(maybms::core::wsd::example_census_wsd()),
+            SyncPolicy::EveryRecord,
+        )
+        .unwrap();
+        let server = spawn("127.0.0.1:0", store.clone()).unwrap();
+
+        // Prepare(Select(Not(Not(… 10 000 levels, cut short.
+        let mut raw = TcpStream::connect(server.addr()).unwrap();
+        let mut frame = vec![1u8, 1];
+        frame.extend(std::iter::repeat(4u8).take(10_000));
+        write_frame(&mut raw, 1, &frame).unwrap();
+        let (_, reply) = read_frame(&mut raw).unwrap().unwrap();
+        assert!(matches!(
+            Response::decode(&reply).unwrap(),
+            Response::Error { .. }
+        ));
+        write_frame(&mut raw, 2, &Request::Stats.encode()).unwrap();
+        let (_, reply) = read_frame(&mut raw).unwrap().unwrap();
+        assert!(matches!(
+            Response::decode(&reply).unwrap(),
+            Response::Stats { .. }
+        ));
+        // Hang up, or shutting the server down waits for this connection.
+        drop(raw);
+
+        // The selection is level 1, so its predicate may hold MAX_NESTING - 2
+        // negations; an even number of them leaves `M = 1`.
+        let mut client = Client::connect(server.addr()).unwrap();
+        let plain = client.prepare(maybms::q("R").select(nots(0))).unwrap();
+        let deepest = maybms::q("R").select(nots(MAX_NESTING - 2));
+        let plan = client.prepare(deepest).unwrap();
+        let rows = client.execute(&plan).unwrap();
+        assert!(!rows.is_empty());
+        assert_eq!(rows, client.execute(&plain).unwrap());
+        assert_eq!(
+            client.confidence(&plan).unwrap(),
+            client.confidence(&plain).unwrap()
+        );
+        let err = client
+            .prepare(maybms::q("R").select(nots(MAX_NESTING - 1)))
+            .unwrap_err();
+        assert!(err.to_string().contains("nests deeper"), "got {err}");
+        assert!(client.stats().unwrap().contains("plans-prepared="));
 
         client.close().unwrap();
         server.shutdown().unwrap();

@@ -391,6 +391,9 @@ where
     /// the batch carrying this update has hit the log (and, outside
     /// [`SyncPolicy::OnCheckpoint`], been fsynced).
     pub fn update(&self, update: UpdateExpr) -> UpdateOutcome<B::Error> {
+        // Refused here, an update the log could not take never joins (and
+        // fails) a batch of other callers' updates.
+        ws_storage::codec::check_nesting(&update).map_err(DurableError::Storage)?;
         let slot = Slot::new();
         self.submit(Command::Update(update, Arc::clone(&slot)))
             .map_err(DurableError::Storage)?;
@@ -600,6 +603,14 @@ mod tests {
                 .unwrap();
         let before = store.snapshot();
         assert_eq!(before.seq, 0);
+        // An update the log could not take is refused before it is queued.
+        let too_deep = (0..ws_storage::codec::MAX_NESTING)
+            .fold(Predicate::eq_const("M", 4i64), |p, _| Predicate::not(p));
+        assert!(matches!(
+            store.update(UpdateExpr::delete("R", too_deep)),
+            Err(DurableError::Storage(StorageError::Invalid(_)))
+        ));
+        assert_eq!(store.seq(), 0);
         let mass = store.update(delete(4)).unwrap();
         assert!(mass > 0.0);
         let after = store.snapshot();

@@ -36,6 +36,18 @@ use ws_uwsdt::{PresenceCondition, Uwsdt, UwsdtSnapshot, WorldEntry};
 /// per-element minimum of one byte this bounds allocation on corrupt input.
 const MAX_LEN: u64 = 1 << 32;
 
+/// How many levels a predicate or plan may nest: the root is level 1, and
+/// every operand, input or selection predicate sits one level below its
+/// parent.  The decoders recurse once per level on the caller's stack, so
+/// they refuse deeper input as corrupt instead of overflowing the stack,
+/// and [`check_nesting`] refuses to log an update they could not read back.
+pub const MAX_NESTING: usize = 128;
+
+/// The error for a value nested past [`MAX_NESTING`] levels.
+fn too_deep(what: &str) -> String {
+    format!("{what} nests deeper than {MAX_NESTING} levels")
+}
+
 // ---------------------------------------------------------------------------
 // Writer / Reader
 // ---------------------------------------------------------------------------
@@ -403,6 +415,14 @@ pub fn enc_predicate(w: &mut Writer, p: &Predicate) {
 
 /// Decode a selection predicate.
 pub fn dec_predicate(r: &mut Reader) -> Result<Predicate> {
+    dec_predicate_at(r, 1)
+}
+
+/// Decode a predicate whose root sits at nesting level `depth`.
+fn dec_predicate_at(r: &mut Reader, depth: usize) -> Result<Predicate> {
+    if depth > MAX_NESTING {
+        return Err(StorageError::corrupt(too_deep("predicate")));
+    }
     Ok(match r.u8("predicate tag")? {
         0 => Predicate::AttrConst {
             attr: r.str("predicate attribute")?,
@@ -418,7 +438,7 @@ pub fn dec_predicate(r: &mut Reader) -> Result<Predicate> {
             let n = r.len_of("predicate operand count")?;
             let mut ps = Vec::with_capacity(n);
             for _ in 0..n {
-                ps.push(dec_predicate(r)?);
+                ps.push(dec_predicate_at(r, depth + 1)?);
             }
             if tag == 2 {
                 Predicate::And(ps)
@@ -426,7 +446,7 @@ pub fn dec_predicate(r: &mut Reader) -> Result<Predicate> {
                 Predicate::Or(ps)
             }
         }
-        4 => Predicate::Not(Box::new(dec_predicate(r)?)),
+        4 => Predicate::Not(Box::new(dec_predicate_at(r, depth + 1)?)),
         t => return Err(bad_tag("predicate", t)),
     })
 }
@@ -478,11 +498,20 @@ pub fn enc_ra(w: &mut Writer, e: &RaExpr) {
 
 /// Decode a relational-algebra plan.
 pub fn dec_ra(r: &mut Reader) -> Result<RaExpr> {
+    dec_ra_at(r, 1)
+}
+
+/// Decode a plan whose root sits at nesting level `depth`.
+fn dec_ra_at(r: &mut Reader, depth: usize) -> Result<RaExpr> {
+    if depth > MAX_NESTING {
+        return Err(StorageError::corrupt(too_deep("plan")));
+    }
+    let below = depth + 1;
     Ok(match r.u8("plan tag")? {
         0 => RaExpr::Rel(r.str("relation name")?),
         1 => RaExpr::Select {
-            pred: dec_predicate(r)?,
-            input: Box::new(dec_ra(r)?),
+            pred: dec_predicate_at(r, below)?,
+            input: Box::new(dec_ra_at(r, below)?),
         },
         2 => {
             let n = r.len_of("projection attribute count")?;
@@ -492,12 +521,12 @@ pub fn dec_ra(r: &mut Reader) -> Result<RaExpr> {
             }
             RaExpr::Project {
                 attrs,
-                input: Box::new(dec_ra(r)?),
+                input: Box::new(dec_ra_at(r, below)?),
             }
         }
         tag @ 3..=5 => {
-            let left = Box::new(dec_ra(r)?);
-            let right = Box::new(dec_ra(r)?);
+            let left = Box::new(dec_ra_at(r, below)?);
+            let right = Box::new(dec_ra_at(r, below)?);
             match tag {
                 3 => RaExpr::Product { left, right },
                 4 => RaExpr::Union { left, right },
@@ -507,7 +536,7 @@ pub fn dec_ra(r: &mut Reader) -> Result<RaExpr> {
         6 => RaExpr::Rename {
             from: r.str("rename source")?,
             to: r.str("rename target")?,
-            input: Box::new(dec_ra(r)?),
+            input: Box::new(dec_ra_at(r, below)?),
         },
         t => return Err(bad_tag("plan", t)),
     })
@@ -587,6 +616,26 @@ pub fn dec_dependency(r: &mut Reader) -> Result<Dependency> {
         }
         t => return Err(bad_tag("dependency", t)),
     })
+}
+
+/// Refuse an update [`dec_update`] could not read back: one whose predicate
+/// nests past [`MAX_NESTING`] levels.  The durable write path calls this
+/// before logging, so the WAL never holds a record recovery would refuse.
+pub fn check_nesting(u: &UpdateExpr) -> Result<()> {
+    fn within(p: &Predicate, depth: usize) -> bool {
+        depth <= MAX_NESTING
+            && match p {
+                Predicate::And(ps) | Predicate::Or(ps) => ps.iter().all(|p| within(p, depth + 1)),
+                Predicate::Not(p) => within(p, depth + 1),
+                Predicate::AttrConst { .. } | Predicate::AttrAttr { .. } => true,
+            }
+    }
+    match u {
+        UpdateExpr::Delete { pred, .. } | UpdateExpr::Modify { pred, .. } if !within(pred, 1) => {
+            Err(StorageError::invalid(too_deep("update predicate")))
+        }
+        _ => Ok(()),
+    }
 }
 
 /// Encode one update of the update language — the WAL's record payload.
@@ -1125,6 +1174,59 @@ mod tests {
         let mut bytes = w.into_bytes();
         bytes[0] = 42;
         assert!(dec_ra(&mut Reader::new(&bytes)).is_err());
+    }
+
+    /// `levels` nested `Not`s around one comparison: `levels + 1` levels.
+    fn nots(levels: usize) -> Predicate {
+        (0..levels).fold(Predicate::eq_const("A", 1i64), |p, _| Predicate::not(p))
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_refused_on_both_sides() {
+        // Predicates: exactly MAX_NESTING levels decode, one more does not.
+        let deepest = nots(MAX_NESTING - 1);
+        assert_eq!(roundtrip(&deepest, enc_predicate, dec_predicate), deepest);
+        let mut w = Writer::new();
+        enc_predicate(&mut w, &nots(MAX_NESTING));
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            dec_predicate(&mut Reader::new(&bytes)),
+            Err(StorageError::Corrupt(_))
+        ));
+
+        // Plans: a selection's predicate sits one level below it.
+        let at_bound = RaExpr::rel("R").select(nots(MAX_NESTING - 2));
+        assert_eq!(roundtrip(&at_bound, enc_ra, dec_ra), at_bound);
+        let mut w = Writer::new();
+        enc_ra(&mut w, &RaExpr::rel("R").select(nots(MAX_NESTING - 1)));
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            dec_ra(&mut Reader::new(&bytes)),
+            Err(StorageError::Corrupt(_))
+        ));
+        let renames = (1..MAX_NESTING).fold(RaExpr::rel("R"), |e, _| e.rename("A", "A"));
+        assert_eq!(roundtrip(&renames, enc_ra, dec_ra), renames);
+        let mut w = Writer::new();
+        enc_ra(&mut w, &renames.rename("A", "A"));
+        assert!(dec_ra(&mut Reader::new(&w.into_bytes())).is_err());
+
+        // A selection over 10 000 nested negations, cut short: refused at
+        // the bound, long before the stack or the input runs out.
+        let mut hostile = vec![1u8];
+        hostile.extend(std::iter::repeat(4u8).take(10_000));
+        assert!(matches!(
+            dec_ra(&mut Reader::new(&hostile)),
+            Err(StorageError::Corrupt(_))
+        ));
+
+        // The write side refuses an update the decoder would refuse.
+        let ok = UpdateExpr::delete("R", nots(MAX_NESTING - 1));
+        assert_eq!(check_nesting(&ok), Ok(()));
+        let too_deep = UpdateExpr::modify("R", nots(MAX_NESTING), vec![]);
+        assert!(matches!(
+            check_nesting(&too_deep),
+            Err(StorageError::Invalid(_))
+        ));
     }
 
     #[test]

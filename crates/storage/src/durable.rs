@@ -37,6 +37,7 @@
 //! * [`SyncPolicy::OnCheckpoint`] — defer fsyncs to
 //!   checkpoint/sync/close.
 
+use crate::codec;
 use crate::error::{DurableError, Result, StorageError};
 use crate::persist::Persist;
 use crate::snapshot;
@@ -47,7 +48,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ws_core::ops::update::{apply_update, UpdateExpr};
-use ws_relational::engine::{EngineConfig, QueryBackend, SchemaCatalog, WriteBackend};
+use ws_relational::engine::{QueryBackend, SchemaCatalog, WriteBackend};
 use ws_relational::{Dependency, Predicate, RaExpr, Schema, Tuple, Value};
 
 /// Durability counters, surfaced through `maybms::SessionStats`.
@@ -348,12 +349,15 @@ impl<B> Durable<B> {
     }
 
     /// Append one record to the log (the *log* half of log-then-apply).
+    /// An update recovery could not decode is refused before anything is
+    /// written ([`codec::check_nesting`]).
     fn log(&mut self, update: &UpdateExpr) -> std::result::Result<(), StorageError> {
         if let Some(why) = &self.poisoned {
             return Err(StorageError::io(format!(
                 "store refuses writes: {why}; reopen it to resume"
             )));
         }
+        codec::check_nesting(update)?;
         let started = Instant::now();
         let bytes = self.wal.append(self.vfs.as_mut(), update)?;
         self.record_ns("wal.append_ns", started.elapsed());
@@ -382,8 +386,9 @@ impl<B: WriteBackend> Durable<B> {
     /// Per-update failures (e.g. a deterministic `Inconsistent` conditioning
     /// outcome) are *values* in the returned vector, not errors of the call:
     /// they are logged and replayed like any other update.  The outer error
-    /// is reserved for log I/O failures, in which case no update of the
-    /// batch touched the backend.
+    /// is reserved for log I/O failures and for a batch holding an update
+    /// recovery could not decode ([`codec::check_nesting`]); in both cases
+    /// no update of the batch touched the backend.
     pub fn apply_batch(
         &mut self,
         updates: &[UpdateExpr],
@@ -395,6 +400,9 @@ impl<B: WriteBackend> Durable<B> {
         }
         if updates.is_empty() {
             return Ok(Vec::new());
+        }
+        for update in updates {
+            codec::check_nesting(update)?;
         }
         let max_batch = match self.sync_policy {
             SyncPolicy::GroupCommit { max_batch, .. } => max_batch.max(1),
@@ -443,14 +451,9 @@ impl<B: SchemaCatalog> SchemaCatalog for Durable<B> {
 impl<B: QueryBackend> QueryBackend for Durable<B> {
     type Error = DurableError<B::Error>;
 
-    fn execute_plan(
-        &mut self,
-        plan: &RaExpr,
-        out: &str,
-        config: &EngineConfig,
-    ) -> std::result::Result<(), Self::Error> {
+    fn execute_plan(&mut self, plan: &RaExpr, out: &str) -> std::result::Result<(), Self::Error> {
         self.inner
-            .execute_plan(plan, out, config)
+            .execute_plan(plan, out)
             .map_err(DurableError::Backend)
     }
 
@@ -690,6 +693,33 @@ mod tests {
         assert_eq!(reopened.generation(), 0);
         assert_eq!(reopened.stats().recovered_records, 1);
         assert_eq!(reopened.inner().encode_to_vec(), logged);
+    }
+
+    #[test]
+    fn updates_recovery_could_not_decode_are_never_logged() {
+        let vfs = MemVfs::new();
+        let wsd = ws_core::wsd::example_census_wsd();
+        let mut durable = Durable::create(boxed(&vfs), wsd.clone()).unwrap();
+        let wal = |vfs: &MemVfs| vfs.bytes(crate::wal::WAL_FILE);
+        let before = wal(&vfs);
+        let too_deep =
+            (0..codec::MAX_NESTING).fold(Predicate::eq_const("S", 1i64), |p, _| Predicate::not(p));
+        let err = durable.delete_where("R", &too_deep).unwrap_err();
+        assert!(
+            matches!(err, DurableError::Storage(StorageError::Invalid(_))),
+            "got {err}"
+        );
+        // A batch holding it is refused whole: its sibling is not applied.
+        let sibling = UpdateExpr::delete("R", Predicate::eq_const("S", 185i64));
+        let err = durable
+            .apply_batch(&[sibling, UpdateExpr::delete("R", too_deep)])
+            .unwrap_err();
+        assert!(matches!(err, StorageError::Invalid(_)), "got {err}");
+        assert_eq!(wal(&vfs), before, "a refused update reached the log");
+        assert_eq!(durable.stats().wal_records, 0);
+        assert_eq!(durable.inner().encode_to_vec(), wsd.encode_to_vec());
+        let reopened = Durable::<Wsd>::open(boxed(&vfs)).unwrap();
+        assert_eq!(reopened.stats().recovered_records, 0);
     }
 
     #[test]

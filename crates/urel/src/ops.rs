@@ -14,7 +14,7 @@
 //! (the paper evaluates differences via conditional confidence instead —
 //! see `ws_core::conditional`).
 
-use ws_relational::engine::{EngineConfig, QueryBackend, SchemaCatalog};
+use ws_relational::engine::{QueryBackend, SchemaCatalog};
 use ws_relational::{lineage, RaExpr, RelationalError, Schema, Tuple};
 
 use crate::database::UDatabase;
@@ -36,7 +36,7 @@ impl QueryBackend for UDatabase {
     type Error = UrelError;
 
     /// The whole plan is one call into the lineage evaluator.
-    fn execute_plan(&mut self, plan: &RaExpr, out: &str, _config: &EngineConfig) -> Result<()> {
+    fn execute_plan(&mut self, plan: &RaExpr, out: &str) -> Result<()> {
         let mut result = lineage::evaluate_lineage(self.as_lineage(), plan)?.into_relation(out);
         result.absorb();
         self.insert_relation(result);

@@ -19,9 +19,7 @@
 use crate::error::{Result, UwsdtError};
 use crate::model::Uwsdt;
 use crate::ops;
-use ws_relational::engine::{
-    self, EngineConfig, ExecContext, Operators, QueryBackend, SchemaCatalog,
-};
+use ws_relational::engine::{self, ExecContext, Operators, QueryBackend, SchemaCatalog};
 use ws_relational::{Predicate, RaExpr, RelationalError, Schema};
 
 impl SchemaCatalog for Uwsdt {
@@ -40,8 +38,8 @@ impl QueryBackend for Uwsdt {
     type Error = UwsdtError;
 
     /// Every plan runs through the shared operator-by-operator walker.
-    fn execute_plan(&mut self, plan: &RaExpr, out: &str, config: &EngineConfig) -> Result<()> {
-        engine::walk(self, plan, out, config)
+    fn execute_plan(&mut self, plan: &RaExpr, out: &str) -> Result<()> {
+        engine::walk(self, plan, out)
     }
 
     fn drop_scratch(&mut self, name: &str) {
@@ -191,9 +189,7 @@ mod tests {
             let mut optimized = small_uwsdt();
             engine::evaluate_query(&mut optimized, &query, "OUT").unwrap();
             let mut naive = small_uwsdt();
-            naive
-                .execute_plan(&query, "OUT", &EngineConfig::naive())
-                .unwrap();
+            naive.execute_plan(&query, "OUT").unwrap();
             let a = crate::ops::possible_tuples(&optimized, "OUT").unwrap();
             let b = crate::ops::possible_tuples(&naive, "OUT").unwrap();
             let a: std::collections::BTreeSet<_> = a.into_iter().collect();

@@ -15,19 +15,19 @@ use maybms::{AnyBackend, Query};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// `query` into relation `out` the way a session runs it under `config`:
-/// through [`evaluate_query`]'s `optimize → execute_plan` pipeline, or, under
-/// [`EngineConfig::naive`], executed exactly as written.
+/// `query` into relation `out`: optimized the way a session prepares it
+/// ([`evaluate_query`]'s `optimize → execute_plan` pipeline), or, without
+/// `optimize`, executed exactly as written.
 pub fn evaluate_under<B: QueryBackend>(
     backend: &mut B,
     query: &RaExpr,
     out: &str,
-    config: EngineConfig,
+    optimize: bool,
 ) -> Result<String, B::Error> {
-    if config.optimize {
+    if optimize {
         evaluate_query(backend, query, out)
     } else {
-        backend.execute_plan(query, out, &config)?;
+        backend.execute_plan(query, out)?;
         Ok(out.to_string())
     }
 }

@@ -7,8 +7,7 @@
 //! backend's native enumeration) computes sums and products of exactly
 //! representable `f64`s with no rounding anywhere.  Equality is therefore
 //! checked with `f64::to_bits`, not a tolerance: the tiers are proven to be
-//! the *same function*, across all five representations, with the optimizer
-//! on and off.
+//! the *same function*, across all five representations.
 
 mod common;
 
@@ -59,27 +58,19 @@ fn dyadic_wsd(rng: &mut StdRng) -> Wsd {
     wsd
 }
 
-/// `Session::confidence`'s rows of `query` under one optimizer setting,
-/// with the session's tier counters.
-fn conf_rows(
-    backend: AnyBackend,
-    query: &RaExpr,
-    optimize: bool,
-) -> (Vec<(Tuple, f64)>, SessionStats) {
-    let mut session = Session::with_config(backend, EngineConfig { optimize });
+/// `Session::confidence`'s rows of `query`, with the session's tier
+/// counters.
+fn conf_rows(backend: AnyBackend, query: &RaExpr) -> (Vec<(Tuple, f64)>, SessionStats) {
+    let mut session = Session::new(backend);
     let prepared = session.prepare(query.clone()).unwrap();
     let rows = session.confidence(&prepared).unwrap();
     (rows, session.stats())
 }
 
-/// The backend's native exact rows of `query` under one optimizer setting
-/// ([`native_confidences`]), with the session's counters.
-fn native_rows(
-    backend: AnyBackend,
-    query: &RaExpr,
-    optimize: bool,
-) -> (Vec<(Tuple, f64)>, SessionStats) {
-    let mut session = Session::with_config(backend, EngineConfig { optimize });
+/// The backend's native exact rows of `query` ([`native_confidences`]),
+/// with the session's counters.
+fn native_rows(backend: AnyBackend, query: &RaExpr) -> (Vec<(Tuple, f64)>, SessionStats) {
+    let mut session = Session::new(backend);
     let prepared = session.prepare(query.clone()).unwrap();
     let rows = native_confidences(&mut session, &prepared);
     (rows, session.stats())
@@ -114,8 +105,8 @@ fn assert_strictly_increasing<T>(rows: &[(Tuple, T)], context: &dyn std::fmt::Di
 }
 
 /// The tentpole proof: random positive plans on dyadic world-sets — for
-/// every backend × optimizer setting, the tiered confidences
-/// are bit-identical to the native exact enumeration.
+/// every backend, the tiered confidences are bit-identical to the native
+/// exact enumeration.
 #[test]
 fn tiers_are_bit_identical_to_exact_enumeration_on_dyadic_inputs() {
     for seed in 0..10u64 {
@@ -124,26 +115,21 @@ fn tiers_are_bit_identical_to_exact_enumeration_on_dyadic_inputs() {
         let mut generator = Generator::new(0xBEEF_0000 + seed);
         let gen = generator.expr(2, false);
         for (name, backend) in all_backends(&wsd) {
-            for optimize in [true, false] {
-                let context = format!(
-                    "seed {seed} backend {name} optimize {optimize} plan {}",
-                    gen.expr
-                );
-                let (exact, exact_stats) = native_rows(backend.clone(), &gen.expr, optimize);
-                assert_eq!(
-                    (exact_stats.executions, exact_stats.conf_compiled),
-                    (1, 0),
-                    "[{context}] the reference ran on the backend"
-                );
-                let (rows, stats) = conf_rows(backend.clone(), &gen.expr, optimize);
-                assert_bit_identical(&exact, &rows, &context);
-                assert_eq!(
-                    stats.conf_compiled + stats.conf_exact,
-                    1,
-                    "[{context}] exactly one tier must fire"
-                );
-                assert_eq!(stats.conf_safe, 0, "[{context}] the safe tier is gone");
-            }
+            let context = format!("seed {seed} backend {name} plan {}", gen.expr);
+            let (exact, exact_stats) = native_rows(backend.clone(), &gen.expr);
+            assert_eq!(
+                (exact_stats.executions, exact_stats.conf_compiled),
+                (1, 0),
+                "[{context}] the reference ran on the backend"
+            );
+            let (rows, stats) = conf_rows(backend, &gen.expr);
+            assert_bit_identical(&exact, &rows, &context);
+            assert_eq!(
+                stats.conf_compiled + stats.conf_exact,
+                1,
+                "[{context}] exactly one tier must fire"
+            );
+            assert_eq!(stats.conf_safe, 0, "[{context}] the safe tier is gone");
         }
     }
 }
@@ -163,8 +149,8 @@ fn difference_plans_fall_back_to_the_native_exact_path() {
             // operator there); the tier question does not arise.
             continue;
         }
-        let (exact, _) = native_rows(backend.clone(), &query, true);
-        let (rows, stats) = conf_rows(backend, &query, true);
+        let (exact, _) = native_rows(backend.clone(), &query);
+        let (rows, stats) = conf_rows(backend, &query);
         assert_bit_identical(&exact, &rows, &format!("difference on {name}"));
         assert_eq!(
             stats.conf_exact, 1,
@@ -194,8 +180,8 @@ fn hierarchical_plans_answer_from_the_compiled_tier() {
         .select(Predicate::cmp_const("A", CmpOp::Lt, 9i64))
         .project(vec!["B"]);
     let backend = AnyBackend::from(udb);
-    let (exact, _) = native_rows(backend.clone(), &query, true);
-    let (tiered, stats) = conf_rows(backend, &query, true);
+    let (exact, _) = native_rows(backend.clone(), &query);
+    let (tiered, stats) = conf_rows(backend, &query);
     assert_eq!(
         stats.conf_compiled, 1,
         "hierarchical plan must hit the compiled tier"
@@ -229,8 +215,8 @@ fn unsafe_plans_compile_lineage_instead() {
         .product(RaExpr::rel("T").project(vec!["B"]).rename("B", "B2"))
         .select(Predicate::cmp_attr("A", CmpOp::Eq, "B2"));
     let backend = AnyBackend::from(udb);
-    let (exact, _) = native_rows(backend.clone(), &query, true);
-    let (tiered, stats) = conf_rows(backend, &query, true);
+    let (exact, _) = native_rows(backend.clone(), &query);
+    let (tiered, stats) = conf_rows(backend, &query);
     assert_eq!(
         stats.conf_compiled, 1,
         "self-join must answer from the compiled tier"

@@ -4,8 +4,8 @@
 //! records — plus torn mid-record tails — and recovery checked against the
 //! uninterrupted in-memory run of the same prefix.
 //!
-//! For every backend, every crash point, with the optimizer on and off, the
-//! recovered state must answer queries
+//! For every backend and every crash point, the recovered state must answer
+//! queries
 //! *bit-identically* to the in-memory reference: the same possible tuples,
 //! the same exact confidences (compared by `f64::to_bits`), the same
 //! reported conditioning masses, and the same `Inconsistent` outcomes at
@@ -46,11 +46,11 @@ fn probe_queries(generator: &mut Generator, rng: &mut StdRng) -> Vec<RaExpr> {
     queries
 }
 
-/// Sorted possible answers + exact confidences of every probe query, under
-/// one engine configuration.  Confidences are kept as raw bits so equality
-/// is bit-identity, not an epsilon.
-fn probe(backend: AnyBackend, config: EngineConfig, queries: &[RaExpr]) -> Vec<Vec<(Tuple, u64)>> {
-    let mut session = Session::with_config(backend, config);
+/// Sorted possible answers + exact confidences of every probe query.
+/// Confidences are kept as raw bits so equality is bit-identity, not an
+/// epsilon.
+fn probe(backend: AnyBackend, queries: &[RaExpr]) -> Vec<Vec<(Tuple, u64)>> {
+    let mut session = Session::new(backend);
     queries
         .iter()
         .map(|query| {
@@ -65,14 +65,6 @@ fn probe(backend: AnyBackend, config: EngineConfig, queries: &[RaExpr]) -> Vec<V
             rows
         })
         .collect()
-}
-
-/// The two engine configurations of the acceptance matrix.
-fn configs() -> [(&'static str, EngineConfig); 2] {
-    [
-        ("optimized", EngineConfig::default()),
-        ("naive", EngineConfig::naive()),
-    ]
 }
 
 /// Run one update sequence through a durable session and an in-memory
@@ -135,7 +127,7 @@ fn reference_state(backend: &AnyBackend, prefix: &[UpdateExpr]) -> AnyBackend {
 }
 
 /// Crash the medium at `cut` WAL bytes, recover, and compare against the
-/// reference prefix state under every engine configuration.
+/// reference prefix state.
 fn crash_and_compare(
     label: &str,
     vfs: &MemVfs,
@@ -158,17 +150,13 @@ fn crash_and_compare(
     );
     let recovered = recovered.into_inner();
     let reference = reference_state(backend, prefix);
-    for (config_label, config) in configs() {
-        let got = probe(recovered.clone(), config, queries);
-        let want = probe(reference.clone(), config, queries);
-        assert_eq!(
-            got,
-            want,
-            "[{label}/{config_label}] answers diverge after crash at {} of {} update(s)",
-            prefix.len(),
-            vfs.bytes(WAL_FILE).map(|b| b.len()).unwrap_or(0),
-        );
-    }
+    assert_eq!(
+        probe(recovered, queries),
+        probe(reference, queries),
+        "[{label}] answers diverge after crash at {} of {} update(s)",
+        prefix.len(),
+        vfs.bytes(WAL_FILE).map(|b| b.len()).unwrap_or(0),
+    );
 }
 
 #[test]
@@ -347,10 +335,9 @@ fn checkpoints_move_the_recovery_base_without_changing_answers() {
                 maybms::apply_update(&mut reference, u).unwrap();
                 assert_valid(&reference, &format!("{name} reference: {u}"));
             }
-            let config = EngineConfig::default();
             assert_eq!(
-                probe(recovered.into_inner(), config, &queries),
-                probe(reference, config, &queries),
+                probe(recovered.into_inner(), &queries),
+                probe(reference, &queries),
                 "[{name}] checkpointed recovery diverges"
             );
         }
@@ -496,10 +483,9 @@ proptest! {
                 "[{}] decode(encode(x)) must re-encode identically",
                 name
             );
-            let config = EngineConfig::default();
             prop_assert_eq!(
-                probe(decoded, config, &queries),
-                probe(backend, config, &queries),
+                probe(decoded, &queries),
+                probe(backend, &queries),
                 "[{}] decoded state answers differently",
                 name
             );
@@ -607,7 +593,6 @@ fn pinned_readers_survive_checkpoint_churn_past_keep_2_pruning() {
 
         // …yet every pinned image still answers exactly as the serial
         // prefix it was pinned at, bit-identically.
-        let config = EngineConfig::default();
         for snap in pinned {
             assert_eq!(
                 snap.generation, snap.seq,
@@ -615,8 +600,8 @@ fn pinned_readers_survive_checkpoint_churn_past_keep_2_pruning() {
             );
             let reference = reference_state(&backend, &history[..snap.seq as usize]);
             assert_eq!(
-                probe(snap.backend.clone(), config, &queries),
-                probe(reference, config, &queries),
+                probe(snap.backend.clone(), &queries),
+                probe(reference, &queries),
                 "[{name}] the image pinned at generation {} drifted",
                 snap.generation
             );

@@ -4,7 +4,7 @@
 //! through the shared `optimize → execute` pipeline on every backend — WSD,
 //! UWSDT, U-relation, explicit world-set, and the single-world database —
 //! and the sets of possible answer tuples are compared against the explicit
-//! world-enumeration oracle, with the optimizer both on and off.
+//! world-enumeration oracle, each plan both optimized and as written.
 
 use std::collections::BTreeSet;
 
@@ -30,11 +30,9 @@ fn tuple_set(rows: &[Tuple]) -> BTreeSet<Tuple> {
     rows.iter().cloned().collect()
 }
 
-fn configs() -> [(&'static str, EngineConfig); 2] {
-    [
-        ("optimized", EngineConfig::default()),
-        ("naive", EngineConfig::naive()),
-    ]
+/// The two ways a plan reaches a backend: optimized, or as written.
+fn arms() -> [(&'static str, bool); 2] {
+    [("optimized", true), ("as written", false)]
 }
 
 #[test]
@@ -51,10 +49,10 @@ fn all_backends_agree_with_the_world_enumeration_oracle() {
         difference_plans += has_difference as usize;
         let oracle = oracle_possible(&wsd, query);
 
-        for (label, config) in configs() {
+        for (label, optimize) in arms() {
             // WSD backend.
             let mut wsd_backend = wsd.clone();
-            let out = evaluate_under(&mut wsd_backend, query, "OUT", config).unwrap();
+            let out = evaluate_under(&mut wsd_backend, query, "OUT", optimize).unwrap();
             let wsd_rows = maybms::core::prelude::possible(&wsd_backend, &out)
                 .unwrap_or_else(|e| panic!("[{label}] WSD possible() failed for {query}: {e:?}"));
             assert_eq!(
@@ -65,7 +63,7 @@ fn all_backends_agree_with_the_world_enumeration_oracle() {
 
             // UWSDT backend.
             let mut uwsdt = maybms::uwsdt::from_wsd(&wsd).unwrap();
-            let out = evaluate_under(&mut uwsdt, query, "OUT", config)
+            let out = evaluate_under(&mut uwsdt, query, "OUT", optimize)
                 .unwrap_or_else(|e| panic!("[{label}] UWSDT evaluation failed for {query}: {e:?}"));
             let uwsdt_rows = maybms::uwsdt::ops::possible_tuples(&uwsdt, &out).unwrap();
             assert_eq!(
@@ -76,7 +74,7 @@ fn all_backends_agree_with_the_world_enumeration_oracle() {
 
             // U-relation backend (positive algebra only).
             let mut udb = maybms::urel::from_wsd(&wsd).unwrap();
-            let urel_result = evaluate_under(&mut udb, query, "OUT", config);
+            let urel_result = evaluate_under(&mut udb, query, "OUT", optimize);
             if has_difference {
                 assert!(
                     urel_result.is_err(),
@@ -92,10 +90,10 @@ fn all_backends_agree_with_the_world_enumeration_oracle() {
                 );
             }
 
-            // Explicit world-set backend — driven directly so this config's
-            // optimizer setting applies (query_worlds always optimizes).
+            // Explicit world-set backend — driven directly so this arm's
+            // plan applies (query_worlds always optimizes).
             let mut ws_backend = wsd.rep().unwrap();
-            evaluate_under(&mut ws_backend, query, "OUT", config).unwrap();
+            evaluate_under(&mut ws_backend, query, "OUT", optimize).unwrap();
             let ws_rows = maybms::baselines::possible_tuples(&ws_backend, "OUT").unwrap();
             assert_eq!(
                 tuple_set(&ws_rows),
@@ -107,7 +105,7 @@ fn all_backends_agree_with_the_world_enumeration_oracle() {
             // evaluator in each individual world.
             let (first_world, _) = &wsd.enumerate_worlds(1 << 20).unwrap()[0];
             let mut db = first_world.clone();
-            let out = evaluate_under(&mut db, query, "OUT", config).unwrap();
+            let out = evaluate_under(&mut db, query, "OUT", optimize).unwrap();
             let mut engine_result = db.relation(&out).unwrap().clone();
             engine_result.dedup();
             let reference = maybms::relational::evaluate_set(first_world, query).unwrap();
@@ -163,8 +161,7 @@ fn batch_boundary_plans() -> Vec<RaExpr> {
                 ]),
             ]))
             .project(vec!["C"]),
-        // The equi-join shape: recognized as a hash join when the engine's
-        // join recognition is on, product-then-select when it is off.
+        // The equi-join shape, which the executor runs as a hash join.
         RaExpr::rel("R")
             .product(RaExpr::rel("S"))
             .select(Predicate::cmp_attr("B", CmpOp::Eq, "K")),
@@ -178,7 +175,7 @@ fn batch_boundary_plans() -> Vec<RaExpr> {
 }
 
 // The `Database` executor's answers equal the reference evaluator at the
-// batch boundaries, with the optimizer on and off.
+// batch boundaries, on each plan as written and optimized.
 #[test]
 fn columnar_and_row_paths_are_bit_identical_at_batch_boundaries() {
     // The empty relation, a single row, the sizes straddling 1024 rows, and
@@ -188,13 +185,8 @@ fn columnar_and_row_paths_are_bit_identical_at_batch_boundaries() {
         for query in &batch_boundary_plans() {
             let reference = maybms::relational::evaluate_set(&db, query).unwrap();
             for optimize in [false, true] {
-                let config = if optimize {
-                    EngineConfig::default()
-                } else {
-                    EngineConfig::naive()
-                };
                 let mut exec_db = db.clone();
-                let out = evaluate_under(&mut exec_db, query, "OUT", config).unwrap();
+                let out = evaluate_under(&mut exec_db, query, "OUT", optimize).unwrap();
                 let mut answer = exec_db.relation(&out).unwrap().clone();
                 answer.dedup();
                 assert!(

@@ -85,13 +85,6 @@ proptest! {
                 "answers differ for {}: {} vs {} (plan {})",
                 query, plain, optimized, plan
             );
-            // The cost model stays finite and non-negative on every plan (it
-            // is a heuristic, so no ordering between the two is asserted on
-            // arbitrary — possibly empty — inputs).
-            let before = optimizer::estimated_cost(&db, &query).unwrap();
-            let after = optimizer::estimated_cost(&db, &plan).unwrap();
-            prop_assert!(before.is_finite() && before >= 0.0);
-            prop_assert!(after.is_finite() && after >= 0.0);
         }
     }
 }
@@ -119,8 +112,9 @@ fn census_queries() -> Vec<(&'static str, RaExpr)> {
     queries
 }
 
-/// Evaluate `query` naively and its optimized `plan` through the default
-/// pipeline on `backend`, and assert both have the same possible answers.
+/// Execute `query` as written and its optimized `plan` through the
+/// optimizing pipeline on `backend`, and assert both have the same possible
+/// answers.
 fn assert_same_possible_answers<B>(
     backend: &mut B,
     label: &str,
@@ -132,12 +126,10 @@ fn assert_same_possible_answers<B>(
     B: ws_relational::QueryBackend,
     B::Error: std::fmt::Debug,
 {
-    // The plain arm must bypass the engine's default optimizing pipeline,
-    // or both arms would execute the same rewritten plan.
+    // The plain arm must bypass the optimizing pipeline, or both arms would
+    // execute the same rewritten plan.
     let out_plain = format!("{name}_plain");
-    backend
-        .execute_plan(query, &out_plain, &ws_relational::EngineConfig::naive())
-        .unwrap();
+    backend.execute_plan(query, &out_plain).unwrap();
     let out_opt = ws_relational::evaluate_query(backend, plan, &format!("{name}_opt")).unwrap();
     let plain: BTreeSet<Tuple> = possible(backend, &out_plain).into_iter().collect();
     let optimized: BTreeSet<Tuple> = possible(backend, &out_opt).into_iter().collect();
@@ -186,23 +178,17 @@ fn one_world_census_queries_are_unchanged_by_optimization() {
     let world = scenario.one_world();
     for (name, query) in census_queries() {
         let plain = ws_relational::evaluate_set(&world, &query).unwrap();
-        let optimized = ws_relational::evaluate_optimized(&world, &query).unwrap();
-        let mut optimized = optimized;
-        optimized.dedup();
+        let plan = optimizer::optimize(&world, &query).unwrap();
+        let optimized = ws_relational::evaluate_set(&world, &plan).unwrap();
         assert!(plain.set_eq(&optimized), "answers differ for {name}");
-        // The engine's physical operators, with and without the rewrites.
-        for config in [EngineConfig::naive(), EngineConfig::default()] {
+        // The engine's physical operators, on the plan as written and on
+        // the optimized plan.
+        for (arm, planned) in [("as written", &query), ("optimized", &plan)] {
             let mut db = world.clone();
-            let planned = if config.optimize {
-                ws_relational::optimize(&db, &query).unwrap()
-            } else {
-                query.clone()
-            };
-            db.execute_plan(&planned, "OUT", &config).unwrap();
+            db.execute_plan(planned, "OUT").unwrap();
             assert!(
                 plain.set_eq(db.relation("OUT").unwrap()),
-                "engine answers differ for {name} under {}",
-                config.summary()
+                "engine answers differ for {name} ({arm})"
             );
         }
     }

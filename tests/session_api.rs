@@ -9,6 +9,9 @@
 //!   rows two independent engine evaluations produce — same tuples, same
 //!   order.
 //! * Errors keep their plan context across the dynamic backend.
+//! * Prepared plans survive every update verb: re-preparing is a cache hit,
+//!   and the cached plan answers what a fresh session answers, on all five
+//!   backends, bare and durable.
 //! * Sessions leave the catalog as they found it: every read verb drops its
 //!   result and intermediates on all five backends, bare and durable, and
 //!   `apply` drops what `materialize` left behind.
@@ -153,103 +156,126 @@ fn confidence_and_streaming_agree_on_the_census_example() {
 }
 
 // ---------------------------------------------------------------------------
-// Update-driven plan-cache invalidation.
+// Prepared plans across updates.
 // ---------------------------------------------------------------------------
 
-/// An update touching a cached plan's base relation evicts exactly that
-/// entry: re-preparing the plan is a cache *miss* (the optimizer runs
-/// again), while plans over untouched relations stay cached.
-#[test]
-fn updates_invalidate_cached_plans_by_touched_relation() {
-    let mut rng = StdRng::seed_from_u64(0xCAC4E);
-    let wsd = random_wsd(&mut rng);
-    let mut session = Session::over(AnyBackend::from(wsd));
-
-    let over_r = session
-        .prepare(q("R").select(Predicate::eq_const("A", 1i64)))
+/// R(A, B) with two tuples and S(C) with two, where the functional
+/// dependency `A → B` on R holds in some worlds but not in all: t0 = (1, 10
+/// or 20), t1 = (2 or 1, 20), S = {1, 2 or 3}.
+fn fd_wsd() -> Wsd {
+    let mut wsd = Wsd::new();
+    wsd.register_relation("R", &["A", "B"], 2).unwrap();
+    wsd.register_relation("S", &["C"], 2).unwrap();
+    let int = Value::int;
+    wsd.set_certain(FieldId::new("R", 0, "A"), int(1)).unwrap();
+    wsd.set_uniform(FieldId::new("R", 0, "B"), vec![int(10), int(20)])
         .unwrap();
-    let over_s = session.prepare(q("S")).unwrap();
-    assert_eq!(session.stats().plans_prepared, 2);
-    assert_eq!(session.cached_plans(), 2);
-    assert_eq!(session.cached_fingerprints().len(), 2);
-
-    // An update on S leaves the R plan cached…
-    session
-        .apply(&maybms::UpdateExpr::insert("S", Tuple::from_iter([7i64])))
+    wsd.set_uniform(FieldId::new("R", 1, "A"), vec![int(2), int(1)])
         .unwrap();
-    assert_eq!(session.stats().plans_invalidated, 1);
-    assert!(session
-        .cached_fingerprints()
-        .contains(&over_r.fingerprint()));
-    assert!(!session
-        .cached_fingerprints()
-        .contains(&over_s.fingerprint()));
-    session
-        .prepare(q("R").select(Predicate::eq_const("A", 1i64)))
+    wsd.set_certain(FieldId::new("R", 1, "B"), int(20)).unwrap();
+    wsd.set_certain(FieldId::new("S", 0, "C"), int(1)).unwrap();
+    wsd.set_uniform(FieldId::new("S", 1, "C"), vec![int(2), int(3)])
         .unwrap();
-    assert_eq!(
-        session.stats().cache_hits,
-        1,
-        "the R plan must still be a cache hit after an S update"
-    );
-
-    // …while an update on R forces a re-prepare of the R plan.
-    session
-        .apply(&maybms::UpdateExpr::delete(
-            "R",
-            Predicate::eq_const("A", 0i64),
-        ))
-        .unwrap();
-    assert!(!session
-        .cached_fingerprints()
-        .contains(&over_r.fingerprint()));
-    let before = session.stats();
-    session
-        .prepare(q("R").select(Predicate::eq_const("A", 1i64)))
-        .unwrap();
-    let after = session.stats();
-    assert_eq!(
-        (after.plans_prepared, after.cache_hits),
-        (before.plans_prepared + 1, before.cache_hits),
-        "re-preparing the R plan after an R update must miss the cache"
-    );
-    assert_eq!(after.updates_applied, 2);
+    wsd.validate().unwrap();
+    wsd
 }
 
-/// Conditioning reweights every correlated relation, so it clears the whole
-/// plan cache; plans over joins are evicted when either operand is touched.
-#[test]
-fn conditioning_and_joins_invalidate_conservatively() {
-    let mut rng = StdRng::seed_from_u64(0xCAC4F);
-    let wsd = random_wsd(&mut rng);
-    let mut session = Session::over(AnyBackend::from(wsd));
-
-    let join = session
-        .prepare(
-            q("R").product(q("S").rename("C", "C2")), // touches R and S
-        )
-        .unwrap();
-    session.prepare(q("S")).unwrap();
-    assert_eq!(session.cached_plans(), 2);
-
-    // Updating R evicts the join (it reads R) but not the S-only plan.
-    session
-        .apply(&maybms::UpdateExpr::insert(
+/// Prepare `plans`, then apply every update verb in turn.  A plan depends
+/// on the catalog's schemas only, which no verb changes, so after each verb
+/// re-preparing is a cache hit that returns the same plan, and executing it
+/// answers what a fresh session over a copy of the updated backend answers.
+/// `backend_mut` is where a schema can change: the next prepare misses.
+fn cached_plans_survive_updates<B>(
+    label: &str,
+    mut session: Session<B>,
+    inner: impl Fn(&B) -> &AnyBackend,
+    plans: &[RaExpr],
+    possible_prob: f64,
+) where
+    B: SessionBackend + WriteBackend,
+    B::Error: Into<maybms::Error>,
+{
+    let prepared: Vec<Prepared> = plans.iter().map(|p| session.prepare(p).unwrap()).collect();
+    let fd = Dependency::Fd(FunctionalDependency::new("R", vec!["A"], vec!["B"]));
+    let verbs = [
+        UpdateExpr::insert("S", Tuple::from_iter([2i64])),
+        UpdateExpr::insert_possible("R", Tuple::from_iter([3i64, 20]), possible_prob),
+        UpdateExpr::delete("R", Predicate::eq_const("A", 2i64)),
+        UpdateExpr::modify(
             "R",
-            Tuple::from_iter([1i64, 1]),
-        ))
-        .unwrap();
-    assert!(!session.cached_fingerprints().contains(&join.fingerprint()));
-    assert_eq!(session.cached_plans(), 1);
+            Predicate::eq_const("A", 3i64),
+            vec![("B".to_string(), Value::int(30))],
+        ),
+        UpdateExpr::condition(vec![fd]),
+    ];
+    for verb in &verbs {
+        let mass = session
+            .apply(verb)
+            .unwrap_or_else(|e| panic!("[{label}] {verb} failed: {e}"));
+        if matches!(verb, UpdateExpr::Condition { .. }) && possible_prob < 1.0 {
+            assert!(mass < 1.0, "[{label}] the FD must remove some worlds");
+        }
+        let mut fresh = Session::new(inner(session.backend()).clone());
+        for (plan, before) in plans.iter().zip(&prepared) {
+            let misses = session.stats().plans_prepared;
+            let again = session.prepare(plan).unwrap();
+            assert_eq!(
+                session.stats().plans_prepared,
+                misses,
+                "[{label}] re-preparing {plan} after {verb} must hit the cache"
+            );
+            assert_eq!(
+                &again, before,
+                "[{label}] {verb} changed the plan of {plan}"
+            );
+            let want = fresh.prepare(plan).unwrap();
+            let rows: Vec<Tuple> = session.execute(&again).unwrap().collect();
+            let fresh_rows: Vec<Tuple> = fresh.execute(&want).unwrap().collect();
+            assert_eq!(rows, fresh_rows, "[{label}] execute {plan} after {verb}");
+            assert_eq!(
+                session.confidence(&again).unwrap(),
+                fresh.confidence(&want).unwrap(),
+                "[{label}] confidence of {plan} after {verb}"
+            );
+        }
+    }
+    let misses = session.stats().plans_prepared;
+    session.backend_mut();
+    session.prepare(&plans[0]).unwrap();
+    assert_eq!(
+        session.stats().plans_prepared,
+        misses + 1,
+        "[{label}] the first prepare after backend_mut must miss the cache"
+    );
+}
 
-    // Conditioning clears everything.
-    session.prepare(q("R")).unwrap();
-    assert_eq!(session.cached_plans(), 2);
-    session.condition(&[]).unwrap();
-    assert_eq!(session.cached_plans(), 0);
-    assert_eq!(session.stats().plans_invalidated, 3);
-    let summary = session.summary();
-    assert!(summary.contains("updates-applied=2"));
+#[test]
+fn prepared_plans_survive_every_update_verb() {
+    let wsd = fd_wsd();
+    let plans = [
+        // An equi-join over both relations with a pushable conjunct.
+        RaExpr::rel("R")
+            .product(RaExpr::rel("S"))
+            .select(Predicate::and(vec![
+                Predicate::cmp_attr("A", CmpOp::Eq, "C"),
+                Predicate::cmp_const("B", CmpOp::Ge, 10i64),
+            ]))
+            .project(vec!["B"]),
+        RaExpr::rel("R").project(vec!["A"]),
+        RaExpr::rel("S"),
+    ];
+    for (name, backend) in all_backends(&wsd) {
+        // The single world represents only the degenerate possible insert.
+        let prob = if name == "database" { 1.0 } else { 0.5 };
+        cached_plans_survive_updates(name, Session::new(backend.clone()), |b| b, &plans, prob);
+        cached_plans_survive_updates(
+            &format!("durable {name}"),
+            Session::create_durable_on(Box::new(MemVfs::new()), backend).unwrap(),
+            |b| b.inner(),
+            &plans,
+            prob,
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@
 //! Every backend must be *bit-identical* to the oracle: the sorted possible
 //! answer tuples of every interleaved query agree, conditioning reports the
 //! same surviving mass, and an update sequence that empties the world-set is
-//! reported as inconsistent by every backend at the same step — with the
-//! optimizer on and off.
+//! reported as inconsistent by every backend at the same step.  Queries
+//! prepared before an update stay in the session's plan cache, so later
+//! steps also run cached plans over the updated store.
 
 use std::collections::BTreeSet;
 
@@ -99,15 +100,10 @@ fn generate_round(
 }
 
 /// Replay one sequence on one backend session, asserting each step against
-/// the oracle verdicts.
-fn replay(
-    label: &str,
-    backend: AnyBackend,
-    config: EngineConfig,
-    steps: &[Step],
-    expected: &[Expected],
-) {
-    let mut session = Session::with_config(backend, config);
+/// the oracle verdicts.  A query prepared before an update stays cached, so
+/// later steps also check that a cached plan reads the updated store.
+fn replay(label: &str, backend: AnyBackend, steps: &[Step], expected: &[Expected]) {
+    let mut session = Session::new(backend);
     for (step, verdict) in steps.iter().zip(expected) {
         match (step, verdict) {
             (Step::Update(update), Expected::Mass(mass)) => {
@@ -155,8 +151,7 @@ fn all_backends_agree_with_the_update_oracle() {
     let mut generator = Generator::new(0x5EED6);
     let mut conditioned_rounds = 0usize;
     let mut inconsistent_rounds = 0usize;
-    // 50 rounds × optimizer on/off = 100 replayed interleaved sequences per
-    // backend.
+    // 50 replayed interleaved sequences per backend.
     for _ in 0..50 {
         let wsd = random_wsd(&mut rng);
         let (steps, expected) = generate_round(&mut rng, &mut generator, &wsd);
@@ -166,20 +161,14 @@ fn all_backends_agree_with_the_update_oracle() {
             as usize;
         inconsistent_rounds +=
             expected.iter().any(|e| matches!(e, Expected::Inconsistent)) as usize;
-        for (config_label, config) in [
-            ("optimized", EngineConfig::default()),
-            ("naive", EngineConfig::naive()),
-        ] {
-            for (name, backend) in all_backends(&wsd) {
-                if name == "database" {
-                    // The single world cannot represent fractional inserts
-                    // or survive multi-world conditioning; it has its own
-                    // differential test below.
-                    continue;
-                }
-                let label = format!("{name}/{config_label}");
-                replay(&label, backend, config, &steps, &expected);
+        for (name, backend) in all_backends(&wsd) {
+            if name == "database" {
+                // The single world cannot represent fractional inserts or
+                // survive multi-world conditioning; it has its own
+                // differential test below.
+                continue;
             }
+            replay(name, backend, &steps, &expected);
         }
     }
     assert!(
@@ -226,8 +215,8 @@ fn generate_census_round(rng: &mut StdRng, uwsdt: &Uwsdt) -> (Vec<Step>, Vec<Exp
 }
 
 /// The census shape the benchmark serves — a chased UWSDT with
-/// presence-conditioned templates — against world enumeration, with the
-/// optimizer on and off; every update must leave a UWSDT that validates.
+/// presence-conditioned templates — against world enumeration; every update
+/// must leave a UWSDT that validates.
 #[test]
 fn census_shaped_stores_agree_with_the_update_oracle() {
     let mut rng = StdRng::seed_from_u64(0xCE05_0DDC);
@@ -239,13 +228,8 @@ fn census_shaped_stores_agree_with_the_update_oracle() {
             .iter()
             .any(|s| matches!(s, Step::Update(UpdateExpr::Condition { .. })))
             as usize;
-        for (config_label, config) in [
-            ("optimized", EngineConfig::default()),
-            ("naive", EngineConfig::naive()),
-        ] {
-            let label = format!("census round {round}/{config_label}");
-            replay(&label, uwsdt.clone().into(), config, &steps, &expected);
-        }
+        let label = format!("census round {round}");
+        replay(&label, uwsdt.into(), &steps, &expected);
     }
     assert!(
         conditioned_rounds > 0,
@@ -284,13 +268,7 @@ fn the_single_world_backend_agrees_on_certain_updates() {
             }
             steps.push(Step::Update(update));
         }
-        replay(
-            "database",
-            AnyBackend::from(first_world),
-            EngineConfig::default(),
-            &steps,
-            &expected,
-        );
+        replay("database", AnyBackend::from(first_world), &steps, &expected);
     }
 }
 
