@@ -9,9 +9,10 @@
 //!   rows two independent engine evaluations produce — same tuples, same
 //!   order.
 //! * Errors keep their plan context across the dynamic backend.
-//! * Prepared plans survive every update verb: re-preparing is a cache hit,
-//!   and the cached plan answers what a fresh session answers, on all five
-//!   backends, bare and durable.
+//! * Prepared plans survive every update verb (insert, possible insert,
+//!   delete, modify, condition): re-preparing is a cache hit, and the cached
+//!   plan answers what a fresh session answers, on all five backends, bare
+//!   and durable.
 //! * Sessions leave the catalog as they found it: every read verb drops its
 //!   result and intermediates on all five backends, bare and durable, and
 //!   `apply` drops what `materialize` left behind.
@@ -180,39 +181,29 @@ fn fd_wsd() -> Wsd {
     wsd
 }
 
-/// Prepare `plans`, then apply every update verb in turn.  A plan depends
-/// on the catalog's schemas only, which no verb changes, so after each verb
+/// Prepare `plans`, then apply `verbs` in turn.  A plan depends on the
+/// catalog's schemas only, which no verb changes, so after each verb
 /// re-preparing is a cache hit that returns the same plan, and executing it
 /// answers what a fresh session over a copy of the updated backend answers.
+/// A condition must remove worlds where the backend holds more than one.
 /// `backend_mut` is where a schema can change: the next prepare misses.
 fn cached_plans_survive_updates<B>(
     label: &str,
     mut session: Session<B>,
     inner: impl Fn(&B) -> &AnyBackend,
     plans: &[RaExpr],
-    possible_prob: f64,
+    verbs: &[UpdateExpr],
+    multi_world: bool,
 ) where
     B: SessionBackend + WriteBackend,
     B::Error: Into<maybms::Error>,
 {
     let prepared: Vec<Prepared> = plans.iter().map(|p| session.prepare(p).unwrap()).collect();
-    let fd = Dependency::Fd(FunctionalDependency::new("R", vec!["A"], vec!["B"]));
-    let verbs = [
-        UpdateExpr::insert("S", Tuple::from_iter([2i64])),
-        UpdateExpr::insert_possible("R", Tuple::from_iter([3i64, 20]), possible_prob),
-        UpdateExpr::delete("R", Predicate::eq_const("A", 2i64)),
-        UpdateExpr::modify(
-            "R",
-            Predicate::eq_const("A", 3i64),
-            vec![("B".to_string(), Value::int(30))],
-        ),
-        UpdateExpr::condition(vec![fd]),
-    ];
-    for verb in &verbs {
+    for verb in verbs {
         let mass = session
             .apply(verb)
             .unwrap_or_else(|e| panic!("[{label}] {verb} failed: {e}"));
-        if matches!(verb, UpdateExpr::Condition { .. }) && possible_prob < 1.0 {
+        if matches!(verb, UpdateExpr::Condition { .. }) && multi_world {
             assert!(mass < 1.0, "[{label}] the FD must remove some worlds");
         }
         let mut fresh = Session::new(inner(session.backend()).clone());
@@ -249,11 +240,10 @@ fn cached_plans_survive_updates<B>(
     );
 }
 
-#[test]
-fn prepared_plans_survive_every_update_verb() {
-    let wsd = fd_wsd();
-    let plans = [
-        // An equi-join over both relations with a pushable conjunct.
+/// An equi-join over R and S with a pushable conjunct, and one plan over
+/// each relation alone.
+fn fd_plans() -> [RaExpr; 3] {
+    [
         RaExpr::rel("R")
             .product(RaExpr::rel("S"))
             .select(Predicate::and(vec![
@@ -263,19 +253,69 @@ fn prepared_plans_survive_every_update_verb() {
             .project(vec!["B"]),
         RaExpr::rel("R").project(vec!["A"]),
         RaExpr::rel("S"),
-    ];
+    ]
+}
+
+/// Run `cached_plans_survive_updates` with the verbs `verbs(prob)` on all
+/// five backends over `fd_wsd`, bare and durable.  `prob` is the
+/// probability a possible insert may use: the single world represents only
+/// the degenerate one.
+fn on_all_backends(verbs: impl Fn(f64) -> Vec<UpdateExpr>) {
+    let wsd = fd_wsd();
+    let plans = fd_plans();
     for (name, backend) in all_backends(&wsd) {
-        // The single world represents only the degenerate possible insert.
-        let prob = if name == "database" { 1.0 } else { 0.5 };
-        cached_plans_survive_updates(name, Session::new(backend.clone()), |b| b, &plans, prob);
+        let multi_world = name != "database";
+        let verbs = verbs(if multi_world { 0.5 } else { 1.0 });
+        cached_plans_survive_updates(
+            name,
+            Session::new(backend.clone()),
+            |b| b,
+            &plans,
+            &verbs,
+            multi_world,
+        );
         cached_plans_survive_updates(
             &format!("durable {name}"),
             Session::create_durable_on(Box::new(MemVfs::new()), backend).unwrap(),
             |b| b.inner(),
             &plans,
-            prob,
+            &verbs,
+            multi_world,
         );
     }
+}
+
+/// Updates change data, never a schema, so none of them invalidates a
+/// cached plan, not even a plan over the relation it touched: a certain
+/// insert on S, then a possible insert, a delete and a modify on R.
+#[test]
+fn updates_invalidate_cached_plans_by_touched_relation() {
+    on_all_backends(|prob| {
+        vec![
+            UpdateExpr::insert("S", Tuple::from_iter([2i64])),
+            UpdateExpr::insert_possible("R", Tuple::from_iter([3i64, 20]), prob),
+            UpdateExpr::delete("R", Predicate::eq_const("A", 2i64)),
+            UpdateExpr::modify(
+                "R",
+                Predicate::eq_const("A", 3i64),
+                vec![("B".to_string(), Value::int(30))],
+            ),
+        ]
+    });
+}
+
+/// Conditioning reweights worlds but changes no schema, so it keeps every
+/// cached plan too; the join over R and S stays cached after an insert on
+/// one operand and after conditioning on the FD `A → B`.
+#[test]
+fn conditioning_and_joins_invalidate_conservatively() {
+    on_all_backends(|_| {
+        let fd = Dependency::Fd(FunctionalDependency::new("R", vec!["A"], vec!["B"]));
+        vec![
+            UpdateExpr::insert("R", Tuple::from_iter([3i64, 20])),
+            UpdateExpr::condition(vec![fd]),
+        ]
+    });
 }
 
 // ---------------------------------------------------------------------------
