@@ -28,22 +28,23 @@
 //!   ([`mod@ws_relational::fingerprint`]), and runs the rule-based optimizer
 //!   **once** per distinct plan: re-preparing the same query — even written
 //!   with its conjuncts in a different order — is a cache hit.
-//! * [`Session::execute`] replays the cached physical plan, copies the
-//!   possible answers out as owned rows and returns them as a [`Rows`]
-//!   iterator.
+//! * [`Session::execute`] answers the cached physical plan with its
+//!   distinct possible tuples, as owned rows in a [`Rows`] iterator.
 //! * [`Session::confidence`] / [`Session::confidence_approx`] compute the
 //!   paper's §6 tuple confidences on the same prepared plan: exact, or
 //!   (ε, δ)-approximate by the one Monte-Carlo estimator over the plan's
 //!   lineage ([`ws_relational::approx`]).
 //!
-//! A confidence is read from the plan's lineage wherever the backend maps
-//! onto one and the plan is positive: [`lineage::evaluate_lineage`] over
-//! the session's memoized [`LineageDb`] *is* the answer, and nothing runs
-//! on the backend.  Every other read — [`Session::execute`], and a
-//! confidence the lineage path declines — builds the plan's result as a
+//! Every read takes one lineage step first.  Wherever the backend maps onto
+//! lineage and the plan is positive, [`lineage::evaluate_lineage`] over the
+//! session's memoized [`LineageDb`] *is* the answer — its distinct tuples
+//! for an execute, its per-tuple DNFs compiled or sampled for a confidence
+//! — and nothing runs on the backend.  Every read that step declines (the
+//! `Database`, a plan with a difference, a backend without a lineage
+//! mapping, a d-tree over budget) builds the plan's result as a
 //! `__session_q*` relation inside the backend, copies the answer out, and
 //! drops the result before the call returns.  Only [`Session::materialize`]
-//! leaves a result behind.
+//! always runs on the backend, and it alone leaves a result behind.
 //!
 //! [`Session::over`] wraps the five concrete representations in one dynamic
 //! [`AnyBackend`], so code that picks a backend at run time still goes
@@ -60,7 +61,7 @@ use ws_core::{WorldSet, Wsd};
 use ws_obs::{Observer, ProfileNode};
 use ws_relational::approx::{self, ApproxConfig};
 use ws_relational::engine::{self, QueryBackend, SchemaCatalog};
-use ws_relational::lineage::{self, Dnf, DtreeCompiler, LineageDb};
+use ws_relational::lineage::{self, Dnf, DtreeCompiler, LineageDb, LineageOutput};
 use ws_relational::{
     fingerprint, optimizer, Database, Dependency, Predicate, RaExpr, Schema, Tuple, Value,
     WriteBackend,
@@ -431,7 +432,8 @@ pub struct SessionStats {
     pub cache_hits: u64,
     /// Queries answered ([`Session::execute`], [`Session::confidence`],
     /// [`Session::confidence_approx`], [`Session::materialize`]), whether
-    /// the backend ran the plan or the lineage answered it.
+    /// the backend ran the plan or the lineage answered it
+    /// ([`SessionStats::exec_lineage`] and the `conf_*` fields say which).
     pub executions: u64,
     /// Rows pulled through [`Rows`] cursors and confidence calls.
     pub rows_streamed: u64,
@@ -460,9 +462,10 @@ pub struct SessionStats {
     /// [`Session::confidence_approx`] calls (Monte-Carlo or the backend's
     /// exact fallback).
     pub conf_approx: u64,
-    /// Lineage extractions the confidence tiers asked the backend for — one
-    /// per relation set the plans read, until the backend changes (every
-    /// other call reads the session's memo; see [`Session::confidence`]).
+    /// Lineage extractions the reads asked the backend for — executes and
+    /// confidences alike, one per relation set the plans read, until the
+    /// backend changes (every other read takes the session's memo; see
+    /// [`Session::confidence`]).
     pub lineage_extractions: u64,
     /// Read snapshots pinned from a concurrent store (ws-server sessions
     /// only; 0 on plain sessions).
@@ -475,6 +478,10 @@ pub struct SessionStats {
     pub wire_bytes_in: u64,
     /// Bytes sent over the wire protocol (ws-server only).
     pub wire_bytes_out: u64,
+    /// [`Session::execute`] calls the lineage answered: the plan evaluated
+    /// over the memoized lineage, nothing run on the backend.  An execute
+    /// the lineage step declines runs on the backend and is not counted.
+    pub exec_lineage: u64,
 }
 
 impl SessionStats {
@@ -502,6 +509,7 @@ impl SessionStats {
         self.batched_updates += other.batched_updates;
         self.wire_bytes_in += other.wire_bytes_in;
         self.wire_bytes_out += other.wire_bytes_out;
+        self.exec_lineage += other.exec_lineage;
     }
 
     /// Mean updates per group-commit batch (0.0 before the first batch) —
@@ -542,25 +550,29 @@ impl fmt::Display for SessionStats {
         write!(
             f,
             " snapshots-pinned={} commit-batches={} mean-batch={:.1} \
-             wire-bytes-in={} wire-bytes-out={}",
+             wire-bytes-in={} wire-bytes-out={} exec-lineage={}",
             self.snapshots_pinned,
             self.commit_batches,
             self.mean_batch(),
             self.wire_bytes_in,
             self.wire_bytes_out,
+            self.exec_lineage,
         )
     }
 }
 
 /// What [`Session::explain_analyze`] returns: real measurements of one
-/// profiled execution — a per-operator tree plus the query-level facts
-/// (row count, confidence tier, plan-cache hit).
+/// profiled execution — a per-operator tree, or the one lineage step that
+/// answered, plus the query-level facts (row count, confidence tier,
+/// plan-cache hit).
 #[derive(Clone, Debug)]
 pub struct QueryProfile {
     /// The profiled plan, rendered.
     pub plan: String,
-    /// The per-operator execution tree: rows in/out, batches, wall-clock
-    /// and the columnar-vs-row path each operator took.
+    /// Where the lineage answered the execute, one `lineage` node: rows out
+    /// = the answer rows, wall-clock = the evaluation, path `"lineage"`.
+    /// Otherwise the per-operator execution tree: rows in/out, batches,
+    /// wall-clock and the columnar-vs-row path each operator took.
     pub root: ProfileNode,
     /// The confidence step: rows in = streamed answers, rows out = distinct
     /// tuples with confidences, detail = the tier that fired.
@@ -605,9 +617,9 @@ pub struct Session<B: SessionBackend> {
     /// relations a session leaves in its backend (see [`Session::apply`]
     /// for the staleness rule).
     materialized: Vec<String>,
-    /// The lineage the confidence tiers extracted, keyed by the base
-    /// relations a plan reads; `None` memoizes a decline.  Emptied wherever
-    /// the backend can change under the session: [`Session::apply`] and
+    /// The lineage the reads extracted, keyed by the base relations a plan
+    /// reads; `None` memoizes a decline.  Emptied wherever the backend can
+    /// change under the session: [`Session::apply`] and
     /// [`Session::backend_mut`].
     lineage: BTreeMap<BTreeSet<String>, Option<Arc<LineageDb>>>,
     /// The observability domain queries report into, when one was attached
@@ -671,7 +683,7 @@ where
     /// Mutable access to the underlying backend (loading data, chasing
     /// dependencies, adding or dropping relations).  This is the one place a
     /// schema can change under the session, so the prepared-plan cache and
-    /// the lineage memo of [`Session::confidence`] are both emptied here:
+    /// the lineage memo every read takes are both emptied here:
     /// the next [`Session::prepare`] re-optimizes against the new catalog.
     /// [`Prepared`] plans handed out earlier are not tracked; re-prepare
     /// them after a schema change.
@@ -753,20 +765,44 @@ where
         })
     }
 
-    /// Replay a prepared plan and return its possible answer tuples.
+    /// Answer a prepared plan with its distinct possible tuples, in `Tuple`
+    /// order.
     ///
-    /// The result is built inside the backend under a fresh scratch name,
-    /// its distinct possible tuples are copied out, and the scratch result
-    /// is dropped before this returns.  The [`Rows`] iterator owns the
-    /// answer and counts the rows consumed from it.
+    /// Where the backend maps onto lineage and the plan is positive, the
+    /// answer is the distinct tuples of [`lineage::evaluate_lineage`] over
+    /// the session's memoized lineage (the memo [`Session::confidence`]
+    /// reads), and nothing runs on the backend
+    /// ([`SessionStats::exec_lineage`] counts these).  Otherwise — the
+    /// `Database`, a plan with a difference, a backend that declines — the
+    /// result is built inside the backend under a fresh scratch name, its
+    /// distinct possible tuples are copied out, and the scratch result is
+    /// dropped before this returns.  Both paths list the same tuples in the
+    /// same order.  The [`Rows`] iterator owns the answer and counts the
+    /// rows consumed from it.
     pub fn execute(&mut self, prepared: &Prepared) -> Result<Rows<'_>> {
-        let rows = self.traced(prepared, |session| {
-            session.read_result(prepared, |session, out| session.backend.possible_rows(out))
-        })?;
+        let rows = self.traced(prepared, |session| session.possible_answer(prepared))?;
         Ok(Rows {
             rows: rows.into_iter(),
             stats: &mut self.stats,
         })
+    }
+
+    /// [`Session::execute`]'s answer: the lineage step first, the backend's
+    /// result path where it declines.
+    fn possible_answer(&mut self, prepared: &Prepared) -> Result<Vec<Tuple>> {
+        let started = Instant::now();
+        match self.lineage_output(prepared) {
+            Ok((_, output)) => {
+                let rows = output.into_possible();
+                self.stats.exec_lineage += 1;
+                self.observe_tier("exec.tier.lineage", started);
+                Ok(rows)
+            }
+            Err(reason) => {
+                self.count_decline("exec", reason);
+                self.read_result(prepared, |session, out| session.backend.possible_rows(out))
+            }
+        }
     }
 
     /// Prepare and execute in one step (still cached: repeated one-shot
@@ -821,8 +857,9 @@ where
     /// The lineage is extracted once per set of base relations the plan
     /// reads and kept until the backend changes ([`Session::apply`],
     /// [`Session::backend_mut`]); a backend that declines is not asked again
-    /// either.  Executing a plan never touches a base relation's possible
-    /// worlds, so every later call on the same relations reads the memo
+    /// either.  [`Session::execute`] reads the same memo, and running a plan
+    /// on the backend never touches a base relation's possible worlds, so
+    /// every later read on the same relations takes the memo
     /// ([`SessionStats::lineage_extractions`] counts the extractions).
     pub fn confidence(&mut self, prepared: &Prepared) -> Result<Vec<(Tuple, f64)>> {
         let rows = self.traced(prepared, |session| {
@@ -872,7 +909,7 @@ where
             Ok(rows) if approx.is_some() => return Ok(rows),
             Ok(rows) => {
                 self.stats.conf_compiled += 1;
-                self.observe_tier("compiled", None, started);
+                self.observe_tier("conf.tier.compiled", started);
                 return Ok(rows);
             }
             Err(reason) => reason,
@@ -883,53 +920,72 @@ where
         })?;
         if approx.is_none() {
             self.stats.conf_exact += 1;
-            self.observe_tier("exact", Some(declined), started);
+            self.count_decline("conf", declined);
+            self.observe_tier("conf.tier.exact", started);
         }
         Ok(rows)
     }
 
-    /// Report the tier that answered a [`Session::confidence`] call to the
-    /// observer, if one is attached: `conf.tier.<tier>.hits` and `.ns`, and
-    /// the counter naming why the lineage path declined.
-    fn observe_tier(&self, tier: &str, declined: Option<&str>, started: Instant) {
+    /// Report the tier that answered a read to the observer, if one is
+    /// attached: `<tier>.hits` and `<tier>.ns`.
+    fn observe_tier(&self, tier: &str, started: Instant) {
         let Some(observer) = &self.observer else {
             return;
         };
         let metrics = observer.metrics();
-        if let Some(declined) = declined {
-            metrics.counter(declined).inc();
-        }
-        metrics.counter(&format!("conf.tier.{tier}.hits")).inc();
+        metrics.counter(&format!("{tier}.hits")).inc();
         metrics
-            .histogram(&format!("conf.tier.{tier}.ns"))
+            .histogram(&format!("{tier}.ns"))
             .record_duration(started.elapsed());
     }
 
-    /// The lineage path: `prepared` evaluated over the memoized lineage,
-    /// each distinct output tuple's DNF compiled to a d-tree — or, under
-    /// `approx`, sampled — in the `Tuple` order of
-    /// [`lineage::LineageOutput::dnfs`].  Nothing runs on the backend.
-    /// `Err` is the counter that names why the path declined: the backend
-    /// has no lineage, the plan has a difference, or the d-tree ran out of
-    /// budget.
-    fn lineage_confidences(
+    /// Count why the lineage step declined a read (`read` is `exec` or
+    /// `conf`): `<read>.tier.lineage.declined.<reason>`.
+    fn count_decline(&self, read: &str, reason: &str) {
+        if let Some(observer) = &self.observer {
+            observer
+                .metrics()
+                .counter(&format!("{read}.tier.lineage.declined.{reason}"))
+                .inc();
+        }
+    }
+
+    /// The lineage step of every read: `prepared` evaluated over the
+    /// memoized lineage of the base relations it reads.  Nothing runs on
+    /// the backend.  `Err` names why the step declined: `"no_lineage"` (the
+    /// backend has no lineage for those relations) or `"negation"` (the plan
+    /// has a difference).
+    fn lineage_output(
         &mut self,
         prepared: &Prepared,
-        approx: Option<&ApproxConfig>,
-    ) -> Result<std::result::Result<Vec<(Tuple, f64)>, &'static str>> {
+    ) -> std::result::Result<(Arc<LineageDb>, LineageOutput), &'static str> {
         let relations: BTreeSet<String> = prepared
             .plan
             .base_relations()
             .into_iter()
             .map(str::to_string)
             .collect();
-        let Some(db) = self.lineage_of(relations) else {
-            return Ok(Err("conf.tier.lineage.declined.no_lineage"));
-        };
+        let db = self.lineage_of(relations).ok_or("no_lineage")?;
         // A typechecked plan fails to evaluate over lineage only for a
         // difference: negation has no DNF lineage.
-        let Ok(output) = lineage::evaluate_lineage(&db, &prepared.plan) else {
-            return Ok(Err("conf.tier.lineage.declined.negation"));
+        let output = lineage::evaluate_lineage(&db, &prepared.plan).map_err(|_| "negation")?;
+        Ok((db, output))
+    }
+
+    /// The confidence half of the lineage path: [`Session::lineage_output`]
+    /// with each distinct output tuple's DNF compiled to a d-tree — or,
+    /// under `approx`, sampled — in the `Tuple` order of
+    /// [`lineage::LineageOutput::dnfs`].  Nothing runs on the backend.
+    /// `Err` names why the path declined: the lineage step's reasons, or
+    /// `"budget"` when the d-tree ran out of nodes.
+    fn lineage_confidences(
+        &mut self,
+        prepared: &Prepared,
+        approx: Option<&ApproxConfig>,
+    ) -> Result<std::result::Result<Vec<(Tuple, f64)>, &'static str>> {
+        let (db, output) = match self.lineage_output(prepared) {
+            Ok(answer) => answer,
+            Err(reason) => return Ok(Err(reason)),
         };
         let (tuples, dnfs): (Vec<Tuple>, Vec<Dnf>) = output.dnfs().into_iter().unzip();
         let probs = match approx {
@@ -940,7 +996,7 @@ where
                     dnfs.iter().map(|dnf| compiler.probability(dnf)).collect();
                 match compiled {
                     Ok(probs) => probs,
-                    Err(_) => return Ok(Err("conf.tier.lineage.declined.budget")),
+                    Err(_) => return Ok(Err("budget")),
                 }
             }
         };
@@ -971,11 +1027,12 @@ where
 
     /// Execute `prepared` with profiling on and return a [`QueryProfile`]:
     /// rows in/out, batches, wall-clock and the columnar-vs-row path of
-    /// every operator, plus which confidence tier answered and whether the
-    /// plan cache held the plan.  The query is answered twice — once
-    /// streamed for the per-operator tree and the row count, once by
-    /// [`Session::confidence`] for the confidence step — so every number is
-    /// a real measurement, not an estimate.
+    /// every operator — or, where the lineage answered the execute, one
+    /// `lineage` node in place of the operator tree — plus which confidence
+    /// tier answered and whether the plan cache held the plan.  The query is
+    /// answered twice — once streamed for the profile tree and the row
+    /// count, once by [`Session::confidence`] for the confidence step — so
+    /// every number is a real measurement, not an estimate.
     ///
     /// Works with or without an attached observer: the profile collector
     /// installed for the first pass is what turns the engine's
@@ -986,14 +1043,18 @@ where
         } else {
             "miss"
         };
-        // First pass: stream the answer under a profile collector.
+        // First pass: stream the answer under a profile collector.  The
+        // stats deltas identify the lineage answer here and the confidence
+        // tier below.
+        let before = self.stats;
         ws_obs::profile::begin();
+        let started = Instant::now();
         let counted = self.execute(prepared).map(|rows| rows.count() as u64);
+        let exec_elapsed = started.elapsed();
         let children = ws_obs::profile::take();
         let rows = counted?;
         // Second pass: the confidence ladder (no collector — the tree above
-        // already covers the plan; the stats delta identifies the tier).
-        let before = self.stats;
+        // already covers the plan).
         let started = Instant::now();
         let confidences = self.confidence(prepared)?.len() as u64;
         let conf_elapsed = started.elapsed();
@@ -1002,23 +1063,32 @@ where
         } else {
             "exact"
         };
-        let mut root = ProfileNode::new("query", prepared.display.clone());
+        let mut root = if self.stats.exec_lineage > before.exec_lineage {
+            // No operator ran: the lineage evaluation is the whole answer.
+            let mut lineage = ProfileNode::new("lineage", prepared.display.clone());
+            lineage.path = "lineage";
+            lineage.elapsed_ns = nanos(exec_elapsed);
+            lineage
+        } else {
+            let mut query = ProfileNode::new("query", prepared.display.clone());
+            query.path = if children.iter().any(|c| c.path != "row") {
+                "columnar"
+            } else {
+                "row"
+            };
+            query.elapsed_ns = children.iter().map(|c| c.elapsed_ns).sum();
+            query.children = children;
+            query
+        };
         root.rows_out = rows;
         root.batches = 1;
-        root.path = if children.iter().any(|c| c.path != "row") {
-            "columnar"
-        } else {
-            "row"
-        };
-        root.elapsed_ns = children.iter().map(|c| c.elapsed_ns).sum();
-        root.children = children;
         root.derive_rows_in();
         let mut confidence = ProfileNode::new("confidence", format!("tier={tier}"));
         confidence.rows_in = rows;
         confidence.rows_out = confidences;
         confidence.batches = 1;
         confidence.path = "row";
-        confidence.elapsed_ns = u64::try_from(conf_elapsed.as_nanos()).unwrap_or(u64::MAX);
+        confidence.elapsed_ns = nanos(conf_elapsed);
         Ok(QueryProfile {
             plan: prepared.display.clone(),
             root,
@@ -1091,6 +1161,11 @@ where
     }
 }
 
+/// A duration in whole nanoseconds, saturating.
+fn nanos(elapsed: std::time::Duration) -> u64 {
+    u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
+}
+
 // ---------------------------------------------------------------------------
 // The update verbs.
 // ---------------------------------------------------------------------------
@@ -1119,8 +1194,8 @@ where
     ///   Names returned by `materialize` must therefore not be read after an
     ///   `apply`; re-execute the plan instead.  Every other read verb has
     ///   already copied its answer out and dropped its result;
-    /// * the lineage memo of [`Session::confidence`] is emptied whole, so the
-    ///   next confidence call re-extracts from the updated backend.
+    /// * the lineage memo is emptied whole, so the next execute or
+    ///   confidence re-extracts from the updated backend.
     pub fn apply(&mut self, update: &UpdateExpr) -> Result<f64> {
         let _span = self.observer.as_ref().map(|observer| {
             observer
@@ -1299,14 +1374,17 @@ mod tests {
             .map(String::from)
             .collect();
         let mut session = Session::new(base);
-        // The second plan's condition spans two components, so executing it
-        // composes base components.
+        // The lineage answers the positive plans; the difference runs on
+        // the backend, and its condition spans two components, so executing
+        // it composes base components.
+        let spanning = q("R").select(Predicate::and(vec![
+            Predicate::eq_const("M", 1i64),
+            Predicate::cmp_const("S", CmpOp::Ge, 500i64),
+        ]));
         let plans = [
             q("R").select(Predicate::eq_const("M", 1i64)).project(["S"]),
-            q("R").select(Predicate::and(vec![
-                Predicate::eq_const("M", 1i64),
-                Predicate::cmp_const("S", CmpOp::Ge, 500i64),
-            ])),
+            spanning.clone(),
+            q("R").difference(spanning),
         ]
         .map(|query| session.prepare(query).unwrap());
         let answers = |session: &mut Session<Uwsdt>| {

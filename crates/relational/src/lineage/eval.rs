@@ -23,14 +23,13 @@
 //! callers fall back to the backend's native exact path.
 //!
 //! This is the whole query executor of U-relations (`ws_urel`), and the
-//! evaluator whose output *is* the answer of the session's compiled
-//! confidence tier on every other backend.
+//! evaluator whose output *is* the answer of the session's executes and
+//! compiled confidence tier on every other world-set backend.
 
 use super::model::{Clause, Dnf, LineageDb, LineageRelation};
 use crate::algebra::RaExpr;
 use crate::error::{RelationalError, Result};
 use crate::predicate::Predicate;
-use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use std::borrow::Cow;
@@ -56,9 +55,16 @@ impl LineageOutput {
     }
 
     /// The possible output tuples (set semantics, in `Tuple` order — the
-    /// order of [`LineageOutput::dnfs`]).
-    pub fn possible(&self) -> Result<Relation> {
-        self.rows.possible()
+    /// order of [`LineageOutput::dnfs`]), moved out of the derivations: no
+    /// relation is built and no tuple is copied.
+    pub fn into_possible(mut self) -> Vec<Tuple> {
+        let mut tuples: Vec<Tuple> = std::mem::take(self.rows.rows_mut())
+            .into_iter()
+            .map(|(tuple, _)| tuple)
+            .collect();
+        tuples.sort_unstable();
+        tuples.dedup();
+        tuples
     }
 
     /// Group the derivations into one [`Dnf`] per distinct output tuple.
@@ -299,8 +305,10 @@ mod tests {
         assert_eq!(dnfs[&Tuple::from_iter([10i64])].len(), 1);
         assert_eq!(dnfs[&Tuple::from_iter([20i64])].len(), 1);
         // The possible output lists each tuple once, in `dnfs`' order.
-        let possible = out.possible().unwrap();
-        assert_eq!(possible.rows(), dnfs.keys().cloned().collect::<Vec<_>>());
+        assert_eq!(
+            out.into_possible(),
+            dnfs.keys().cloned().collect::<Vec<_>>()
+        );
     }
 
     #[test]

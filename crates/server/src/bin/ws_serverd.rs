@@ -22,6 +22,9 @@
 //!     frame nested 10 000 levels deep on a raw connection (it must be
 //!     refused, and the connection must keep answering), scrape the HTTP
 //!     metrics endpoint, and exit 0 iff every step answered correctly.
+//!     Positive executes must come from the lineage (`exec-lineage=` > 0,
+//!     `ws_exec_tier_lineage_hits` on the wire), and one execute of a plan
+//!     with a difference must run the operators (`ws_exec_op_`).
 //! ```
 
 use std::net::{SocketAddr, TcpStream};
@@ -208,10 +211,21 @@ fn cmd_smoke() -> Result<(), Box<dyn std::error::Error>> {
     let rows_after = client.execute(&plan)?.len();
     let generation = client.checkpoint()?;
     let summary = client.stats()?;
+    let exec_lineage: u64 = summary
+        .split_whitespace()
+        .find_map(|field| field.strip_prefix("exec-lineage="))
+        .and_then(|n| n.parse().ok())
+        .ok_or_else(|| format!("smoke: no exec-lineage counter in {summary:?}"))?;
     println!("smoke: rows {rows_before} -> {rows_after}, {} confidences, mass {mass}, generation {generation}", confidences.len());
     println!("smoke: {summary}");
     let over_deep_refused = over_deep_frame_is_refused(addr)?;
     println!("smoke: over-deep Prepare frame refused: {over_deep_refused}");
+
+    // A difference has no lineage, so this execute runs the operators.
+    let lineage_metrics = client.metrics()?;
+    let difference =
+        client.prepare(q("R").difference(q("R").select(Predicate::eq_const("M", 4i64))))?;
+    client.execute(&difference)?;
 
     // The registry over the wire verb and over HTTP must agree on content.
     let wire_metrics = client.metrics()?;
@@ -231,6 +245,12 @@ fn cmd_smoke() -> Result<(), Box<dyn std::error::Error>> {
 
     if rows_before == 0 || confidences.is_empty() {
         return Err("smoke: the example store answered nothing".into());
+    }
+    if exec_lineage == 0 {
+        return Err(format!("smoke: no execute was answered from the lineage: {summary}").into());
+    }
+    if !lineage_metrics.contains("ws_exec_tier_lineage_hits") {
+        return Err(format!("smoke: no lineage executes on the wire:\n{lineage_metrics}").into());
     }
     if !wire_metrics.contains("ws_exec_op_") {
         return Err(format!("smoke: no operator metrics on the wire:\n{wire_metrics}").into());

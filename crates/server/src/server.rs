@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -34,33 +34,44 @@ const ROW_BATCH: usize = 256;
 /// Serve `store` on `listener` until `stop` is raised (by a client
 /// `Shutdown` verb or [`ServerHandle::shutdown`]).
 ///
-/// Blocks the calling thread; connection handlers run on their own threads
-/// and are joined before this returns.  The store itself is *not* closed —
-/// the caller decides when the committer stops.
+/// Blocks the calling thread; connection handlers run on their own threads.
+/// Once `stop` is raised, every connection still open is shut down — a
+/// handler waiting on an idle client wakes with end-of-stream — and every
+/// handler is joined before this returns.  The store itself is *not*
+/// closed — the caller decides when the committer stops.
 pub fn serve(
     listener: TcpListener,
     store: ConcurrentStore<AnyBackend>,
     stop: Arc<AtomicBool>,
 ) -> io::Result<()> {
     let addr = listener.local_addr()?;
-    let mut workers: Vec<JoinHandle<()>> = Vec::new();
+    // Each live connection's handler, beside a handle on its socket.
+    let mut workers: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
     for conn in listener.incoming() {
         if stop.load(Ordering::SeqCst) {
             break;
         }
-        let stream = match conn {
-            Ok(s) => s,
-            Err(_) => continue,
+        let Ok(stream) = conn else {
+            continue;
         };
+        let Ok(socket) = stream.try_clone() else {
+            continue;
+        };
+        // Forget the connections whose clients already hung up.
+        workers.retain(|(worker, _)| !worker.is_finished());
         let store = store.clone();
         let stop = Arc::clone(&stop);
-        workers.push(std::thread::spawn(move || {
+        let worker = std::thread::spawn(move || {
             // A connection error tears down that one connection only.
             let _ = handle_connection(stream, store, stop, addr);
-        }));
+        });
+        workers.push((worker, socket));
     }
-    for w in workers {
-        let _ = w.join();
+    for (_, socket) in &workers {
+        let _ = socket.shutdown(Shutdown::Both);
+    }
+    for (worker, _) in workers {
+        let _ = worker.join();
     }
     Ok(())
 }
@@ -99,7 +110,8 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Stop accepting, wake the accept loop, and join it.
+    /// Stop accepting, wake the accept loop, and join it; connections
+    /// still open are shut down (see [`serve`]).
     pub fn shutdown(mut self) -> io::Result<()> {
         self.stop.store(true, Ordering::SeqCst);
         // A throwaway connection unblocks the blocking accept.
@@ -414,6 +426,41 @@ mod tests {
         store.close().unwrap();
     }
 
+    /// A client that connects and then sends nothing leaves its handler
+    /// blocked on a read; shutting the server down must still return, and
+    /// promptly.  The shutdown runs on a helper thread so a regression fails
+    /// this test instead of hanging the suite.
+    #[test]
+    fn shutdown_returns_while_an_idle_client_stays_connected() {
+        let store = ConcurrentStore::create(
+            Box::new(MemVfs::new()),
+            AnyBackend::from(Database::new()),
+            SyncPolicy::EveryRecord,
+        )
+        .unwrap();
+        let server = spawn("127.0.0.1:0", store.clone()).unwrap();
+        let idle = TcpStream::connect(server.addr()).unwrap();
+        // A finished connection before it, so the handler list has one to
+        // forget when the idle client is accepted.
+        Client::connect(server.addr()).unwrap().close().unwrap();
+        let mut raw = TcpStream::connect(server.addr()).unwrap();
+        write_frame(&mut raw, 1, &Request::Stats.encode()).unwrap();
+        read_frame(&mut raw).unwrap().unwrap();
+
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send(server.shutdown());
+        });
+        let outcome = finished
+            .recv_timeout(Duration::from_secs(5))
+            .expect("shutdown still blocked behind an idle client after 5 s");
+        outcome.unwrap();
+        // The idle connection was hung up by the server.
+        assert!(read_frame(&mut raw).unwrap().is_none());
+        drop(idle);
+        store.close().unwrap();
+    }
+
     /// `levels` nested negations of `M = 1`: `levels + 1` predicate levels.
     fn nots(levels: usize) -> Predicate {
         (0..levels).fold(Predicate::eq_const("M", 1i64), |p, _| Predicate::not(p))
@@ -449,7 +496,6 @@ mod tests {
             Response::decode(&reply).unwrap(),
             Response::Stats { .. }
         ));
-        // Hang up, or shutting the server down waits for this connection.
         drop(raw);
 
         // The selection is level 1, so its predicate may hold MAX_NESTING - 2

@@ -1,8 +1,8 @@
 //! Observability end to end: run an *observed* ws-server over an in-memory
 //! store, push a mixed read/write workload through it from concurrent
 //! clients, then read everything the observer saw — the Prometheus scrape
-//! (over the wire verb *and* over plain HTTP), the slow-query log, and a
-//! per-operator `explain_analyze` profile of the workload's main query.
+//! (over the wire verb *and* over plain HTTP), the slow-query log, and an
+//! `explain_analyze` profile of the workload's main query.
 //!
 //! Run with: `cargo run --example observed_service -p maybms`
 
@@ -96,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n== metrics (a selection of the scrape) ==");
     for line in wire_text.lines().filter(|l| {
         [
-            "ws_exec_op_",
+            "ws_exec_",
             "ws_wal_",
             "ws_store_commit_batch_size",
             "ws_span_",
@@ -119,8 +119,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --------------------------------------------------------------
     // 5. explain_analyze: a local session over the *served* state
-    //    (the newest snapshot), profiling the workload's main query
-    //    operator by operator.
+    //    (the newest snapshot), profiling the workload's main query —
+    //    one `lineage` node, since the lineage answers it and no
+    //    operator runs.
     // --------------------------------------------------------------
     let snapshot = store.snapshot();
     let mut session = Session::new(snapshot.backend.clone());

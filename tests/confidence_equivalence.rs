@@ -729,9 +729,11 @@ fn relation_names(backend: &AnyBackend) -> Vec<String> {
 /// A compiled-tier confidence reads only the lineage.  On a WSD and a
 /// UWSDT with an observer attached, `confidence` records no executor
 /// operator sample and leaves the backend's relations as they were, yet it
-/// still counts one execution and traces one `query` span; an `execute` of
-/// the same plan afterwards does record operator samples, so the probe sees
-/// a backend execution when there is one.
+/// still counts one execution and traces one `query` span.  An `execute`
+/// of the same positive plan reads the lineage too: still no operator
+/// sample, and exactly one `exec.tier.lineage.hits`.  An `execute` of a
+/// plan with a difference runs on the backend and does record operator
+/// samples, so the probe sees a backend execution when there is one.
 #[test]
 fn compiled_confidences_execute_nothing_on_the_backend() {
     let mut rng = StdRng::seed_from_u64(0xE0E0_0003);
@@ -775,6 +777,18 @@ fn compiled_confidences_execute_nothing_on_the_backend() {
         let spans = observer.metrics().snapshot().histograms["span.query.ns"].count;
         assert_eq!(spans, 1, "[{name}] one query span");
         assert!(session.execute(&prepared).unwrap().count() > 0);
+        assert_eq!(
+            operator_samples(&observer),
+            0,
+            "[{name}] a lineage-answered execute ran executor operators"
+        );
+        let lineage_hits = observer.metrics().snapshot().counters["exec.tier.lineage.hits"];
+        assert_eq!(lineage_hits, 1, "[{name}] the lineage answers the execute");
+        assert_eq!(session.stats().exec_lineage, 1, "[{name}] exec_lineage");
+        let negated = session
+            .prepare(query.clone().difference(query.clone()))
+            .unwrap();
+        session.execute(&negated).unwrap().for_each(drop);
         assert!(
             operator_samples(&observer) > 0,
             "[{name}] execute records operator samples"

@@ -4,16 +4,20 @@
 //! through the shared `optimize → execute` pipeline on every backend — WSD,
 //! UWSDT, U-relation, explicit world-set, and the single-world database —
 //! and the sets of possible answer tuples are compared against the explicit
-//! world-enumeration oracle, each plan both optimized and as written.
+//! world-enumeration oracle, each plan both optimized and as written.  A
+//! session arm sends the same plans through `Session::execute` on all five
+//! backends, bare and durable, and checks the answer, its order and which
+//! path answered.
 
 use std::collections::BTreeSet;
 
 use maybms::prelude::*;
+use maybms::AnyBackend;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 mod common;
-use common::{evaluate_under, plan_has_difference, random_wsd, Generator};
+use common::{all_backends, evaluate_under, plan_has_difference, random_wsd, Generator};
 
 /// Oracle: the possible answer tuples by explicit world enumeration, outside
 /// the engine entirely.
@@ -35,6 +39,70 @@ fn arms() -> [(&'static str, bool); 2] {
     [("optimized", true), ("as written", false)]
 }
 
+/// Prepare `query` on `session` and execute it twice: both answers, which
+/// must agree, and how many executes the lineage answered.
+fn session_answer<B>(mut session: Session<B>, query: &RaExpr) -> maybms::Result<(Vec<Tuple>, u64)>
+where
+    B: SessionBackend,
+    B::Error: Into<maybms::Error>,
+{
+    let prepared = session.prepare(query)?;
+    let first: Vec<Tuple> = session.execute(&prepared)?.collect();
+    let second: Vec<Tuple> = session.execute(&prepared)?.collect();
+    assert_eq!(
+        first, second,
+        "a repeated execute changed the answer of {query}"
+    );
+    Ok((first, session.stats().exec_lineage))
+}
+
+/// The session arm: `Session::execute` on every backend, bare and durable,
+/// lists `expected` (the oracle's set) in strictly increasing `Tuple` order.
+/// Both executes come from the lineage on a positive plan over a world-set
+/// backend, and neither does on the `Database` or on a plan with a
+/// difference.  U-relations reject a difference on either path.
+fn check_sessions(
+    wsd: &Wsd,
+    query: &RaExpr,
+    oracle: &BTreeSet<Tuple>,
+    single_world: &BTreeSet<Tuple>,
+) {
+    let has_difference = plan_has_difference(query);
+    for (name, backend) in all_backends(wsd) {
+        let is_database = matches!(backend, AnyBackend::Db(_));
+        let is_urel = matches!(backend, AnyBackend::Urel(_));
+        let expected = if is_database { single_world } else { oracle };
+        let expected_lineage = if is_database || has_difference { 0 } else { 2 };
+        let durable = Session::create_durable_on(Box::new(MemVfs::new()), backend.clone())
+            .expect("in-memory store initializes");
+        let sessions = [
+            ("bare", session_answer(Session::over(backend), query)),
+            ("durable", session_answer(durable, query)),
+        ];
+        for (arm, answer) in sessions {
+            let context = format!("[session {arm} {name}] {query}");
+            if is_urel && has_difference {
+                assert!(
+                    answer.is_err(),
+                    "{context}: U-relations must reject a difference"
+                );
+                continue;
+            }
+            let (rows, exec_lineage) = answer.unwrap_or_else(|e| panic!("{context}: {e}"));
+            assert!(
+                rows.windows(2).all(|w| w[0] < w[1]),
+                "{context}: rows not in strictly increasing Tuple order: {rows:?}"
+            );
+            assert_eq!(
+                &tuple_set(&rows),
+                expected,
+                "{context}: disagrees with the oracle"
+            );
+            assert_eq!(exec_lineage, expected_lineage, "{context}: exec_lineage");
+        }
+    }
+}
+
 #[test]
 fn all_backends_agree_with_the_world_enumeration_oracle() {
     let mut rng = StdRng::seed_from_u64(0xE9517A1E);
@@ -48,6 +116,9 @@ fn all_backends_agree_with_the_world_enumeration_oracle() {
         let has_difference = plan_has_difference(query);
         difference_plans += has_difference as usize;
         let oracle = oracle_possible(&wsd, query);
+        let (first_world, _) = &wsd.enumerate_worlds(1 << 20).unwrap()[0];
+        let single_world = maybms::relational::evaluate_set(first_world, query).unwrap();
+        check_sessions(&wsd, query, &oracle, &tuple_set(single_world.rows()));
 
         for (label, optimize) in arms() {
             // WSD backend.
@@ -103,14 +174,12 @@ fn all_backends_agree_with_the_world_enumeration_oracle() {
 
             // Single-world backend: engine result equals the reference
             // evaluator in each individual world.
-            let (first_world, _) = &wsd.enumerate_worlds(1 << 20).unwrap()[0];
             let mut db = first_world.clone();
             let out = evaluate_under(&mut db, query, "OUT", optimize).unwrap();
             let mut engine_result = db.relation(&out).unwrap().clone();
             engine_result.dedup();
-            let reference = maybms::relational::evaluate_set(first_world, query).unwrap();
             assert!(
-                reference.set_eq(&engine_result),
+                single_world.set_eq(&engine_result),
                 "[{label}] single-world engine disagrees with the evaluator for {query}"
             );
         }

@@ -10,9 +10,10 @@
 //!   all five backends.
 //! * **Profile consistency** — [`Session::explain_analyze`] reports row
 //!   counts that match the materialized results it profiles: the root
-//!   operator's `rows_out`, the profile's `rows`, and the confidence step's
+//!   node's `rows_out`, the profile's `rows`, and the confidence step's
 //!   inputs/outputs all agree with independently executed queries, on bare
-//!   and on `Durable`-wrapped backends alike.
+//!   and on `Durable`-wrapped backends alike; the world-set backends name
+//!   the `lineage` node that answered in place of an operator tree.
 //! * **Decline reasons** — each way the compiled confidence tier declines
 //!   (no lineage, a difference, the d-tree budget) bumps its own
 //!   `conf.tier.lineage.declined.<reason>` counter, and only that one.
@@ -80,14 +81,30 @@ fn observation_is_bit_identical_across_backends() {
 // The observer actually observed something while staying pure: the metrics
 // registry is non-empty after an observed query, and a second observed run
 // still matches the baseline (the registry is not consulted by the engine).
+// A positive plan on the WSD is answered from the lineage — one
+// `exec.tier.lineage.hits`, no operator sample — so the operator timings
+// come from a plan with a difference, which runs on the backend.
 #[test]
 fn observed_sessions_populate_the_registry() {
     let mut rng = StdRng::seed_from_u64(0xCAFE);
     let wsd = random_wsd(&mut rng);
     let observer = Arc::new(Observer::new());
     let (_, backend) = all_backends(&wsd).remove(1); // the WSD itself
-    let (rows, _) = probe(backend, Some(Arc::clone(&observer)), &RaExpr::rel("R"));
+    let (rows, _) = probe(
+        backend.clone(),
+        Some(Arc::clone(&observer)),
+        &RaExpr::rel("R"),
+    );
     assert!(!rows.is_empty());
+    let snapshot = observer.metrics().snapshot();
+    assert_eq!(snapshot.counters.get("exec.tier.lineage.hits"), Some(&1));
+    assert!(
+        !snapshot.render_prometheus().contains("ws_exec_op_"),
+        "a lineage-answered execute ran executor operators"
+    );
+    let difference =
+        RaExpr::rel("R").difference(RaExpr::rel("R").select(Predicate::eq_const("A", 0i64)));
+    probe(backend, Some(Arc::clone(&observer)), &difference);
     let snapshot = observer.metrics().snapshot();
     let rendered = snapshot.render_prometheus();
     assert!(
@@ -103,7 +120,8 @@ fn observed_sessions_populate_the_registry() {
 /// Profile `plan` on one session and check the profile's row counts against
 /// independently materialized results.  A single-world backend must answer
 /// on its columnar executor: a wrapper that does not forward it falls back
-/// to the operator path (`"row"`).
+/// to the operator path (`"row"`).  A world-set backend answers the
+/// positive `plan` from the lineage: the profile is one `lineage` node.
 fn check_profile<B: SessionBackend>(label: &str, backend: B, plan: &RaExpr, single_world: bool)
 where
     B::Error: Into<maybms::Error>,
@@ -145,6 +163,16 @@ where
         assert_ne!(
             profile.root.path, "row",
             "[{label}] the plan {plan} left the columnar executor:\n{rendered}"
+        );
+    } else {
+        assert_eq!(
+            (profile.root.op.as_str(), profile.root.path),
+            ("lineage", "lineage"),
+            "[{label}] the lineage must answer {plan}:\n{rendered}"
+        );
+        assert!(
+            profile.root.children.is_empty(),
+            "[{label}] no operator ran:\n{rendered}"
         );
     }
 }
@@ -189,7 +217,9 @@ fn over_budget_udb() -> UDatabase {
 // Every way the compiled tier declines has its own counter: a backend
 // without lineage, a plan with a difference and a d-tree over its node
 // budget each bump `conf.tier.lineage.declined.<reason>` once, and the
-// native exact path answers.
+// native exact path answers.  An execute shares the lineage step, so the
+// first two bump `exec.tier.lineage.declined.<reason>` too; a d-tree budget
+// never binds an execute, which the lineage answers.
 #[test]
 fn lineage_declines_are_counted_by_reason() {
     let mut rng = StdRng::seed_from_u64(0xDEC1);
@@ -214,6 +244,10 @@ fn lineage_declines_are_counted_by_reason() {
         session.set_observer(Arc::clone(&observer));
         let prepared = session.prepare(plan).expect("plan prepares");
         session.confidence(&prepared).expect("confidence runs");
+        session
+            .execute(&prepared)
+            .expect("execute runs")
+            .for_each(drop);
         assert_eq!(
             session.stats().conf_exact,
             1,
@@ -224,7 +258,14 @@ fn lineage_declines_are_counted_by_reason() {
             let name = format!("conf.tier.lineage.declined.{counted}");
             let expected = (counted == reason).then_some(1);
             assert_eq!(counters.get(&name).copied(), expected, "[{reason}] {name}");
+            let name = format!("exec.tier.lineage.declined.{counted}");
+            let expected = (counted == reason && reason != "budget").then_some(1);
+            assert_eq!(counters.get(&name).copied(), expected, "[{reason}] {name}");
         }
+        let lineage_hits = counters.get("exec.tier.lineage.hits").copied();
+        let expected = (reason == "budget").then_some(1);
+        assert_eq!(lineage_hits, expected, "[{reason}] exec.tier.lineage.hits");
+        assert_eq!(session.stats().exec_lineage, expected.unwrap_or(0));
     }
 }
 
