@@ -7,12 +7,12 @@
 //!   serially, (b) across the machine's available parallelism (at least 2)
 //!   in reader threads, and
 //!   (c) serially again while a writer churns durable updates through a
-//!   2 ms-per-sync medium.  Every reader works on its own pinned
-//!   [`ws_server::StoreSnapshot`], so readers never block each other (the
-//!   only shared state is one `Arc` clone per pin) and — the MVCC point —
-//!   never wait for a writer parked inside `fsync`: the contended burst
-//!   stays close to the idle one even though every concurrent commit
-//!   stalls the log for 2 ms.
+//!   2 ms-per-sync medium.  Every reader reads its pinned
+//!   [`ws_server::StoreSnapshot`] in place through a [`ws_server::Pinned`]
+//!   view, so readers never block each other (the only shared state is one
+//!   `Arc` clone per pin) and — the MVCC point — never wait for a writer
+//!   parked inside `fsync`: the contended burst stays close to the idle one
+//!   even though every concurrent commit stalls the log for 2 ms.
 //! * **group_commit** — eight writer threads race updates into a
 //!   [`ws_server::ConcurrentStore`] over a [`ws_storage::LatencyVfs`] that
 //!   charges a fixed cost per `sync`.  `EveryRecord` pays that cost once per
@@ -35,7 +35,7 @@ use maybms::{q, AnyBackend, Session, UpdateExpr};
 use ws_bench::{is_quick, print_header, print_row, secs, time_once};
 use ws_core::{FieldId, Wsd};
 use ws_relational::{Tuple, Value};
-use ws_server::ConcurrentStore;
+use ws_server::{ConcurrentStore, Pinned};
 use ws_storage::{LatencyVfs, MemVfs, SyncPolicy, Vfs};
 
 /// Group commit must beat per-record fsync by this factor (measured over
@@ -67,11 +67,10 @@ fn synthetic_wsd(tuples: usize) -> Wsd {
     wsd
 }
 
-/// One read transaction: pin the newest image, open a session over it and
-/// answer the projection's tuple confidences.
+/// One read transaction: pin the newest image, open a session that reads it
+/// in place and answer the projection's tuple confidences.
 fn one_read(store: &ConcurrentStore<AnyBackend>) -> usize {
-    let snapshot = store.snapshot();
-    let mut session = Session::new(snapshot.backend.clone());
+    let mut session = Session::new(Pinned::from(store.snapshot()));
     let plan = session.prepare(q("R").project(["A"])).unwrap();
     session.confidence(&plan).unwrap().len()
 }

@@ -23,8 +23,11 @@
 //!     refused, and the connection must keep answering), scrape the HTTP
 //!     metrics endpoint, and exit 0 iff every step answered correctly.
 //!     Positive executes must come from the lineage (`exec-lineage=` > 0,
-//!     `ws_exec_tier_lineage_hits` on the wire), and one execute of a plan
-//!     with a difference must run the operators (`ws_exec_op_`).
+//!     `ws_exec_tier_lineage_hits` on the wire) and read the pinned image in
+//!     place (`ws_server_snapshot_copies` 0, `ws_server_repin_ns` on the
+//!     wire); one execute of a plan with a difference must run the
+//!     operators (`ws_exec_op_`) on a copy of the image
+//!     (`ws_server_snapshot_copies` ≥ 1).
 //! ```
 
 use std::net::{SocketAddr, TcpStream};
@@ -209,6 +212,15 @@ fn cmd_smoke() -> Result<(), Box<dyn std::error::Error>> {
     let confidences = client.confidence(&plan)?;
     let mass = client.apply(&UpdateExpr::delete("R", Predicate::eq_const("M", 4i64)))?;
     let rows_after = client.execute(&plan)?.len();
+
+    // A difference has no lineage, so this execute runs the operators, on a
+    // copy of the pinned image: the store still publishes that image (no
+    // checkpoint has re-published it), so the connection shares it.
+    let lineage_metrics = client.metrics()?;
+    let difference =
+        client.prepare(q("R").difference(q("R").select(Predicate::eq_const("M", 4i64))))?;
+    client.execute(&difference)?;
+
     let generation = client.checkpoint()?;
     let summary = client.stats()?;
     let exec_lineage: u64 = summary
@@ -220,12 +232,6 @@ fn cmd_smoke() -> Result<(), Box<dyn std::error::Error>> {
     println!("smoke: {summary}");
     let over_deep_refused = over_deep_frame_is_refused(addr)?;
     println!("smoke: over-deep Prepare frame refused: {over_deep_refused}");
-
-    // A difference has no lineage, so this execute runs the operators.
-    let lineage_metrics = client.metrics()?;
-    let difference =
-        client.prepare(q("R").difference(q("R").select(Predicate::eq_const("M", 4i64))))?;
-    client.execute(&difference)?;
 
     // The registry over the wire verb and over HTTP must agree on content.
     let wire_metrics = client.metrics()?;
@@ -255,6 +261,20 @@ fn cmd_smoke() -> Result<(), Box<dyn std::error::Error>> {
     if !wire_metrics.contains("ws_exec_op_") {
         return Err(format!("smoke: no operator metrics on the wire:\n{wire_metrics}").into());
     }
+    if !lineage_metrics.contains("ws_server_repin_ns") {
+        return Err(format!("smoke: no re-pin timings on the wire:\n{lineage_metrics}").into());
+    }
+    let (copies_before, copies_after) = (
+        snapshot_copies(&lineage_metrics),
+        snapshot_copies(&wire_metrics),
+    );
+    if copies_before != 0 || copies_after == 0 {
+        return Err(format!(
+            "smoke: the pinned image was copied {copies_before} times before the difference \
+             and {copies_after} times after it (want 0, then at least 1)"
+        )
+        .into());
+    }
     if !http_response.starts_with("HTTP/1.1 200 OK") || !http_response.contains("ws_wal_append_ns")
     {
         return Err(format!("smoke: bad metrics scrape:\n{http_response}").into());
@@ -267,6 +287,16 @@ fn cmd_smoke() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("smoke: OK");
     Ok(())
+}
+
+/// The `ws_server_snapshot_copies` counter in a Prometheus scrape (0 while
+/// nothing copied, which leaves the counter out of the registry).
+fn snapshot_copies(scrape: &str) -> u64 {
+    scrape
+        .lines()
+        .find_map(|line| line.strip_prefix("ws_server_snapshot_copies "))
+        .and_then(|n| n.trim().parse().ok())
+        .unwrap_or(0)
 }
 
 /// Send one `Prepare` frame whose plan nests 10 000 levels deep on a raw

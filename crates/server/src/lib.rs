@@ -18,9 +18,10 @@
 //!   row batches / confidence / apply / condition / checkpoint / stats),
 //!   encoded with the same ws-storage codec the snapshot and WAL files use.
 //! * [`server`] + [`client`] — a thread-per-connection TCP [`server`] whose
-//!   connections re-pin snapshots when writers commit and keep their
-//!   prepared plans across re-pins, and a blocking [`Client`] mirroring the
-//!   Session API remotely.
+//!   connections read the pinned image in place through a [`Pinned`] view,
+//!   re-pin snapshots when writers commit and keep their prepared plans
+//!   across re-pins, and a blocking [`Client`] mirroring the Session API
+//!   remotely.
 //!
 //! The `ws-serverd` binary serves a store directory; the repository-level
 //! `tests/service_equivalence.rs` suite proves the concurrency story
@@ -46,12 +47,14 @@
 
 pub mod client;
 pub mod metrics_http;
+pub mod pinned;
 pub mod server;
 pub mod store;
 pub mod wire;
 
 pub use client::{Client, RemotePlan, ServiceError};
 pub use metrics_http::{serve_metrics, MetricsHandle};
+pub use pinned::Pinned;
 pub use server::{serve, spawn, ServerHandle};
 pub use store::{ConcurrentStore, StoreSnapshot, StoreStats, UpdateOutcome};
 pub use wire::{Request, Response, WIRE_VERSION};

@@ -1,14 +1,17 @@
 //! The TCP server: one [`ConcurrentStore`] served to many connections.
 //!
-//! Each connection runs on its own thread and owns a private
-//! [`Session<AnyBackend>`] built from a pinned store snapshot.  Queries
-//! (`Prepare`/`Execute`/`Confidence`) run against that pinned image without
-//! taking any store lock; before each query the connection compares its
-//! pinned sequence number with the store's and, if writers have committed in
-//! the meantime, re-pins the newest snapshot.  Its [`Prepared`] plans carry
-//! over unchanged: no wire verb changes a schema, and the optimizer reads
-//! only schemas, so a plan prepared on one snapshot is valid on every later
-//! one.  Writes
+//! Each connection runs on its own thread and owns a private [`Session`]
+//! over a [`Pinned`] view of a store snapshot: the plan cache, lineage memo
+//! and counters are the connection's own, while the image it reads is
+//! shared in place with every connection pinning the same snapshot (a read
+//! that must build a scratch result copies it first, see [`Pinned`]).
+//! Queries (`Prepare`/`Execute`/`Confidence`) run against that pinned image
+//! without taking any store lock; before each query the connection compares
+//! its pinned sequence number with the store's and, if writers have
+//! committed in the meantime, re-pins the newest snapshot: one `Arc::clone`
+//! and a fresh session.  Its [`Prepared`] plans carry over unchanged: no
+//! wire verb changes a schema, and the optimizer reads only schemas, so a
+//! plan prepared on one snapshot is valid on every later one.  Writes
 //! (`Apply`/`Condition`/`Checkpoint`) go straight to the store's
 //! group-commit committer, so concurrent connections' updates coalesce into
 //! shared WAL batches.
@@ -19,10 +22,12 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 use maybms::{AnyBackend, Prepared, Session, SessionBackend, SessionStats, UpdateExpr};
 use ws_relational::Tuple;
 
+use crate::pinned::Pinned;
 use crate::store::ConcurrentStore;
 use crate::wire::{
     push_frame, read_frame, write_frame, CountingStream, Request, Response, WIRE_VERSION,
@@ -138,9 +143,10 @@ impl Drop for ServerHandle {
 /// Per-connection state: the pinned read session and the registered plans.
 struct Conn {
     store: ConcurrentStore<AnyBackend>,
-    /// The session over the pinned snapshot, tagged with the sequence number
-    /// it was pinned at.  Rebuilt lazily when the store moves on.
-    session: Option<(u64, Session<AnyBackend>)>,
+    /// The session over the pinned snapshot, which it shares with every
+    /// other connection pinning the same one, and this connection's own
+    /// lineage memo over it.  Rebuilt lazily when the store moves on.
+    session: Option<Session<Pinned<AnyBackend>>>,
     /// Plan handle → the prepared plan.  Survives re-pins: the optimizer
     /// reads only schemas, and no wire verb changes one.
     prepared: HashMap<u64, Prepared>,
@@ -151,26 +157,43 @@ struct Conn {
 }
 
 impl Conn {
-    /// Pin the newest snapshot if the committed sequence moved, and return
-    /// the pinned session.  Prepared plans carry over as they are.
-    fn session(&mut self) -> &mut Session<AnyBackend> {
-        let tip = self.store.seq();
-        if let Some((_, old)) = self.session.as_ref().filter(|(seq, _)| *seq != tip) {
-            self.carried.absorb(&old.stats());
-            self.session = None;
+    fn new(store: ConcurrentStore<AnyBackend>) -> Conn {
+        Conn {
+            store,
+            session: None,
+            prepared: HashMap::new(),
+            next_plan: 1,
+            carried: SessionStats::default(),
         }
-        let store = &self.store;
-        &mut self
-            .session
-            .get_or_insert_with(|| {
-                let snapshot = store.snapshot();
-                let mut session = Session::new(snapshot.backend.clone());
-                if let Some(observer) = store.observer() {
-                    session.set_observer(Arc::clone(observer));
+    }
+
+    /// Pin the newest snapshot if the committed sequence moved, and return
+    /// the pinned session.  Prepared plans carry over as they are.  The
+    /// re-pin — retiring the old session (whose drop may free the last
+    /// reference to an old image), pinning, opening the new session — is
+    /// timed into `server.repin.ns` when the store is observed.
+    fn session(&mut self) -> &mut Session<Pinned<AnyBackend>> {
+        let tip = self.store.seq();
+        match self.session.take() {
+            Some(current) if current.backend().snapshot().seq == tip => {
+                self.session.insert(current)
+            }
+            retired => {
+                let started = Instant::now();
+                if let Some(old) = retired {
+                    self.carried.absorb(&old.stats());
                 }
-                (snapshot.seq, session)
-            })
-            .1
+                let mut session = Session::new(Pinned::from(self.store.snapshot()));
+                if let Some(observer) = self.store.observer() {
+                    session.set_observer(Arc::clone(observer));
+                    observer
+                        .metrics()
+                        .histogram("server.repin.ns")
+                        .record_duration(started.elapsed());
+                }
+                self.session.insert(session)
+            }
+        }
     }
 }
 
@@ -203,13 +226,7 @@ fn handle_connection(
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
     let mut stream = CountingStream::new(stream);
-    let mut conn = Conn {
-        store,
-        session: None,
-        prepared: HashMap::new(),
-        next_plan: 1,
-        carried: SessionStats::default(),
-    };
+    let mut conn = Conn::new(store);
     loop {
         // The trace id from the frame header is echoed on every response
         // frame of this request, so a client (or a wire capture) can match
@@ -372,9 +389,10 @@ mod tests {
     use super::*;
     use crate::Client;
     use std::time::{Duration, Instant};
-    use ws_relational::{Database, Predicate, Relation, Schema};
+    use ws_obs::Observer;
+    use ws_relational::{Database, Predicate, RaExpr, Relation, Schema};
     use ws_storage::codec::MAX_NESTING;
-    use ws_storage::{MemVfs, SyncPolicy};
+    use ws_storage::{MemVfs, Persist, SyncPolicy};
 
     fn median_of_20(mut round_trip: impl FnMut()) -> Duration {
         let mut samples: Vec<Duration> = (0..20)
@@ -458,6 +476,143 @@ mod tests {
         // The idle connection was hung up by the server.
         assert!(read_frame(&mut raw).unwrap().is_none());
         drop(idle);
+        store.close().unwrap();
+    }
+
+    /// `server.snapshot.copies` as the observer counted it so far.
+    fn copies(observer: &Observer) -> u64 {
+        observer.metrics().counter("server.snapshot.copies").get()
+    }
+
+    /// Whether the connection still reads the store's published image.
+    fn reads_in_place(conn: &mut Conn) -> bool {
+        let published = conn.store.snapshot();
+        Arc::ptr_eq(conn.session().backend().snapshot(), &published)
+    }
+
+    /// What a connection answered before it shared the pinned image: a
+    /// session over its own copy of the newest snapshot.
+    fn answers_of_a_copy(
+        store: &ConcurrentStore<AnyBackend>,
+        plan: &RaExpr,
+    ) -> (Vec<Tuple>, Vec<(Tuple, f64)>) {
+        let mut session = Session::new(store.snapshot().backend.clone());
+        let prepared = session.prepare(plan).unwrap();
+        let rows = session.execute(&prepared).unwrap().collect();
+        (rows, session.confidence(&prepared).unwrap())
+    }
+
+    /// A connection's answers, which must equal [`answers_of_a_copy`].
+    fn answers(conn: &mut Conn, plan: &RaExpr) -> (Vec<Tuple>, Vec<(Tuple, f64)>) {
+        let prepared = conn.session().prepare(plan).unwrap();
+        let rows = conn.session().execute(&prepared).unwrap().collect();
+        (rows, conn.session().confidence(&prepared).unwrap())
+    }
+
+    /// Positive plans read the pinned UWSDT image in place; the first plan
+    /// with a difference copies it once, for this connection only, and the
+    /// published image neither changes nor keeps a scratch result.
+    #[test]
+    fn a_connection_copies_the_pinned_image_only_to_build_a_scratch_result() {
+        let uwsdt = maybms::uwsdt::from_wsd(&maybms::core::wsd::example_census_wsd()).unwrap();
+        let observer = Arc::new(Observer::new());
+        let store = ConcurrentStore::create_observed(
+            Box::new(MemVfs::new()),
+            AnyBackend::from(uwsdt),
+            SyncPolicy::EveryRecord,
+            Arc::clone(&observer),
+        )
+        .unwrap();
+        let published = store.snapshot().backend.encode_to_vec();
+        let mut conn = Conn::new(store.clone());
+
+        let m4 = Predicate::eq_const("M", 4i64);
+        let positive = [
+            maybms::q("R"),
+            maybms::q("R").project(["S"]),
+            maybms::q("R").select(m4.clone()).project(["N"]),
+        ];
+        for plan in &positive {
+            assert_eq!(answers(&mut conn, plan), answers_of_a_copy(&store, plan));
+        }
+        assert!(
+            reads_in_place(&mut conn),
+            "a positive read copied the image"
+        );
+        assert_eq!(copies(&observer), 0);
+
+        let difference = maybms::q("R").difference(maybms::q("R").select(m4));
+        assert_eq!(
+            answers(&mut conn, &difference),
+            answers_of_a_copy(&store, &difference)
+        );
+        assert!(!reads_in_place(&mut conn));
+        assert_eq!(copies(&observer), 1);
+        let copy = Arc::as_ptr(conn.session().backend().snapshot());
+        assert_eq!(
+            answers(&mut conn, &difference),
+            answers_of_a_copy(&store, &difference)
+        );
+        for plan in &positive {
+            assert_eq!(answers(&mut conn, plan), answers_of_a_copy(&store, plan));
+        }
+        assert_eq!(Arc::as_ptr(conn.session().backend().snapshot()), copy);
+        assert_eq!(copies(&observer), 1, "the private copy is reused");
+
+        let snapshot = store.snapshot();
+        assert_eq!(snapshot.backend.encode_to_vec(), published);
+        let AnyBackend::Uwsdt(image) = &snapshot.backend else {
+            panic!("the store holds a {}", snapshot.backend.backend_name());
+        };
+        assert!(
+            image
+                .relation_names()
+                .iter()
+                .all(|name| !name.starts_with("__session_q")),
+            "a scratch result leaked into the published image: {:?}",
+            image.relation_names()
+        );
+        drop(snapshot);
+        store.close().unwrap();
+    }
+
+    /// On a single-world store every read runs on the backend: the first
+    /// execute after each pin copies the image, the next one does not.
+    #[test]
+    fn a_database_connection_copies_once_per_pin() {
+        let mut rel = Relation::new(Schema::new("R", &["A", "B"]).unwrap());
+        for a in 0..20i64 {
+            rel.push_values([a, a % 3]).unwrap();
+        }
+        let mut db = Database::new();
+        db.insert_relation(rel);
+        let observer = Arc::new(Observer::new());
+        let store = ConcurrentStore::create_observed(
+            Box::new(MemVfs::new()),
+            AnyBackend::from(db),
+            SyncPolicy::EveryRecord,
+            Arc::clone(&observer),
+        )
+        .unwrap();
+        let mut conn = Conn::new(store.clone());
+        let plan = maybms::q("R").select(Predicate::eq_const("B", 1i64));
+        for pin in 1..=2 {
+            assert!(reads_in_place(&mut conn), "pin {pin} starts shared");
+            assert_eq!(answers(&mut conn, &plan), answers_of_a_copy(&store, &plan));
+            assert!(!reads_in_place(&mut conn));
+            assert_eq!(copies(&observer), pin);
+            assert_eq!(answers(&mut conn, &plan), answers_of_a_copy(&store, &plan));
+            assert_eq!(copies(&observer), pin, "pin {pin} copied twice");
+            store
+                .update(UpdateExpr::delete(
+                    "R",
+                    Predicate::eq_const("A", pin as i64),
+                ))
+                .unwrap();
+        }
+        // The first pin and one re-pin; nothing read after the last update.
+        let repins = &observer.metrics().snapshot().histograms["server.repin.ns"];
+        assert_eq!(repins.count, 2);
         store.close().unwrap();
     }
 

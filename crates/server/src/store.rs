@@ -7,10 +7,13 @@
 //! * **Readers** call [`ConcurrentStore::snapshot`] and get an
 //!   `Arc<StoreSnapshot<B>>` — an immutable, reference-counted image of the
 //!   backend as of some committed update sequence number.  Pinning is one
-//!   mutex-protected `Arc::clone`; after that the reader never touches
-//!   shared state again, so query work scales with reader threads.  An old
-//!   generation stays alive exactly as long as some reader pins it: when the
-//!   last `Arc` drops, the image is reclaimed.  Readers are never blocked by
+//!   mutex-protected `Arc::clone`; after that the reader takes no lock
+//!   again.  Every reader of one image reads it in place through a
+//!   [`Pinned`](crate::Pinned) view, and a reader that must build a scratch
+//!   result copies the image for itself first, so the shared image is never
+//!   written and query work scales with reader threads.  An old generation
+//!   stays alive exactly as long as some reader pins it: when the last
+//!   `Arc` drops, the image is reclaimed.  Readers are never blocked by
 //!   writers and never observe a half-applied batch.
 //! * **Writers** call [`ConcurrentStore::update`], which enqueues the
 //!   [`UpdateExpr`] to a single *committer thread* owning the `Durable<B>`.
@@ -57,6 +60,10 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// One immutable image of the backend, pinned by any number of readers.
+///
+/// Readers share one image in place ([`Pinned`](crate::Pinned)).  Cloning a
+/// snapshot copies the whole backend into an image of its own, which
+/// measures no lifetime: a view clones only to build a scratch result.
 #[derive(Debug)]
 pub struct StoreSnapshot<B> {
     /// The backend state at this point of the commit sequence.
@@ -66,9 +73,29 @@ pub struct StoreSnapshot<B> {
     /// The durable checkpoint generation backing this image.
     pub generation: u64,
     /// Measures how long this image stays alive (publish to last-pin drop)
-    /// into `store.snapshot.lifetime_ns`, when the store is observed.  Held
-    /// only for its `Drop`.
-    _pin: Option<PinGuard>,
+    /// into `store.snapshot.lifetime_ns`, when the store is observed: a
+    /// server connection holds its pin until it re-pins.  Also where a
+    /// [`Pinned`](crate::Pinned) view finds the observer to count its copy.
+    pin: Option<PinGuard>,
+}
+
+impl<B: Clone> Clone for StoreSnapshot<B> {
+    fn clone(&self) -> Self {
+        StoreSnapshot {
+            backend: self.backend.clone(),
+            seq: self.seq,
+            generation: self.generation,
+            pin: None,
+        }
+    }
+}
+
+impl<B> StoreSnapshot<B> {
+    /// The observability domain of the store that published this image;
+    /// `None` for an unobserved store and for a copy.
+    pub(crate) fn observer(&self) -> Option<&Arc<Observer>> {
+        self.pin.as_ref().map(|pin| &pin.observer)
+    }
 }
 
 /// Records the owning snapshot's lifetime on drop — i.e. when the *last*
@@ -304,7 +331,7 @@ where
             backend: durable.inner().clone(),
             seq: 0,
             generation: durable.generation(),
-            _pin: pin_guard(&observer),
+            pin: pin_guard(&observer),
         });
         let shared = Arc::new(Shared {
             published: Mutex::new(snapshot),
@@ -575,7 +602,7 @@ where
         backend: durable.inner().clone(),
         seq,
         generation: durable.generation(),
-        _pin: pin_guard(&shared.observer),
+        pin: pin_guard(&shared.observer),
     });
 }
 

@@ -14,7 +14,7 @@ use maybms::obs::Observer;
 use maybms::prelude::*;
 use maybms::storage::{MemVfs, SyncPolicy, Vfs};
 use maybms::{q, AnyBackend, Session, UpdateExpr};
-use ws_server::{serve_metrics, spawn, Client, ConcurrentStore};
+use ws_server::{serve_metrics, spawn, Client, ConcurrentStore, Pinned};
 
 const CLIENTS: usize = 3;
 const ROUNDS: i64 = 4;
@@ -119,12 +119,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --------------------------------------------------------------
     // 5. explain_analyze: a local session over the *served* state
-    //    (the newest snapshot), profiling the workload's main query —
-    //    one `lineage` node, since the lineage answers it and no
-    //    operator runs.
+    //    (the newest snapshot, read in place), profiling the workload's
+    //    main query — one `lineage` node, since the lineage answers it
+    //    and no operator runs.
     // --------------------------------------------------------------
-    let snapshot = store.snapshot();
-    let mut session = Session::new(snapshot.backend.clone());
+    let mut session = Session::new(Pinned::from(store.snapshot()));
     let prepared = session.prepare(q("R").project(["S"]))?;
     let profile = session.explain_analyze(&prepared)?;
     println!("\n== explain_analyze over the served state ==");

@@ -11,7 +11,7 @@ use std::time::Duration;
 use maybms::prelude::*;
 use maybms::storage::{DirVfs, SyncPolicy, Vfs};
 use maybms::{q, AnyBackend, UpdateExpr};
-use ws_server::{spawn, Client, ConcurrentStore};
+use ws_server::{spawn, Client, ConcurrentStore, Pinned};
 
 const WRITERS: usize = 4;
 const PER_WRITER: i64 = 3;
@@ -122,7 +122,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ConcurrentStore::open(vfs, SyncPolicy::EveryRecord)?;
     let snapshot = reopened.snapshot();
     assert_eq!(snapshot.generation, generation);
-    let mut session = maybms::Session::new(snapshot.backend.clone());
+    // The session reads the recovered image in place.
+    let mut session = maybms::Session::new(Pinned::from(snapshot));
     let plan = session.prepare(q("R").project(["N"]))?;
     let recovered = session.execute(&plan)?.count();
     assert_eq!(

@@ -19,9 +19,12 @@
 //!
 //! The wire protocol gets the same treatment end to end: a TCP server and
 //! concurrent clients must agree with a local session replaying the same
-//! updates.
+//! updates, and reader connections racing writer connections must answer
+//! like the serial replay of some prefix of the history while the
+//! published image stays exactly the replay of the whole history.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use maybms::prelude::*;
@@ -33,7 +36,7 @@ use ws_storage::wal::{self, WAL_FILE};
 use ws_storage::SyncPolicy;
 
 mod common;
-use common::{all_backends, random_update, random_wsd, GenExpr, Generator};
+use common::{all_backends, plan_has_difference, random_update, random_wsd, GenExpr, Generator};
 
 fn boxed(vfs: &MemVfs) -> Box<dyn Vfs> {
     Box::new(vfs.clone())
@@ -337,6 +340,174 @@ fn the_wire_protocol_round_trips_the_session_verbs_concurrently() {
     client.shutdown_server().unwrap();
     handle.shutdown().unwrap();
     store.close().unwrap();
+}
+
+/// One read as a client sees it: the sorted possible tuples, or the sorted
+/// confidences as bit patterns.
+#[derive(Debug, PartialEq)]
+enum Answer {
+    Rows(Vec<Tuple>),
+    Confidences(Vec<(Tuple, u64)>),
+}
+
+fn rows_answer(mut rows: Vec<Tuple>) -> Answer {
+    rows.sort();
+    Answer::Rows(rows)
+}
+
+fn confidence_answer(rows: Vec<(Tuple, f64)>) -> Answer {
+    let mut bits: Vec<(Tuple, u64)> = rows.into_iter().map(|(t, c)| (t, c.to_bits())).collect();
+    bits.sort();
+    Answer::Confidences(bits)
+}
+
+/// Every answer a local session over `backend` gives to `plans`: an
+/// execute and a confidence per plan, in that order.
+fn local_answers(backend: AnyBackend, plans: &[RaExpr]) -> Vec<Answer> {
+    let mut session = Session::new(backend);
+    plans
+        .iter()
+        .flat_map(|plan| {
+            let prepared = session.prepare(plan).expect("a reader plan typechecks");
+            let rows = session.execute(&prepared).expect("a reader plan runs");
+            let rows = rows_answer(rows.collect());
+            let confidences = session.confidence(&prepared).expect("a reader plan runs");
+            [rows, confidence_answer(confidences)]
+        })
+        .collect()
+}
+
+/// Readers and writers share the server: two reader connections execute
+/// and confidence positive plans and plans with a difference (which build
+/// a scratch result on the reader's copy of its pinned image) while two
+/// writer connections commit.  Each answer equals the serial replay of some
+/// prefix of the committed history, and the published image ends up
+/// encoding exactly like the replay of all of it, on every backend.
+/// U-relations reject differences, so their readers run the positive plans
+/// only.
+#[test]
+fn wire_reads_racing_commits_answer_a_serial_prefix_on_all_backends() {
+    const READS_AFTER_COMMITS: usize = 2;
+    let mut rng = StdRng::seed_from_u64(0x4ACE);
+    let mut generator = Generator::new(0x5EEDE);
+    let wsd = random_wsd(&mut rng);
+    let positive = probe_queries(&mut generator, &mut rng);
+    let ab = ["A".to_string(), "B".to_string()];
+    let mut differences =
+        vec![RaExpr::rel("R").difference(RaExpr::rel("R").select(generator.predicate(&ab, 1)))];
+    while differences.len() < 2 {
+        let GenExpr { expr, .. } = generator.expr(2, true);
+        if plan_has_difference(&expr) {
+            differences.push(expr);
+        }
+    }
+    let updates: Vec<UpdateExpr> = (0..8)
+        .map(|_| random_update(&mut generator, &mut rng, false, false))
+        .collect();
+
+    for (name, backend) in all_backends(&wsd) {
+        let mut plans = positive.clone();
+        if name != "urel" {
+            plans.extend(differences.iter().cloned());
+        }
+        let store: ConcurrentStore<AnyBackend> = ConcurrentStore::create_recording(
+            Box::new(MemVfs::new()),
+            backend.clone(),
+            SyncPolicy::GroupCommit {
+                max_batch: 4,
+                max_wait: Duration::from_millis(1),
+            },
+        )
+        .unwrap();
+        let handle = ws_server::spawn("127.0.0.1:0", store.clone()).unwrap();
+        let addr = handle.addr();
+        let committing = Arc::new(AtomicBool::new(true));
+        // Each reader answers every plan once before the writers start.
+        let start = Arc::new(Barrier::new(4));
+
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let (plans, committing, start) =
+                    (plans.clone(), Arc::clone(&committing), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    let remote: Vec<_> = plans.iter().map(|p| client.prepare(p).unwrap()).collect();
+                    let mut answers = Vec::new();
+                    let mut read_all = |client: &mut Client| {
+                        for plan in &remote {
+                            answers.push(rows_answer(client.execute(plan).unwrap()));
+                            answers.push(confidence_answer(client.confidence(plan).unwrap()));
+                        }
+                    };
+                    read_all(&mut client);
+                    start.wait();
+                    while committing.load(Ordering::SeqCst) {
+                        read_all(&mut client);
+                    }
+                    for _ in 0..READS_AFTER_COMMITS {
+                        read_all(&mut client);
+                    }
+                    client.close().unwrap();
+                    answers
+                })
+            })
+            .collect();
+        let writers: Vec<_> = updates
+            .chunks(updates.len() / 2)
+            .map(|chunk| {
+                let (chunk, start) = (chunk.to_vec(), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    start.wait();
+                    for update in &chunk {
+                        client.apply(update).unwrap();
+                        // Spreads the commits over the readers' loop; the
+                        // check holds for every interleaving.
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    client.close().unwrap();
+                })
+            })
+            .collect();
+        for writer in writers {
+            writer.join().unwrap();
+        }
+        committing.store(false, Ordering::SeqCst);
+        let observed: Vec<Vec<Answer>> = readers
+            .into_iter()
+            .map(|reader| reader.join().unwrap())
+            .collect();
+        handle.shutdown().unwrap();
+        let history = store.history().unwrap();
+        assert_eq!(history.len(), updates.len(), "[{name}]");
+
+        // The answers of the serial replay at every prefix, per plan verb.
+        let per_prefix: Vec<Vec<Answer>> = (0..=history.len())
+            .map(|k| local_answers(reference_state(&backend, &history[..k]), &plans))
+            .collect();
+        let verbs = 2 * plans.len();
+        for answers in &observed {
+            for (i, answer) in answers.iter().enumerate() {
+                assert!(
+                    per_prefix.iter().any(|serial| serial[i % verbs] == *answer),
+                    "[{name}] read {i} ({}) matches no serial prefix: {answer:?}",
+                    plans[(i % verbs) / 2]
+                );
+            }
+            // Reads after the last commit re-pin the newest image.
+            assert_eq!(
+                answers[answers.len() - verbs..],
+                per_prefix[history.len()][..],
+                "[{name}] a read after the last commit missed it"
+            );
+        }
+        assert_eq!(
+            store.snapshot().backend.encode_to_vec(),
+            reference_state(&backend, &history).encode_to_vec(),
+            "[{name}] the published image is not the serial replay"
+        );
+        store.close().unwrap();
+    }
 }
 
 /// A connection keeps its session — and with it the lineage memo — for as
